@@ -2,8 +2,8 @@
 
 Not a paper figure, but useful for tracking the cost of the primitives the
 experiments are built from: the full DTW dynamic program, the banded DP at
-the paper's band widths, FastDTW, salient-feature extraction, and the
-matching + pruning step.
+the paper's band widths (plain and early-abandoning), FastDTW,
+salient-feature extraction, and the matching + pruning step.
 """
 
 from __future__ import annotations
@@ -43,6 +43,20 @@ def test_kernel_banded_dtw(benchmark, series_pair, width):
     band = sakoe_chiba_band_fraction(x.size, y.size, width)
     result = benchmark(lambda: banded_dtw(x, y, band, return_path=False))
     assert result.distance >= dtw_distance(x, y) - 1e-9
+
+
+@pytest.mark.parametrize("threshold_factor", [0.5, 2.0])
+def test_kernel_banded_dtw_early_abandoning(benchmark, series_pair, threshold_factor):
+    # The engine's per-pair call shape: distance only, with the running
+    # k-th best distance as the abandonment threshold.  At 0.5x the pair
+    # is abandoned partway; at 2x every row is checked and none abandons.
+    x, y = series_pair
+    band = sakoe_chiba_band_fraction(x.size, y.size, 0.10)
+    exact = banded_dtw(x, y, band, return_path=False).distance
+    threshold = threshold_factor * exact
+    result = benchmark(lambda: banded_dtw(x, y, band, return_path=False,
+                                          abandon_threshold=threshold))
+    assert result.abandoned == (threshold_factor < 1.0)
 
 
 def test_kernel_fastdtw(benchmark, series_pair):

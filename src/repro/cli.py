@@ -1018,6 +1018,7 @@ def _print_profile(report, top: int) -> None:
     print(f"profiler: {report.num_samples} samples over "
           f"{report.duration_seconds:.2f}s "
           f"(interval {report.interval_seconds * 1000:.1f} ms, "
+          f"coverage {report.coverage:.1%}, "
           f"sampler overhead {report.sampler_overhead:.1%})")
     if not report.num_samples:
         print("no samples captured (the window was shorter than the "

@@ -324,6 +324,13 @@ def banded_dtw(
     return _banded_dtw_distance_only(xs, ys, window, func, abandon_threshold)
 
 
+# Byte budget for one block of rows' pointwise costs and prefix sums.  A
+# narrow band over a whole series fits in one block; a full band on a long
+# series gets a few rows per block, so the block stays in cache and the
+# scan's extra memory does not grow with series length.
+_BLOCK_BYTES = 1 << 16
+
+
 def _banded_dtw_distance_only(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -342,54 +349,113 @@ def _banded_dtw_distance_only(
     minimum (``np.minimum.accumulate``).  The same formulation is applied
     per candidate row by the batch kernel in :mod:`repro.engine`, so the
     serial and batched code paths produce bit-identical distances.
+
+    A narrow band spends its time on per-call overhead, not arithmetic, so
+    each row costs four in-place numpy calls:
+
+    * Pointwise costs and their prefix sums are computed for a block of
+      rows at once, one call each.  Each block row holds
+      ``[0, prefix[0], ..., prefix[w - 1]]``, so ``prefix`` and the
+      shifted ``prefix[t - 1]`` (``0`` at ``t = 0``) are two views of one
+      row.
+    * The DP row lives in one preallocated buffer indexed by column and
+      inf outside the current window.  A row reads its predecessor's
+      diagonal and up cells from the buffer into a scratch row, subtracts
+      the shifted prefix in place, takes the running minimum, and writes
+      ``prefix + minimum`` over its own window.  Cells the window has left
+      behind are reset to inf.
+    * The abandonment test first probes the cell that kept the previous
+      row under the cutoff; any cell at or under it keeps the row alive.
+      Only when the probe fails does the row pay for a full ``argmin``.
+      The decision is the same as comparing the row minimum.
+
+    The result is bit-identical to computing each row on its own.  Every
+    block row is a sequential ``cumsum`` from the window's first column,
+    exactly as a one-row ``cumsum``.  The scratch row then sees the same
+    ``min``, subtraction (including ``- 0`` at ``t = 0``), running minimum
+    and addition on the same operands in the same order.
+
+    Memory: the rows per block are set from the widest window so that one
+    block of prefix sums takes at most ``_BLOCK_BYTES`` (or one row, if a
+    single row is wider).  Beyond the two series the scan holds the O(m)
+    row buffer, a scratch row and one block with its temporaries, however
+    many rows the band has; a full band never materialises an O(n * m)
+    cost or prefix matrix.
     """
     n, m = xs.size, ys.size
-    cells = 0
-    prev_lo = prev_hi = -1
-    prev_vals: Optional[np.ndarray] = None
     inf = np.inf
-    for i in range(n):
-        lo = int(window[i, 0])
-        hi = int(window[i, 1])
-        width = hi - lo + 1
-        cells += width
-        row_cost = func(xs[i], ys[lo: hi + 1])
-        prefix = np.cumsum(row_cost)
-        if prev_vals is None:
-            # First row: only horizontal moves are possible.
-            vals = prefix if lo == 0 else np.full(width, inf)
-        else:
-            # min(up, diag) for the whole row in one pass.
-            padded = np.full(width + 1, inf)
-            overlap_lo = max(lo - 1, prev_lo)
-            overlap_hi = min(hi, prev_hi)
-            if overlap_hi >= overlap_lo:
-                padded[overlap_lo - (lo - 1): overlap_hi - (lo - 1) + 1] = prev_vals[
-                    overlap_lo - prev_lo: overlap_hi - prev_lo + 1
-                ]
-            diag_or_up = np.minimum(padded[:-1], padded[1:])
-            shifted = np.empty(width)
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            vals = prefix + np.minimum.accumulate(diag_or_up - shifted)
-        if (
-            abandon_threshold is not None
-            and vals.min() > abandon_cutoff(abandon_threshold)
-        ):
-            # Every continuation only adds non-negative costs, so the final
-            # distance is guaranteed to exceed the threshold.
-            return BandedDTWResult(
-                distance=inf, path=None, cells_filled=cells, band=window,
-                abandoned=True,
-            )
-        prev_lo, prev_hi, prev_vals = lo, hi, vals
+    los = window[:, 0]
+    widths = window[:, 1] - los + 1
+    max_width = int(widths.max())
+    block_rows = max(1, _BLOCK_BYTES // (8 * (max_width + 1)))
+    # row[j + 1] is column j of the last finished row; row[0] stands for
+    # column -1, the diagonal predecessor of column 0, and is always inf.
+    row = np.full(m + 1, inf)
+    scratch = np.empty(max_width)
+    cutoff = None if abandon_threshold is None else abandon_cutoff(abandon_threshold)
+    # Offset of the cell that kept the last fully checked row alive.
+    witness = 0
+    bounds = window.tolist()
+    cells = 0
+    prev_lo, prev_hi = 0, -1
+    scratch_width = -1
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        block_width = int(widths[start:stop].max())
+        columns = los[start:stop, np.newaxis] + np.arange(block_width)
+        costs = func(xs[start:stop, np.newaxis], np.take(ys, columns, mode="clip"))
+        sums = np.empty((stop - start, block_width + 1))
+        sums[:, 0] = 0.0
+        np.cumsum(costs, axis=1, out=sums[:, 1:])
+        for (lo, hi), row_sums in zip(bounds[start:stop], sums):
+            width = hi - lo + 1
+            cells += width
+            if prev_hi < 0:
+                # First row: only horizontal moves are possible.
+                if lo == 0:
+                    row[1: width + 1] = row_sums[1: width + 1]
+            else:
+                if width != scratch_width:
+                    vals = scratch[:width]
+                    scratch_width = width
+                # min(up, diag) for the whole row, then the closed form.
+                np.minimum(row[lo: hi + 1], row[lo + 1: hi + 2], out=vals)
+                vals -= row_sums[:width]
+                np.minimum.accumulate(vals, out=vals)
+                np.add(row_sums[1: width + 1], vals, out=row[lo + 1: hi + 2])
+                if prev_lo < lo:
+                    if prev_lo + 1 == lo:
+                        row[lo] = inf
+                    else:
+                        row[prev_lo + 1: lo + 1] = inf
+                if prev_hi > hi:
+                    row[hi + 2: prev_hi + 2] = inf
+            if cutoff is not None:
+                # One cell at or under the cutoff keeps the row alive, so
+                # test the cell that did last time before a full argmin.
+                probe = witness if witness < width else width - 1
+                if not row[lo + 1 + probe] <= cutoff:
+                    current = row[lo + 1: hi + 2]
+                    probe = int(current.argmin())
+                    if current[probe] > cutoff:
+                        # Every continuation only adds non-negative costs,
+                        # so the final distance is guaranteed to exceed
+                        # the threshold.
+                        return BandedDTWResult(
+                            distance=inf, path=None, cells_filled=cells,
+                            band=window, abandoned=True,
+                        )
+                    witness = probe
+            prev_lo, prev_hi = lo, hi
 
-    if not (prev_lo <= m - 1 <= prev_hi) or not np.isfinite(prev_vals[m - 1 - prev_lo]):
+    # Columns outside the last window hold inf, so this also catches a
+    # last row that misses column m - 1.
+    final = float(row[m])
+    if not np.isfinite(final):
         raise BandError(
             "band does not admit any warp path from (0, 0) to (n-1, m-1); "
             "use repair=True to bridge gaps"
         )
-    final = float(prev_vals[m - 1 - prev_lo])
     return BandedDTWResult(distance=final, path=None, cells_filled=cells, band=window)
 
 

@@ -5,12 +5,12 @@ Sakoe–Chiba and Itakura families over an equal-length collection), the
 banded dynamic program can advance row ``i`` for *all* candidates with a
 handful of numpy operations on ``(C, width)`` matrices instead of ``C``
 separate Python-level row loops.  The row update is the same closed form
-used by :func:`repro.dtw.banded._banded_dtw_distance_only`:
+used by the distance-only path of :func:`repro.dtw.banded.banded_dtw`:
 
     vals[j] = prefix[j] + min_{t <= j} (diag_or_up[t] - prefix[t - 1])
 
-and because numpy's ``cumsum`` / ``minimum.accumulate`` / ``sum`` apply the
-same reduction order along the last axis of a 2-D array as on a 1-D array,
+and because numpy's ``cumsum`` and ``minimum.accumulate`` apply the same
+sequential order along the last axis of a 2-D array as on a 1-D array,
 the batched distances are bit-identical to the per-pair ones — which is
 what the cross-backend equivalence suite pins down.
 

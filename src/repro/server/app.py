@@ -277,6 +277,10 @@ class WorkspaceServer:
                     return
         except (ConnectionError, asyncio.IncompleteReadError):
             return
+        except asyncio.TimeoutError:
+            # An idle keep-alive connection or a stalled request: close
+            # the connection and end its task.
+            return
         except asyncio.CancelledError:
             # Only _run_loop's shutdown path cancels handler tasks;
             # swallow so idle keep-alive connections close quietly.

@@ -10,7 +10,10 @@ over ``asyncio.StreamReader``/``StreamWriter``.  Supported surface:
 * ``keep-alive`` connection reuse (HTTP/1.1 default; ``Connection:
   close`` honoured both ways);
 * bounded request sizes: header lines are capped by the stream reader's
-  limit and bodies by ``max_body_bytes`` (413 on overflow).
+  limit and bodies by ``max_body_bytes`` (413 on overflow);
+* bounded read time: a request must arrive whole within
+  :data:`REQUEST_TIMEOUT_SECONDS` of its first byte, and a kept-alive
+  connection may wait :data:`IDLE_TIMEOUT_SECONDS` for its next request.
 
 Malformed input raises :class:`ProtocolError` carrying the HTTP status
 the connection handler should answer with before closing.
@@ -36,6 +39,14 @@ MAX_LINE_BYTES = 16 * 1024
 
 #: Cap on the number of request headers (header-flood guard).
 MAX_HEADERS = 64
+
+#: Seconds from a request's first byte to the last byte of its body.
+#: A client that trickles or stalls mid-request is cut off here.
+REQUEST_TIMEOUT_SECONDS = 30.0
+
+#: Seconds a kept-alive connection may wait for its next request.  Long
+#: enough that a pooled client connection stays open between ops.
+IDLE_TIMEOUT_SECONDS = 75.0
 
 _REASONS = {
     200: "OK",
@@ -126,9 +137,9 @@ class HTTPResponse:
         )
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
+async def _read_line(reader: asyncio.StreamReader, prefix: bytes = b"") -> bytes:
     try:
-        line = await reader.readline()
+        line = prefix + await reader.readline()
     except (asyncio.LimitOverrunError, ValueError) as exc:
         raise ProtocolError(
             f"request line or header exceeds {MAX_LINE_BYTES} bytes",
@@ -151,11 +162,27 @@ async def read_request(
 
     Returns ``None`` on a clean EOF before any bytes (client closed a
     kept-alive connection) and raises :class:`ProtocolError` on input
-    that is not the HTTP subset this server speaks.
+    that is not the HTTP subset this server speaks.  Raises
+    :class:`asyncio.TimeoutError` when no request starts within
+    :data:`IDLE_TIMEOUT_SECONDS`, or when the request started but is not
+    complete :data:`REQUEST_TIMEOUT_SECONDS` after its first byte.
     """
-    line = await _read_line(reader)
-    if not line:
+    try:
+        first = await asyncio.wait_for(
+            reader.readexactly(1), IDLE_TIMEOUT_SECONDS
+        )
+    except asyncio.IncompleteReadError:
         return None
+    return await asyncio.wait_for(
+        _read_started_request(reader, first, max_body_bytes),
+        REQUEST_TIMEOUT_SECONDS,
+    )
+
+
+async def _read_started_request(
+    reader: asyncio.StreamReader, first: bytes, max_body_bytes: int
+) -> HTTPRequest:
+    line = await _read_line(reader, first)
     try:
         method, target, http_version = line.decode("ascii").split()
     except (UnicodeDecodeError, ValueError):
@@ -258,9 +285,11 @@ __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
     "HTTPRequest",
     "HTTPResponse",
+    "IDLE_TIMEOUT_SECONDS",
     "JSON_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "ProtocolError",
+    "REQUEST_TIMEOUT_SECONDS",
     "format_address",
     "parse_url",
     "read_request",

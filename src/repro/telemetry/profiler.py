@@ -10,6 +10,13 @@ sampler's reads force.  At the default 5 ms interval that overhead is
 well under 10% on the CPU-bound DP paths this library cares about
 (documented and asserted by ``tests/test_diagnostics.py``).
 
+A busy thread holds the GIL until the interpreter's switch interval
+forces a handoff, so at the default 5 ms switch interval the sampler
+can wake far less often than asked.  While sampling, the switch
+interval is therefore lowered to at most the sampling interval, and
+restored on stop.  Each report carries its ``coverage``, samples taken
+over samples asked for, so an under-sampled window shows.
+
 This is a *statistical wall-clock* profiler: a frame's sample count is
 proportional to the wall time its thread spent inside it (sleeping or
 computing alike).  That is exactly the operator question for a slow
@@ -65,6 +72,19 @@ class ProfileReport:
     sampler_seconds: float = 0.0
 
     @property
+    def coverage(self) -> float:
+        """Samples taken over the ``duration / interval`` asked for.
+
+        With one profiled thread, 1.0 means the sampler woke on every
+        interval; a low value means the profile rests on fewer samples
+        than the interval promises (for instance, the sampler starved
+        for the GIL).
+        """
+        if self.duration_seconds <= 0.0 or self.interval_seconds <= 0.0:
+            return 0.0
+        return self.num_samples / (self.duration_seconds / self.interval_seconds)
+
+    @property
     def sampler_overhead(self) -> float:
         """Fraction of the window the sampler itself was on-CPU."""
         if self.duration_seconds <= 0.0:
@@ -113,6 +133,7 @@ class ProfileReport:
             "duration_seconds": self.duration_seconds,
             "interval_seconds": self.interval_seconds,
             "sampler_seconds": self.sampler_seconds,
+            "coverage": self.coverage,
             "stacks": {
                 ";".join(stack): count for stack, count in self.stacks.items()
             },
@@ -158,6 +179,7 @@ class SamplingProfiler:
         self._sampler_seconds = 0.0
         self._started_at: Optional[float] = None
         self._report: Optional[ProfileReport] = None
+        self._saved_switch_interval = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -175,6 +197,10 @@ class SamplingProfiler:
             target=self._run, name="repro-sampling-profiler", daemon=True
         )
         self._worker.start()
+        self._saved_switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(
+            min(self._saved_switch_interval, self.interval_seconds)
+        )
         return self
 
     def stop(self) -> ProfileReport:
@@ -186,6 +212,7 @@ class SamplingProfiler:
         self._stop.set()
         self._worker.join()
         self._worker = None
+        sys.setswitchinterval(self._saved_switch_interval)
         self._report = ProfileReport(
             stacks=dict(self._stacks),
             num_samples=self._num_samples,

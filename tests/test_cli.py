@@ -457,6 +457,7 @@ class TestDiagnosticsCLI:
         out = capsys.readouterr().out
         assert "profiler:" in out
         assert "samples" in out
+        assert "coverage" in out
 
     def test_profile_command_writes_collapsed_stacks(
         self, ws_dir, tmp_path, capsys
@@ -471,6 +472,7 @@ class TestDiagnosticsCLI:
         out = capsys.readouterr().out
         assert "Profiled 4 exact queries" in out
         assert "profiler:" in out
+        assert "coverage" in out
         with open(stacks, encoding="utf-8") as handle:
             for line in handle.read().splitlines():
                 stack, count = line.rsplit(" ", 1)

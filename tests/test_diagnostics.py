@@ -4,6 +4,7 @@ recorder, slow-query capture, sampling profiler, and workspace doctor."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -353,6 +354,17 @@ class TestSamplingProfiler:
         first = profiler.stop()
         assert profiler.stop() is first
 
+    def test_switch_interval_lowered_while_sampling_then_restored(self):
+        before = sys.getswitchinterval()
+        profiler = SamplingProfiler(interval_seconds=before / 2).start()
+        try:
+            assert sys.getswitchinterval() <= before / 2
+            time.sleep(0.02)
+        finally:
+            report = profiler.stop()
+        assert sys.getswitchinterval() == before
+        assert report.to_dict()["coverage"] == report.coverage > 0.0
+
     def test_collapsed_output_and_self_table(self):
         def spin(deadline):
             total = 0.0
@@ -412,6 +424,7 @@ class TestSamplingProfiler:
             workspace.query(_series(0.5, length=256), mode="exact")
         report = profiler.stop()
         assert report.num_samples >= 20, "window too short to profile"
+        assert report.coverage >= 0.25, report.to_dict()["coverage"]
         attribution = report.fraction_matching(
             "repro/engine", "repro/dtw", "repro/core"
         )

@@ -14,7 +14,9 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
 import threading
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.exceptions import (
     ValidationError,
     WorkspaceError,
 )
+from repro.server import http as wire
 from repro.server import (
     PROMETHEUS_CONTENT_TYPE,
     RemoteWorkspace,
@@ -469,6 +472,74 @@ class TestAdmissionControl:
                 thread.join(timeout=10)
             assert first_done and first_done[0].ids == template.ids
             assert srv.server_stats()["refused_total"] >= 1
+
+
+# ---------------------------------------------------------------------- #
+# Bounded reads
+# ---------------------------------------------------------------------- #
+def _wait_for_close(sock, limit_seconds=10.0):
+    """Seconds until the server closes *sock*, reading what it sends."""
+    started = time.perf_counter()
+    sock.settimeout(limit_seconds)
+    while sock.recv(4096):
+        pass
+    return time.perf_counter() - started
+
+
+class TestBoundedReads:
+    """A client holds a connection only as long as the read deadlines
+    allow; the deadlines are patched small so the tests run fast."""
+
+    def test_stalled_half_request_line_is_closed(self, workspace, monkeypatch):
+        monkeypatch.setattr(wire, "REQUEST_TIMEOUT_SECONDS", 0.3)
+        with WorkspaceServer(workspace, port=0) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+                sock.sendall(b"GET /heal")
+                waited = _wait_for_close(sock)
+            status, _, _ = raw_request(srv, "GET", "/healthz")
+        assert 0.2 <= waited < 5.0
+        assert status == 200
+
+    def test_trickled_request_gets_one_deadline_not_one_per_read(
+        self, workspace, monkeypatch
+    ):
+        monkeypatch.setattr(wire, "REQUEST_TIMEOUT_SECONDS", 0.5)
+        with WorkspaceServer(workspace, port=0) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                started = time.perf_counter()
+                sock.settimeout(0.05)
+                closed = False
+                # One header byte every 50 ms: every read completes, but
+                # the request as a whole never does.
+                while not closed and time.perf_counter() - started < 10.0:
+                    try:
+                        sock.sendall(b"x")
+                        closed = sock.recv(4096) == b""
+                    except socket.timeout:
+                        continue
+                    except OSError:
+                        closed = True
+                waited = time.perf_counter() - started
+        assert closed
+        assert 0.4 <= waited < 5.0
+
+    def test_idle_keep_alive_connection_is_closed(self, workspace, monkeypatch):
+        # Unpatched, the idle timeout outlasts the gaps between a pooled
+        # client's ops.
+        assert wire.IDLE_TIMEOUT_SECONDS >= 60
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_SECONDS", 0.3)
+        with WorkspaceServer(workspace, port=0) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+            try:
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                waited = _wait_for_close(conn.sock)
+            finally:
+                conn.close()
+        assert 0.2 <= waited < 5.0
 
 
 # ---------------------------------------------------------------------- #
