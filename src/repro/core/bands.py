@@ -121,41 +121,48 @@ def _candidate_points_adaptive_core(
     when the X interval is empty the single source point maps to the start
     of the Y interval (the resulting vertical jump is handled by the band
     validator's gap bridging).
+
+    Consecutive intervals share their end points; a shared point takes
+    the later interval's mapping.  Since the intervals of a partition are
+    consecutive and cover ``[0, n - 1]``, interval ``k`` maps the points
+    from its start up to the next interval's start, so one ``np.repeat``
+    of the per-interval terms lays them out for all points at once.  Each
+    mapped value is computed with the same float operations, in the same
+    order, as the per-point formula, so the result is exact.  The two
+    empty cases need no branch: an empty X interval maps only its own
+    start (fraction 0), and an empty Y interval has ``y_len`` 0, so
+    ``st(Y,E) + fraction * y_len`` is exactly ``st(Y,E)`` in both.
+    Endpoints are forced onto the grid corners so that a warp path always
+    exists.
     """
-    candidates = np.zeros(n, dtype=float)
-    for idx in range(partition.num_intervals):
-        ix, iy = partition.corresponding(idx)
-        x_len = ix.end - ix.start
-        y_len = iy.end - iy.start
-        for i in range(ix.start, ix.end + 1):
-            if x_len == 0:
-                candidates[i] = iy.start
-            elif y_len == 0:
-                candidates[i] = iy.start
-            else:
-                fraction = (i - ix.start) / x_len
-                candidates[i] = iy.start + fraction * y_len
-    # Interval ends overlap between consecutive intervals; the last write
-    # wins, which matches taking the later interval's mapping at the shared
-    # boundary point.  Endpoints are forced onto the grid corners so that a
-    # warp path always exists.
+    # One row per interval: (start_x, x_len or 1, start_y, y_len),
+    # repeated over the points the interval maps.
+    rows = [
+        (ix.start, (ix.end - ix.start) or 1, iy.start, iy.end - iy.start)
+        for ix, iy in zip(partition.intervals_x, partition.intervals_y)
+    ]
+    starts = [row[0] for row in rows] + [n]
+    owned = [later - start for start, later in zip(starts, starts[1:])]
+    start_x, divisor, start_y, y_len = np.repeat(rows, owned, axis=0).T
+    candidates = start_y + (np.arange(n) - start_x) / divisor * y_len
     candidates[0] = 0.0
     candidates[-1] = m - 1
     return np.clip(candidates, 0, m - 1)
 
 
-def _interval_widths(partition: IntervalPartition) -> np.ndarray:
-    """Widths (sample counts) of the second series' intervals."""
-    return np.asarray([iv.length for iv in partition.intervals_y], dtype=float)
+def _interval_widths(partition: IntervalPartition, neighbor_radius: int) -> np.ndarray:
+    """Width (sample count) of each interval of the second series.
 
-
-def _averaged_width(
-    widths: np.ndarray, index: int, neighbor_radius: int
-) -> float:
-    """Mean width of the intervals within ±neighbor_radius of *index*."""
-    lo = max(0, index - neighbor_radius)
-    hi = min(widths.size - 1, index + neighbor_radius)
-    return float(widths[lo: hi + 1].mean())
+    With ``neighbor_radius > 0`` each width is the mean over the intervals
+    within ±neighbor_radius of it (the ``ac2`` refinement).
+    """
+    widths = np.asarray([iv.length for iv in partition.intervals_y], dtype=float)
+    if neighbor_radius <= 0:
+        return widths
+    return np.asarray([
+        float(widths[max(0, index - neighbor_radius): index + neighbor_radius + 1].mean())
+        for index in range(widths.size)
+    ])
 
 
 def build_constraint_band(
@@ -213,17 +220,15 @@ def build_constraint_band(
         else float(m)
     )
     if parsed.width == "adaptive" and have_partition:
-        widths_y = _interval_widths(partition)
-        radius = parsed.neighbor_radius or 0
-        per_point_width = np.empty(n, dtype=float)
-        for i in range(n):
-            j = int(round(candidates[i]))
-            interval_idx = partition.interval_index_for_y(j)
-            if radius > 0:
-                width = _averaged_width(widths_y, interval_idx, radius)
-            else:
-                width = widths_y[interval_idx]
-            per_point_width[i] = min(max(width, lower_bound), upper_bound)
+        # Each point takes the width of the Y interval its (rounded)
+        # candidate falls into, clamped to the bounds.
+        widths_y = _interval_widths(partition, parsed.neighbor_radius or 0)
+        intervals = partition.interval_indices_for_y(
+            np.rint(candidates).astype(int)
+        )
+        per_point_width = np.minimum(
+            np.maximum(widths_y[intervals], lower_bound), upper_bound
+        )
     elif parsed.width == "adaptive":
         # No partition information: fall back to the lower bound width.
         per_point_width = np.full(n, max(lower_bound, fixed_width))
@@ -231,9 +236,9 @@ def build_constraint_band(
         per_point_width = np.full(n, fixed_width)
 
     half = np.ceil(per_point_width / 2.0)
-    lo = np.floor(candidates - half).astype(int)
-    hi = np.ceil(candidates + half).astype(int)
-    band = np.stack([lo, hi], axis=1)
+    band = np.empty((n, 2), dtype=int)
+    band[:, 0] = np.floor(candidates - half)
+    band[:, 1] = np.ceil(candidates + half)
     return validate_band(band, n, m, repair=True)
 
 

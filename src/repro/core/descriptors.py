@@ -21,11 +21,6 @@ from ..utils.preprocessing import gaussian_smooth
 from .config import DescriptorConfig
 
 
-def _gradient(series: np.ndarray) -> np.ndarray:
-    """Centred first difference of a series (same length as the input)."""
-    return np.gradient(series)
-
-
 def descriptor_window_radius(sigma: float, config: DescriptorConfig) -> int:
     """Half-width (in samples) of the region a descriptor covers.
 
@@ -66,7 +61,8 @@ def compute_descriptor(
     Returns
     -------
     numpy.ndarray
-        Descriptor vector of length ``config.num_bins``.
+        Descriptor vector of length ``config.num_bins``; one row of
+        :func:`compute_descriptors`.
     """
     if config is None:
         config = DescriptorConfig()
@@ -74,50 +70,109 @@ def compute_descriptor(
     sigma = check_positive(sigma, "sigma")
     if smoothed is None:
         smoothed = gaussian_smooth(values, sigma)
-    else:
-        smoothed = np.asarray(smoothed, dtype=float)
-    gradients = _gradient(smoothed)
+    gradients = np.gradient(np.asarray(smoothed, dtype=float))
+    return compute_descriptors(values.size, [position], [sigma], [gradients], config)[0]
 
+
+def compute_descriptors(
+    length: int,
+    positions: Sequence[float],
+    sigmas: Sequence[float],
+    gradients: Sequence[np.ndarray],
+    config: DescriptorConfig,
+) -> np.ndarray:
+    """Descriptors of many keypoints of one series, in one pass.
+
+    Keypoint ``k`` at ``positions[k]`` with scale ``sigmas[k]`` samples
+    ``gradients[k]``, the centred gradient (``np.gradient``) of the
+    series smoothed at that σ, over the samples within
+    :func:`descriptor_window_radius` of its centre (clipped to the
+    ``length`` samples of the series).  Each sample's gradient magnitude,
+    weighted by a Gaussian centred on the keypoint, is added to the
+    increasing or decreasing bin of its temporal cell.  Keypoints of one σ
+    should pass the same gradient array: callers compute it once per σ.
+
+    Every sample of every keypoint is handled in one set of array
+    operations, and each row equals the per-sample loop it replaces bit
+    for bit, because each value goes through the same float operations in
+    the same order:
+
+    * the squares in the weight use Python's ``**`` on Python floats,
+      which calls libm ``pow`` (numpy's ``x ** 2`` computes ``x * x`` and
+      differs in the last bit for some offsets); an array ``np.exp``
+      equals a scalar one;
+    * ``np.add.at`` adds repeated bins in index order, so each bin sums
+      its samples in the loop's order;
+    * each row's L2 norm is the square root of the row's own 1-D BLAS
+      dot, as ``np.linalg.norm(row)`` computes it; ``norm(..., axis=1)``
+      sums in another order and differs in the last bit for many rows.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(len(positions), config.num_bins)`` matrix, one descriptor per
+        row.
+    """
     num_cells = config.num_cells
-    radius = descriptor_window_radius(sigma, config)
-    window_start = position - radius
-    window_length = 2.0 * radius
-    cell_width = window_length / num_cells
-
-    # Gaussian weighting centred on the keypoint.
-    weight_sigma = config.gaussian_weight_factor * radius
-    descriptor = np.zeros(num_cells * 2)
-
-    center_index = int(round(position))
-    lo = max(0, center_index - radius)
-    hi = min(values.size - 1, center_index + radius)
-    for sample in range(lo, hi + 1):
-        offset = sample - position
-        weight = np.exp(-(offset ** 2) / (2.0 * weight_sigma ** 2))
-        cell = int((sample - window_start) / cell_width)
-        cell = min(max(cell, 0), num_cells - 1)
-        grad = gradients[sample]
-        if grad >= 0:
-            descriptor[cell * 2] += weight * grad
-        else:
-            descriptor[cell * 2 + 1] += weight * (-grad)
-
+    count = len(positions)
+    descriptors = np.zeros((count, num_cells * 2))
+    if count == 0:
+        return descriptors
+    # Per keypoint: the sample range and the scalars of its weighting.
+    starts, sizes, window_starts, cell_widths, denominators = [], [], [], [], []
+    for position, sigma in zip(positions, sigmas):
+        radius = descriptor_window_radius(sigma, config)
+        center_index = int(round(position))
+        lo = max(0, center_index - radius)
+        hi = min(length - 1, center_index + radius)
+        starts.append(lo)
+        sizes.append(max(0, hi - lo + 1))
+        window_starts.append(position - radius)
+        cell_widths.append(2.0 * radius / num_cells)
+        weight_sigma = config.gaussian_weight_factor * radius
+        denominators.append(2.0 * weight_sigma ** 2)
+    sizes_arr = np.asarray(sizes)
+    rows = np.repeat(np.arange(count), sizes_arr)
+    first = np.cumsum(sizes_arr) - sizes_arr
+    samples = np.arange(rows.size) - first[rows] + np.asarray(starts)[rows]
+    grads = np.concatenate([
+        gradient[lo: lo + size]
+        for gradient, lo, size in zip(gradients, starts, sizes)
+    ])
+    offsets = samples - np.asarray(positions, dtype=float)[rows]
+    squares = np.asarray([offset ** 2 for offset in offsets.tolist()])
+    weights = np.exp(-squares / np.asarray(denominators)[rows])
+    cells = (
+        (samples - np.asarray(window_starts)[rows]) / np.asarray(cell_widths)[rows]
+    ).astype(int)
+    cells = np.minimum(np.maximum(cells, 0), num_cells - 1)
+    rising = grads >= 0
+    bins = rows * (num_cells * 2) + cells * 2 + np.where(rising, 0, 1)
+    np.add.at(descriptors.ravel(), bins, weights * np.where(rising, grads, -grads))
     if config.normalize:
-        descriptor = _normalize_descriptor(descriptor, config.clip_value)
-    return descriptor
+        descriptors = _normalize_rows(descriptors, config.clip_value)
+    return descriptors
 
 
-def _normalize_descriptor(descriptor: np.ndarray, clip_value: float) -> np.ndarray:
-    """L2-normalise, clip, and renormalise (the SIFT illumination rule)."""
-    norm = np.linalg.norm(descriptor)
-    if norm == 0:
-        return descriptor
-    descriptor = descriptor / norm
-    descriptor = np.minimum(descriptor, clip_value)
-    norm = np.linalg.norm(descriptor)
-    if norm == 0:
-        return descriptor
-    return descriptor / norm
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, exactly as ``np.linalg.norm(row)`` computes it:
+    the square root of the row's BLAS dot with itself."""
+    return np.sqrt([row.dot(row) for row in matrix])
+
+
+def _normalize_rows(descriptors: np.ndarray, clip_value: float) -> np.ndarray:
+    """L2-normalise, clip, and renormalise each row (the SIFT illumination rule).
+
+    A row whose norm is zero is left as it is, before or after clipping.
+    """
+    norms = _row_norms(descriptors)
+    live = norms != 0
+    out = descriptors.copy()
+    out[live] = np.minimum(descriptors[live] / norms[live, None], clip_value)
+    norms = _row_norms(out)
+    live &= norms != 0
+    out[live] = out[live] / norms[live, None]
+    return out
 
 
 def descriptor_matrix(features: Sequence, num_bins: int) -> np.ndarray:

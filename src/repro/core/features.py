@@ -3,11 +3,13 @@
 This module ties scale-space construction, keypoint detection, and
 descriptor creation together into :func:`extract_salient_features`, the
 function the sDTW driver (and the Table 2 experiment) calls per series.
+:class:`FeatureSet` holds a feature list with the arrays matching reads
+stacked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from .._validation import as_series
 from ..utils.preprocessing import gaussian_smooth
 from .config import SDTWConfig
-from .descriptors import compute_descriptor
+from .descriptors import compute_descriptors
 from .keypoints import Keypoint, detect_keypoints
 from .scale_space import build_scale_space
 
@@ -77,24 +79,119 @@ class SalientFeature:
         return start, max(start, end)
 
 
-def _keypoint_to_feature(
-    keypoint: Keypoint,
-    series: np.ndarray,
-    config: SDTWConfig,
-    smoothed_cache: dict,
+class FeatureSet(Sequence[SalientFeature]):
+    """An immutable sequence of salient features with their arrays stacked.
+
+    Matching compares every feature of one series with every feature of
+    the other through a descriptor matrix, its row squared norms and the
+    amplitude and σ arrays
+    (:func:`repro.core.matching.match_salient_features`).  A FeatureSet
+    stacks them once, so a set that is matched many times (a stream
+    pattern, an extractor snapshot) pays for the stacking once.  Each
+    descriptor row keeps the common length of the set's descriptors.
+
+    :meth:`shifted` re-expresses the set in the coordinates of a later
+    window.  It only selects rows of the stacked arrays; a shifted
+    :class:`SalientFeature` is built when it is first read, which for
+    matching means only the features that end up in a matched pair.
+
+    Consecutive shifted views of one set often select the same rows (a
+    stream window slides a sample at a time, and a feature leaves it only
+    every few ticks).  Such views share one :attr:`memo` dict, where
+    matching keeps the decisions it made on those rows: the same stacked
+    arrays give the same decisions.  A set that is not a shifted view has
+    no memo (``None``).
+    """
+
+    __slots__ = (
+        "descriptors", "squared_norms", "amplitudes", "sigmas", "positions",
+        "memo", "_items", "_source", "_rows", "_shift", "_limit",
+        "_last_rows", "_last_memo",
+    )
+
+    def __init__(self, features: Sequence[SalientFeature]) -> None:
+        items = list(features)
+        length = min((f.descriptor.size for f in items), default=0)
+        self.descriptors = (
+            np.stack([f.descriptor[:length] for f in items])
+            if items else np.zeros((0, 0))
+        )
+        # Row sums of squares, one reduction per row: a row's sum does not
+        # depend on which other rows are stacked with it.
+        self.squared_norms = np.add.reduce(self.descriptors * self.descriptors, axis=1)
+        self.amplitudes = np.asarray([f.amplitude for f in items], dtype=float)
+        self.sigmas = np.asarray([f.sigma for f in items], dtype=float)
+        self.positions = np.asarray([f.position for f in items], dtype=float)
+        self.memo: Optional[dict] = None
+        self._items = items
+        self._source: Optional[FeatureSet] = None
+        self._rows: List[int] = []
+        self._shift = 0
+        self._limit = 0.0
+        # The rows and memo of the latest shifted view.  The set keeps the
+        # memo, not the view: a view refers back to its set, and a cycle
+        # would hold each stream snapshot until the garbage collector runs.
+        self._last_rows: Optional[List[int]] = None
+        self._last_memo: Optional[dict] = None
+
+    @classmethod
+    def of(cls, features: Sequence[SalientFeature]) -> "FeatureSet":
+        """*features* itself when already a FeatureSet, else it stacked."""
+        return features if isinstance(features, FeatureSet) else cls(features)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        item = self._items[index]
+        if item is None:
+            feature = self._source[self._rows[index]]
+            shift = self._shift
+            item = replace(
+                feature,
+                position=feature.position - shift,
+                scope_start=max(0.0, feature.scope_start - shift),
+                scope_end=min(self._limit, feature.scope_end - shift),
+            )
+            self._items[index] = item
+        return item
+
+    def shifted(self, shift: int, window_length: int) -> "FeatureSet":
+        """The features in the coordinates of a window *shift* samples later.
+
+        Features whose position leaves ``[0, window_length - 1]`` are
+        dropped and scopes are clipped to that extent, mirroring what batch
+        extraction clips at the series boundary.
+        """
+        if shift == 0:
+            return self
+        positions = self.positions - shift
+        limit = float(window_length - 1)
+        rows = np.flatnonzero((positions >= 0.0) & (positions <= limit))
+        view = object.__new__(FeatureSet)
+        view.descriptors = self.descriptors[rows]
+        view.squared_norms = self.squared_norms[rows]
+        view.amplitudes = self.amplitudes[rows]
+        view.sigmas = self.sigmas[rows]
+        view.positions = positions[rows]
+        view._items = [None] * rows.size
+        view._source = self
+        view._rows = rows.tolist()
+        view._shift = shift
+        view._limit = limit
+        view._last_rows = view._last_memo = None
+        if view._rows != self._last_rows:
+            self._last_rows, self._last_memo = view._rows, {}
+        view.memo = self._last_memo
+        return view
+
+
+def keypoint_feature(
+    keypoint: Keypoint, series: np.ndarray, descriptor: np.ndarray
 ) -> SalientFeature:
     """Attach a descriptor and scope statistics to a detected keypoint."""
-    sigma_key = round(keypoint.sigma, 6)
-    if sigma_key not in smoothed_cache:
-        smoothed_cache[sigma_key] = gaussian_smooth(series, keypoint.sigma)
-    smoothed = smoothed_cache[sigma_key]
-    descriptor = compute_descriptor(
-        series,
-        keypoint.position,
-        keypoint.sigma,
-        config.descriptor,
-        smoothed=smoothed,
-    )
     scope_start = max(0.0, keypoint.scope_start)
     scope_end = min(float(series.size - 1), keypoint.scope_end)
     lo = int(np.floor(scope_start))
@@ -123,7 +220,9 @@ def extract_salient_features(
 
     This runs the three extraction steps of Section 3.1.2 — scale-space
     construction, ε-relaxed extrema detection, and descriptor creation —
-    and returns the features ordered by position.
+    and returns the features ordered by position.  The series is smoothed,
+    and its gradient taken, once per distinct keypoint σ; all descriptors
+    are then computed in one :func:`compute_descriptors` pass.
 
     Parameters
     ----------
@@ -142,9 +241,21 @@ def extract_salient_features(
     values = as_series(series, "series")
     space = build_scale_space(values, config.scale_space)
     keypoints = detect_keypoints(space)
-    smoothed_cache: dict = {}
+    gradients: dict = {}
+    for kp in keypoints:
+        sigma_key = round(kp.sigma, 6)
+        if sigma_key not in gradients:
+            gradients[sigma_key] = np.gradient(gaussian_smooth(values, kp.sigma))
+    descriptors = compute_descriptors(
+        values.size,
+        [kp.position for kp in keypoints],
+        [kp.sigma for kp in keypoints],
+        [gradients[round(kp.sigma, 6)] for kp in keypoints],
+        config.descriptor,
+    )
     features = [
-        _keypoint_to_feature(kp, values, config, smoothed_cache) for kp in keypoints
+        keypoint_feature(kp, values, descriptor)
+        for kp, descriptor in zip(keypoints, descriptors)
     ]
     features.sort(key=lambda f: (f.position, f.sigma))
     return features

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import ValidationError
 from .consistency import ConsistentAlignment
 
@@ -86,6 +88,10 @@ class IntervalPartition:
         """Index of the interval of the second series containing sample *j*."""
         return _locate(self.intervals_y, j)
 
+    def interval_indices_for_y(self, indices: np.ndarray) -> np.ndarray:
+        """:meth:`interval_index_for_y` for an array of sample indices."""
+        return _locate_many(self.intervals_y, indices)
+
     def corresponding(self, index: int) -> Tuple[Interval, Interval]:
         """The pair of corresponding intervals at partition position *index*."""
         return self.intervals_x[index], self.intervals_y[index]
@@ -108,6 +114,28 @@ def _locate(intervals: Sequence[Interval], index: int) -> int:
         else:
             return mid
     return max(0, min(len(intervals) - 1, lo))
+
+
+def _locate_many(intervals: Sequence[Interval], indices: np.ndarray) -> np.ndarray:
+    """:func:`_locate` for many sample indices at once, with the same answers.
+
+    Intervals are consecutive and share their end points.  A sample
+    strictly inside an interval lies in no other one, and
+    ``np.searchsorted`` over the interval starts finds it.  On a point
+    shared by two or more intervals (a boundary, possibly a run of empty
+    intervals) :func:`_locate` answers whichever of them its binary search
+    reaches first, which depends on the search path; those samples, at
+    most one distinct value per boundary, are answered by :func:`_locate`
+    itself.
+    """
+    starts = np.array([iv.start for iv in intervals])
+    found = np.maximum(starts.searchsorted(indices, side="right") - 1, 0)
+    on_boundary = (found > 0) & (starts[found] == indices)
+    if on_boundary.any():
+        shared = indices[on_boundary].tolist()
+        answers = {index: _locate(intervals, index) for index in set(shared)}
+        found[on_boundary] = [answers[index] for index in shared]
+    return found
 
 
 def _boundaries_to_intervals(

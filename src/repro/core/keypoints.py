@@ -15,7 +15,7 @@ DoG magnitude relative to the level's value range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,47 +73,75 @@ class Keypoint:
         return 2.0 * self.scope_radius
 
 
-def _neighbours(
-    level_values: np.ndarray,
-    up_values: np.ndarray,
-    down_values: np.ndarray,
-    index: int,
-) -> List[float]:
-    """Collect the DoG values of the time and scale neighbours of a point."""
-    neighbours: List[float] = []
-    if index > 0:
-        neighbours.append(float(level_values[index - 1]))
-    if index + 1 < level_values.size:
-        neighbours.append(float(level_values[index + 1]))
-    for other in (up_values, down_values):
-        if other is None:
-            continue
-        for offset in (-1, 0, 1):
-            j = index + offset
-            if 0 <= j < other.size:
-                neighbours.append(float(other[j]))
-    return neighbours
+def _padded_magnitudes(values: np.ndarray, size: int) -> np.ndarray:
+    """``|values|`` laid out for neighbour lookups around ``size`` samples.
+
+    Entry ``j + 1`` holds ``|values[j]|`` for every ``j`` in ``[-1, size]``
+    that indexes *values*; the rest stay zero.  A zero neighbour never
+    rejects a candidate (``magnitude < threshold * 0`` is false), which is
+    how an out-of-range or absent neighbour drops out of the test.
+    """
+    padded = np.zeros(size + 2)
+    count = min(values.size, size + 1)
+    padded[1: 1 + count] = np.abs(values[:count])
+    return padded
+
+
+def _dominates(magnitude, neighbour_magnitude, epsilon: float):
+    """ε-relaxed dominance on |DoG| magnitudes (scalars or arrays).
+
+    True where *magnitude* is at least ``(1 - ε)`` times the neighbour's
+    magnitude, i.e. a candidate need not strictly dominate its
+    neighbours: near-ties are kept rather than pruning each other.
+    """
+    return ~(magnitude < (1.0 - epsilon) * neighbour_magnitude)
 
 
 def _is_relaxed_extremum(value: float, neighbours: Sequence[float], epsilon: float) -> bool:
-    """ε-relaxed extremum test on |DoG| magnitudes.
-
-    The candidate survives if its magnitude is at least ``(1 - ε)`` times
-    the magnitude of every neighbour, i.e. it does not need to strictly
-    dominate them — near-ties are kept rather than pruning each other.
-    """
+    """ε-relaxed extremum test of one candidate against its neighbours."""
     magnitude = abs(value)
     if magnitude == 0.0:
         return False
-    threshold = 1.0 - epsilon
+    others = np.abs(np.asarray(neighbours, dtype=float))
+    return bool(np.all(_dominates(magnitude, others, epsilon)))
+
+
+def _relaxed_extrema(
+    dog: np.ndarray,
+    up: Optional[np.ndarray],
+    down: Optional[np.ndarray],
+    contrast_floor: float,
+    epsilon: float,
+) -> np.ndarray:
+    """Indices of a level's samples that pass the contrast and extremum tests.
+
+    A sample survives when its DoG magnitude is at least the contrast
+    floor, is non-zero, and :func:`_dominates` every neighbour: left and
+    right at the same level, and the three samples around the same index
+    one level up and one level down.  The test runs over all samples at
+    once; each comparison is the same float product and comparison the
+    per-sample test makes, so the result is exact.
+    """
+    size = dog.size
+    magnitude = np.abs(dog)
+    keep = ~(magnitude < contrast_floor) & (dog != 0.0)
+    own = _padded_magnitudes(dog, size)
+    neighbours = [own[0:size], own[2:size + 2]]
+    for other in (up, down):
+        if other is not None:
+            padded = _padded_magnitudes(other, size)
+            neighbours.extend(padded[offset: offset + size] for offset in range(3))
     for other in neighbours:
-        if magnitude < threshold * abs(other):
-            return False
-    return True
+        keep &= _dominates(magnitude, other, epsilon)
+    return np.flatnonzero(keep)
 
 
 def detect_keypoints(space: ScaleSpace) -> List[Keypoint]:
     """Detect robust keypoints on a scale space.
+
+    Each level's candidates are found with one vectorised pass over its
+    samples (:func:`_relaxed_extrema`); only the survivors become
+    :class:`Keypoint` objects.
 
     Parameters
     ----------
@@ -143,28 +171,27 @@ def detect_keypoints(space: ScaleSpace) -> List[Keypoint]:
             contrast_floor = max(
                 config.contrast_threshold * value_range, 1e-9 * series_scale
             )
-            for i in range(dog.size):
-                value = float(dog[i])
-                if abs(value) < contrast_floor or value == 0.0:
-                    continue
-                neighbours = _neighbours(dog, up, down, i)
-                if not neighbours:
-                    continue
-                if not _is_relaxed_extremum(value, neighbours, config.epsilon):
-                    continue
-                position = level.to_original_position(i)
-                if position >= space.series.size:
-                    continue
+            indices = _relaxed_extrema(dog, up, down, contrast_floor, config.epsilon)
+            indices = indices[indices * level.sampling_step < space.series.size]
+            if not indices.size:
+                continue
+            scope_radius = config.scope_radius_sigmas * level.sigma
+            scale_class = classify_scale(level, num_octaves)
+            for i, value, amplitude in zip(
+                indices.tolist(),
+                dog[indices].tolist(),
+                level.smoothed[indices].tolist(),
+            ):
                 keypoints.append(
                     Keypoint(
-                        position=position,
+                        position=level.to_original_position(i),
                         sigma=level.sigma,
-                        scope_radius=config.scope_radius_sigmas * level.sigma,
+                        scope_radius=scope_radius,
                         octave=level.octave,
                         level=level.level,
                         dog_value=value,
-                        amplitude=float(level.smoothed[i]),
-                        scale_class=classify_scale(level, num_octaves),
+                        amplitude=amplitude,
+                        scale_class=scale_class,
                     )
                 )
     keypoints.sort(key=lambda kp: (kp.position, kp.sigma))

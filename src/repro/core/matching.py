@@ -14,12 +14,12 @@ distance, subject to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import MatchingConfig
-from .features import SalientFeature
+from .features import FeatureSet, SalientFeature
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,6 @@ class MatchedPair:
         return abs(self.feature_x.position - self.feature_y.position)
 
 
-def _passes_gates(
-    first: SalientFeature, second: SalientFeature, config: MatchingConfig
-) -> bool:
-    """Amplitude (τ_a) and scale-ratio (τ_s) admissibility gates."""
-    if abs(first.amplitude - second.amplitude) > config.max_amplitude_difference:
-        return False
-    small, large = sorted((first.sigma, second.sigma))
-    if small <= 0:
-        return False
-    if large / small > config.max_scale_ratio:
-        return False
-    return True
-
-
 def match_salient_features(
     features_x: Sequence[SalientFeature],
     features_y: Sequence[SalientFeature],
@@ -79,8 +65,19 @@ def match_salient_features(
     factor ``distinctiveness_ratio`` (τ_d) of its distance.
 
     The whole computation is vectorised over the |S_X| × |S_Y| candidate
-    grid, keeping the matching step a small fraction of the per-comparison
-    cost (the property Figure 17 of the paper reports).
+    grid — distances, gates, each row's best and runner-up — keeping the
+    matching step a small fraction of the per-comparison cost (the
+    property Figure 17 of the paper reports).  Only accepted matches
+    touch the feature objects.  The descriptor matrices and the amplitude
+    and σ arrays come from :class:`~repro.core.features.FeatureSet`, so a
+    set passed as one is stacked once, not on every call.  The distance
+    grid is computed on exactly the two given sets: a matmul over a
+    subset of rows is not bit-equal to those rows of a larger product, so
+    no grid is sliced from another.  When the first set is a shifted view
+    selecting the same rows as an earlier one, the decisions (which rows
+    match, at what distance) come from the views' shared
+    :attr:`~repro.core.features.FeatureSet.memo`: they were made on
+    identical arrays.  The pairs are always built from the given sets.
 
     Parameters
     ----------
@@ -96,61 +93,81 @@ def match_salient_features(
     """
     if config is None:
         config = MatchingConfig()
-    matches: List[MatchedPair] = []
     if not features_x or not features_y:
-        return matches
-
-    # Descriptors may have different lengths if callers mix configurations;
-    # compare over the common prefix (normal use keeps lengths equal).
-    min_len = min(
-        min(f.descriptor.size for f in features_x),
-        min(f.descriptor.size for f in features_y),
-    )
-    desc_x = np.stack([f.descriptor[:min_len] for f in features_x])
-    desc_y = np.stack([f.descriptor[:min_len] for f in features_y])
-    # Pairwise Euclidean distances between descriptors.
-    sq = (
-        np.sum(desc_x * desc_x, axis=1)[:, None]
-        + np.sum(desc_y * desc_y, axis=1)[None, :]
-        - 2.0 * desc_x @ desc_y.T
-    )
-    distances = np.sqrt(np.maximum(sq, 0.0))
-
-    amp_x = np.asarray([f.amplitude for f in features_x])
-    amp_y = np.asarray([f.amplitude for f in features_y])
-    sigma_x = np.asarray([f.sigma for f in features_x])
-    sigma_y = np.asarray([f.sigma for f in features_y])
-    amplitude_ok = (
-        np.abs(amp_x[:, None] - amp_y[None, :]) <= config.max_amplitude_difference
-    )
-    ratio = np.maximum(sigma_x[:, None], sigma_y[None, :]) / np.maximum(
-        np.minimum(sigma_x[:, None], sigma_y[None, :]), 1e-12
-    )
-    scale_ok = ratio <= config.max_scale_ratio
-    admissible = amplitude_ok & scale_ok
-
-    gated = np.where(admissible, distances, np.inf)
-    for i, feature in enumerate(features_x):
-        row = gated[i]
-        best_j = int(np.argmin(row))
-        best_distance = float(row[best_j])
-        if not np.isfinite(best_distance):
-            continue
-        if config.require_distinctive and row.size > 1:
-            second_distance = float(np.partition(row, 1)[1])
-            # Accept only if the best match is clearly better than the
-            # runner-up: best * tau_d <= second.
-            if (
-                np.isfinite(second_distance)
-                and best_distance * config.distinctiveness_ratio > second_distance
-            ):
-                continue
-        matches.append(
-            MatchedPair(
-                feature_x=feature,
-                feature_y=features_y[best_j],
-                descriptor_distance=best_distance,
-            )
+        return []
+    set_x = FeatureSet.of(features_x)
+    set_y = FeatureSet.of(features_y)
+    memo = set_x.memo
+    decisions = memo.get((set_y, config)) if memo is not None else None
+    if decisions is None:
+        decisions = _dominant_pairs(set_x, set_y, config)
+        if memo is not None:
+            memo[(set_y, config)] = decisions
+    matches = [
+        MatchedPair(
+            feature_x=set_x[i],
+            feature_y=set_y[j],
+            descriptor_distance=distance,
         )
+        for i, j, distance in zip(*decisions)
+    ]
     matches.sort(key=lambda pair: pair.feature_x.position)
     return matches
+
+
+def _dominant_pairs(
+    set_x: FeatureSet, set_y: FeatureSet, config: MatchingConfig
+) -> Tuple[List[int], List[int], List[float]]:
+    """The accepted rows of *set_x*, their best rows of *set_y*, distances."""
+    # Descriptors may have different lengths if callers mix configurations;
+    # compare over the common prefix (normal use keeps lengths equal).
+    min_len = min(set_x.descriptors.shape[1], set_y.descriptors.shape[1])
+    desc_x, norms_x = _leading_columns(set_x, min_len)
+    desc_y, norms_y = _leading_columns(set_y, min_len)
+    # Pairwise Euclidean distances between descriptors.
+    sq = norms_x[:, None] + norms_y[None, :] - 2.0 * desc_x @ desc_y.T
+    distances = np.sqrt(np.maximum(sq, 0.0))
+
+    admissible = (
+        np.abs(np.subtract.outer(set_x.amplitudes, set_y.amplitudes))
+        <= config.max_amplitude_difference
+    )
+    smaller = np.minimum.outer(set_x.sigmas, set_y.sigmas)
+    ratio = np.maximum.outer(set_x.sigmas, set_y.sigmas) / np.maximum(
+        smaller, 1e-12, out=smaller
+    )
+    admissible &= ratio <= config.max_scale_ratio
+
+    gated = np.where(admissible, distances, np.inf)
+    rows = np.arange(gated.shape[0])
+    best_j = gated.argmin(axis=1)
+    best = gated[rows, best_j]
+    accepted = np.isfinite(best)
+    if config.require_distinctive and gated.shape[1] > 1:
+        # The runner-up is the row's second-smallest value (equal to the
+        # best when the minimum repeats), as ``np.partition(row, 1)[1]``.
+        gated[rows, best_j] = np.inf
+        second = np.minimum.reduce(gated, axis=1)
+        # Accept only if the best match is clearly better than the
+        # runner-up: best * tau_d <= second (always so when there is no
+        # admissible runner-up, i.e. second is inf).
+        accepted &= ~(best * config.distinctiveness_ratio > second)
+    return (
+        np.flatnonzero(accepted).tolist(),
+        best_j[accepted].tolist(),
+        best[accepted].tolist(),
+    )
+
+
+def _leading_columns(
+    feature_set: FeatureSet, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The first *count* descriptor columns, C-contiguous, and their row norms².
+
+    The squared norms are those the set stacked once when no column is
+    cut; a cut matrix gets its own, computed the same way.
+    """
+    if feature_set.descriptors.shape[1] == count:
+        return feature_set.descriptors, feature_set.squared_norms
+    matrix = np.ascontiguousarray(feature_set.descriptors[:, :count])
+    return matrix, np.add.reduce(matrix * matrix, axis=1)

@@ -150,7 +150,6 @@ class SDTW:
     def __init__(self, config: Optional[SDTWConfig] = None) -> None:
         self.config = config if config is not None else SDTWConfig()
         self._feature_cache: Dict[int, Tuple[SalientFeature, ...]] = {}
-        self._cache_keys: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------ #
     # Feature extraction and caching
@@ -158,7 +157,6 @@ class SDTW:
     def clear_cache(self) -> None:
         """Drop all cached salient features."""
         self._feature_cache.clear()
-        self._cache_keys.clear()
 
     def _cache_key(self, series: np.ndarray) -> int:
         return hash(series.tobytes())
@@ -184,6 +182,30 @@ class SDTW:
         self._feature_cache[key] = features
         return features, elapsed
 
+    def query_features(
+        self, series: Union[Sequence[float], np.ndarray]
+    ) -> Tuple[Tuple[SalientFeature, ...], float]:
+        """Features of a series, without adding a new series to the cache.
+
+        A series already cached (a stored series) is served from the
+        cache; any other is extracted and returned, not kept.  Callers
+        that compare one transient query with many cached series extract
+        the query once here and pass the features to :meth:`distance`, so
+        the cache holds the stored series only.
+
+        Returns
+        -------
+        (features, seconds):
+            As :meth:`extract_features`.
+        """
+        values = as_series(series, "series")
+        cached = self._feature_cache.get(self._cache_key(values))
+        if cached is not None:
+            return cached, 0.0
+        start = time.perf_counter()
+        features = tuple(extract_salient_features(values, self.config))
+        return features, time.perf_counter() - start
+
     # ------------------------------------------------------------------ #
     # Alignment
     # ------------------------------------------------------------------ #
@@ -191,17 +213,22 @@ class SDTW:
         self,
         x: Union[Sequence[float], np.ndarray],
         y: Union[Sequence[float], np.ndarray],
+        *,
+        features_x: Optional[Sequence[SalientFeature]] = None,
+        features_y: Optional[Sequence[SalientFeature]] = None,
     ) -> SDTWAlignment:
         """Run matching + inconsistency pruning + interval partitioning.
 
-        Feature extraction goes through the cache; the returned
-        ``matching_seconds`` covers only the per-pair work (the paper's
-        task (b)).
+        Features not passed in are extracted through the cache; the
+        returned ``matching_seconds`` covers only the per-pair work (the
+        paper's task (b)).
         """
         xs = as_series(x, "x")
         ys = as_series(y, "y")
-        features_x, _ = self.extract_features(xs)
-        features_y, _ = self.extract_features(ys)
+        if features_x is None:
+            features_x, _ = self.extract_features(xs)
+        if features_y is None:
+            features_y, _ = self.extract_features(ys)
         start = time.perf_counter()
         matches = match_salient_features(features_x, features_y, self.config.matching)
         consistent = prune_inconsistent_pairs(matches, self.config.matching)
@@ -240,7 +267,11 @@ class SDTW:
         partition = alignment.partition if alignment is not None else None
         band = build_constraint_band(xs.size, ys.size, spec, partition, self.config)
         if self.config.symmetric_band and needs_alignment:
-            reverse_alignment = self.align(ys, xs)
+            reverse_alignment = self.align(
+                ys, xs,
+                features_x=alignment.features_y,
+                features_y=alignment.features_x,
+            )
             reverse_band = build_constraint_band(
                 ys.size, xs.size, spec, reverse_alignment.partition, self.config
             )
@@ -258,6 +289,7 @@ class SDTW:
         *,
         return_path: bool = False,
         abandon_threshold: Optional[float] = None,
+        features_x: Optional[Sequence[SalientFeature]] = None,
     ) -> SDTWResult:
         """Compute the DTW distance under a constraint family.
 
@@ -275,6 +307,10 @@ class SDTW:
             program as soon as the distance provably exceeds it (see
             :func:`repro.dtw.banded.banded_dtw`).  Requires
             ``return_path=False``.
+        features_x:
+            Salient features of *x*, already extracted (for instance by
+            :meth:`query_features`); *x* is then neither extracted nor
+            cached here.
 
         Returns
         -------
@@ -321,10 +357,14 @@ class SDTW:
         extract_seconds = 0.0
         alignment: Optional[SDTWAlignment] = None
         if needs_alignment:
-            _, ex = self.extract_features(xs)
-            _, ey = self.extract_features(ys)
+            ex = 0.0
+            if features_x is None:
+                features_x, ex = self.extract_features(xs)
+            features_y, ey = self.extract_features(ys)
             extract_seconds = ex + ey
-            alignment = self.align(xs, ys)
+            alignment = self.align(
+                xs, ys, features_x=features_x, features_y=features_y
+            )
 
         band, alignment = self.build_band(xs, ys, spec, alignment)
         start = time.perf_counter()

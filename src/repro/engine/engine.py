@@ -38,6 +38,7 @@ import numpy as np
 from .._validation import as_series, check_int_at_least
 from ..core.bands import parse_constraint_spec
 from ..core.config import SDTWConfig
+from ..core.features import SalientFeature
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
 from ..dtw.banded import banded_dtw
@@ -716,8 +717,13 @@ class DistanceEngine:
         stored: _Stored,
         threshold: Optional[float],
         band: Optional[np.ndarray] = None,
+        query_features: Optional[Sequence[SalientFeature]] = None,
     ) -> Tuple[float, int, bool, float, float, float]:
-        """One refinement: ``(distance, cells, abandoned, extract, match, dp)``."""
+        """One refinement: ``(distance, cells, abandoned, extract, match, dp)``.
+
+        Constraints that align salient features take the query's features
+        from *query_features* (see :meth:`_query_features`).
+        """
         if band is None:
             band = self._shared_band(query.size, stored.values.size)
         if band is not None:
@@ -730,11 +736,30 @@ class DistanceEngine:
             return (result.distance, result.cells_filled, result.abandoned,
                     0.0, 0.0, dp_seconds)
         result = self._sdtw.distance(
-            query, stored.values, self.constraint, abandon_threshold=threshold
+            query, stored.values, self.constraint, abandon_threshold=threshold,
+            features_x=query_features,
         )
         return (result.distance, result.cells_filled, result.abandoned,
                 result.extract_seconds, result.matching_seconds,
                 result.dp_seconds)
+
+    def _query_features(
+        self,
+        query: np.ndarray,
+        features: Optional[Sequence[SalientFeature]],
+        stats: EngineStats,
+    ) -> Optional[Sequence[SalientFeature]]:
+        """The query's salient features, extracted at most once per query.
+
+        Given features (from candidate generation) are used as they are.
+        Otherwise they are extracted on first need and timed into
+        *stats*, without entering the stored-series cache, so they are
+        dropped when the query returns.
+        """
+        if features is None and self._needs_alignment:
+            features, seconds = self._sdtw.query_features(query)
+            stats.extract_seconds += seconds
+        return features
 
     def _keogh_tight_applicable(self, n: int) -> bool:
         prep = self._prepared
@@ -785,6 +810,7 @@ class DistanceEngine:
         exclude_indices: Tuple[int, ...],
         mode: str,
         candidate_indices: Optional[Sequence[int]] = None,
+        query_features: Optional[Sequence[SalientFeature]] = None,
     ) -> QueryResult:
         prep = self._prepared
         started = time.perf_counter()
@@ -940,8 +966,11 @@ class DistanceEngine:
             threshold = (
                 worst if (self.early_abandon and len(kept) == k) else None
             )
+            if band is None:
+                query_features = self._query_features(query, query_features, stats)
             distance, cells, was_abandoned, extract_s, match_s, dp_s = self._refine(
-                query, self._stored[index], threshold, band=band
+                query, self._stored[index], threshold, band=band,
+                query_features=query_features,
             )
             stats.cells_filled += cells
             stats.extract_seconds += extract_s
@@ -990,9 +1019,12 @@ class DistanceEngine:
             stats.dp_seconds += time.perf_counter() - dp_start
             stats.dtw_computed += count
         else:
+            query_features = None
+            if band is None:
+                query_features = self._query_features(query, None, stats)
             for index, stored in enumerate(self._stored):
                 distance, cells, _, extract_s, match_s, dp_s = self._refine(
-                    query, stored, None, band=band
+                    query, stored, None, band=band, query_features=query_features,
                 )
                 row[index] = distance
                 stats.cells_filled += cells
@@ -1022,6 +1054,7 @@ class DistanceEngine:
         *,
         exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
         candidate_indices: Optional[Sequence[Optional[Sequence[int]]]] = None,
+        query_features: Optional[Sequence[Optional[Sequence[SalientFeature]]]] = None,
         backend: Optional[str] = None,
     ) -> BatchKNNResult:
         """k nearest stored series for every query, in one batch call.
@@ -1040,6 +1073,11 @@ class DistanceEngine:
             (the indexing subsystem's re-rank hook); ``None`` entries
             scan the whole collection.  Must have one entry per query
             when given.
+        query_features:
+            Optional per-query salient features, already extracted (the
+            indexing subsystem extracts them for candidate generation);
+            ``None`` entries are extracted here, once per query.  Must
+            have one entry per query when given.
         backend:
             Per-call execution-backend override (results are identical
             across backends; the equivalence suite pins that down).  The
@@ -1070,9 +1108,17 @@ class DistanceEngine:
                 raise ValidationError(
                     "candidate_indices must have one entry per query"
                 )
+        if query_features is None:
+            features: List[Optional[Sequence[SalientFeature]]] = [None] * len(arrays)
+        else:
+            features = list(query_features)
+            if len(features) != len(arrays):
+                raise ValidationError(
+                    "query_features must have one entry per query"
+                )
         payloads = [
             (qi, arrays[qi], k, self._exclude_indices(excludes[qi]),
-             restrictions[qi])
+             restrictions[qi], features[qi])
             for qi in range(len(arrays))
         ]
         started = time.perf_counter()
@@ -1085,8 +1131,10 @@ class DistanceEngine:
         else:
             mode = "serial" if active_backend == "serial" else "vectorized"
             outcomes = [
-                (qi, self._run_query(query, k, exclude, mode, candidates))
-                for qi, query, k, exclude, candidates in payloads
+                (qi, self._run_query(
+                    query, k, exclude, mode, candidates, query_features
+                ))
+                for qi, query, k, exclude, candidates, query_features in payloads
             ]
         ordered = [result for _, result in sorted(outcomes, key=lambda item: item[0])]
         return BatchKNNResult(
@@ -1100,12 +1148,14 @@ class DistanceEngine:
         *,
         exclude_identifier: Optional[str] = None,
         candidate_indices: Optional[Sequence[int]] = None,
+        query_features: Optional[Sequence[SalientFeature]] = None,
     ) -> QueryResult:
         """Single-query convenience wrapper over :meth:`knn`."""
         batch = self.knn(
             [values], k,
             exclude_identifiers=[exclude_identifier],
             candidate_indices=[candidate_indices],
+            query_features=[query_features],
         )
         return batch.results[0]
 
@@ -1155,9 +1205,9 @@ class DistanceEngine:
 
 def _knn_query_task(engine: DistanceEngine, payload):
     """Multiprocessing task: run one query through the vectorised cascade."""
-    qi, query, k, exclude_indices, candidate_indices = payload
+    qi, query, k, exclude_indices, candidate_indices, query_features = payload
     return qi, engine._run_query(
-        query, k, exclude_indices, "vectorized", candidate_indices
+        query, k, exclude_indices, "vectorized", candidate_indices, query_features
     )
 
 

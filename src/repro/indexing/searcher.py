@@ -40,7 +40,7 @@ import numpy as np
 
 from .._validation import as_series, check_int_at_least
 from ..core.config import SDTWConfig
-from ..core.features import extract_salient_features
+from ..core.features import SalientFeature, extract_salient_features
 from ..datasets.base import Dataset
 from ..engine import DistanceEngine
 from ..engine.engine import EngineHit, QueryResult
@@ -754,6 +754,19 @@ class IndexedSearcher:
         postings; the cache is cleared on every index mutation, so a
         hit is always exactly what a fresh stage 1 would produce.
         """
+        return self._generate(values, limit, rank_mode)[0]
+
+    def _generate(
+        self,
+        values: Union[Sequence[float], np.ndarray],
+        limit: Optional[int],
+        rank_mode: Optional[str],
+    ) -> Tuple[np.ndarray, Optional[List[SalientFeature]]]:
+        """Stage 1: the candidates and the query features it extracted.
+
+        The features are ``None`` on a candidate-cache hit, which extracts
+        nothing.
+        """
         query = as_series(values, "query")
         limit = limit if limit is not None else self.candidate_budget
         limit = check_int_at_least(limit, 1, "limit")
@@ -775,7 +788,7 @@ class IndexedSearcher:
                             hit=True,
                             candidates=int(cached.size),
                         )
-                    return cached.copy()
+                    return cached.copy(), None
             self._cache_miss_counter.inc()
         features = extract_salient_features(query, self.config)
         if trace is not None:
@@ -802,7 +815,7 @@ class IndexedSearcher:
                 self._candidate_cache.move_to_end(cache_key)
                 while len(self._candidate_cache) > self._candidate_cache_capacity:
                     self._candidate_cache.popitem(last=False)
-        return candidates
+        return candidates, features
 
     def query(
         self,
@@ -849,14 +862,21 @@ class IndexedSearcher:
                 stats=result.stats,
             )
         started = time.perf_counter()
-        candidate_set = self.generate_candidates(
-            values, candidates, rank_mode=rank_mode
-        )
+        candidate_set, features = self._generate(values, candidates, rank_mode)
         generation_seconds = time.perf_counter() - started
+        # The re-rank aligns with the features stage 1 extracted, so the
+        # query is extracted once, unless the engine extracts differently.
+        engine_config = self.engine.config
+        if (
+            engine_config.scale_space != self.config.scale_space
+            or engine_config.descriptor != self.config.descriptor
+        ):
+            features = None
         result: QueryResult = self.engine.query(
             values, k,
             exclude_identifier=exclude_identifier,
             candidate_indices=candidate_set,
+            query_features=features,
         )
         return IndexedSearchResult(
             hits=result.hits,

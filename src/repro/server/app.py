@@ -52,6 +52,7 @@ from ..exceptions import (
     WorkspaceError,
 )
 from ..telemetry.events import json_safe
+from . import http
 from .http import (
     DEFAULT_MAX_BODY_BYTES,
     HTTPRequest,
@@ -79,6 +80,18 @@ def _parse_flag(raw: str, name: str) -> bool:
     raise ProtocolError(
         f"query parameter {name}={raw!r} is not a boolean (use 0/1)"
     )
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    """Close a connection's transport and wait for the close handshake."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError, asyncio.CancelledError):
+        # A task cancelled by shutdown re-raises from any await, including
+        # this close handshake; the transport is torn down with the loop
+        # either way.
+        pass
 
 
 class WorkspaceServer:
@@ -141,6 +154,8 @@ class WorkspaceServer:
         self._inflight = 0
         self._refused = 0
         self._requests_served = 0
+        self._connections = 0
+        self._connections_refused = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -251,6 +266,38 @@ class WorkspaceServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        if self._connections >= http.MAX_CONNECTIONS:
+            self._connections_refused += 1
+            await self._refuse_connection(writer)
+            return
+        self._connections += 1
+        try:
+            await self._serve_connection(reader, writer)
+        finally:
+            self._connections -= 1
+
+    async def _refuse_connection(self, writer: asyncio.StreamWriter) -> None:
+        """Answer 503 and close: the server holds its maximum connections."""
+        try:
+            writer.write(render_response(
+                HTTPResponse.error(
+                    503, "ServerError",
+                    f"server holds its maximum of {http.MAX_CONNECTIONS} "
+                    f"open connections; retry later",
+                ),
+                keep_alive=False,
+            ))
+            await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            await _close(writer)
+
+    async def _serve_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
         try:
             while True:
                 try:
@@ -286,14 +333,7 @@ class WorkspaceServer:
             # swallow so idle keep-alive connections close quietly.
             return
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # A task cancelled by shutdown re-raises from any await,
-                # including this close handshake; the transport is torn
-                # down with the loop either way.
-                pass
+            await _close(writer)
 
     async def _dispatch(self, request: HTTPRequest) -> HTTPResponse:
         routes = {
@@ -438,6 +478,14 @@ class WorkspaceServer:
 
     async def _handle_metrics(self, request: HTTPRequest) -> HTTPResponse:
         text = await self._run_blocking(self.workspace.metrics_prometheus)
+        if text and not text.endswith("\n"):
+            text += "\n"
+        text += (
+            "# HELP repro_server_connections_refused_total Connections "
+            "refused at the open-connection cap.\n"
+            "# TYPE repro_server_connections_refused_total counter\n"
+            f"repro_server_connections_refused_total {self._connections_refused}\n"
+        )
         return HTTPResponse(
             200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
         )
@@ -450,6 +498,9 @@ class WorkspaceServer:
             "max_pending": self._max_pending,
             "refused_total": self._refused,
             "requests_served": self._requests_served,
+            "open_connections": self._connections,
+            "max_connections": http.MAX_CONNECTIONS,
+            "connections_refused_total": self._connections_refused,
         }
 
 

@@ -13,7 +13,9 @@ over ``asyncio.StreamReader``/``StreamWriter``.  Supported surface:
   limit and bodies by ``max_body_bytes`` (413 on overflow);
 * bounded read time: a request must arrive whole within
   :data:`REQUEST_TIMEOUT_SECONDS` of its first byte, and a kept-alive
-  connection may wait :data:`IDLE_TIMEOUT_SECONDS` for its next request.
+  connection may wait :data:`IDLE_TIMEOUT_SECONDS` for its next request;
+* bounded connections: a server holds at most :data:`MAX_CONNECTIONS`
+  open at once.
 
 Malformed input raises :class:`ProtocolError` carrying the HTTP status
 the connection handler should answer with before closing.
@@ -47,6 +49,11 @@ REQUEST_TIMEOUT_SECONDS = 30.0
 #: Seconds a kept-alive connection may wait for its next request.  Long
 #: enough that a pooled client connection stays open between ops.
 IDLE_TIMEOUT_SECONDS = 75.0
+
+#: Open connections a server holds at once.  Each holds a task and its
+#: buffers until a timeout above closes it; a connection past the cap is
+#: answered 503 with ``Connection: close`` and closed at once.
+MAX_CONNECTIONS = 256
 
 _REASONS = {
     200: "OK",
@@ -286,6 +293,7 @@ __all__ = [
     "HTTPRequest",
     "HTTPResponse",
     "IDLE_TIMEOUT_SECONDS",
+    "MAX_CONNECTIONS",
     "JSON_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "ProtocolError",

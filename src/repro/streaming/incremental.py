@@ -40,8 +40,8 @@ import numpy as np
 
 from .._validation import check_int_at_least
 from ..core.config import SDTWConfig
-from ..core.descriptors import compute_descriptor, descriptor_window_radius
-from ..core.features import SalientFeature
+from ..core.descriptors import compute_descriptors, descriptor_window_radius
+from ..core.features import FeatureSet, SalientFeature, keypoint_feature
 from ..core.keypoints import Keypoint, detect_keypoints
 from ..core.scale_space import ScaleLevel, ScaleSpace
 from ..exceptions import ValidationError
@@ -222,7 +222,7 @@ class IncrementalExtractor:
         self._smoothed: List[List[np.ndarray]] = []
         self._desc_smoothed: Dict[float, Tuple[np.ndarray, int]] = {}
         self._descriptor_cache: Dict[Tuple[float, float], np.ndarray] = {}
-        self._features: Tuple[SalientFeature, ...] = ()
+        self._features = FeatureSet(())
         self.stats = ExtractorStats()
 
     # ------------------------------------------------------------------ #
@@ -306,7 +306,7 @@ class IncrementalExtractor:
         self.refresh(buffer.view(self.window_length), start)
         return True
 
-    def refresh(self, window: np.ndarray, window_start: int) -> Tuple[SalientFeature, ...]:
+    def refresh(self, window: np.ndarray, window_start: int) -> FeatureSet:
         """Force re-extraction on *window* (absolute start *window_start*)."""
         # Own copy: callers typically pass a live, zero-copy buffer view.
         window = np.array(window, dtype=float)
@@ -377,10 +377,17 @@ class IncrementalExtractor:
     # ------------------------------------------------------------------ #
     # Descriptors and feature assembly (Steps 2-3)
     # ------------------------------------------------------------------ #
-    def _descriptor_smoothed(
+    def _descriptor_gradient(
         self, window: np.ndarray, sigma: float, window_start: int
     ) -> np.ndarray:
-        """Full-resolution smoothing at a keypoint σ, maintained incrementally."""
+        """Gradient of the window smoothed at a keypoint σ.
+
+        The full-resolution smoothing is maintained incrementally across
+        refreshes (:func:`_incremental_smooth` reuses the interior of the
+        previous refresh's array), so its result is bit-identical to
+        smoothing the window from scratch.  Called once per distinct σ per
+        refresh.
+        """
         sigma_key = round(sigma, 6)
         state = self._desc_smoothed.get(sigma_key)
         prev, shift = None, None
@@ -391,9 +398,9 @@ class IncrementalExtractor:
         self.stats.samples_reused += reused
         self.stats.samples_convolved += window.size - reused
         self._desc_smoothed[sigma_key] = (smoothed, window_start)
-        return smoothed
+        return np.gradient(smoothed)
 
-    def _descriptor_cacheable(self, keypoint: Keypoint, sigma_radius: int) -> bool:
+    def _descriptor_cacheable(self, keypoint: Keypoint) -> bool:
         """True when the descriptor's whole support is window-independent.
 
         The support spans the descriptor window plus one sample for the
@@ -403,7 +410,7 @@ class IncrementalExtractor:
         """
         margin = (
             descriptor_window_radius(keypoint.sigma, self.config.descriptor)
-            + 1 + sigma_radius
+            + 1 + _kernel_radius(keypoint.sigma)
         )
         return (
             keypoint.position - margin >= 0
@@ -416,63 +423,64 @@ class IncrementalExtractor:
         window_start: int,
         keypoints: List[Keypoint],
         shift: Optional[int],
-    ) -> Tuple[SalientFeature, ...]:
-        n = window.size
-        features: List[SalientFeature] = []
-        fresh_cache: Dict[Tuple[float, float], np.ndarray] = {}
-        for kp in keypoints:
-            sigma_key = round(kp.sigma, 6)
-            cache_key = (round(kp.position + window_start, 6), sigma_key)
-            sigma_radius = _kernel_radius(kp.sigma)
-            cacheable = (
-                self.reuse_descriptors
-                and shift is not None
-                and self._descriptor_cacheable(kp, sigma_radius)
+    ) -> FeatureSet:
+        """Features of the refreshed window, stacked once for matching.
+
+        Descriptors of interior keypoints come from the previous refresh's
+        cache; the rest are computed together in one
+        :func:`compute_descriptors` pass, with the window smoothed and its
+        gradient taken once per distinct σ.
+        """
+        keys = [
+            (round(kp.position + window_start, 6), round(kp.sigma, 6))
+            for kp in keypoints
+        ]
+        cacheable = [
+            self.reuse_descriptors and self._descriptor_cacheable(kp)
+            for kp in keypoints
+        ]
+        descriptors: List[Optional[np.ndarray]] = [
+            self._descriptor_cache.get(key) if ok and shift is not None else None
+            for key, ok in zip(keys, cacheable)
+        ]
+        missing = [k for k, descriptor in enumerate(descriptors) if descriptor is None]
+        self.stats.descriptors_reused += len(keypoints) - len(missing)
+        self.stats.descriptors_computed += len(missing)
+        if missing:
+            gradients: Dict[float, np.ndarray] = {}
+            for k in missing:
+                sigma_key = keys[k][1]
+                if sigma_key not in gradients:
+                    gradients[sigma_key] = self._descriptor_gradient(
+                        window, keypoints[k].sigma, window_start
+                    )
+            computed = compute_descriptors(
+                window.size,
+                [keypoints[k].position for k in missing],
+                [keypoints[k].sigma for k in missing],
+                [gradients[keys[k][1]] for k in missing],
+                self.config.descriptor,
             )
-            descriptor = self._descriptor_cache.get(cache_key) if cacheable else None
-            if descriptor is not None:
-                self.stats.descriptors_reused += 1
-            else:
-                smoothed = self._descriptor_smoothed(window, kp.sigma, window_start)
-                descriptor = compute_descriptor(
-                    window, kp.position, kp.sigma, self.config.descriptor,
-                    smoothed=smoothed,
-                )
-                self.stats.descriptors_computed += 1
-            if self.reuse_descriptors and self._descriptor_cacheable(kp, sigma_radius):
-                fresh_cache[cache_key] = descriptor
-            scope_start = max(0.0, kp.scope_start)
-            scope_end = min(float(n - 1), kp.scope_end)
-            lo = int(np.floor(scope_start))
-            hi = int(np.ceil(scope_end)) + 1
-            mean_amplitude = (
-                float(window[lo:hi].mean()) if hi > lo else float(window[lo])
-            )
-            features.append(
-                SalientFeature(
-                    position=kp.position,
-                    sigma=kp.sigma,
-                    scope_start=scope_start,
-                    scope_end=scope_end,
-                    octave=kp.octave,
-                    level=kp.level,
-                    amplitude=kp.amplitude,
-                    mean_amplitude=mean_amplitude,
-                    dog_value=kp.dog_value,
-                    scale_class=kp.scale_class,
-                    descriptor=descriptor,
-                )
-            )
+            for k, descriptor in zip(missing, computed):
+                descriptors[k] = descriptor
         # Only descriptors re-validated this refresh survive: anything older
         # has expired out of the window or sits too close to an edge.
-        self._descriptor_cache = fresh_cache
+        self._descriptor_cache = {
+            key: descriptor
+            for key, ok, descriptor in zip(keys, cacheable, descriptors)
+            if ok
+        }
+        features = [
+            keypoint_feature(kp, window, descriptor)
+            for kp, descriptor in zip(keypoints, descriptors)
+        ]
         features.sort(key=lambda f: (f.position, f.sigma))
-        return tuple(features)
+        return FeatureSet(features)
 
     # ------------------------------------------------------------------ #
     # Snapshot access
     # ------------------------------------------------------------------ #
-    def features(self) -> Tuple[SalientFeature, ...]:
+    def features(self) -> FeatureSet:
         """The snapshot features, positions relative to the snapshot window."""
         return self._features
 

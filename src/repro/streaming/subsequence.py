@@ -30,7 +30,7 @@ the paper's cell-based time-gain measure (Section 4.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,7 +43,7 @@ from ..core.bands import (
 )
 from ..core.config import SDTWConfig
 from ..core.consistency import prune_inconsistent_pairs
-from ..core.features import SalientFeature, extract_salient_features
+from ..core.features import FeatureSet, SalientFeature, extract_salient_features
 from ..core.intervals import build_interval_partition
 from ..core.matching import match_salient_features
 from ..dtw.banded import banded_dtw
@@ -336,31 +336,19 @@ def shift_snapshot_features(
     features: Sequence[SalientFeature],
     shift: int,
     window_length: int,
-) -> List[SalientFeature]:
+) -> FeatureSet:
     """Re-express snapshot features in the coordinates of a newer window.
 
     The extractor's snapshot window starts *shift* ticks before the
     current one; features that slid off the front are dropped and scopes
     are clipped to the new window extent, mirroring what batch extraction
-    clips at the series boundary.
+    clips at the series boundary.  This runs every tick, so it selects
+    rows of the snapshot's stacked arrays
+    (:meth:`~repro.core.features.FeatureSet.shifted`) and builds a shifted
+    feature only when it is read: in the per-tick band, only for the
+    features that end up in a matched pair.
     """
-    if shift == 0:
-        return list(features)
-    shifted: List[SalientFeature] = []
-    limit = float(window_length - 1)
-    for feature in features:
-        position = feature.position - shift
-        if position < 0.0 or position > limit:
-            continue
-        shifted.append(
-            replace(
-                feature,
-                position=position,
-                scope_start=max(0.0, feature.scope_start - shift),
-                scope_end=min(limit, feature.scope_end - shift),
-            )
-        )
-    return shifted
+    return FeatureSet.of(features).shifted(shift, window_length)
 
 
 def build_stream_band(
@@ -457,7 +445,7 @@ class SlidingWindowMatcher:
         self._spec: Optional[ConstraintSpec] = None
         self._shared_band: Optional[np.ndarray] = None
         self._extractor: Optional[IncrementalExtractor] = None
-        self._pattern_features: Tuple[SalientFeature, ...] = ()
+        self._pattern_features = FeatureSet(())
         self.constraint = self._resolve_constraint(
             constraint, itakura_max_slope, extractor_hop, extractor
         )
@@ -520,7 +508,7 @@ class SlidingWindowMatcher:
                 self._extractor = IncrementalExtractor(
                     m, self.config, hop=extractor_hop
                 )
-            self._pattern_features = tuple(
+            self._pattern_features = FeatureSet(
                 extract_salient_features(self.pattern, self.config)
             )
         else:

@@ -354,3 +354,35 @@ class TestCandidateRestriction:
         batch = engine.knn(queries, 2, candidate_indices=[[0, 1, 2], [3, 4, 5]])
         assert set(batch.results[0].indices) <= {0, 1, 2}
         assert set(batch.results[1].indices) <= {3, 4, 5}
+
+
+class TestQueryFeatureLifetime:
+    """A query's salient features live for the query only: the engine's
+    feature cache holds the stored series and nothing else."""
+
+    def test_cache_holds_stored_series_only_after_many_queries(self, dataset):
+        engine = DistanceEngine("ac,aw", backend="serial")
+        engine.add_dataset(dataset)
+        engine.prepare()
+        assert len(engine._sdtw._feature_cache) == len(dataset)
+        rng = np.random.default_rng(4)
+        for i in range(12):
+            base = dataset[i % len(dataset)].values
+            engine.query(base + rng.normal(0.0, 0.05, base.size), 3)
+        engine.distance_matrix([dataset[0].values + 0.1])
+        assert len(engine._sdtw._feature_cache) == len(dataset)
+
+    def test_stored_query_reuses_cached_features(self, dataset, monkeypatch):
+        import repro.core.sdtw as sdtw_module
+
+        engine = DistanceEngine("ac,aw", backend="serial")
+        engine.add_dataset(dataset)
+        engine.prepare()
+        calls = []
+        original = sdtw_module.extract_salient_features
+        monkeypatch.setattr(
+            sdtw_module, "extract_salient_features",
+            lambda *args: calls.append(1) or original(*args),
+        )
+        engine.query(dataset[2].values, 3)
+        assert calls == []

@@ -239,3 +239,32 @@ class TestPersistedExtractionConfig:
     def test_config_dict_round_trip(self):
         restored = SDTWConfig.from_dict(CONFIG.to_dict())
         assert restored == CONFIG
+
+
+class TestQueryExtraction:
+    """Candidate generation and the re-rank share one extraction."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_indexed_query_extracts_once_per_shard(
+        self, dataset, monkeypatch, num_shards
+    ):
+        import repro.core.sdtw as sdtw_module
+        import repro.indexing.searcher as searcher_module
+        from repro.server import split_workspace
+        from repro.service import EngineConfig, Workspace, WorkspaceConfig
+
+        workspace = Workspace(WorkspaceConfig(
+            sdtw=CONFIG, engine=EngineConfig(constraint="ac,aw")))
+        workspace.add_dataset(dataset)
+        workspace.build_index()
+        sharded = split_workspace(workspace, num_shards)
+        sharded.query(dataset[0].values + 0.01, 3, mode="indexed")
+        calls = []
+        for module in (sdtw_module, searcher_module):
+            original = module.extract_salient_features
+            monkeypatch.setattr(
+                module, "extract_salient_features",
+                lambda *args, _original=original: calls.append(1) or _original(*args),
+            )
+        sharded.query(dataset[5].values + 0.02, 3, mode="indexed", candidates=6)
+        assert len(calls) == num_shards

@@ -542,6 +542,66 @@ class TestBoundedReads:
         assert 0.2 <= waited < 5.0
 
 
+def _exchange(sock):
+    """One keep-alive ``GET /healthz`` on a raw socket; returns the status."""
+    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, "server closed the connection"
+        data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        body += sock.recv(4096)
+    return int(head.split(b" ", 2)[1])
+
+
+def _wait_until(predicate, limit_seconds=10.0):
+    deadline = time.perf_counter() + limit_seconds
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestConnectionCap:
+    """Connections past the cap are answered 503 and closed; the cap is
+    patched small so the test holds only a few sockets."""
+
+    def test_cap_refuses_extra_and_reuses_freed_slot(self, workspace, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+        with WorkspaceServer(workspace, port=0) as srv:
+            address = (srv.host, srv.port)
+            held = [socket.create_connection(address, timeout=10) for _ in range(2)]
+            try:
+                assert [_exchange(sock) for sock in held] == [200, 200]
+                with socket.create_connection(address, timeout=10) as extra:
+                    refused = b""
+                    while chunk := extra.recv(4096):
+                        refused += chunk
+                head = refused.split(b"\r\n\r\n", 1)[0]
+                assert head.startswith(b"HTTP/1.1 503 ")
+                assert b"Connection: close" in head
+                # The held connections keep working past the refusal.
+                assert [_exchange(sock) for sock in held] == [200, 200]
+                stats = srv.server_stats()
+                assert stats["open_connections"] == 2
+                assert stats["connections_refused_total"] == 1
+                held.pop().close()
+                _wait_until(lambda: srv.server_stats()["open_connections"] == 1)
+                # The freed slot takes a new connection.
+                status, _, body = raw_request(srv, "GET", "/stats")
+                assert status == 200
+                assert json.loads(body)["server"]["connections_refused_total"] == 1
+                _wait_until(lambda: srv.server_stats()["open_connections"] == 1)
+                status, _, body = raw_request(srv, "GET", "/metrics")
+                assert status == 200
+                assert "repro_server_connections_refused_total 1" in body.decode()
+            finally:
+                for sock in held:
+                    sock.close()
+
+
 # ---------------------------------------------------------------------- #
 # Metrics exposition
 # ---------------------------------------------------------------------- #
