@@ -269,9 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "batches")
     ws_init.add_argument("--slow-query-threshold", type=float, default=None,
                          metavar="SECONDS",
-                         help="persist the full trace of queries at least "
-                              "this slow to slow_queries.jsonl (0 captures "
-                              "every query; default: disabled)")
+                         help="log a slow_query event with the full trace "
+                              "of queries at least this slow to events.jsonl "
+                              "(0 captures every query; default: disabled)")
 
     ws_add = ws_sub.add_parser(
         "add", help="add a data set's series to a workspace")
@@ -889,7 +889,7 @@ def _run_workspace_init(args: argparse.Namespace) -> int:
           f"micro_batch={args.micro_batch}")
     if args.slow_query_threshold is not None:
         print(f"slow-query capture: queries >= {args.slow_query_threshold}s "
-              f"are persisted to slow_queries.jsonl")
+              f"are logged as slow_query events in events.jsonl")
     return 0
 
 

@@ -167,7 +167,6 @@ def evaluate_dataset(
     base_config: Optional[SDTWConfig] = None,
     ks: Sequence[int] = (5, 10),
     symmetrize: bool = False,
-    num_workers: Optional[int] = None,
 ) -> DatasetEvaluation:
     """Build the reference and constrained indexes and evaluate every algorithm.
 
@@ -184,9 +183,6 @@ def evaluate_dataset(
         k values for the retrieval/classification criteria.
     symmetrize:
         Whether constrained distances are averaged over both orientations.
-    num_workers:
-        When greater than 1, pairwise distances are computed on a process
-        pool (see :func:`repro.retrieval.index.compute_distance_index`).
     """
     if len(dataset) < 2:
         raise ExperimentError("experiments need at least two series")
@@ -194,15 +190,14 @@ def evaluate_dataset(
         algorithms = default_algorithms()
     values = dataset.values_list()
 
-    reference = compute_distance_index(values, "full", num_workers=num_workers)
+    reference = compute_distance_index(values, "full")
     evaluation = DatasetEvaluation(dataset=dataset, reference=reference)
 
     for spec in algorithms:
         config = spec.make_config(base_config)
         engine = SDTW(config)
         index = compute_distance_index(
-            values, spec.constraint, engine, symmetrize=symmetrize,
-            num_workers=num_workers,
+            values, spec.constraint, engine, symmetrize=symmetrize
         )
         index = replace_label(index, spec.label)
         evaluation.indexes[spec.label] = index

@@ -24,10 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bands import parse_constraint_spec
 from ..core.sdtw import SDTW, SDTWResult
 from ..dtw.full import dtw
-from ..engine.backends import run_parallel
 from ..exceptions import ValidationError
 
 
@@ -117,16 +115,6 @@ def _compute_pair(
     )
 
 
-def _pair_chunk_task(state, chunk) -> List[_PairRecord]:
-    """Worker task: compute one chunk of pairs against the shared state."""
-    engine, arrays, constraint, is_full, symmetrize = state
-    return [
-        _compute_pair(engine, constraint, is_full, symmetrize,
-                      arrays[a], arrays[b], a, b)
-        for a, b in chunk
-    ]
-
-
 def compute_distance_index(
     series: Sequence[np.ndarray],
     constraint: str = "full",
@@ -134,7 +122,6 @@ def compute_distance_index(
     *,
     symmetrize: bool = True,
     progress: Optional[ProgressCallback] = None,
-    num_workers: Optional[int] = None,
 ) -> PairwiseDistanceMatrix:
     """Compute the pairwise distance index of a collection under one constraint.
 
@@ -154,13 +141,7 @@ def compute_distance_index(
         over the two orientations.  Full DTW is symmetric already and is
         computed once per unordered pair regardless.
     progress:
-        Optional callback ``(done_pairs, total_pairs)`` for long runs
-        (called per chunk when workers are used).
-    num_workers:
-        When greater than 1, the unordered pairs are chunked across a
-        process pool (the engine's multiprocessing plumbing).  Features
-        are extracted in the parent first so forked workers inherit a warm
-        salient-feature cache.
+        Optional callback ``(done_pairs, total_pairs)`` for long runs.
 
     Returns
     -------
@@ -177,35 +158,14 @@ def compute_distance_index(
     pair_list = [(a, b) for a in range(count) for b in range(a + 1, count)]
     total_pairs = len(pair_list)
 
-    workers = 1 if num_workers is None else max(1, int(num_workers))
-    if workers > 1 and total_pairs > 1:
-        if not is_full:
-            # Pay the one-time extraction cost once, in the parent — but
-            # only for constraints whose bands actually consume salient
-            # features; the fixed families never read them.
-            spec = parse_constraint_spec(constraint)
-            if spec.core == "adaptive" or spec.width == "adaptive":
-                for array in arrays:
-                    engine.extract_features(array)
-        chunk_count = min(total_pairs, workers * 4)
-        chunks = [pair_list[i::chunk_count] for i in range(chunk_count)]
-        state = (engine, arrays, constraint, is_full, symmetrize)
-        records: List[_PairRecord] = []
-        done = 0
-        for chunk_records in run_parallel(state, _pair_chunk_task, chunks, workers):
-            records.extend(chunk_records)
-            done += len(chunk_records)
-            if progress is not None:
-                progress(done, total_pairs)
-    else:
-        records = []
-        for done, (a, b) in enumerate(pair_list, start=1):
-            records.append(
-                _compute_pair(engine, constraint, is_full, symmetrize,
-                              arrays[a], arrays[b], a, b)
-            )
-            if progress is not None:
-                progress(done, total_pairs)
+    records: List[_PairRecord] = []
+    for done, (a, b) in enumerate(pair_list, start=1):
+        records.append(
+            _compute_pair(engine, constraint, is_full, symmetrize,
+                          arrays[a], arrays[b], a, b)
+        )
+        if progress is not None:
+            progress(done, total_pairs)
 
     distances = np.zeros((count, count))
     matching_seconds = 0.0

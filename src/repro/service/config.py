@@ -201,41 +201,23 @@ class ServingConfig(_DictRoundTrip):
         from scratch on the first query after any mutation; results are
         bit-identical either way.
     telemetry:
-        Collect metrics and per-query traces (see
-        :mod:`repro.telemetry`).  When ``False`` the workspace holds the
-        no-op :data:`~repro.telemetry.NULL_REGISTRY`, queries carry no
-        trace, and the instrumented paths cost one empty method call —
-        the overhead of the enabled path is itself gated at <= 5% by
-        ``benchmarks/bench_workspace_serving.py --telemetry-guard``.
-    trace_ring:
-        Recent query traces retained in memory for
-        :meth:`Workspace.recent_traces`.  ``0`` keeps per-result traces
-        but retains no history.
-    event_log_ring:
-        Recent structured events (see :mod:`repro.telemetry.events`)
-        retained in memory for :meth:`Workspace.recent_events` and the
-        flight record.  ``0`` keeps no ring (the file sink, if any,
-        still records).  The whole event log follows the ``telemetry``
-        master switch.
-    event_log_file:
-        Mirror every event into ``events.jsonl`` inside the workspace
-        directory (path-backed workspaces only), rotated once it
-        exceeds ``event_log_max_bytes``.
-    event_log_max_bytes:
-        Rotation threshold of the event-log file sink; the previous
-        generation is kept as ``events.jsonl.1``, bounding disk usage
-        at roughly twice this size.
+        Collect metrics, per-query traces and the structured event log
+        (see :mod:`repro.telemetry`).  When ``False`` the workspace
+        holds the no-op :data:`~repro.telemetry.NULL_REGISTRY`, queries
+        carry no trace, and the instrumented paths cost one empty method
+        call — the overhead of the enabled path is itself gated at <= 5%
+        by ``benchmarks/bench_workspace_serving.py --telemetry-guard``.
+        The event log stays on while ``slow_query_threshold`` is armed.
     slow_query_threshold:
         Queries whose end-to-end wall time reaches this many seconds
-        have their full :class:`~repro.telemetry.QueryTrace` (plus a
-        recent event-log excerpt) persisted to ``slow_queries.jsonl``
-        in the workspace directory and retained in
-        :meth:`Workspace.slow_queries`.  ``None`` disables capture;
-        ``0.0`` captures every query (the CI smoke configuration).
-        Applies to exact, indexed and micro-batched queries alike.
-    slow_query_ring:
-        Slow-query records retained in memory (the surface for
-        in-memory workspaces, where there is no ``slow_queries.jsonl``).
+        emit one ``slow_query`` event (component ``workspace``, level
+        ``warn``) carrying the query's full
+        :class:`~repro.telemetry.QueryTrace` (``None`` with telemetry
+        off).  The event lands in the event ring, read back by
+        :meth:`Workspace.slow_queries`, and for path-backed workspaces
+        in ``events.jsonl``.  ``None`` disables capture; ``0.0``
+        captures every query (the CI smoke configuration).  Applies to
+        exact, indexed and micro-batched queries alike.
     """
 
     micro_batch: bool = False
@@ -243,30 +225,38 @@ class ServingConfig(_DictRoundTrip):
     max_batch: int = 32
     incremental_snapshots: bool = True
     telemetry: bool = True
-    trace_ring: int = 64
-    event_log_ring: int = 512
-    event_log_file: bool = True
-    event_log_max_bytes: int = 4_000_000
     slow_query_threshold: Optional[float] = None
-    slow_query_ring: int = 64
 
     def __post_init__(self) -> None:
         if self.batch_window_ms < 0:
             raise ConfigurationError("batch_window_ms must be non-negative")
         if self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if self.trace_ring < 0:
-            raise ConfigurationError("trace_ring must be >= 0")
-        if self.event_log_ring < 0:
-            raise ConfigurationError("event_log_ring must be >= 0")
-        if self.event_log_max_bytes < 1024:
-            raise ConfigurationError("event_log_max_bytes must be >= 1024")
         if self.slow_query_threshold is not None and self.slow_query_threshold < 0:
             raise ConfigurationError(
                 "slow_query_threshold must be >= 0 seconds when given"
             )
-        if self.slow_query_ring < 0:
-            raise ConfigurationError("slow_query_ring must be >= 0")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ServingConfig":
+        """Rebuild a configuration written by :meth:`to_dict`.
+
+        Manifests written before the retention settings became
+        constants still list them; exactly those keys are dropped, and
+        any other unknown key still raises.
+        """
+        return cls(**{
+            key: value for key, value in data.items()
+            if key not in _RETIRED_SERVING_KEYS
+        })
+
+
+# Retention settings that became constants of repro.service.workspace and
+# repro.telemetry.events; older manifests still carry them.
+_RETIRED_SERVING_KEYS = frozenset((
+    "trace_ring", "event_log_ring", "event_log_file", "event_log_max_bytes",
+    "slow_query_ring",
+))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..telemetry.registry import MetricsRegistry
 
 __all__ = ["DoctorCheck", "DoctorReport", "run_doctor"]
@@ -145,7 +147,6 @@ def run_doctor(workspace, *, probe: bool = True) -> DoctorReport:
     _run_check(report, "pq_codes", lambda: _check_pq(workspace))
     _run_check(report, "caches", lambda: _check_caches(workspace))
     _run_check(report, "event_log", lambda: _check_event_log(workspace))
-    _run_check(report, "slow_query_log", lambda: _check_slow_query_log(workspace))
     if probe:
         _run_check(report, "serving_snapshot", lambda: _check_snapshot(workspace))
         _run_check(report, "query_probe", lambda: _check_query_probe(workspace))
@@ -356,18 +357,35 @@ def _check_pq(workspace) -> DoctorCheck:
             "pq_codes", WARN,
             "PQ codec present but the postings carry no code columns",
         )
-    # Postings are aggregated (one row per distinct codeword per
-    # series) while PQ codes are per feature occurrence, so coded >=
-    # postings is the healthy shape; zero codes on a coded index means
-    # the code columns were lost.
-    coded = int(index.num_pq_postings)
-    total = int(index.num_postings)
-    if total and coded < total:
+    if persisted.stale:
+        # Removals no longer reach a stale index, so its live slots may
+        # name series the store has dropped; the rebuild re-encodes all.
         return DoctorCheck(
-            "pq_codes", FAIL,
-            f"only {coded} PQ-coded features against {total} aggregated "
-            f"postings; every posting's features should carry codes",
+            "pq_codes", OK, "index is stale; codes are re-encoded on rebuild"
         )
+    # The build and every incremental add encode each stored feature
+    # once, at its rank-0 codeword, so every live slot carries exactly
+    # one code per feature.  (Postings are per distinct codeword over
+    # the soft assignments, so their count says nothing about codes.)
+    coded_per_slot = np.bincount(
+        np.concatenate([
+            np.asarray(shard.pq_series, dtype=np.int64)
+            for shard in list(index.shards) + list(index.delta_shards)
+            if shard.has_pq
+        ]),
+        minlength=len(persisted.slots),
+    )
+    for slot, name in enumerate(persisted.slots):
+        if index.tombstones[slot]:
+            continue
+        expected = len(workspace._store.features_of(name))
+        if coded_per_slot[slot] != expected:
+            return DoctorCheck(
+                "pq_codes", FAIL,
+                f"slot {slot} ({name!r}) carries {coded_per_slot[slot]} PQ "
+                f"codes for {expected} stored features",
+            )
+    coded = int(index.num_pq_postings)
     return DoctorCheck(
         "pq_codes", OK,
         f"{pq.code_bytes} bytes/feature over {coded} coded features "
@@ -428,31 +446,6 @@ def _check_event_log(workspace) -> DoctorCheck:
     return DoctorCheck(
         "event_log", OK,
         f"{events.events_total} events emitted ({where})",
-    )
-
-
-def _check_slow_query_log(workspace) -> DoctorCheck:
-    threshold = workspace.config.serving.slow_query_threshold
-    if threshold is None:
-        return DoctorCheck(
-            "slow_query_log", OK, "capture disarmed (no threshold configured)"
-        )
-    path = workspace._slow_path
-    if path is not None and os.path.exists(path):
-        problem = _read_jsonl(path)
-        if problem is not None:
-            return DoctorCheck(
-                "slow_query_log", FAIL, f"corrupt {path}: {problem}"
-            )
-    if workspace._slow_query_drops:
-        return DoctorCheck(
-            "slow_query_log", WARN,
-            f"{workspace._slow_query_drops} slow-query writes dropped",
-        )
-    return DoctorCheck(
-        "slow_query_log", OK,
-        f"threshold {threshold}s, {len(workspace.slow_queries())} records "
-        f"retained",
     )
 
 

@@ -56,7 +56,6 @@ import os
 import shutil
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,11 +87,17 @@ MANIFEST_NAME = "workspace.json"
 STORE_NAME = "store.npz"
 INDEX_DIR_NAME = "index"
 EVENTS_NAME = "events.jsonl"
-SLOW_QUERIES_NAME = "slow_queries.jsonl"
 FORMAT_NAME = "repro-workspace"
 FORMAT_VERSION = 1
 FLIGHT_RECORD_FORMAT = "repro-flight-record"
 FLIGHT_RECORD_VERSION = 1
+
+#: Recent query traces kept for :meth:`Workspace.recent_traces`.
+TRACE_RING = 64
+#: Recent events kept in memory for :meth:`Workspace.recent_events`, the
+#: flight record and :meth:`Workspace.slow_queries`; a path-backed
+#: workspace also appends every event to the rotated ``events.jsonl``.
+EVENT_RING = 512
 
 _MODES = ("auto", "exact", "indexed")
 
@@ -451,7 +456,6 @@ class Workspace:
         self._pending: List[Tuple[str, str]] = []
         self._snapshot_version = 0
         self._monitor: Optional[StreamMonitor] = None
-        self._pairwise: Optional[SDTW] = None
         self._dirty = False
         self._closed = False
         # Telemetry: one registry per workspace, decided once here — the
@@ -460,26 +464,18 @@ class Workspace:
         self._metrics: MetricsRegistry = (
             MetricsRegistry() if self.config.serving.telemetry else NULL_REGISTRY
         )
-        self._traces = TraceRing(self.config.serving.trace_ring)
+        self._traces = TraceRing(TRACE_RING)
         # The structured event log follows the same master switch: every
         # state transition (mutations, snapshot derivations, compactions,
-        # batcher failures) emits one event; queries emit none.
+        # batcher failures) emits one event; queries emit none unless
+        # slow.  An armed slow-query threshold keeps the log on, because
+        # its slow_query events are the slow-query record.
         self._events: EventLog = (
-            EventLog(
-                self.config.serving.event_log_ring,
-                max_bytes=self.config.serving.event_log_max_bytes,
-            )
+            EventLog(EVENT_RING)
             if self.config.serving.telemetry
+            or self.config.serving.slow_query_threshold is not None
             else NULL_EVENT_LOG
         )
-        # Slow-query capture: records ring + (path-backed) JSONL sink,
-        # armed by ServingConfig.slow_query_threshold.
-        self._slow_queries: deque = deque(
-            maxlen=self.config.serving.slow_query_ring
-        )
-        self._slow_lock = threading.Lock()
-        self._slow_path: Optional[str] = None
-        self._slow_query_drops = 0
         self._register_metrics()
         self._batcher: Optional[MicroBatcher] = None
         if self.config.serving.micro_batch:
@@ -549,7 +545,7 @@ class Workspace:
         self._m_slow_queries = m.counter(
             "repro_slow_queries_total",
             "Queries at or above ServingConfig.slow_query_threshold, "
-            "captured into the slow-query log.",
+            "each emitted as a slow_query event.",
         )
         self._m_events = m.gauge(
             "repro_events_total",
@@ -696,17 +692,13 @@ class Workspace:
         return workspace
 
     def _attach_diagnostics_sinks(self) -> None:
-        """Point the event log and slow-query log at the workspace dir.
+        """Point the event log at ``events.jsonl`` in the workspace dir.
 
         Called once the path is known (create/open); in-memory
         workspaces keep ring-only diagnostics.
         """
-        if self.path is None:
-            return
-        if self._events.enabled and self.config.serving.event_log_file:
+        if self.path is not None and self._events.enabled:
             self._events.attach_file(os.path.join(self.path, EVENTS_NAME))
-        if self.config.serving.slow_query_threshold is not None:
-            self._slow_path = os.path.join(self.path, SLOW_QUERIES_NAME)
 
     # ------------------------------------------------------------------ #
     # Context manager / lifecycle
@@ -833,7 +825,7 @@ class Workspace:
             "micro_batch": self.config.serving.micro_batch,
             "telemetry": self._metrics.enabled,
             "events_total": int(self._events.events_total),
-            "slow_queries": len(self._slow_queries),
+            "slow_queries": len(self.slow_queries()),
             "slow_query_threshold": self.config.serving.slow_query_threshold,
             "index": index_info,
         }
@@ -895,7 +887,8 @@ class Workspace:
     @property
     def events(self) -> EventLog:
         """The workspace's structured event log (the no-op null log
-        when ``config.serving.telemetry`` is off)."""
+        when ``config.serving.telemetry`` is off and no slow-query
+        threshold is armed)."""
         return self._events
 
     def recent_events(
@@ -911,14 +904,17 @@ class Workspace:
         )
 
     def slow_queries(self) -> List[Dict[str, object]]:
-        """Slow-query records retained in memory, oldest first.
+        """The ``slow_query`` events still in the event ring, oldest first.
 
-        Path-backed workspaces additionally persist every record to
-        ``slow_queries.jsonl``; this accessor is the surface for
-        in-memory workspaces and tests.
+        Each record is the event's fields plus its ``timestamp``.
+        Path-backed workspaces also find every one as a ``slow_query``
+        line in ``events.jsonl``, which outlives the ring.
         """
-        with self._slow_lock:
-            return [dict(record) for record in self._slow_queries]
+        return [
+            dict(event.fields, timestamp=event.timestamp)
+            for event in self._events.snapshot(component="workspace")
+            if event.name == "slow_query"
+        ]
 
     def dump_flight_record(
         self, *, note: Optional[str] = None, events: int = 200
@@ -934,8 +930,6 @@ class Workspace:
         (it only reads retained state) and round-trips through
         ``json.dumps``/``loads`` unchanged.
         """
-        with self._slow_lock:
-            slow = [dict(record) for record in self._slow_queries]
         record = {
             "format": FLIGHT_RECORD_FORMAT,
             "version": FLIGHT_RECORD_VERSION,
@@ -950,13 +944,11 @@ class Workspace:
                 "has_index": self.has_index,
                 "events_total": self._events.events_total,
                 "event_log_path": self._events.path,
-                "slow_query_log_path": self._slow_path,
-                "slow_query_drops": self._slow_query_drops,
             },
             "config": self.config.to_dict(),
             "events": self._events.to_dicts(limit=events),
             "traces": self.recent_traces(),
-            "slow_queries": slow,
+            "slow_queries": self.slow_queries(),
             "metrics": self.metrics_to_dict(),
         }
         return json_safe(record)
@@ -1816,7 +1808,7 @@ class Workspace:
             if threshold is not None:
                 elapsed = time.perf_counter() - started
                 if elapsed >= threshold:
-                    self._record_slow_query(result, None, elapsed, threshold)
+                    self._emit_slow_query(result, None, elapsed, threshold)
             return result
         elapsed = time.perf_counter() - started
         stats = result.stats
@@ -1873,58 +1865,40 @@ class Workspace:
         trace.finish(elapsed)
         self._traces.append(trace)
         if threshold is not None and elapsed >= threshold:
-            self._record_slow_query(result, trace, elapsed, threshold)
+            self._emit_slow_query(result, trace, elapsed, threshold)
         return result
 
-    def _record_slow_query(
+    def _emit_slow_query(
         self,
         result: WorkspaceQueryResult,
         trace: Optional[QueryTrace],
         elapsed: float,
         threshold: float,
     ) -> None:
-        """Capture one over-threshold query into the slow-query log.
+        """Emit one over-threshold query as a ``slow_query`` event.
 
-        The record bundles the sealed trace with a recent event-log
-        excerpt — the "what happened just before this" context — and is
-        kept in the in-memory ring plus, for path-backed workspaces,
-        appended to ``slow_queries.jsonl``.  Capture is best-effort:
-        a full disk counts a drop, it never fails the query.
+        The event carries the sealed trace, so the event log is the
+        slow-query record: :meth:`slow_queries` reads it back from the
+        ring, and a path-backed workspace appends it to ``events.jsonl``
+        (a failed write counts as a dropped event, never fails the query).
         """
-        record = json_safe({
-            "captured_at": manifest_timestamp(),
-            "elapsed_seconds": float(elapsed),
-            "threshold_seconds": float(threshold),
-            "mode": result.mode,
-            "requested_mode": result.requested_mode,
-            "k": result.k,
-            "collection_size": result.collection_size,
-            "candidates_generated": result.candidates_generated,
-            "queue_wait_seconds": result.queue_wait_seconds,
-            "hits": [
-                {"identifier": hit.identifier, "distance": hit.distance}
-                for hit in result.hits[:5]
-            ],
-            "trace": None if trace is None else trace.to_dict(),
-            "events": self._events.to_dicts(limit=20),
-        })
         self._m_slow_queries.inc()
         self._events.emit(
             "workspace", "slow_query", level="warn",
-            mode=result.mode,
             elapsed_seconds=float(elapsed),
             threshold_seconds=float(threshold),
+            mode=result.mode,
+            requested_mode=result.requested_mode,
+            k=result.k,
+            collection_size=result.collection_size,
+            candidates_generated=result.candidates_generated,
+            queue_wait_seconds=result.queue_wait_seconds,
+            hits=[
+                {"identifier": hit.identifier, "distance": hit.distance}
+                for hit in result.hits[:5]
+            ],
+            trace=None if trace is None else trace.to_dict(),
         )
-        with self._slow_lock:
-            self._slow_queries.append(record)
-            path = self._slow_path
-            if path is not None:
-                try:
-                    with open(path, "a", encoding="utf-8") as handle:
-                        json.dump(record, handle, separators=(",", ":"))
-                        handle.write("\n")
-                except OSError:
-                    self._slow_query_drops += 1
 
     @staticmethod
     def _remap_hits(
@@ -2022,14 +1996,11 @@ class Workspace:
         """One sDTW distance between two arbitrary series.
 
         Delegates to :class:`~repro.core.sdtw.SDTW` under the workspace
-        configuration; the default constraint is the engine's.
+        configuration; the default constraint is the engine's.  Each call
+        uses a fresh ``SDTW``, so both series' features die with the call.
         """
         self._require_open()
-        with self._lock:
-            if self._pairwise is None:
-                self._pairwise = SDTW(self.config.sdtw)
-            engine = self._pairwise
-        return engine.distance(
+        return SDTW(self.config.sdtw).distance(
             x, y,
             constraint=(
                 self.config.engine.constraint if constraint is None else constraint

@@ -19,11 +19,14 @@ Two sinks, both optional:
   for path-backed workspaces) so the record survives the process.
 
 The log is deliberately *not* on the per-query hot path: queries emit
-no events (their accounting lives in metrics and traces); only slow
-queries and state transitions do, so an idle or read-only workspace
-writes nothing.  With ``ServingConfig.telemetry`` off the workspace
-holds the no-op :data:`NULL_EVENT_LOG` and every ``emit`` is one empty
-method call, mirroring the null metrics registry.
+no events (their accounting lives in metrics and traces); only state
+transitions and slow queries do, so an idle or read-only workspace
+writes nothing.  A query at or above ``ServingConfig.slow_query_threshold``
+emits one ``slow_query`` event carrying its sealed trace; that event is
+the slow-query record, and ``Workspace.slow_queries()`` reads it back
+from the ring.  With ``ServingConfig.telemetry`` off and no threshold
+armed the workspace holds the no-op :data:`NULL_EVENT_LOG` and every
+``emit`` is one empty method call, mirroring the null metrics registry.
 
 Events are JSON-safe by construction: field values are sanitised at
 emit time (numpy scalars unwrapped, unknown objects stringified), so a
@@ -158,11 +161,6 @@ class EventLog:
         with self._lock:
             self._path = os.fspath(path)
 
-    def detach_file(self) -> None:
-        """Stop writing the file sink (the ring keeps recording)."""
-        with self._lock:
-            self._path = None
-
     # ------------------------------------------------------------------ #
     # Emission
     # ------------------------------------------------------------------ #
@@ -245,10 +243,6 @@ class EventLog:
         """JSON-ready form of :meth:`snapshot` (same filters)."""
         return [event.to_dict() for event in self.snapshot(**kwargs)]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
@@ -271,9 +265,6 @@ class NullEventLog:
     def attach_file(self, path: str) -> None:
         pass
 
-    def detach_file(self) -> None:
-        pass
-
     def emit(
         self, component: str, name: str, *, level: str = "info", **fields: object
     ) -> None:
@@ -284,9 +275,6 @@ class NullEventLog:
 
     def to_dicts(self, **kwargs: object) -> List[dict]:
         return []
-
-    def clear(self) -> None:
-        pass
 
     def __len__(self) -> int:
         return 0

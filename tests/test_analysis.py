@@ -246,8 +246,7 @@ class TestDoctorCrossLink:
     DOCTOR_CHECKS = {
         "manifest", "config", "store", "index_accounting",
         "index_format", "pq_codes", "caches", "event_log",
-        "slow_query_log", "serving_snapshot", "query_probe",
-        "telemetry_overhead",
+        "serving_snapshot", "query_probe", "telemetry_overhead",
     }
 
     def test_counterparts_name_real_doctor_checks(self):

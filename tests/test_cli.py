@@ -428,8 +428,11 @@ class TestDiagnosticsCLI:
         assert main([
             "workspace", "query", ws_dir, "--k", "2", "--num-queries", "2",
         ]) == 0
-        with open(f"{ws_dir}/slow_queries.jsonl", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
+        with open(f"{ws_dir}/events.jsonl", encoding="utf-8") as handle:
+            records = [
+                event["fields"] for event in map(json.loads, handle)
+                if event["name"] == "slow_query"
+            ]
         assert len(records) >= 2
         assert records[-1]["trace"]["stages"]
 

@@ -3,6 +3,7 @@ recorder, slow-query capture, sampling profiler, and workspace doctor."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.service.workspace as workspace_module
 from repro.exceptions import WorkspaceError
 from repro.service import (
     IndexConfig,
@@ -292,10 +294,10 @@ class TestSlowQueryCapture:
         workspace.query(_series(0.1))
         assert workspace.slow_queries() == []
 
-    def test_ring_is_bounded_by_slow_query_ring(self):
-        workspace = Workspace(
-            _small_config(slow_query_threshold=0.0, slow_query_ring=2)
-        )
+    def test_ring_is_bounded_by_slow_query_ring(self, monkeypatch):
+        # slow_queries() is a view of the event ring, so the ring bounds it.
+        monkeypatch.setattr(workspace_module, "EVENT_RING", 2)
+        workspace = Workspace(_small_config(slow_query_threshold=0.0))
         _populate(workspace, 4)
         for phase in (0.1, 0.2, 0.3, 0.4):
             workspace.query(_series(phase))
@@ -332,11 +334,55 @@ class TestSlowQueryCapture:
         workspace.query(_series(0.1))
         workspace.query(_series(0.2))
         workspace.close()
-        log = tmp_path / "ws" / "slow_queries.jsonl"
-        records = [json.loads(line) for line in log.read_text().splitlines()]
+        log = tmp_path / "ws" / "events.jsonl"
+        records = [
+            event["fields"]
+            for event in map(json.loads, log.read_text().splitlines())
+            if event["name"] == "slow_query"
+        ]
         assert len(records) == 2
         for record in records:
             assert record["trace"]["stages"]
+
+    def test_concurrent_capture_is_lossless(self, tmp_path):
+        workspace = Workspace.create(
+            str(tmp_path / "ws"), _small_config(slow_query_threshold=0.0)
+        )
+        _populate(workspace, 5)
+        errors = []
+
+        def worker(slot):
+            try:
+                for index in range(10):
+                    workspace.query(_series(0.05 * slot + 0.5 * index))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,)) for slot in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        records = workspace.slow_queries()
+        assert len(records) == 80
+        for record in records:
+            assert {
+                "mode", "elapsed_seconds", "threshold_seconds", "hits", "trace",
+            } <= record.keys()
+            assert record["trace"]["stages"]
+        workspace.close()
+        lines = (tmp_path / "ws" / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        assert sum(event["name"] == "slow_query" for event in events) == 80
 
 
 class TestSamplingProfiler:
@@ -563,6 +609,63 @@ class TestDoctor:
         statuses = {check.name: check.status for check in report.checks}
         assert statuses["index_accounting"] == "WARN"
         assert report.healthy
+
+    @staticmethod
+    def _pq_check(workspace):
+        report = run_doctor(workspace, probe=False)
+        return next(check for check in report.checks if check.name == "pq_codes")
+
+    @pytest.mark.parametrize("num_codewords", [16, 32, 256])
+    def test_pq_codes_ok_on_healthy_soft_assigned_index(self, num_codewords):
+        # Postings are one per distinct codeword over the soft
+        # assignments, codes one per feature at rank 0, so a healthy
+        # index can hold more postings than codes.
+        workspace = Workspace(
+            WorkspaceConfig(index=IndexConfig(num_codewords=num_codewords))
+        )
+        identifiers = _populate(workspace, 8)
+        workspace.build_index()
+        assert self._pq_check(workspace).status == "OK"
+        workspace.remove(identifiers[0])
+        workspace.add(_series(9.0), identifier="late")
+        check = self._pq_check(workspace)
+        assert check.status == "OK", check.detail
+
+    def test_missing_pq_code_row_is_fail(self):
+        workspace = Workspace(_small_config())
+        _populate(workspace, 8)
+        workspace.build_index()
+        shards = workspace._index.index.shards
+        position = next(
+            i for i, shard in enumerate(shards)
+            if shard.has_pq and shard.pq_series.size
+        )
+        shard = shards[position]
+        offsets = shard.pq_offsets.copy()
+        offsets[-1] -= 1
+        shards[position] = dataclasses.replace(
+            shard,
+            pq_offsets=offsets,
+            pq_series=shard.pq_series[:-1],
+            pq_codes=shard.pq_codes[:-1],
+        )
+        check = self._pq_check(workspace)
+        assert check.status == "FAIL", check.detail
+
+    def test_stale_index_after_remove_keeps_pq_check_passing(self):
+        config = WorkspaceConfig(
+            index=IndexConfig(
+                num_codewords=16, num_shards=2, candidate_budget=8,
+                pq_subquantizers=4, incremental=False,
+            ),
+            default_k=3,
+        )
+        workspace = Workspace(config)
+        identifiers = _populate(workspace, 5)
+        workspace.build_index()
+        workspace.remove(identifiers[0])
+        check = self._pq_check(workspace)
+        assert check.status == "OK", check.detail
 
     def test_in_memory_empty_workspace_is_healthy(self):
         report = run_doctor(Workspace(_small_config()))

@@ -19,7 +19,6 @@ from repro.engine import (
 from repro.dtw.banded import banded_dtw
 from repro.dtw.constraints import sakoe_chiba_band
 from repro.exceptions import DatasetError, ValidationError
-from repro.retrieval.index import compute_distance_index
 from repro.retrieval.knn import batch_top_k
 
 
@@ -253,32 +252,6 @@ class TestRewiredRetrievalFrontDoor:
         workspace.add_dataset(dataset)
         assert isinstance(workspace.engine, DistanceEngine)
         assert len(workspace.engine) == len(dataset)
-
-
-class TestParallelDistanceIndex:
-    def test_num_workers_matches_serial(self, dataset):
-        values = [ts.values for ts in dataset][:6]
-        serial = compute_distance_index(values, "fc,fw")
-        parallel = compute_distance_index(values, "fc,fw", num_workers=2)
-        np.testing.assert_allclose(parallel.distances, serial.distances,
-                                   atol=1e-9, rtol=0.0)
-        assert parallel.cells_filled == serial.cells_filled
-        assert parallel.total_cells == serial.total_cells
-
-    def test_num_workers_full_constraint(self, dataset):
-        values = [ts.values for ts in dataset][:5]
-        serial = compute_distance_index(values, "full")
-        parallel = compute_distance_index(values, "full", num_workers=2)
-        np.testing.assert_allclose(parallel.distances, serial.distances,
-                                   atol=1e-9, rtol=0.0)
-
-    def test_progress_reported_with_workers(self, dataset):
-        values = [ts.values for ts in dataset][:5]
-        calls = []
-        compute_distance_index(values, "fc,fw", num_workers=2,
-                               progress=lambda done, total: calls.append((done, total)))
-        assert calls
-        assert calls[-1][0] == calls[-1][1]
 
 
 class TestCandidateRestriction:

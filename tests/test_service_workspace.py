@@ -3,7 +3,10 @@ calls, persistence round trips, mode resolution and lifecycle errors."""
 
 from __future__ import annotations
 
+import gc
+import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from repro.indexing import CodebookConfig, IndexedSearcher
 from repro.service import (
     EngineConfig,
     IndexConfig,
+    ServingConfig,
     Workspace,
     WorkspaceConfig,
+    run_doctor,
 )
 
 
@@ -410,6 +415,54 @@ class TestMutatedPathEdgeCases:
         assert set(result.ids) == set(workspace.identifiers)
 
 
+class TestRetiredServingKeys:
+    """Manifests written while ServingConfig still had its five retention
+    settings list them; such workspaces open, answer and re-save."""
+
+    RETIRED = {
+        "trace_ring": 7,
+        "event_log_ring": 9,
+        "event_log_file": False,
+        "event_log_max_bytes": 2048,
+        "slow_query_ring": 3,
+    }
+
+    def test_old_manifest_opens_answers_and_resaves(
+        self, dataset, config, tmp_path
+    ):
+        target = str(tmp_path / "ws")
+        workspace = _fill(Workspace.create(target, config), dataset)
+        workspace.build_index()
+        workspace.close()
+        manifest_path = os.path.join(target, "workspace.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["config"]["serving"].update(self.RETIRED)
+        assert len(manifest["config"]["serving"]) == 11
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+        fresh = _fill(Workspace(config), dataset)
+        fresh.build_index()
+        with Workspace.open(target) as reopened:
+            for mode in ("exact", "indexed"):
+                ours = reopened.query(dataset[0].values, mode=mode)
+                theirs = fresh.query(dataset[0].values, mode=mode)
+                assert ours.ids == theirs.ids
+                assert ours.distances == theirs.distances
+            report = run_doctor(reopened)
+            assert report.healthy, report.rows()
+            reopened.save()
+        with open(manifest_path, encoding="utf-8") as handle:
+            serving = json.load(handle)["config"]["serving"]
+        assert not set(self.RETIRED) & set(serving)
+        assert len(serving) == 6
+
+    def test_other_unknown_serving_key_still_raises(self):
+        with pytest.raises(TypeError):
+            ServingConfig.from_dict({"micro_batch": True, "trace_rings": 7})
+
+
 class TestPairwiseAndStreaming:
     def test_pairwise_matches_direct_sdtw(self, dataset, config):
         from repro.core.sdtw import SDTW
@@ -430,6 +483,28 @@ class TestPairwiseAndStreaming:
             x, y, constraint=config.engine.constraint
         )
         assert ours.distance == theirs.distance
+
+    def test_pairwise_retains_no_features_across_calls(self, config):
+        # Each call's features die with it; keeping the features of 80
+        # distinct ac,aw pairs would retain about 4 MiB.
+        workspace = Workspace(config)
+
+        def pair(seed):
+            rng = np.random.default_rng(seed)
+            return rng.standard_normal(96).cumsum(), rng.standard_normal(96).cumsum()
+
+        workspace.pairwise(*pair(0), constraint="ac,aw")
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(1, 81):
+                workspace.pairwise(*pair(seed), constraint="ac,aw")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20, retained
 
     def test_stream_registers_pattern_and_reports_matches(self, config):
         workspace = Workspace(config)

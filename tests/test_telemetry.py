@@ -10,9 +10,10 @@ import threading
 import numpy as np
 import pytest
 
+import repro.service.workspace as workspace_module
 from repro.datasets.synthetic import make_gun_like
 from repro.engine import EngineStats
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.service import (
     EngineConfig,
     IndexConfig,
@@ -435,8 +436,9 @@ class TestWorkspaceTraces:
         assert "queue_wait_seconds" in result.timings()
         _assert_trace_complete(result, "dp")
 
-    def test_trace_ring_retains_recent(self, dataset):
-        workspace = _workspace(dataset, trace_ring=2)
+    def test_trace_ring_retains_recent(self, dataset, monkeypatch):
+        monkeypatch.setattr(workspace_module, "TRACE_RING", 2)
+        workspace = _workspace(dataset)
         for i in range(3):
             workspace.query(dataset[i].values, mode="exact")
         traces = workspace.recent_traces()
@@ -498,22 +500,16 @@ class TestTelemetryDisabled:
 
 class TestServingConfigRoundTrip:
     def test_telemetry_fields_round_trip(self):
-        config = ServingConfig(telemetry=False, trace_ring=7)
+        config = ServingConfig(telemetry=False)
         restored = ServingConfig.from_dict(config.to_dict())
         assert restored.telemetry is False
-        assert restored.trace_ring == 7
-
-    def test_trace_ring_must_be_non_negative(self):
-        with pytest.raises(ConfigurationError):
-            ServingConfig(trace_ring=-1)
 
     def test_workspace_manifest_persists_telemetry(self, dataset, tmp_path):
         config = WorkspaceConfig(
-            serving=ServingConfig(telemetry=False, trace_ring=5))
+            serving=ServingConfig(telemetry=False))
         workspace = Workspace.create(tmp_path / "ws", config=config)
         workspace.add_dataset(dataset)
         workspace.save()
         reopened = Workspace.open(tmp_path / "ws")
         assert reopened.config.serving.telemetry is False
-        assert reopened.config.serving.trace_ring == 5
         assert reopened.query(dataset[0].values).trace is None
