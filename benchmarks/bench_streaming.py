@@ -7,8 +7,9 @@ deployment would face without carried state.  Three sections:
 
 * **Sliding cascade vs. naive scan** — the headline comparison: a
   10k-point stream monitored for 4 registered patterns through
-  :class:`repro.streaming.StreamMonitor` (LB_Kim from O(1) window
-  extrema, LB_Keogh, early-abandoning banded DTW) versus
+  :class:`repro.streaming.StreamMonitor` (LB_Kim and LB_Keogh over each
+  block of windows, the band-envelope bound for adaptive constraints,
+  early-abandoning banded DTW) versus
   :func:`repro.streaming.offline.naive_sliding_scan` per pattern.  Both
   sides are verified to report *identical* match intervals and distances
   before the speedup is printed.

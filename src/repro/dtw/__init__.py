@@ -10,7 +10,8 @@ This subpackage contains the DTW machinery that the sDTW algorithms in
   per-row window (the building block every constraint family shares).
 * :mod:`repro.dtw.constraints` — classic global constraints
   (Sakoe–Chiba band, Itakura parallelogram).
-* :mod:`repro.dtw.lower_bounds` — LB_Kim / LB_Keogh / LB_Yi lower bounds.
+* :mod:`repro.dtw.lower_bounds` — LB_Kim / LB_Keogh / LB_Yi lower bounds
+  and the band-envelope bound of a per-row window band.
 * :mod:`repro.dtw.fastdtw` — the multi-resolution FastDTW approximation
   (Salvador & Chan), included as a related-work baseline.
 """

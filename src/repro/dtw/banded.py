@@ -7,6 +7,8 @@ primitive: for each index ``i`` of the first series, a contiguous window
 visit.  This module implements the dynamic program over such a window,
 counting exactly how many grid cells are filled (the basis of the paper's
 time-gain measure) and backtracking the constrained-optimal warp path.
+:func:`banded_dtw_ragged` runs the distance-only program for many
+equal-length series, each under its own band, in lock-step.
 """
 
 from __future__ import annotations
@@ -457,6 +459,163 @@ def _banded_dtw_distance_only(
             "use repair=True to bridge gaps"
         )
     return BandedDTWResult(distance=final, path=None, cells_filled=cells, band=window)
+
+
+def banded_dtw_ragged(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    bands: np.ndarray,
+    func,
+    abandon_threshold: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded DTW of many equal-length series against one, each under its own band.
+
+    The lock-step form of :func:`_banded_dtw_distance_only` for ``C``
+    series (the rows of *xs*) that share the second series *ys* but not
+    the band: row ``i`` of every series advances together, so a row costs
+    a handful of numpy calls on a ``(width, C)`` matrix instead of ``C``
+    times the per-pair scan's calls.
+
+    * Each series' window ``[lo, hi]`` is padded on the right to the
+      row's widest window.  Pointwise costs and their prefix sums are
+      computed for a block of rows at once, as in the per-pair scan; the
+      prefix added back at the end of a row is inf in padded cells, so
+      padded cells come out inf.
+    * Each series' last row is kept in a ``(2m + pad, C)`` buffer
+      relative to its own window: slot ``m + k`` holds column ``lo + k``
+      and every other slot is inf.  A row gathers ``min(diag, up)`` for
+      its window from that buffer, subtracts the shifted prefix, takes
+      the running minimum, adds the prefix and writes the row back.
+    * A series is abandoned at the first row whose minimum exceeds the
+      cutoff, as in the per-pair scan.  Its buffer column is set to inf,
+      and abandoned series are compacted out once they are half the
+      batch.
+
+    Every series sees the same operations on the same operands in the
+    same order as in the per-pair scan: ``cumsum`` and
+    ``minimum.accumulate`` run sequentially along the row (axis 0 here),
+    and a padded cell only follows a row's real cells.  So distances are
+    bit-identical, and cells (counted up to the abandoning row) and
+    abandonment are equal.
+
+    Parameters
+    ----------
+    xs:
+        ``(C, n)`` matrix of series.
+    ys:
+        The shared series, length m.
+    bands:
+        ``(C, n, 2)`` stack of *validated* bands (see
+        :func:`validate_band`); they are not checked again.
+    func:
+        Pointwise distance callable (broadcasting).
+    abandon_threshold:
+        Optional early-abandoning threshold applied to every series.
+
+    Returns
+    -------
+    (distances, cells, abandoned):
+        ``(C,)`` float distances (``inf`` where abandoned), ``(C,)`` int
+        cells filled per series and a ``(C,)`` boolean abandonment mask.
+    """
+    count, n = xs.shape
+    m = ys.size
+    inf = np.inf
+    distances = np.full(count, inf)
+    cells = np.zeros(count, dtype=np.int64)
+    abandoned = np.zeros(count, dtype=bool)
+    if count == 0:
+        return distances, cells, abandoned
+    cutoff = None if abandon_threshold is None else abandon_cutoff(abandon_threshold)
+    # Everything below is laid out (row, C) or (column, row, C): series
+    # run along the last axis.
+    xs = np.ascontiguousarray(np.asarray(xs, dtype=float).T)
+    los = np.ascontiguousarray(bands[:, :, 0].T)
+    widths = bands[:, :, 1].T - los + 1
+    # How far each window starts right of the previous row's window.
+    shifts = np.diff(los, axis=0, prepend=los[:1])
+    max_width = int(widths.max())
+    steps = np.arange(max_width + 1)
+    # Slot m + k of the buffer holds column lo + k of the last row; a
+    # window starts at most m - 1 columns either side of the previous one.
+    row = np.full((2 * m + max_width, count), inf)
+    # ``alive`` maps buffer columns to series; ``live`` marks the ones not
+    # yet abandoned.
+    alive = np.arange(count)
+    live = np.ones(count, dtype=bool)
+    dead = 0
+    written = 0
+
+    def gather_offsets(start: int, stop: int, width: int) -> np.ndarray:
+        # Flat buffer offsets of the diagonal/up cells of rows start..stop:
+        # column lo + k - 1 sits in slot m + shift + k - 1 of the buffer.
+        slots = shifts[start:stop, np.newaxis] + steps[: width + 1, np.newaxis] + (m - 1)
+        return slots * alive.size + np.arange(alive.size)
+
+    # One block of prefix sums takes at most _BLOCK_BYTES, as in the
+    # per-pair scan; larger blocks fall out of cache.
+    block_rows = max(1, _BLOCK_BYTES // (8 * count * (max_width + 1)))
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        block_widths = widths[start:stop]
+        width = int(block_widths.max())
+        row_widths = block_widths.max(axis=1).tolist()
+        columns = np.take(ys, los[start:stop] + steps[:width, np.newaxis, np.newaxis],
+                          mode="clip")
+        sums = np.zeros((width + 1,) + columns.shape[1:])
+        np.cumsum(func(xs[start:stop], columns), axis=0, out=sums[1:])
+        del columns
+        ends = np.where(steps[:width, np.newaxis, np.newaxis] < block_widths, sums[1:], inf)
+        offsets = gather_offsets(start, stop, width)
+        for r, w in enumerate(row_widths):
+            if start + r == 0:
+                # First row: only horizontal moves (validated bands start at 0).
+                vals = ends[:w, 0].copy()
+            else:
+                previous = np.take(row, offsets[r, : w + 1])
+                vals = np.minimum(previous[:w], previous[1:])
+                vals -= sums[:w, r]
+                np.minimum.accumulate(vals, axis=0, out=vals)
+                vals += ends[:w, r]
+            row[m: m + w] = vals
+            if w < written:
+                row[m + w: m + written] = inf
+            written = w
+            if cutoff is None:
+                continue
+            over = vals.min(axis=0) > cutoff
+            if np.count_nonzero(over) == dead:
+                continue
+            # Every continuation only adds non-negative costs.  An abandoned
+            # series' buffer stays inf from here on, so it stays over.
+            newly = over & live
+            abandoned[alive[newly]] = True
+            cells[alive[newly]] = widths[: start + r + 1, newly].sum(axis=0)
+            live &= ~newly
+            row[:, newly] = inf
+            dead = alive.size - int(np.count_nonzero(live))
+            if dead == alive.size:
+                return distances, cells, abandoned
+            if 2 * dead >= alive.size:
+                keep = live
+                alive, row, xs = alive[keep], row[:, keep], xs[:, keep]
+                los, widths, shifts = los[:, keep], widths[:, keep], shifts[:, keep]
+                block_widths = block_widths[:, keep]
+                sums, ends = sums[:, :, keep], ends[:, :, keep]
+                offsets = gather_offsets(start, stop, width)
+                live = np.ones(alive.size, dtype=bool)
+                dead = 0
+
+    # Column m - 1 of the last row; abandoned series hold inf.
+    final = row[2 * m - 1 - los[-1], np.arange(alive.size)][live]
+    if not np.isfinite(final).all():
+        raise BandError(
+            "band does not admit any warp path from (0, 0) to (n-1, m-1); "
+            "use repair=True to bridge gaps"
+        )
+    distances[alive[live]] = final
+    cells[alive[live]] = widths[:, live].sum(axis=0)
+    return distances, cells, abandoned
 
 
 def _banded_dtw_with_path(

@@ -1,4 +1,4 @@
-"""Lower bounds for DTW: LB_Kim, LB_Yi, and LB_Keogh.
+"""Lower bounds for DTW: LB_Kim, LB_Yi, LB_Keogh and the band envelope.
 
 These bounds (Keogh, "Exact indexing of dynamic time warping", VLDB 2002 —
 reference [7] of the paper) are not part of the sDTW contribution but are
@@ -156,6 +156,76 @@ def lb_keogh(
     above = np.where(xs > upper, xs - upper, 0.0)
     below = np.where(xs < lower, lower - xs, 0.0)
     return float(np.sum(above + below))
+
+
+def range_extrema_table(
+    y: Union[Sequence[float], np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sparse tables of the range minima and maxima of *y*.
+
+    Row ``k`` of each ``(levels, m)`` table holds the minimum (maximum)
+    of ``y[j : j + 2**k]`` at column ``j``; entries whose range runs past
+    the end are never read.  Built once per series in O(m log m), the
+    tables give the extrema of any range ``y[lo..hi]`` exactly from two
+    overlapping power-of-two ranges (see :func:`lb_band_envelope`).
+    """
+    ys = as_series(y, "y")
+    m = ys.size
+    levels = m.bit_length()
+    mins = np.full((levels, m), np.inf)
+    maxs = np.full((levels, m), -np.inf)
+    mins[0] = maxs[0] = ys
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        count = m - 2 * half + 1
+        np.minimum(mins[k - 1, :count], mins[k - 1, half: half + count],
+                   out=mins[k, :count])
+        np.maximum(maxs[k - 1, :count], maxs[k - 1, half: half + count],
+                   out=maxs[k, :count])
+    return mins, maxs
+
+
+def lb_band_envelope(
+    windows: np.ndarray,
+    bands: np.ndarray,
+    table: Tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Band-envelope lower bound of the banded DTW of ``C`` series at once.
+
+    Row ``i`` of series ``c`` contributes the distance from
+    ``windows[c, i]`` to ``[min, max]`` of ``y[lo..hi]``, where
+    ``[lo, hi]`` is row ``i`` of ``bands[c]``.  This is LB_Keogh with the
+    envelope taken over each row's band window instead of a Sakoe–Chiba
+    window.  It is admissible for the absolute-difference ground distance:
+    every warp path inside the band visits each row ``i`` at some column
+    in ``[lo_i, hi_i]``, and that cell costs at least the row's term.
+
+    Parameters
+    ----------
+    windows:
+        ``(C, n)`` matrix of series.
+    bands:
+        ``(C, n, 2)`` stack of bands over ``y``.
+    table:
+        :func:`range_extrema_table` of ``y``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(C,)`` array of bounds.
+    """
+    mins, maxs = table
+    lo = bands[..., 0]
+    hi = bands[..., 1]
+    # The largest power of two 2**k not above the range length; the two
+    # ranges starting at lo and ending at hi cover [lo, hi] between them.
+    level = np.frexp(hi - lo + 1)[1] - 1
+    right = hi + 1 - np.left_shift(1, level)
+    lower = np.minimum(mins[level, lo], mins[level, right])
+    upper = np.maximum(maxs[level, lo], maxs[level, right])
+    above = np.maximum(windows - upper, 0.0)
+    below = np.maximum(lower - windows, 0.0)
+    return np.sum(above + below, axis=1)
 
 
 def lb_keogh_batch(

@@ -8,9 +8,9 @@ been observed.
 
 Components
 ----------
-:class:`StreamBuffer` / :class:`SlidingExtrema`
-    O(1)-append ring storage with zero-copy trailing windows and
-    monotonic-deque window extrema.
+:class:`StreamBuffer`
+    O(1)-append ring storage with zero-copy trailing windows; a block's
+    windows are one strided ``(windows, m)`` view.
 :class:`IncrementalExtractor`
     Maintains the DoG scale space (Section 3.1.2) and salient features of
     the trailing window incrementally — bit-identical to batch
@@ -21,16 +21,18 @@ Components
 :class:`SlidingWindowMatcher`
     Fixed-window constrained DTW under any of the paper's constraint
     families (Sections 3.3.1–3.3.3) behind the LB_Kim / LB_Keogh /
-    early-abandon cascade.
+    band-envelope / early-abandon cascade, run over a block of windows
+    at once.
 :class:`StreamMonitor`
-    Multiplexes many patterns over many streams and keeps per-pattern
+    Multiplexes many patterns over many streams, ingests each chunk in
+    blocks (a chunk is accepted or rejected whole) and keeps per-pattern
     :class:`StreamStats`.
 :mod:`repro.streaming.offline`
     Per-tick recompute reference scans (equivalence oracles and naive
     benchmark baselines).
 """
 
-from .buffer import SlidingExtrema, StreamBuffer
+from .buffer import StreamBuffer
 from .incremental import ExtractorStats, IncrementalExtractor
 from .monitor import StreamMonitor
 from .offline import naive_sliding_profile, naive_sliding_scan, naive_spring_scan
@@ -46,7 +48,6 @@ __all__ = [
     "ExtractorStats",
     "IncrementalExtractor",
     "MatchSuppressor",
-    "SlidingExtrema",
     "SlidingWindowMatcher",
     "SpringMatcher",
     "StreamBuffer",

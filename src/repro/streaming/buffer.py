@@ -15,16 +15,17 @@ capacity`` of a ``2 * capacity`` backing array, so every window of up to
 scalar writes) and windowed reads are zero-copy, which keeps the per-tick
 cost of the matchers independent of stream length.
 
-:class:`SlidingExtrema` maintains the min/max of the trailing window with
-amortised O(1) updates (monotonic deques), which turns the engine's
-LB_Kim stage-1 bound into a constant-time per-tick test.
+A block of ticks can be appended at once (:meth:`StreamBuffer.extend`)
+and the block's length-``m`` windows read back as one ``(windows, m)``
+strided view over :meth:`StreamBuffer.view`, as long as the block's
+``count + m - 1`` samples are still retained.  The sliding matchers score
+a whole block through that view.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -154,61 +155,3 @@ class StreamBuffer:
                 f"[{self.start_index}, {self._total})"
             )
         return float(self._data[index % self._capacity])
-
-
-class SlidingExtrema:
-    """Min and max of the trailing *window* samples in amortised O(1).
-
-    The standard monotonic-deque construction: each deque holds (absolute
-    index, value) pairs with values monotone from front to back, so the
-    front is always the extremum of the current window.  This makes the
-    LB_Kim quadruple of a sliding window maintainable at O(1) per tick
-    instead of O(window) — the streaming analogue of the batch engine's
-    precomputed :func:`repro.dtw.lower_bounds.kim_profile` cache.
-    """
-
-    def __init__(self, window: int) -> None:
-        self._window = check_int_at_least(window, 1, "window")
-        self._min: deque = deque()
-        self._max: deque = deque()
-        self._count = 0
-
-    def push(self, value: float) -> None:
-        """Observe the next stream sample."""
-        value = float(value)
-        index = self._count
-        self._count += 1
-        expire = index - self._window
-        while self._min and self._min[0][0] <= expire:
-            self._min.popleft()
-        while self._max and self._max[0][0] <= expire:
-            self._max.popleft()
-        while self._min and self._min[-1][1] >= value:
-            self._min.pop()
-        while self._max and self._max[-1][1] <= value:
-            self._max.pop()
-        self._min.append((index, value))
-        self._max.append((index, value))
-
-    @property
-    def ready(self) -> bool:
-        """True once a full window has been observed."""
-        return self._count >= self._window
-
-    @property
-    def minimum(self) -> float:
-        """Minimum of the trailing window."""
-        if not self._min:
-            raise ValidationError("no samples observed yet")
-        return self._min[0][1]
-
-    @property
-    def maximum(self) -> float:
-        """Maximum of the trailing window."""
-        if not self._max:
-            raise ValidationError("no samples observed yet")
-        return self._max[0][1]
-
-    def extrema(self) -> Tuple[float, float]:
-        """The (min, max) pair of the trailing window."""
-        return self.minimum, self.maximum

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import check_int_at_least
 from ..core.config import SDTWConfig
@@ -291,20 +292,51 @@ class IncrementalExtractor:
             return None
         return self._snapshot_start + self.window_length - 1
 
+    def _due(self, window_start: int) -> bool:
+        """True when the window starting at *window_start* must be refreshed.
+
+        The refresh fires on the first full window and every ``hop`` ticks
+        after.
+        """
+        return (
+            self._snapshot_start is None
+            or window_start - self._snapshot_start >= self.hop
+        )
+
     def observe(self, buffer: StreamBuffer) -> bool:
         """Refresh from the buffer's trailing window if a refresh is due.
 
-        Returns True when a refresh happened.  Call once per tick; the
-        refresh fires on the first full window and every ``hop`` ticks
-        after.
+        Returns True when a refresh happened.  Call once per tick.
         """
         if buffer.total < self.window_length:
             return False
         start = buffer.total - self.window_length
-        if self._snapshot_start is not None and start - self._snapshot_start < self.hop:
+        if not self._due(start):
             return False
         self.refresh(buffer.view(self.window_length), start)
         return True
+
+    def observe_block(
+        self, buffer: StreamBuffer, count: int
+    ) -> List[Tuple[FeatureSet, int]]:
+        """Walk the buffer's newest *count* ticks as :meth:`observe` would.
+
+        Refreshes wherever a tick would have, and returns one
+        ``(features, snapshot_start)`` pair per tick that ends a full
+        window, oldest first: the snapshot each such tick saw.  The
+        earliest of those windows must still be retained.
+        """
+        m = self.window_length
+        first = max(buffer.total - count, m - 1)
+        if first >= buffer.total:
+            return []
+        windows = sliding_window_view(buffer.view(buffer.total - first + m - 1), m)
+        seen: List[Tuple[FeatureSet, int]] = []
+        for start, window in enumerate(windows, first - m + 1):
+            if self._due(start):
+                self.refresh(window, start)
+            seen.append((self._features, self._snapshot_start))
+        return seen
 
     def refresh(self, window: np.ndarray, window_start: int) -> FeatureSet:
         """Force re-extraction on *window* (absolute start *window_start*)."""

@@ -8,14 +8,19 @@ unbounded streams and query patterns, push samples, and collect
 subsequence matches, SPRING semantics) or a
 :class:`~repro.streaming.subsequence.SlidingWindowMatcher` (fixed-length
 windows under any of the paper's constraint families, guarded by the
-PR 1 lower-bound cascade), shares one :class:`StreamBuffer` per stream
+lower-bound cascade), shares one :class:`StreamBuffer` per stream
 across all its matchers, and keeps per-pattern
 :class:`~repro.streaming.subsequence.StreamStats`.
 
+A chunk is ingested in blocks: every matcher scores a block's windows
+together, and the matches are merged back into the order a tick-by-tick
+loop would report them in.
+
 The design mirrors the paper's cost split (Section 3.4): everything that
 depends only on the pattern (salient features, LB envelopes, Kim
-extrema) is computed once at registration; per-tick work is bounds first,
-dynamic programming only when a bound fails to prune.
+extrema, the range-extrema table of the band-envelope bound) is computed
+once at registration; per-block work is bounds first, dynamic
+programming only when a bound fails to prune.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ from .subsequence import (
 )
 
 _MODES = ("spring", "sliding")
+
+
+def _monitors(spec: dict, stream: str) -> bool:
+    """True when the pattern registered as *spec* monitors *stream*."""
+    return spec["streams"] is None or stream in spec["streams"]
 
 
 class StreamMonitor:
@@ -90,9 +100,10 @@ class StreamMonitor:
         # (stream, pattern) -> matcher
         self._matchers: Dict[Tuple[str, str], object] = {}
         # Adaptive-constraint matchers of the same window length on the
-        # same stream share one incremental extractor (observe() is
-        # idempotent within a tick), so the scale-space maintenance is
-        # paid once per stream, not once per pattern.
+        # same stream share one incremental extractor, whose snapshots
+        # extend() takes once per block for all of them, so the
+        # scale-space maintenance is paid once per stream, not once per
+        # pattern.
         self._extractors: Dict[Tuple[str, int, Optional[int]], IncrementalExtractor] = {}
 
     # ------------------------------------------------------------------ #
@@ -117,7 +128,15 @@ class StreamMonitor:
             # Generous floor so patterns registered after the stream still
             # fit; truly long patterns need an explicit capacity.
             capacity = max(longest + self.buffer_margin, 512)
-        self._buffers[name] = StreamBuffer(capacity)
+        buffer = StreamBuffer(capacity)
+        for pattern_name, spec in self._patterns.items():
+            if _monitors(spec, name) and spec["values"].size > buffer.capacity:
+                raise ValidationError(
+                    f"stream {name!r} would retain only {buffer.capacity} "
+                    f"samples but pattern {pattern_name!r} needs "
+                    f"{spec['values'].size}"
+                )
+        self._buffers[name] = buffer
         for pattern_name in self._patterns:
             self._attach(name, pattern_name)
         return name
@@ -195,7 +214,7 @@ class StreamMonitor:
 
     def _attach(self, stream: str, pattern: str) -> None:
         spec = self._patterns[pattern]
-        if spec["streams"] is not None and stream not in spec["streams"]:
+        if not _monitors(spec, stream):
             return
         key = (stream, pattern)
         if key in self._matchers:
@@ -272,30 +291,62 @@ class StreamMonitor:
 
     def push(self, stream: str, value: float) -> List[StreamMatch]:
         """Feed one sample into *stream*; returns matches settled this tick."""
-        buffer = self._require_stream(stream)
-        buffer.append(value)
-        matches: List[StreamMatch] = []
-        for (stream_name, _), matcher in self._matchers.items():
-            if stream_name != stream:
-                continue
-            if isinstance(matcher, SpringMatcher):
-                settled = matcher.update(float(value))
-            else:
-                settled = matcher.update(buffer)
-            matches.extend(replace(m, stream=stream) for m in settled)
-        return matches
+        return self.extend(stream, [value])
 
     def extend(self, stream: str, values: Union[Sequence[float], np.ndarray]) -> List[StreamMatch]:
-        """Feed many samples into *stream* in order; returns settled matches."""
+        """Feed many samples into *stream* in order; returns settled matches.
+
+        The chunk is accepted or rejected whole: it must be
+        one-dimensional and finite, and nothing is ingested otherwise.  It
+        is then ingested in blocks small enough that every window of a
+        block is still in the ring buffer.  Each block's extractor
+        snapshots are taken once per extractor, tick by tick, and every
+        matcher scores the whole block; the matches come back ordered by
+        the tick at which they settled, then by matcher registration.
+        """
+        buffer = self._require_stream(stream)
         chunk = np.asarray(values, dtype=float)
         if chunk.ndim != 1:
             raise ValidationError(
                 f"stream chunk must be one-dimensional, got shape {chunk.shape}"
             )
-        matches: List[StreamMatch] = []
-        for value in chunk:
-            matches.extend(self.push(stream, value))
-        return matches
+        if not np.isfinite(chunk).all():
+            raise ValidationError("stream chunk contains NaN or Inf values")
+        matchers = [
+            (order, matcher)
+            for order, ((stream_name, _), matcher) in enumerate(self._matchers.items())
+            if stream_name == stream
+        ]
+        # add_stream and add_pattern keep every pattern within the capacity.
+        longest = max((matcher.window_length for _, matcher in matchers), default=1)
+        block = buffer.capacity - longest + 1
+        settled: List[Tuple[int, int, StreamMatch]] = []
+        for begin in range(0, chunk.size, block):
+            part = chunk[begin: begin + block]
+            first = buffer.total
+            buffer.extend(part)
+            snapshots: Dict[IncrementalExtractor, list] = {}
+            for order, matcher in matchers:
+                if isinstance(matcher, SpringMatcher):
+                    for tick, value in enumerate(part.tolist(), first):
+                        settled.extend(
+                            (tick, order, match) for match in matcher.update(value)
+                        )
+                    continue
+                # Snapshots are taken once per extractor: a matcher that
+                # drove a shared extractor over the block itself would
+                # leave the next matcher only the block's last snapshot.
+                extractor = matcher.extractor
+                if extractor is not None and extractor not in snapshots:
+                    snapshots[extractor] = extractor.observe_block(buffer, part.size)
+                settled.extend(
+                    (tick, order, match)
+                    for tick, match in matcher.score_block(
+                        buffer, part.size, snapshots.get(extractor)
+                    )
+                )
+        settled.sort(key=lambda item: item[:2])
+        return [replace(match, stream=stream) for _, _, match in settled]
 
     def finalize(self, stream: Optional[str] = None) -> List[StreamMatch]:
         """Flush pending candidates (end of stream / shutdown)."""

@@ -14,13 +14,16 @@ query pattern:
   among all overlapping candidates.
 * :class:`SlidingWindowMatcher` — fixed-length trailing windows scored
   under any of the paper's constraint families (Sections 3.3.1–3.3.3),
-  guarded by the batch engine's cascading lower bounds (LB_Kim from
-  O(1)-maintained window extrema, then LB_Keogh, then early-abandoning
-  banded DTW).  The adaptive ``ac/aw`` constraints draw their
-  locally relevant bands from an :class:`IncrementalExtractor` feature
-  snapshot, i.e. the streaming analogue of the paper's salient-feature
-  alignment pipeline (Sections 3.1–3.3) with extraction amortised across
-  ticks exactly as Section 3.4 prescribes.
+  a block of ticks at a time, guarded by the batch engine's cascading
+  lower bounds (LB_Kim and LB_Keogh over a ``(windows, m)`` view of the
+  block, then early-abandoning banded DTW).  The adaptive ``ac/aw``
+  constraints draw their locally relevant bands from an
+  :class:`IncrementalExtractor` feature snapshot, i.e. the streaming
+  analogue of the paper's salient-feature alignment pipeline (Sections
+  3.1–3.3) with extraction amortised across ticks exactly as Section 3.4
+  prescribes; each band also yields a band-envelope bound, and the
+  surviving windows' DPs advance in lock-step
+  (:func:`repro.dtw.banded.banded_dtw_ragged`).
 
 Both matchers report :class:`StreamMatch` intervals in absolute stream
 coordinates and keep :class:`StreamStats` work accounting compatible with
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import as_series, check_positive
 from ..core.bands import (
@@ -46,12 +50,12 @@ from ..core.consistency import prune_inconsistent_pairs
 from ..core.features import FeatureSet, SalientFeature, extract_salient_features
 from ..core.intervals import build_interval_partition
 from ..core.matching import match_salient_features
-from ..dtw.banded import banded_dtw
+from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_ragged
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
-from ..dtw.lower_bounds import keogh_envelope, lb_keogh
+from ..dtw.lower_bounds import keogh_envelope, lb_band_envelope, range_extrema_table
 from ..exceptions import ValidationError
-from .buffer import SlidingExtrema, StreamBuffer
+from .buffer import StreamBuffer
 from .incremental import IncrementalExtractor
 
 # Pointwise distances the LB_Kim / LB_Keogh derivations hold for (same
@@ -92,7 +96,8 @@ class StreamStats:
     were pruned by a lower bound contribute no DP cells, and
     ``cells_filled`` over ``total_cells`` is the paper's
     hardware-independent time-gain measure applied per tick instead of per
-    stored series.
+    stored series.  Under an adaptive constraint ``pruned_lb_keogh`` also
+    counts the windows the band-envelope bound pruned.
     """
 
     ticks: int = 0
@@ -129,7 +134,7 @@ class StreamStats:
         return [
             ["ticks", self.ticks, ""],
             ["windows evaluated", self.evaluated, ""],
-            ["pruned by LB_Kim", self.pruned_lb_kim, "O(1) per tick"],
+            ["pruned by LB_Kim", self.pruned_lb_kim, ""],
             ["pruned by LB_Keogh", self.pruned_lb_keogh, ""],
             ["DP abandoned early", self.dp_abandoned, ""],
             ["DP completed", self.dp_runs, ""],
@@ -400,15 +405,19 @@ class SlidingWindowMatcher:
     """Cascaded constrained-DTW monitoring of fixed-length trailing windows.
 
     Every tick the trailing ``m`` samples (m = pattern length) form a
-    candidate window; the matcher prices it through the engine's cascade
-    — O(1) LB_Kim from incrementally maintained window extrema, O(m)
-    LB_Keogh against the pattern's precomputed envelope, then
-    early-abandoning banded DTW under the configured constraint family —
-    and feeds the resulting distance profile through the shared
-    non-overlap suppression policy.  Both bounds lower-bound the *full*
-    DTW and therefore every constrained DTW (the same admissibility
-    argument as :class:`repro.engine.DistanceEngine`), so pruning never
-    changes which matches are reported.
+    candidate window.  The matcher scores a block of ticks at once
+    (:meth:`score_block`): the block's windows are one ``(windows, m)``
+    view of the buffer and go through the engine's cascade together —
+    LB_Kim from each window's endpoints and extrema, LB_Keogh against the
+    pattern's precomputed envelope, for adaptive constraints the
+    band-envelope bound of each window's own band, then early-abandoning
+    banded DTW under the configured constraint family.  The resulting
+    distance profile goes through the shared non-overlap suppression
+    policy in tick order.  LB_Kim and LB_Keogh lower-bound the *full* DTW
+    and therefore every constrained DTW (the same admissibility argument
+    as :class:`repro.engine.DistanceEngine`), and the band-envelope bound
+    lower-bounds the DP over that band, so pruning never changes which
+    matches are reported.
     """
 
     def __init__(
@@ -451,7 +460,8 @@ class SlidingWindowMatcher:
         )
 
         # Pattern-side precomputation (the paper's one-time cost): LB_Kim
-        # endpoints/extrema and the LB_Keogh envelope.
+        # endpoints/extrema, the LB_Keogh envelope and, for per-window
+        # bands, the range extrema of the band-envelope bound.
         self._y_first = float(self.pattern[0])
         self._y_last = float(self.pattern[-1])
         self._y_min = float(self.pattern.min())
@@ -463,12 +473,14 @@ class SlidingWindowMatcher:
                 1, int(round(self.config.width_fraction * m / 2.0))
             ) + 1
             self._envelope = keogh_envelope(self.pattern, radius)
-            self._envelope_radius = radius
         else:
             self._envelope = None
-            self._envelope_radius = None
+        self._range_table = (
+            range_extrema_table(self.pattern)
+            if self._shared_band is None and self.use_lb_keogh
+            else None
+        )
 
-        self._extrema = SlidingExtrema(m)
         self._suppressor = MatchSuppressor(m, self.threshold)
         self.stats = StreamStats()
 
@@ -528,57 +540,125 @@ class SlidingWindowMatcher:
         return self._extractor
 
     # ------------------------------------------------------------------ #
-    # Per-tick cascade
+    # Block cascade
     # ------------------------------------------------------------------ #
-    def _window_distance(self, window: np.ndarray, tick: int) -> float:
-        """Price one window through LB_Kim -> LB_Keogh -> banded DTW."""
+    def score_block(
+        self,
+        buffer: StreamBuffer,
+        count: int,
+        snapshots: Optional[Sequence[Tuple[FeatureSet, int]]] = None,
+    ) -> List[Tuple[int, StreamMatch]]:
+        """Score the windows ending at the buffer's newest *count* samples.
+
+        The caller appends the block to *buffer* first; the earliest of
+        its windows must still be retained.  Adaptive constraints build
+        each window's band from *snapshots*, the extractor's
+        ``(features, snapshot_start)`` at each of the block's full-window
+        ticks as :meth:`IncrementalExtractor.observe_block` returns them;
+        without them the matcher drives its own extractor over the block.
+        Returns the matches settled in the block, each with the tick at
+        which it settled.
+        """
+        m = self._m
+        if snapshots is None and self._extractor is not None:
+            snapshots = self._extractor.observe_block(buffer, count)
+        self.stats.ticks += count
+        first = max(buffer.total - count, m - 1)
+        if first >= buffer.total:
+            return []
+        windows = sliding_window_view(buffer.view(buffer.total - first + m - 1), m)
+        self.stats.evaluated += len(windows)
+        self.stats.total_cells += len(windows) * m * m
+        distances = self._block_distances(windows, first, snapshots)
+        settled: List[Tuple[int, StreamMatch]] = []
+        for tick, distance in enumerate(distances.tolist(), first):
+            emitted = self._suppressor.observe(tick, distance)
+            if emitted is not None:
+                settled.append((tick, self._wrap(emitted)))
+        return settled
+
+    def _block_distances(
+        self,
+        windows: np.ndarray,
+        first: int,
+        snapshots: Optional[Sequence[Tuple[FeatureSet, int]]],
+    ) -> np.ndarray:
+        """Each window's distance, ``inf`` where a bound pruned it or the DP
+        abandoned; window ``k`` ends at tick ``first + k``."""
         stats = self.stats
         threshold = self.threshold
+        distances = np.full(len(windows), np.inf)
+        alive = np.arange(len(windows))
         if self.use_lb_kim:
-            bound = max(
-                abs(float(window[0]) - self._y_first),
-                abs(float(window[-1]) - self._y_last),
-                abs(self._extrema.maximum - self._y_max),
-                abs(self._extrema.minimum - self._y_min),
+            bound = np.maximum(
+                np.maximum(
+                    np.abs(windows[:, 0] - self._y_first),
+                    np.abs(windows[:, -1] - self._y_last),
+                ),
+                np.maximum(
+                    np.abs(windows.max(axis=1) - self._y_max),
+                    np.abs(windows.min(axis=1) - self._y_min),
+                ),
             )
-            if bound > threshold:
-                stats.pruned_lb_kim += 1
-                return np.inf
-        if self.use_lb_keogh:
+            alive = np.flatnonzero(bound <= threshold)
+            stats.pruned_lb_kim += len(windows) - alive.size
+        if self.use_lb_keogh and alive.size:
+            candidates = windows[alive]
             if self._envelope is not None:
-                bound = lb_keogh(
-                    window, self.pattern, self._envelope_radius,
-                    envelope=self._envelope,
-                )
+                # lb_keogh's arithmetic, one row per window.
+                upper, lower = self._envelope
+                above = np.where(candidates > upper, candidates - upper, 0.0)
+                below = np.where(candidates < lower, lower - candidates, 0.0)
+                bound = np.sum(above + below, axis=1)
             else:
                 # Global envelope: admissible against the full DTW and
                 # hence against every constrained DTW.
-                above = np.maximum(window - self._y_max, 0.0)
-                below = np.maximum(self._y_min - window, 0.0)
-                bound = float(above.sum() + below.sum())
-            if bound > threshold:
-                stats.pruned_lb_keogh += 1
-                return np.inf
-        band = self._current_band(tick)
-        result = banded_dtw(
-            window, self.pattern, band, self.config.pointwise_distance,
-            return_path=False,
-            abandon_threshold=threshold if self.early_abandon else None,
-        )
-        stats.cells_filled += result.cells_filled
-        if result.abandoned:
-            stats.dp_abandoned += 1
-            return np.inf
-        stats.dp_runs += 1
-        return float(result.distance)
-
-    def _current_band(self, tick: int) -> np.ndarray:
+                above = np.maximum(candidates - self._y_max, 0.0)
+                below = np.maximum(self._y_min - candidates, 0.0)
+                bound = above.sum(axis=1) + below.sum(axis=1)
+            passed = bound <= threshold
+            stats.pruned_lb_keogh += alive.size - int(passed.sum())
+            alive = alive[passed]
+        abandon = threshold if self.early_abandon else None
         if self._shared_band is not None:
-            return self._shared_band
-        window_start = tick - self._m + 1
-        shift = window_start - self._extractor.snapshot_start
+            for index in alive.tolist():
+                result = banded_dtw(
+                    windows[index], self.pattern, self._shared_band,
+                    self.config.pointwise_distance,
+                    return_path=False, abandon_threshold=abandon,
+                )
+                stats.cells_filled += result.cells_filled
+                if result.abandoned:
+                    stats.dp_abandoned += 1
+                else:
+                    stats.dp_runs += 1
+                    distances[index] = result.distance
+            return distances
+        if not alive.size:
+            return distances
+        bands = np.stack([self._band(first + index, snapshots[index])
+                          for index in alive.tolist()])
+        if self._range_table is not None:
+            bound = lb_band_envelope(windows[alive], bands, self._range_table)
+            # The bound sums in another order than the DP, so it gets the
+            # same rounding slack as abandonment.
+            passed = bound <= abandon_cutoff(threshold)
+            stats.pruned_lb_keogh += alive.size - int(passed.sum())
+            alive, bands = alive[passed], bands[passed]
+        found, cells, abandoned = banded_dtw_ragged(
+            windows[alive], self.pattern, bands, self._func, abandon
+        )
+        stats.cells_filled += int(cells.sum())
+        stats.dp_abandoned += int(abandoned.sum())
+        stats.dp_runs += alive.size - int(abandoned.sum())
+        distances[alive] = found
+        return distances
+
+    def _band(self, tick: int, snapshot: Tuple[FeatureSet, int]) -> np.ndarray:
+        """Adaptive band of the window ending at *tick* from a snapshot."""
+        features, snapshot_start = snapshot
         window_features = shift_snapshot_features(
-            self._extractor.features(), shift, self._m
+            features, tick - self._m + 1 - snapshot_start, self._m
         )
         return build_stream_band(
             self._spec, window_features, self._pattern_features,
@@ -588,23 +668,11 @@ class SlidingWindowMatcher:
     def update(self, buffer: StreamBuffer) -> List[StreamMatch]:
         """Score the window ending at the buffer's newest sample.
 
-        The caller appends the sample to *buffer* first; the matcher reads
-        the trailing window zero-copy.  Returns matches settled this tick.
+        The caller appends the sample to *buffer* first; this is a block
+        of one tick (:meth:`score_block`).  Returns matches settled this
+        tick.
         """
-        tick = buffer.total - 1
-        value = buffer.view(1)[0]
-        self._extrema.push(value)
-        if self._extractor is not None:
-            self._extractor.observe(buffer)
-        self.stats.ticks += 1
-        if buffer.total < self._m:
-            return []
-        self.stats.evaluated += 1
-        self.stats.total_cells += self._m * self._m
-        window = buffer.view(self._m)
-        distance = self._window_distance(window, tick)
-        emitted = self._suppressor.observe(tick, distance)
-        return [self._wrap(emitted)] if emitted is not None else []
+        return [match for _, match in self.score_block(buffer, 1)]
 
     def _wrap(self, emitted: Tuple[int, int, float]) -> StreamMatch:
         start, end, distance = emitted

@@ -5,7 +5,9 @@ its own pointwise costs, ``cumsum`` and inf-padded predecessor array.
 The production scan computes costs and prefix sums for a block of rows
 at once and keeps the DP row in one buffer updated in place, with the
 same operands in the same order, so the two must agree bit for bit in
-``distance``, ``cells_filled`` and ``abandoned``.
+``distance``, ``cells_filled`` and ``abandoned``.  The ragged lock-step
+kernel, which runs many series under their own bands at once, must in
+turn agree bit for bit with the per-pair scan.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.dtw.banded import (
     BandedDTWResult,
     abandon_cutoff,
     banded_dtw,
+    banded_dtw_ragged,
     validate_band,
 )
 from repro.dtw.constraints import full_band, itakura_band, sakoe_chiba_band
@@ -175,6 +178,55 @@ class TestScanMatchesReference:
                         # The abandonment boundary: a threshold at or above
                         # the distance must never abandon the pair.
                         assert not result.abandoned
+
+
+@st.composite
+def ragged_inputs(draw):
+    """Several series of one length against one, each under its own band."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=30))
+    m = draw(st.integers(min_value=1, max_value=30))
+    bands = []
+    for _ in range(count):
+        starts = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        spans = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        band = np.stack([np.array(starts), np.array(starts) + np.array(spans)], axis=1)
+        bands.append(validate_band(band, n, m, repair=True))
+    xs = np.stack([draw(series_of(n)) for _ in range(count)])
+    distance = draw(st.sampled_from(["absolute", "squared"]))
+    return xs, draw(series_of(m)), np.stack(bands), distance
+
+
+class TestRaggedMatchesPerPair:
+    @given(inputs=ragged_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_the_per_pair_scan(self, inputs):
+        xs, y, bands, distance = inputs
+        func = get_pointwise_distance(distance)
+        exact = [banded_dtw(x, y, band, distance, return_path=False).distance
+                 for x, band in zip(xs, bands)]
+        # Thresholds around each series' distance, so that series abandon
+        # at different rows and get compacted out mid-block; a tiny block
+        # budget puts every row in a block of its own.
+        thresholds = {None, 0.0} | {
+            t for d in exact for t in (d * 0.5, d, np.nextafter(d, np.inf))
+        }
+        for block_bytes in (banded._BLOCK_BYTES, 8):
+            with mock.patch.object(banded, "_BLOCK_BYTES", block_bytes):
+                for threshold in sorted(thresholds, key=lambda t: -1 if t is None else t):
+                    distances, cells, abandoned = banded_dtw_ragged(
+                        xs, y, bands, func, threshold
+                    )
+                    for c, (x, band) in enumerate(zip(xs, bands)):
+                        assert_same_result(
+                            BandedDTWResult(
+                                distance=distances[c], path=None,
+                                cells_filled=int(cells[c]), band=band,
+                                abandoned=bool(abandoned[c]),
+                            ),
+                            banded_dtw(x, y, band, distance, return_path=False,
+                                       abandon_threshold=threshold),
+                        )
 
 
 def test_full_band_scan_memory_does_not_grow_with_series_length():

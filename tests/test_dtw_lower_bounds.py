@@ -1,12 +1,21 @@
-"""Tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh)."""
+"""Tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh, band envelope)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.dtw.banded import abandon_cutoff, banded_dtw, validate_band
 from repro.dtw.full import dtw_distance
-from repro.dtw.lower_bounds import keogh_envelope, lb_keogh, lb_kim, lb_yi
+from repro.dtw.lower_bounds import (
+    keogh_envelope,
+    lb_band_envelope,
+    lb_keogh,
+    lb_kim,
+    lb_yi,
+    range_extrema_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +123,69 @@ class TestLBKeogh:
         tight = lb_keogh(x, y, radius=1)
         loose = lb_keogh(x, y, radius=10)
         assert loose <= tight + 1e-9
+
+
+values = st.one_of(
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False,
+              allow_infinity=False, width=32),
+    st.integers(min_value=-3, max_value=3).map(float),
+)
+
+
+@st.composite
+def banded_windows(draw):
+    """Series of one length, each with its own repaired band over y."""
+    count = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=30))
+    m = draw(st.integers(min_value=1, max_value=30))
+    y = np.asarray(draw(st.lists(values, min_size=m, max_size=m)))
+    xs = np.asarray(draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                  min_size=count, max_size=count)))
+    bands = []
+    for _ in range(count):
+        starts = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        spans = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        band = np.stack([np.array(starts), np.array(starts) + np.array(spans)], axis=1)
+        bands.append(validate_band(band, n, m, repair=True))
+    return xs, y, np.stack(bands)
+
+
+class TestBandEnvelope:
+    @given(y=st.lists(values, min_size=1, max_size=70))
+    @settings(max_examples=40, deadline=None)
+    def test_table_gives_exact_range_extrema(self, y):
+        y = np.asarray(y)
+        lo, hi = np.triu_indices(y.size)
+        # One single-row window per range y[lo..hi].
+        bands = np.stack([lo, hi], axis=1)[:, np.newaxis, :]
+        lower = np.array([y[a: b + 1].min() for a, b in zip(lo, hi)])
+        upper = np.array([y[a: b + 1].max() for a, b in zip(lo, hi)])
+        table = range_extrema_table(y)
+        # A sample below (above) a range is charged its distance to the
+        # range's exact minimum (maximum); one inside is charged nothing.
+        below, above = lower - 1.0, upper + 1.0
+        np.testing.assert_array_equal(
+            lb_band_envelope(below[:, np.newaxis], bands, table), lower - below
+        )
+        np.testing.assert_array_equal(
+            lb_band_envelope(above[:, np.newaxis], bands, table), above - upper
+        )
+        np.testing.assert_array_equal(
+            lb_band_envelope(lower[:, np.newaxis], bands, table), 0.0
+        )
+
+    @given(inputs=banded_windows(), fraction=st.floats(0.0, 2.0))
+    @settings(max_examples=120, deadline=None)
+    def test_admissible_and_never_prunes_a_completing_dp(self, inputs, fraction):
+        xs, y, bands = inputs
+        bounds = lb_band_envelope(xs, bands, range_extrema_table(y))
+        for x, band, bound in zip(xs, bands, bounds):
+            distance = banded_dtw(x, y, band, return_path=False).distance
+            assert bound <= abandon_cutoff(distance)
+            # The streaming matchers prune at bound > cutoff(threshold):
+            # the DP under that threshold must then abandon.
+            for threshold in (fraction * distance, distance, fraction * bound):
+                if bound > abandon_cutoff(threshold):
+                    assert banded_dtw(
+                        x, y, band, return_path=False, abandon_threshold=threshold
+                    ).abandoned

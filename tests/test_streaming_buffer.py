@@ -1,4 +1,4 @@
-"""Tests for the stream ring buffer and sliding-window extrema."""
+"""Tests for the stream ring buffer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.streaming.buffer import SlidingExtrema, StreamBuffer
+from repro.streaming.buffer import StreamBuffer
 
 
 class TestStreamBuffer:
@@ -95,27 +95,3 @@ class TestStreamBuffer:
         buf.append(1.0)
         assert buf.extend([]) == 0
         assert buf.total == 1
-
-
-class TestSlidingExtrema:
-    def test_matches_brute_force_window_extrema(self, rng):
-        window = 9
-        values = rng.normal(size=300)
-        extrema = SlidingExtrema(window)
-        for t, value in enumerate(values):
-            extrema.push(value)
-            lo = max(0, t - window + 1)
-            assert extrema.minimum == values[lo: t + 1].min()
-            assert extrema.maximum == values[lo: t + 1].max()
-        assert extrema.ready
-
-    def test_not_ready_before_full_window(self):
-        extrema = SlidingExtrema(4)
-        extrema.push(1.0)
-        assert not extrema.ready
-        assert extrema.extrema() == (1.0, 1.0)
-
-    def test_no_samples_raises(self):
-        extrema = SlidingExtrema(4)
-        with pytest.raises(ValidationError):
-            _ = extrema.minimum
