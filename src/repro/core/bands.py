@@ -27,11 +27,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..dtw.banded import union_bands, validate_band, transpose_band
+from ..dtw.banded import transpose_band, union_bands, validate_band, validate_bands
 from ..dtw.constraints import sakoe_chiba_band_fraction
 from ..exceptions import ConfigurationError, ValidationError
 from .config import SDTWConfig
-from .intervals import IntervalPartition
+from .intervals import IntervalPartition, PartitionStack, locate_stacked
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,9 @@ def _candidate_points_fixed_core(n: int, m: int) -> np.ndarray:
     return np.arange(n, dtype=float) * (m - 1) / (n - 1)
 
 
-def _candidate_points_adaptive_core(
-    n: int, m: int, partition: IntervalPartition
-) -> np.ndarray:
-    """Candidate points from corresponding intervals (Section 3.3.2).
+def _adaptive_cores(n: int, m: int, stack: PartitionStack) -> np.ndarray:
+    """Candidate points from corresponding intervals (Section 3.3.2), for
+    every partition of *stack*, one row each.
 
     For x_i in interval E, the candidate j satisfies
 
@@ -126,43 +125,51 @@ def _candidate_points_adaptive_core(
     the later interval's mapping.  Since the intervals of a partition are
     consecutive and cover ``[0, n - 1]``, interval ``k`` maps the points
     from its start up to the next interval's start, so one ``np.repeat``
-    of the per-interval terms lays them out for all points at once.  Each
-    mapped value is computed with the same float operations, in the same
-    order, as the per-point formula, so the result is exact.  The two
-    empty cases need no branch: an empty X interval maps only its own
-    start (fraction 0), and an empty Y interval has ``y_len`` 0, so
-    ``st(Y,E) + fraction * y_len`` is exactly ``st(Y,E)`` in both.
-    Endpoints are forced onto the grid corners so that a warp path always
-    exists.
+    of the per-interval terms lays them out for all points of all
+    partitions at once.  Each mapped value is computed with the same
+    float operations, in the same order, as the per-point formula, so the
+    result is exact.  The two empty cases need no branch: an empty X
+    interval maps no point (the next interval starts where it does), and
+    an empty Y interval has ``y_len`` 0, so ``st(Y,E) + fraction * y_len``
+    is exactly ``st(Y,E)``.  Endpoints are forced onto the grid corners so
+    that a warp path always exists.
     """
-    # One row per interval: (start_x, x_len or 1, start_y, y_len),
-    # repeated over the points the interval maps.
-    rows = [
-        (ix.start, (ix.end - ix.start) or 1, iy.start, iy.end - iy.start)
-        for ix, iy in zip(partition.intervals_x, partition.intervals_y)
-    ]
-    starts = [row[0] for row in rows] + [n]
-    owned = [later - start for start, later in zip(starts, starts[1:])]
-    start_x, divisor, start_y, y_len = np.repeat(rows, owned, axis=0).T
-    candidates = start_y + (np.arange(n) - start_x) / divisor * y_len
-    candidates[0] = 0.0
-    candidates[-1] = m - 1
+    starts_x = stack.starts_x
+    owned = np.empty_like(starts_x)
+    owned[:-1] = starts_x[1:]
+    owned[np.cumsum(stack.counts) - 1] = n
+    owned -= starts_x
+    x_len = stack.ends_x - starts_x
+    start_x = np.repeat(starts_x, owned)
+    divisor = np.repeat(np.where(x_len == 0, 1, x_len), owned)
+    start_y = np.repeat(stack.starts_y, owned)
+    y_len = np.repeat(stack.ends_y - stack.starts_y, owned)
+    points = np.arange(start_x.size) % n
+    candidates = (start_y + (points - start_x) / divisor * y_len).reshape(-1, n)
+    candidates[:, 0] = 0.0
+    candidates[:, -1] = m - 1
     return np.clip(candidates, 0, m - 1)
 
 
-def _interval_widths(partition: IntervalPartition, neighbor_radius: int) -> np.ndarray:
+def _interval_widths(stack: PartitionStack, neighbor_radius: int) -> np.ndarray:
     """Width (sample count) of each interval of the second series.
 
     With ``neighbor_radius > 0`` each width is the mean over the intervals
-    within ±neighbor_radius of it (the ``ac2`` refinement).
+    of its partition within ±neighbor_radius of it (the ``ac2``
+    refinement).  Widths are whole numbers, so the window sums from a
+    running total are exact and each mean is the quotient ``np.mean``
+    rounds.
     """
-    widths = np.asarray([iv.length for iv in partition.intervals_y], dtype=float)
+    widths = (stack.ends_y - stack.starts_y + 1).astype(float)
     if neighbor_radius <= 0:
         return widths
-    return np.asarray([
-        float(widths[max(0, index - neighbor_radius): index + neighbor_radius + 1].mean())
-        for index in range(widths.size)
-    ])
+    heads = np.repeat(stack.firsts, stack.counts)
+    tails = heads + np.repeat(stack.counts, stack.counts) - 1
+    index = np.arange(widths.size)
+    lo = np.maximum(heads, index - neighbor_radius)
+    hi = np.minimum(tails, index + neighbor_radius)
+    total = np.concatenate([[0.0], np.cumsum(widths)])
+    return (total[hi + 1] - total[lo]) / (hi - lo + 1)
 
 
 def build_constraint_band(
@@ -187,29 +194,59 @@ def build_constraint_band(
         fixed counterparts, which is the documented fallback when no
         salient features could be matched).
     config:
-        sDTW configuration providing the fixed width fraction, adaptive
-        width bounds and the default neighbour radius.
+        sDTW configuration providing the fixed width fraction and the
+        adaptive width bounds.
 
     Returns
     -------
     numpy.ndarray
         Validated band of shape ``(n, 2)``.
     """
+    if partition is None:
+        stack = PartitionStack(
+            np.array([0]), np.array([n - 1]), np.array([0]), np.array([m - 1]),
+            np.array([1]),
+        )
+    else:
+        stack = partition.stack()
+    return build_constraint_bands(n, m, spec, stack, config)[0]
+
+
+def build_constraint_bands(
+    n: int,
+    m: int,
+    spec: Union[str, ConstraintSpec],
+    stack: PartitionStack,
+    config: Optional[SDTWConfig] = None,
+) -> np.ndarray:
+    """:func:`build_constraint_band` for every partition of *stack* at once.
+
+    Returns the validated bands as one ``(partitions, n, 2)`` array; each
+    band equals what :func:`build_constraint_band` builds from that
+    partition alone.  A partition of one interval takes the fixed
+    counterpart of the adaptive variant.
+    """
     if config is None:
         config = SDTWConfig()
     parsed = parse_constraint_spec(spec)
+    count = stack.counts.size
 
     # Pure Sakoe-Chiba short-circuit.
     if parsed.core == "fixed" and parsed.width == "fixed":
-        return sakoe_chiba_band_fraction(n, m, config.width_fraction)
+        band = sakoe_chiba_band_fraction(n, m, config.width_fraction)
+        return np.repeat(band[None], count, axis=0)
 
-    have_partition = partition is not None and partition.num_intervals > 1
+    have_partition = (stack.counts > 1)[:, None]
+    some = bool(have_partition.any())
 
     # Candidate (core) points.
-    if parsed.core == "adaptive" and have_partition:
-        candidates = _candidate_points_adaptive_core(n, m, partition)
+    if parsed.core == "adaptive" and some:
+        candidates = _pick(
+            have_partition, _adaptive_cores(n, m, stack),
+            _candidate_points_fixed_core(n, m),
+        )
     else:
-        candidates = _candidate_points_fixed_core(n, m)
+        candidates = np.broadcast_to(_candidate_points_fixed_core(n, m), (count, n))
 
     # Per-point widths.
     fixed_width = max(1.0, config.width_fraction * m)
@@ -219,27 +256,40 @@ def build_constraint_band(
         if config.adaptive_width_upper_bound is not None
         else float(m)
     )
-    if parsed.width == "adaptive" and have_partition:
+    # No partition information: an adaptive width falls back to the lower
+    # bound width.
+    fallback_width = max(lower_bound, fixed_width)
+    if parsed.width == "adaptive" and some:
         # Each point takes the width of the Y interval its (rounded)
         # candidate falls into, clamped to the bounds.
-        widths_y = _interval_widths(partition, parsed.neighbor_radius or 0)
-        intervals = partition.interval_indices_for_y(
-            np.rint(candidates).astype(int)
+        widths_y = _interval_widths(stack, parsed.neighbor_radius or 0)
+        intervals = locate_stacked(
+            stack.starts_y, stack.ends_y, stack.counts,
+            np.rint(candidates).astype(int),
         )
-        per_point_width = np.minimum(
-            np.maximum(widths_y[intervals], lower_bound), upper_bound
+        per_point_width = _pick(
+            have_partition,
+            np.minimum(
+                np.maximum(widths_y[stack.firsts[:, None] + intervals], lower_bound),
+                upper_bound,
+            ),
+            fallback_width,
         )
     elif parsed.width == "adaptive":
-        # No partition information: fall back to the lower bound width.
-        per_point_width = np.full(n, max(lower_bound, fixed_width))
+        per_point_width = np.full((count, n), fallback_width)
     else:
-        per_point_width = np.full(n, fixed_width)
+        per_point_width = np.full((count, n), fixed_width)
 
     half = np.ceil(per_point_width / 2.0)
-    band = np.empty((n, 2), dtype=int)
-    band[:, 0] = np.floor(candidates - half)
-    band[:, 1] = np.ceil(candidates + half)
-    return validate_band(band, n, m, repair=True)
+    bands = np.empty((count, n, 2), dtype=int)
+    bands[..., 0] = np.floor(candidates - half)
+    bands[..., 1] = np.ceil(candidates + half)
+    return validate_bands(bands, n, m)
+
+
+def _pick(have: np.ndarray, adaptive: np.ndarray, fallback) -> np.ndarray:
+    """Rows of *adaptive* where *have*, of *fallback* elsewhere."""
+    return adaptive if have.all() else np.where(have, adaptive, fallback)
 
 
 def build_symmetric_band(

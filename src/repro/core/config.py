@@ -227,9 +227,6 @@ class SDTWConfig(_DictRoundTrip):
     adaptive_width_upper_bound:
         Optional upper bound on the adaptive width (fraction); ``None``
         disables the cap.
-    neighbor_radius:
-        r — how many neighbouring intervals on each side are averaged by
-        the ``ac2,aw`` refinement (paper: 1, i.e. previous/current/next).
     symmetric_band:
         If True, the band is the union of the X-driven and Y-driven bands,
         making the constrained distance symmetric (Section 3.3.3).
@@ -244,7 +241,6 @@ class SDTWConfig(_DictRoundTrip):
     width_fraction: float = 0.10
     adaptive_width_lower_bound: float = 0.20
     adaptive_width_upper_bound: Optional[float] = None
-    neighbor_radius: int = 1
     symmetric_band: bool = False
     pointwise_distance: str = "absolute"
 
@@ -264,8 +260,6 @@ class SDTWConfig(_DictRoundTrip):
                 raise ConfigurationError(
                     "adaptive_width_upper_bound must be >= the lower bound"
                 )
-        if self.neighbor_radius < 0:
-            raise ConfigurationError("neighbor_radius must be >= 0")
 
     def to_dict(self) -> dict:
         """Plain-dict form of the full configuration (JSON-serialisable).
@@ -278,8 +272,14 @@ class SDTWConfig(_DictRoundTrip):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SDTWConfig":
-        """Rebuild a configuration written by :meth:`to_dict`."""
+        """Rebuild a configuration written by :meth:`to_dict`.
+
+        ``neighbor_radius``, which configurations written before it was
+        retired carry, is dropped: the ``ac2,aw`` averaging radius is part
+        of the constraint label (:func:`repro.core.bands.parse_constraint_spec`).
+        """
         payload = dict(data)
+        payload.pop("neighbor_radius", None)
         return cls(
             scale_space=ScaleSpaceConfig(**payload.pop("scale_space", {})),
             descriptor=DescriptorConfig(**payload.pop("descriptor", {})),

@@ -22,11 +22,12 @@ Scores per pair ⟨f_i, f_j⟩:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..utils.stats import safe_divide
+import numpy as np
+
 from .config import MatchingConfig
 from .matching import MatchedPair
 
@@ -71,93 +72,162 @@ class ConsistentAlignment:
         return len(self.pairs)
 
 
-def amplitude_percentage_difference(pair: MatchedPair) -> float:
-    """Δ_amp: relative difference between the mean scope amplitudes of a pair.
+def amplitude_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Δ_amp of each pair of mean scope amplitudes *a*, *b*.
 
     Expressed as a fraction of the larger magnitude, clipped to [0, 1], so
-    ``1 − Δ_amp`` stays a usable multiplicative factor.
+    ``1 − Δ_amp`` stays a usable multiplicative factor; 0 when both are 0.
     """
-    a = pair.feature_x.mean_amplitude
-    b = pair.feature_y.mean_amplitude
-    denom = max(abs(a), abs(b))
-    if denom == 0:
-        return 0.0
-    return float(min(1.0, abs(a - b) / denom))
+    larger = np.maximum(np.abs(a), np.abs(b))
+    gap = np.abs(a - b)
+    ratio = np.divide(gap, larger, out=np.zeros_like(gap), where=larger != 0)
+    return np.minimum(1.0, ratio, out=ratio)
+
+
+def amplitude_percentage_difference(pair: MatchedPair) -> float:
+    """Δ_amp of one matched pair (see :func:`amplitude_differences`)."""
+    return float(amplitude_differences(
+        np.array([pair.feature_x.mean_amplitude]),
+        np.array([pair.feature_y.mean_amplitude]),
+    )[0])
+
+
+def combined_scores(
+    distances: np.ndarray,
+    scope_lengths_x: np.ndarray,
+    scope_lengths_y: np.ndarray,
+    center_offsets: np.ndarray,
+    amplitudes_x: np.ndarray,
+    amplitudes_y: np.ndarray,
+    groups: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """μ_align, μ_sim and the combined score of matched pairs.
+
+    The arrays hold one entry per pair: descriptor distance, the two scope
+    lengths, the distance between the two centres and the two mean scope
+    amplitudes.  Pairs come in groups, one per alignment, each starting at
+    an index of *groups* (ascending, no group empty); the similarity floor
+    and the two normalising maxima are taken within a group.  Every value
+    is computed with the float operations of the per-pair formulas, so
+    one alignment scored alone or with others gets the same bits.
+    """
+    # Index that spreads one value per group over the group's pairs; one
+    # group's (1,)-shaped values broadcast as they are.
+    group = (
+        np.repeat(np.arange(groups.size), np.diff(np.append(groups, distances.size)))
+        if groups.size > 1 else Ellipsis
+    )
+    similarity = 1.0 / (1.0 + distances)
+    floor = np.minimum.reduceat(similarity, groups)[group]
+    align = (scope_lengths_x + scope_lengths_y) / 2.0 / (1.0 + center_offsets)
+    # utils.stats.safe_divide's rule: a near-zero floor divides to 1.
+    sim = np.divide(
+        similarity, floor, out=np.ones_like(similarity),
+        where=np.abs(floor) >= 1e-15,
+    )
+    sim *= 1.0 - amplitude_differences(amplitudes_x, amplitudes_y)
+    top_align = np.maximum.reduceat(align, groups)
+    top_sim = np.maximum.reduceat(sim, groups)
+    ns_align = align / np.where(top_align > 0, top_align, 1.0)[group]
+    ns_sim = sim / np.where(top_sim > 0, top_sim, 1.0)[group]
+    total = ns_align + ns_sim
+    combined = np.divide(
+        2.0 * ns_align * ns_sim, total, out=np.zeros_like(total), where=total != 0
+    )
+    return align, sim, combined
 
 
 def score_pairs(pairs: Sequence[MatchedPair]) -> List[ScoredPair]:
     """Compute μ_align, μ_sim and the combined F-measure score for all pairs."""
     if not pairs:
         return []
-    similarities = [pair.descriptor_similarity for pair in pairs]
-    min_similarity = min(similarities)
-    raw_align: List[float] = []
-    raw_sim: List[float] = []
-    for pair in pairs:
-        scope_avg = (pair.feature_x.scope_length + pair.feature_y.scope_length) / 2.0
-        align = scope_avg / (1.0 + pair.center_offset)
-        sim = safe_divide(pair.descriptor_similarity, min_similarity, default=1.0)
-        sim *= 1.0 - amplitude_percentage_difference(pair)
-        raw_align.append(align)
-        raw_sim.append(sim)
-    max_align = max(raw_align) if max(raw_align) > 0 else 1.0
-    max_sim = max(raw_sim) if max(raw_sim) > 0 else 1.0
-    scored: List[ScoredPair] = []
-    for pair, align, sim in zip(pairs, raw_align, raw_sim):
-        ns_align = align / max_align
-        ns_sim = sim / max_sim
-        if ns_align + ns_sim == 0:
-            combined = 0.0
-        else:
-            combined = 2.0 * ns_align * ns_sim / (ns_align + ns_sim)
-        scored.append(
-            ScoredPair(
-                pair=pair,
-                alignment_score=align,
-                similarity_score=sim,
-                combined_score=combined,
-            )
+    columns = np.array([
+        (
+            pair.descriptor_distance,
+            pair.feature_x.scope_length,
+            pair.feature_y.scope_length,
+            pair.center_offset,
+            pair.feature_x.mean_amplitude,
+            pair.feature_y.mean_amplitude,
         )
-    return scored
+        for pair in pairs
+    ], dtype=float).T
+    align, sim, combined = combined_scores(*columns, np.zeros(1, dtype=np.intp))
+    return [
+        ScoredPair(
+            pair=pair,
+            alignment_score=a,
+            similarity_score=s,
+            combined_score=c,
+        )
+        for pair, a, s, c in zip(pairs, align.tolist(), sim.tolist(), combined.tolist())
+    ]
 
 
-class _BoundaryOrder:
-    """Sorted list of committed scope boundaries for one series."""
-
-    def __init__(self) -> None:
-        self._values: List[float] = []
-
-    def rank_of(self, value: float) -> int:
-        """Rank (insertion index) the value would take in the current order."""
-        return bisect.bisect_left(self._values, value)
-
-    def has_value(self, value: float) -> bool:
-        """True if an identical boundary value is already committed."""
-        idx = bisect.bisect_left(self._values, value)
-        return idx < len(self._values) and self._values[idx] == value
-
-    def insert(self, value: float) -> None:
-        bisect.insort(self._values, value)
-
-    def values(self) -> Tuple[float, ...]:
-        return tuple(self._values)
+ScopeBounds = Tuple[float, float, float, float]
 
 
-def _ranks_compatible(
-    order_x: _BoundaryOrder,
-    order_y: _BoundaryOrder,
-    value_x: float,
-    value_y: float,
-) -> bool:
-    """Check that inserting (value_x, value_y) keeps the two orders aligned.
+def commit_consistent(
+    bounds: Iterable[ScopeBounds],
+) -> Tuple[List[int], List[float], List[float]]:
+    """Commit pairs' scope bounds greedily, keeping only consistent ones.
 
-    The ranks must be equal; as the paper notes, exact ties on existing
-    boundary values are also accepted (the "special cases" exception),
-    because an identical time value cannot introduce a crossing.
+    *bounds* holds each pair's ``(start_x, end_x, start_y, end_y)`` in
+    commit order (best first).  A pair is kept only if both starts and
+    both ends can be inserted at matching ranks of the two committed,
+    sorted boundary lists (no crossings), its insertion treated
+    atomically; as the paper notes, exact ties on committed boundary
+    values are also accepted (the "special cases" exception), because an
+    identical time value cannot introduce a crossing.
+
+    Returns the indices of the kept pairs, in commit order, and the two
+    sorted boundary lists; boundary ``k`` of the first series corresponds
+    to boundary ``k`` of the second.
     """
-    if order_x.rank_of(value_x) == order_y.rank_of(value_y):
-        return True
-    return order_x.has_value(value_x) and order_y.has_value(value_y)
+    values_x: List[float] = []
+    values_y: List[float] = []
+    kept: List[int] = []
+    for index, (st_x, end_x, st_y, end_y) in enumerate(bounds):
+        # Check the start boundary, then the end boundary given the start
+        # has (virtually) been inserted.  Because both starts are inserted
+        # before both ends and st <= end, checking the two boundaries
+        # independently against the committed orders is equivalent to the
+        # paper's sequential insertion attempt.
+        rank_x = bisect_left(values_x, st_x)
+        rank_y = bisect_left(values_y, st_y)
+        if rank_x != rank_y and not (
+            _holds(values_x, rank_x, st_x) and _holds(values_y, rank_y, st_y)
+        ):
+            continue
+        rank_x = bisect_left(values_x, end_x)
+        rank_y = bisect_left(values_y, end_y)
+        tie = _holds(values_x, rank_x, end_x) and _holds(values_y, rank_y, end_y)
+        if rank_x != rank_y and not tie:
+            continue
+        # Additionally require that the start/end of this pair do not
+        # straddle an existing committed boundary asymmetrically: the rank
+        # of the end (after inserting the start) must also match.
+        if rank_x + (st_x <= end_x) != rank_y + (st_y <= end_y) and not tie:
+            continue
+        insort(values_x, st_x)
+        insort(values_x, end_x)
+        insort(values_y, st_y)
+        insort(values_y, end_y)
+        kept.append(index)
+    return kept, values_x, values_y
+
+
+def _holds(values: List[float], rank: int, value: float) -> bool:
+    """True if *value* is already committed (at its insertion *rank*)."""
+    return rank < len(values) and values[rank] == value
+
+
+def all_boundaries(bounds: Sequence[ScopeBounds]) -> Tuple[List[float], List[float]]:
+    """Both series' sorted scope boundaries of every pair (no pruning)."""
+    return (
+        sorted(b for st_x, end_x, _, _ in bounds for b in (st_x, end_x)),
+        sorted(b for _, _, st_y, end_y in bounds for b in (st_y, end_y)),
+    )
 
 
 def prune_inconsistent_pairs(
@@ -167,10 +237,7 @@ def prune_inconsistent_pairs(
     """Remove temporally inconsistent matched pairs.
 
     Pairs are committed greedily in descending order of their combined
-    score; a pair is kept only if both its start boundaries and both its
-    end boundaries can be inserted at matching ranks of the two per-series
-    boundary orderings (no crossings), treating each pair's insertion
-    atomically.
+    score (:func:`commit_consistent`).
 
     Parameters
     ----------
@@ -189,60 +256,24 @@ def prune_inconsistent_pairs(
         config = MatchingConfig()
     scored = score_pairs(pairs)
     scored.sort(key=lambda sp: sp.combined_score, reverse=True)
-
-    if not config.prune_inconsistencies:
-        kept_all = tuple(sorted((sp.pair for sp in scored),
-                                key=lambda p: p.feature_x.position))
-        bx = tuple(sorted(
-            b for p in kept_all
-            for b in (p.feature_x.scope_start, p.feature_x.scope_end)
-        ))
-        by = tuple(sorted(
-            b for p in kept_all
-            for b in (p.feature_y.scope_start, p.feature_y.scope_end)
-        ))
-        return ConsistentAlignment(
-            pairs=kept_all,
-            scored_pairs=tuple(scored),
-            boundaries_x=bx,
-            boundaries_y=by,
-        )
-
-    order_x = _BoundaryOrder()
-    order_y = _BoundaryOrder()
-    kept: List[MatchedPair] = []
-    for sp in scored:
-        pair = sp.pair
-        st_x, end_x = pair.feature_x.scope_start, pair.feature_x.scope_end
-        st_y, end_y = pair.feature_y.scope_start, pair.feature_y.scope_end
-        # Tentatively check the start boundary, then the end boundary given
-        # the start has (virtually) been inserted.  Because both starts are
-        # inserted before both ends and st <= end, checking the two
-        # boundaries independently against the committed orders is
-        # equivalent to the paper's sequential insertion attempt.
-        if not _ranks_compatible(order_x, order_y, st_x, st_y):
-            continue
-        if not _ranks_compatible(order_x, order_y, end_x, end_y):
-            continue
-        # Additionally require that the start/end of this pair do not
-        # straddle an existing committed boundary asymmetrically: the rank
-        # of the end (after inserting the start) must also match.
-        rank_end_x = order_x.rank_of(end_x) + (1 if st_x <= end_x else 0)
-        rank_end_y = order_y.rank_of(end_y) + (1 if st_y <= end_y else 0)
-        if rank_end_x != rank_end_y and not (
-            order_x.has_value(end_x) and order_y.has_value(end_y)
-        ):
-            continue
-        order_x.insert(st_x)
-        order_x.insert(end_x)
-        order_y.insert(st_y)
-        order_y.insert(end_y)
-        kept.append(pair)
-
+    if config.prune_inconsistencies:
+        rows, bx, by = commit_consistent(_scope_bounds(sp.pair) for sp in scored)
+        kept = [scored[row].pair for row in rows]
+    else:
+        kept = [sp.pair for sp in scored]
     kept.sort(key=lambda p: p.feature_x.position)
+    if not config.prune_inconsistencies:
+        bx, by = all_boundaries([_scope_bounds(pair) for pair in kept])
     return ConsistentAlignment(
         pairs=tuple(kept),
         scored_pairs=tuple(scored),
-        boundaries_x=order_x.values(),
-        boundaries_y=order_y.values(),
+        boundaries_x=tuple(bx),
+        boundaries_y=tuple(by),
+    )
+
+
+def _scope_bounds(pair: MatchedPair) -> ScopeBounds:
+    return (
+        pair.feature_x.scope_start, pair.feature_x.scope_end,
+        pair.feature_y.scope_start, pair.feature_y.scope_end,
     )

@@ -90,23 +90,31 @@ class FeatureSet(Sequence[SalientFeature]):
     pattern, an extractor snapshot) pays for the stacking once.  Each
     descriptor row keeps the common length of the set's descriptors.
 
+    The scope bounds and mean amplitudes that pair scoring reads
+    (:attr:`scope_starts`, :attr:`scope_ends`, :attr:`mean_amplitudes`)
+    are stacked on first read, so a set that is only matched never pays
+    for them.
+
     :meth:`shifted` re-expresses the set in the coordinates of a later
-    window.  It only selects rows of the stacked arrays; a shifted
-    :class:`SalientFeature` is built when it is first read, which for
-    matching means only the features that end up in a matched pair.
+    window.  It only selects rows of the stacked arrays, and its scope
+    arrays are the source's shifted and clipped by :func:`shift_scopes`;
+    a shifted :class:`SalientFeature` is built from them when it is first
+    read.  The stream block band builder
+    (:func:`repro.streaming.subsequence.build_stream_bands`) reads the
+    arrays and builds no feature at all.
 
     Consecutive shifted views of one set often select the same rows (a
     stream window slides a sample at a time, and a feature leaves it only
-    every few ticks).  Such views share one :attr:`memo` dict, where
-    matching keeps the decisions it made on those rows: the same stacked
-    arrays give the same decisions.  A set that is not a shifted view has
-    no memo (``None``).
+    every few ticks).  Such views share one :attr:`memo` dict
+    (:meth:`memo_for`), where matching keeps the decisions it made on
+    those rows: the same stacked arrays give the same decisions.  A set
+    that is not a shifted view has no memo (``None``).
     """
 
     __slots__ = (
         "descriptors", "squared_norms", "amplitudes", "sigmas", "positions",
         "memo", "_items", "_source", "_rows", "_shift", "_limit",
-        "_last_rows", "_last_memo",
+        "_last_rows", "_last_memo", "_scopes",
     )
 
     def __init__(self, features: Sequence[SalientFeature]) -> None:
@@ -133,6 +141,7 @@ class FeatureSet(Sequence[SalientFeature]):
         # would hold each stream snapshot until the garbage collector runs.
         self._last_rows: Optional[List[int]] = None
         self._last_memo: Optional[dict] = None
+        self._scopes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def of(cls, features: Sequence[SalientFeature]) -> "FeatureSet":
@@ -147,16 +156,57 @@ class FeatureSet(Sequence[SalientFeature]):
             return [self[i] for i in range(*index.indices(len(self)))]
         item = self._items[index]
         if item is None:
-            feature = self._source[self._rows[index]]
-            shift = self._shift
             item = replace(
-                feature,
-                position=feature.position - shift,
-                scope_start=max(0.0, feature.scope_start - shift),
-                scope_end=min(self._limit, feature.scope_end - shift),
+                self._source[self._rows[index]],
+                position=float(self.positions[index]),
+                scope_start=float(self.scope_starts[index]),
+                scope_end=float(self.scope_ends[index]),
             )
             self._items[index] = item
         return item
+
+    @property
+    def scope_starts(self) -> np.ndarray:
+        """Scope start of each feature."""
+        return self._scope_arrays()[0]
+
+    @property
+    def scope_ends(self) -> np.ndarray:
+        """Scope end of each feature."""
+        return self._scope_arrays()[1]
+
+    @property
+    def mean_amplitudes(self) -> np.ndarray:
+        """Mean series amplitude within each feature's scope."""
+        return self._scope_arrays()[2]
+
+    def _scope_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._scopes is None:
+            source = self._source
+            if source is None:
+                items = self._items
+                self._scopes = (
+                    np.asarray([f.scope_start for f in items], dtype=float),
+                    np.asarray([f.scope_end for f in items], dtype=float),
+                    np.asarray([f.mean_amplitude for f in items], dtype=float),
+                )
+            else:
+                rows = np.asarray(self._rows, dtype=np.intp)
+                self._scopes = shift_scopes(
+                    source.scope_starts[rows], source.scope_ends[rows],
+                    self._shift, self._limit,
+                ) + (source.mean_amplitudes[rows],)
+        return self._scopes
+
+    def memo_for(self, rows: List[int]) -> dict:
+        """The decision memo of the shifted views that select *rows*.
+
+        The set keeps the memo of the latest row selection only: stream
+        windows visit their row selections in order.
+        """
+        if rows != self._last_rows:
+            self._last_rows, self._last_memo = rows, {}
+        return self._last_memo
 
     def shifted(self, shift: int, window_length: int) -> "FeatureSet":
         """The features in the coordinates of a window *shift* samples later.
@@ -181,11 +231,21 @@ class FeatureSet(Sequence[SalientFeature]):
         view._rows = rows.tolist()
         view._shift = shift
         view._limit = limit
-        view._last_rows = view._last_memo = None
-        if view._rows != self._last_rows:
-            self._last_rows, self._last_memo = view._rows, {}
-        view.memo = self._last_memo
+        view._last_rows = view._last_memo = view._scopes = None
+        view.memo = self.memo_for(view._rows)
         return view
+
+
+def shift_scopes(
+    starts: np.ndarray, ends: np.ndarray, shift, limit: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scope bounds in the coordinates of a window *shift* samples later.
+
+    Bounds are clipped to the new window extent ``[0, limit]``, as batch
+    extraction clips them at the series boundary.  *shift* may be one
+    shift or one per bound.
+    """
+    return np.maximum(0.0, starts - shift), np.minimum(limit, ends - shift)
 
 
 def keypoint_feature(

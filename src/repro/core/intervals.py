@@ -11,7 +11,8 @@ corresponding intervals to compute locally relevant cores and widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -88,13 +89,76 @@ class IntervalPartition:
         """Index of the interval of the second series containing sample *j*."""
         return _locate(self.intervals_y, j)
 
-    def interval_indices_for_y(self, indices: np.ndarray) -> np.ndarray:
-        """:meth:`interval_index_for_y` for an array of sample indices."""
-        return _locate_many(self.intervals_y, indices)
-
     def corresponding(self, index: int) -> Tuple[Interval, Interval]:
         """The pair of corresponding intervals at partition position *index*."""
         return self.intervals_x[index], self.intervals_y[index]
+
+    def stack(self) -> "PartitionStack":
+        """This partition as a :class:`PartitionStack` of one."""
+        starts_x, ends_x, starts_y, ends_y = np.array([
+            (ix.start, ix.end, iy.start, iy.end)
+            for ix, iy in zip(self.intervals_x, self.intervals_y)
+        ]).T
+        return PartitionStack(
+            starts_x, ends_x, starts_y, ends_y, np.array([self.num_intervals])
+        )
+
+
+class PartitionStack(NamedTuple):
+    """The interval bounds of several corresponding partitions as arrays.
+
+    Partition ``w`` holds ``counts[w]`` intervals, stored one partition
+    after another in the four bound arrays.  The adaptive band builders
+    (:func:`repro.core.bands.build_constraint_bands`) read a stack, so one
+    partition and a block of stream windows go through the same code.
+    """
+
+    starts_x: np.ndarray
+    ends_x: np.ndarray
+    starts_y: np.ndarray
+    ends_y: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def firsts(self) -> np.ndarray:
+        """Index of each partition's first interval in the bound arrays."""
+        return np.cumsum(self.counts) - self.counts
+
+
+def stack_partitions(
+    cuts_x: np.ndarray, cuts_y: np.ndarray, cut_counts: np.ndarray, n: int, m: int
+) -> PartitionStack:
+    """Partitions of ``n`` and ``m`` samples from their sorted cuts.
+
+    Partition ``w`` is cut at the next ``cut_counts[w]`` entries of each
+    cut array (:func:`boundary_cuts`, ascending within a partition): its
+    intervals start at 0 and at each cut and end at each cut and at the
+    last sample, so ``k`` cuts give ``k + 1`` intervals (empty, i.e.
+    single-sample, where cuts coincide or sit at the series ends).
+    """
+    counts = np.asarray(cut_counts, dtype=np.intp) + 1
+    lasts = np.cumsum(counts) - 1
+    firsts = lasts - counts + 1
+    return PartitionStack(
+        _around(cuts_x, firsts, 0), _around(cuts_x, lasts, n - 1),
+        _around(cuts_y, firsts, 0), _around(cuts_y, lasts, m - 1),
+        counts,
+    )
+
+
+def _around(cuts: np.ndarray, at: np.ndarray, value: int) -> np.ndarray:
+    """*cuts* in order, with *value* inserted at each final position *at*."""
+    out = np.full(cuts.size + at.size, value, dtype=np.intp)
+    keep = np.ones(out.size, dtype=bool)
+    keep[at] = False
+    out[keep] = cuts
+    return out
+
+
+def boundary_cuts(boundaries: np.ndarray, length: int) -> np.ndarray:
+    """Sample indices of scope boundaries: rounded half to even (as
+    ``round``) and clipped to ``[0, length - 1]``; order is kept."""
+    return np.clip(np.rint(boundaries), 0, length - 1).astype(np.intp)
 
 
 def _locate(intervals: Sequence[Interval], index: int) -> int:
@@ -116,53 +180,96 @@ def _locate(intervals: Sequence[Interval], index: int) -> int:
     return max(0, min(len(intervals) - 1, lo))
 
 
-def _locate_many(intervals: Sequence[Interval], indices: np.ndarray) -> np.ndarray:
-    """:func:`_locate` for many sample indices at once, with the same answers.
+def locate_stacked(
+    starts: np.ndarray, ends: np.ndarray, counts: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """:func:`_locate` of every row of *indices* in its own partition.
+
+    Row ``w`` of the ``(W, q)`` array *indices* is looked up among the
+    ``counts[w]`` consecutive intervals stored ``w``-th in *starts* and
+    *ends*; the answers are interval indices within that partition.  One
+    ``searchsorted`` serves all partitions, each lifted into its own key
+    range.
 
     Intervals are consecutive and share their end points.  A sample
-    strictly inside an interval lies in no other one, and
-    ``np.searchsorted`` over the interval starts finds it.  On a point
+    strictly inside an interval lies in no other one, and the search over
+    the interval starts finds it, as does :func:`_locate`.  On a point
     shared by two or more intervals (a boundary, possibly a run of empty
     intervals) :func:`_locate` answers whichever of them its binary search
-    reaches first, which depends on the search path; those samples, at
-    most one distinct value per boundary, are answered by :func:`_locate`
-    itself.
+    reaches first, which depends on the search path; those samples replay
+    that search (:func:`_replay_search`).
     """
-    starts = np.array([iv.start for iv in intervals])
-    found = np.maximum(starts.searchsorted(indices, side="right") - 1, 0)
-    on_boundary = (found > 0) & (starts[found] == indices)
-    if on_boundary.any():
-        shared = indices[on_boundary].tolist()
-        answers = {index: _locate(intervals, index) for index in set(shared)}
-        found[on_boundary] = [answers[index] for index in shared]
+    counts = np.asarray(counts, dtype=np.intp)
+    if not indices.size:
+        return np.zeros(indices.shape, dtype=np.intp)
+    heads = (np.cumsum(counts) - counts)[:, None]
+    if counts.size == 1:
+        keys, lifted_starts, lifted_ends = indices, starts, ends
+    else:
+        low = min(int(starts.min()), int(indices.min()))
+        span = max(int(ends.max()), int(indices.max())) - low + 1
+        lift = np.arange(counts.size) * span - low
+        keys = indices + lift[:, None]
+        lifted_starts = starts + np.repeat(lift, counts)
+        lifted_ends = ends + np.repeat(lift, counts)
+    # The last interval starting at or before each sample.
+    found = np.maximum(lifted_starts.searchsorted(keys, side="right") - 1 - heads, 0)
+    shared = (found > 0) & (starts[heads + found] == indices)
+    if shared.any():
+        which, _ = np.nonzero(shared)
+        # The first interval ending at or after each shared sample.
+        first = lifted_ends.searchsorted(keys[shared], side="left") - heads[which, 0]
+        found[shared] = [
+            _replay_search(count, head, tail)
+            for count, head, tail in zip(
+                counts[which].tolist(), first.tolist(), found[shared].tolist()
+            )
+        ]
     return found
+
+
+@lru_cache(maxsize=1024)
+def _replay_search(count: int, first: int, last: int) -> int:
+    """:func:`_locate` over *count* intervals for a sample that intervals
+    ``first .. last`` (and no other) contain.
+
+    ``index <= end[0]`` is ``first == 0``, ``index >= start[-1]`` is
+    ``last == count - 1``, ``index < start[mid]`` is ``mid > last`` and
+    ``index > end[mid]`` is ``mid < first``: the same tests in the same
+    order, so the same answer.  It depends on the three counts only, so
+    answers are cached.
+    """
+    if first == 0:
+        return 0
+    if last == count - 1:
+        return count - 1
+    lo, hi = 0, count - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if mid > last:
+            hi = mid - 1
+        elif mid < first:
+            lo = mid + 1
+        else:
+            return mid
+    return max(0, min(count - 1, lo))
 
 
 def _boundaries_to_intervals(
     boundaries: Sequence[float], length: int
 ) -> List[Interval]:
-    """Convert sorted boundary positions into consecutive covering intervals.
+    """Convert boundary positions into consecutive covering intervals.
 
-    Boundaries are rounded to sample indices and deduplicated while
-    *preserving multiplicity positions*: each boundary closes the current
-    interval and opens the next one, so ``k`` boundaries produce ``k + 1``
-    intervals (possibly empty, i.e. single-sample, when boundaries
-    coincide or sit at the series ends).
+    Boundaries become sorted cuts (:func:`boundary_cuts`); each cut closes
+    the current interval and opens the next one, so ``k`` boundaries
+    produce ``k + 1`` intervals (possibly empty, i.e. single-sample, when
+    boundaries coincide or sit at the series ends).
     """
-    cuts: List[int] = []
-    for b in boundaries:
-        idx = int(round(b))
-        idx = max(0, min(length - 1, idx))
-        cuts.append(idx)
-    cuts.sort()
-    intervals: List[Interval] = []
-    start = 0
-    for cut in cuts:
-        end = max(start, cut)
-        intervals.append(Interval(start=start, end=end))
-        start = min(length - 1, end)
-    intervals.append(Interval(start=start, end=length - 1))
-    return intervals
+    cuts = np.sort(boundary_cuts(np.asarray(boundaries, dtype=float), length)).tolist()
+    return [
+        Interval(start=start, end=end)
+        for start, end in zip([0] + cuts, cuts + [length - 1])
+    ]
 
 
 def build_interval_partition(

@@ -97,43 +97,76 @@ def match_salient_features(
         return []
     set_x = FeatureSet.of(features_x)
     set_y = FeatureSet.of(features_y)
-    memo = set_x.memo
-    decisions = memo.get((set_y, config)) if memo is not None else None
-    if decisions is None:
-        decisions = _dominant_pairs(set_x, set_y, config)
-        if memo is not None:
-            memo[(set_y, config)] = decisions
     matches = [
         MatchedPair(
             feature_x=set_x[i],
             feature_y=set_y[j],
             descriptor_distance=distance,
         )
-        for i, j, distance in zip(*decisions)
+        for i, j, distance in zip(*match_decisions(set_x, set_y, config, set_x.memo))
     ]
     matches.sort(key=lambda pair: pair.feature_x.position)
     return matches
 
 
+Decisions = Tuple[List[int], List[int], List[float]]
+
+
+def match_decisions(
+    set_x: FeatureSet,
+    set_y: FeatureSet,
+    config: MatchingConfig,
+    memo: Optional[dict] = None,
+    rows: Optional[List[int]] = None,
+) -> Decisions:
+    """The matching rows of *set_x*, their rows of *set_y* and distances.
+
+    With *rows*, the first set is those rows of *set_x*, the arrays a
+    shifted view selecting them holds (matching reads no position), and
+    the matching rows index *rows*.  They come in ascending order.  *memo*
+    (a :meth:`~repro.core.features.FeatureSet.memo_for` dict of views
+    selecting the same rows) returns the decisions made earlier on
+    identical arrays and keeps new ones.
+    """
+    if not (len(set_x) if rows is None else len(rows)) or not len(set_y):
+        return [], [], []
+    key = (set_y, config)
+    decisions = memo.get(key) if memo is not None else None
+    if decisions is None:
+        decisions = _dominant_pairs(set_x, set_y, config, rows)
+        if memo is not None:
+            memo[key] = decisions
+    return decisions
+
+
 def _dominant_pairs(
-    set_x: FeatureSet, set_y: FeatureSet, config: MatchingConfig
-) -> Tuple[List[int], List[int], List[float]]:
-    """The accepted rows of *set_x*, their best rows of *set_y*, distances."""
+    set_x: FeatureSet,
+    set_y: FeatureSet,
+    config: MatchingConfig,
+    rows: Optional[List[int]] = None,
+) -> Decisions:
+    """The accepted rows of *set_x* (of its *rows*), their best rows of
+    *set_y*, distances."""
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
     # Descriptors may have different lengths if callers mix configurations;
     # compare over the common prefix (normal use keeps lengths equal).
     min_len = min(set_x.descriptors.shape[1], set_y.descriptors.shape[1])
-    desc_x, norms_x = _leading_columns(set_x, min_len)
+    desc_x, norms_x = _leading_columns(set_x, min_len, rows)
     desc_y, norms_y = _leading_columns(set_y, min_len)
+    amplitudes_x, sigmas_x = set_x.amplitudes, set_x.sigmas
+    if rows is not None:
+        amplitudes_x, sigmas_x = amplitudes_x[rows], sigmas_x[rows]
     # Pairwise Euclidean distances between descriptors.
     sq = norms_x[:, None] + norms_y[None, :] - 2.0 * desc_x @ desc_y.T
     distances = np.sqrt(np.maximum(sq, 0.0))
 
     admissible = (
-        np.abs(np.subtract.outer(set_x.amplitudes, set_y.amplitudes))
+        np.abs(np.subtract.outer(amplitudes_x, set_y.amplitudes))
         <= config.max_amplitude_difference
     )
-    smaller = np.minimum.outer(set_x.sigmas, set_y.sigmas)
-    ratio = np.maximum.outer(set_x.sigmas, set_y.sigmas) / np.maximum(
+    smaller = np.minimum.outer(sigmas_x, set_y.sigmas)
+    ratio = np.maximum.outer(sigmas_x, set_y.sigmas) / np.maximum(
         smaller, 1e-12, out=smaller
     )
     admissible &= ratio <= config.max_scale_ratio
@@ -160,14 +193,18 @@ def _dominant_pairs(
 
 
 def _leading_columns(
-    feature_set: FeatureSet, count: int
+    feature_set: FeatureSet, count: int, rows: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The first *count* descriptor columns, C-contiguous, and their row norms².
 
     The squared norms are those the set stacked once when no column is
-    cut; a cut matrix gets its own, computed the same way.
+    cut; a cut matrix gets its own, computed the same way.  With *rows*,
+    only those rows.
     """
-    if feature_set.descriptors.shape[1] == count:
-        return feature_set.descriptors, feature_set.squared_norms
-    matrix = np.ascontiguousarray(feature_set.descriptors[:, :count])
+    descriptors, norms = feature_set.descriptors, feature_set.squared_norms
+    if rows is not None:
+        descriptors, norms = descriptors[rows], norms[rows]
+    if descriptors.shape[1] == count:
+        return descriptors, norms
+    matrix = np.ascontiguousarray(descriptors[:, :count])
     return matrix, np.add.reduce(matrix * matrix, axis=1)

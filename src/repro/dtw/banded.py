@@ -72,11 +72,10 @@ def validate_band(band: np.ndarray, n: int, m: int, *, repair: bool = False) -> 
     if arr.shape[0] != n:
         raise BandError(f"band has {arr.shape[0]} rows but the series has {n} points")
 
-    arr[:, 0] = np.clip(arr[:, 0], 0, m - 1)
-    arr[:, 1] = np.clip(arr[:, 1], 0, m - 1)
-    if np.any(arr[:, 0] > arr[:, 1]):
+    np.clip(arr, 0, m - 1, out=arr)
+    bad = arr[:, 0] > arr[:, 1]
+    if bad.any():
         if repair:
-            bad = arr[:, 0] > arr[:, 1]
             arr[bad] = arr[bad][:, ::-1]
         else:
             raise BandError("band has rows with lo > hi")
@@ -104,7 +103,7 @@ def validate_band(band: np.ndarray, n: int, m: int, *, repair: bool = False) -> 
         reach = np.maximum.accumulate(arr[:, 0])
         disconnected = arr[1:, 0] > arr[:-1, 1] + 1
         unreachable = arr[1:, 1] < reach[:-1]
-        if disconnected.any() or unreachable.any():
+        if (disconnected | unreachable).any():
             if not repair:
                 row = int(np.flatnonzero(disconnected | unreachable)[0]) + 1
                 if disconnected[row - 1]:
@@ -127,6 +126,29 @@ def validate_band(band: np.ndarray, n: int, m: int, *, repair: bool = False) -> 
                 if arr[i, 0] > arr[i, 1]:
                     arr[i, 0] = arr[i, 1]
                 reachable_lo = max(reachable_lo, int(arr[i, 0]))
+    return arr
+
+
+def validate_bands(bands: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``validate_band(band, n, m, repair=True)`` for a ``(count, n, 2)`` stack.
+
+    The clipping and every check of :func:`validate_band` run over the
+    whole stack at once.  A band that passes them is its clipped self,
+    which is what :func:`validate_band` returns for it; only the bands
+    that fail one go through :func:`validate_band` to be repaired.  A
+    stack of one goes through it directly.
+    """
+    if len(bands) == 1:
+        return validate_band(bands[0], n, m, repair=True)[None]
+    arr = np.clip(bands, 0, m - 1)
+    lo, hi = arr[..., 0], arr[..., 1]
+    broken = (lo > hi).any(axis=1) | (lo[:, 0] != 0) | (hi[:, n - 1] != m - 1)
+    if n > 1:
+        reach = np.maximum.accumulate(lo, axis=1)
+        broken |= (lo[:, 1:] > hi[:, :-1] + 1).any(axis=1)
+        broken |= (hi[:, 1:] < reach[:, :-1]).any(axis=1)
+    for index in np.flatnonzero(broken).tolist():
+        arr[index] = validate_band(bands[index], n, m, repair=True)
     return arr
 
 

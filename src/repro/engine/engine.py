@@ -38,7 +38,7 @@ import numpy as np
 from .._validation import as_series, check_int_at_least
 from ..core.bands import parse_constraint_spec
 from ..core.config import SDTWConfig
-from ..core.features import SalientFeature
+from ..core.features import FeatureSet, SalientFeature
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
 from ..dtw.banded import banded_dtw
@@ -754,12 +754,14 @@ class DistanceEngine:
         Given features (from candidate generation) are used as they are.
         Otherwise they are extracted on first need and timed into
         *stats*, without entering the stored-series cache, so they are
-        dropped when the query returns.
+        dropped when the query returns.  Either way they are stacked once
+        (:class:`~repro.core.features.FeatureSet`), not once per refined
+        candidate.
         """
         if features is None and self._needs_alignment:
             features, seconds = self._sdtw.query_features(query)
             stats.extract_seconds += seconds
-        return features
+        return None if features is None else FeatureSet.of(features)
 
     def _keogh_tight_applicable(self, n: int) -> bool:
         prep = self._prepared

@@ -20,11 +20,17 @@ window's Gaussian/DoG scale space (Section 3.1.2, Step 1) *incrementally*:
   refreshes the feature snapshot (kept in absolute stream coordinates) is
   served unchanged.
 * **Descriptor caching.**  A descriptor only depends on samples within a
-  bounded support around its keypoint.  Keypoints whose support lies in
-  the window interior keep their descriptor across refreshes (keyed by
-  absolute position and scale), so the per-refresh descriptor cost is
-  proportional to feature churn at the window edges, not to the feature
-  count.
+  bounded support around its keypoint: the descriptor window radius, plus
+  one sample for the centred gradient, plus the smoothing kernel radius
+  on each side.  Keypoints whose support lies in the window interior keep
+  their descriptor across refreshes (keyed by absolute position and
+  scale), so the per-refresh descriptor cost is proportional to feature
+  churn at the window edges, not to the feature count.  The support is
+  smallest at the smallest keypoint σ, so a window shorter than twice
+  that support plus one sample has no interior keypoint and can never
+  reuse a descriptor (under the default descriptor configuration, σ = 1:
+  37 samples a side, so windows under 75 samples); such an extractor
+  decides this once and keeps no cache.
 
 The net effect is the paper's "extract once, reuse everywhere" economics
 transplanted to unbounded streams: the per-tick cost of feature
@@ -212,6 +218,10 @@ class IncrementalExtractor:
         self.window_length = check_int_at_least(window_length, 4, "window_length")
         self.reuse_descriptors = bool(reuse_descriptors)
         self._plans = self._build_plans()
+        self._caching = self.reuse_descriptors and any(
+            2 * self._support(sigma) <= self.window_length - 1
+            for plan in self._plans for sigma in plan.sigmas_absolute
+        )
         self.stride = self._plans[-1].step if self._plans else 1
         if hop is None:
             hop = max(self.stride, self.window_length // 8)
@@ -432,18 +442,25 @@ class IncrementalExtractor:
         self._desc_smoothed[sigma_key] = (smoothed, window_start)
         return np.gradient(smoothed)
 
+    def _support(self, sigma: float) -> int:
+        """Samples a descriptor at scale *sigma* reads on each side.
+
+        The support spans the descriptor window plus one sample for the
+        centred gradient plus the smoothing kernel radius.
+        """
+        return (
+            descriptor_window_radius(sigma, self.config.descriptor)
+            + 1 + _kernel_radius(sigma)
+        )
+
     def _descriptor_cacheable(self, keypoint: Keypoint) -> bool:
         """True when the descriptor's whole support is window-independent.
 
-        The support spans the descriptor window plus one sample for the
-        centred gradient plus the smoothing kernel radius; if any of it
-        touches a window edge the descriptor value depends on where the
-        window currently starts and must not be shared across refreshes.
+        If any of the support touches a window edge the descriptor value
+        depends on where the window currently starts and must not be
+        shared across refreshes.
         """
-        margin = (
-            descriptor_window_radius(keypoint.sigma, self.config.descriptor)
-            + 1 + _kernel_radius(keypoint.sigma)
-        )
+        margin = self._support(keypoint.sigma)
         return (
             keypoint.position - margin >= 0
             and keypoint.position + margin <= self.window_length - 1
@@ -459,49 +476,51 @@ class IncrementalExtractor:
         """Features of the refreshed window, stacked once for matching.
 
         Descriptors of interior keypoints come from the previous refresh's
-        cache; the rest are computed together in one
-        :func:`compute_descriptors` pass, with the window smoothed and its
-        gradient taken once per distinct σ.
+        cache (when the window is long enough to have any); the rest are
+        computed together in one :func:`compute_descriptors` pass, with
+        the window smoothed and its gradient taken once per distinct σ.
         """
-        keys = [
-            (round(kp.position + window_start, 6), round(kp.sigma, 6))
-            for kp in keypoints
-        ]
-        cacheable = [
-            self.reuse_descriptors and self._descriptor_cacheable(kp)
-            for kp in keypoints
-        ]
-        descriptors: List[Optional[np.ndarray]] = [
-            self._descriptor_cache.get(key) if ok and shift is not None else None
-            for key, ok in zip(keys, cacheable)
-        ]
+        sigma_keys = [round(kp.sigma, 6) for kp in keypoints]
+        descriptors: List[Optional[np.ndarray]] = [None] * len(keypoints)
+        if self._caching:
+            keys = [
+                (round(kp.position + window_start, 6), sigma_key)
+                for kp, sigma_key in zip(keypoints, sigma_keys)
+            ]
+            cacheable = [self._descriptor_cacheable(kp) for kp in keypoints]
+            if shift is not None:
+                descriptors = [
+                    self._descriptor_cache.get(key) if ok else None
+                    for key, ok in zip(keys, cacheable)
+                ]
         missing = [k for k, descriptor in enumerate(descriptors) if descriptor is None]
         self.stats.descriptors_reused += len(keypoints) - len(missing)
         self.stats.descriptors_computed += len(missing)
         if missing:
             gradients: Dict[float, np.ndarray] = {}
             for k in missing:
-                sigma_key = keys[k][1]
-                if sigma_key not in gradients:
-                    gradients[sigma_key] = self._descriptor_gradient(
+                if sigma_keys[k] not in gradients:
+                    gradients[sigma_keys[k]] = self._descriptor_gradient(
                         window, keypoints[k].sigma, window_start
                     )
             computed = compute_descriptors(
                 window.size,
                 [keypoints[k].position for k in missing],
                 [keypoints[k].sigma for k in missing],
-                [gradients[keys[k][1]] for k in missing],
+                [gradients[sigma_keys[k]] for k in missing],
                 self.config.descriptor,
             )
             for k, descriptor in zip(missing, computed):
                 descriptors[k] = descriptor
-        # Only descriptors re-validated this refresh survive: anything older
-        # has expired out of the window or sits too close to an edge.
-        self._descriptor_cache = {
-            key: descriptor
-            for key, ok, descriptor in zip(keys, cacheable, descriptors)
-            if ok
-        }
+        if self._caching:
+            # Only descriptors re-validated this refresh survive: anything
+            # older has expired out of the window or sits too close to an
+            # edge.
+            self._descriptor_cache = {
+                key: descriptor
+                for key, ok, descriptor in zip(keys, cacheable, descriptors)
+                if ok
+            }
         features = [
             keypoint_feature(kp, window, descriptor)
             for kp, descriptor in zip(keypoints, descriptors)

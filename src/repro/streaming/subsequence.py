@@ -21,9 +21,11 @@ query pattern:
   :class:`IncrementalExtractor` feature snapshot, i.e. the streaming
   analogue of the paper's salient-feature alignment pipeline (Sections
   3.1–3.3) with extraction amortised across ticks exactly as Section 3.4
-  prescribes; each band also yields a band-envelope bound, and the
-  surviving windows' DPs advance in lock-step
-  (:func:`repro.dtw.banded.banded_dtw_ragged`).
+  prescribes.  A block's bands are built together, from the snapshots'
+  stacked arrays (:func:`build_stream_bands`); each equals the
+  per-window reference :func:`build_stream_band`.  Each band also yields
+  a band-envelope bound, and the surviving windows' DPs advance in
+  lock-step (:func:`repro.dtw.banded.banded_dtw_ragged`).
 
 Both matchers report :class:`StreamMatch` intervals in absolute stream
 coordinates and keep :class:`StreamStats` work accounting compatible with
@@ -43,13 +45,25 @@ from .._validation import as_series, check_positive
 from ..core.bands import (
     ConstraintSpec,
     build_constraint_band,
+    build_constraint_bands,
+    build_symmetric_band,
     parse_constraint_spec,
 )
-from ..core.config import SDTWConfig
-from ..core.consistency import prune_inconsistent_pairs
-from ..core.features import FeatureSet, SalientFeature, extract_salient_features
-from ..core.intervals import build_interval_partition
-from ..core.matching import match_salient_features
+from ..core.config import MatchingConfig, SDTWConfig
+from ..core.consistency import (
+    all_boundaries,
+    combined_scores,
+    commit_consistent,
+    prune_inconsistent_pairs,
+)
+from ..core.features import (
+    FeatureSet,
+    SalientFeature,
+    extract_salient_features,
+    shift_scopes,
+)
+from ..core.intervals import boundary_cuts, build_interval_partition, stack_partitions
+from ..core.matching import match_decisions, match_salient_features
 from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_ragged
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
@@ -347,11 +361,11 @@ def shift_snapshot_features(
     The extractor's snapshot window starts *shift* ticks before the
     current one; features that slid off the front are dropped and scopes
     are clipped to the new window extent, mirroring what batch extraction
-    clips at the series boundary.  This runs every tick, so it selects
-    rows of the snapshot's stacked arrays
-    (:meth:`~repro.core.features.FeatureSet.shifted`) and builds a shifted
-    feature only when it is read: in the per-tick band, only for the
-    features that end up in a matched pair.
+    clips at the series boundary.  It selects rows of the snapshot's
+    stacked arrays (:meth:`~repro.core.features.FeatureSet.shifted`) and
+    builds a shifted feature only when one is read.  This is the
+    per-window reference path; the online matcher shifts no feature
+    (:func:`build_stream_bands`).
     """
     return FeatureSet.of(features).shifted(shift, window_length)
 
@@ -369,8 +383,9 @@ def build_stream_band(
     This is the streaming counterpart of :meth:`repro.core.sdtw.SDTW.build_band`:
     matching + inconsistency pruning + interval partitioning (Sections
     3.2–3.3) run on pre-extracted features, so the only per-tick cost is
-    the alignment itself.  Shared by the online matcher and the offline
-    reference scan so both derive identical bands from identical features.
+    the alignment itself.  It is the per-window reference: the offline
+    scan builds each window's band with it, and the online matcher's
+    :func:`build_stream_bands` must equal it band for band.
     """
     matches = match_salient_features(
         window_features, pattern_features, config.matching
@@ -381,24 +396,193 @@ def build_stream_band(
         window_length, pattern_length, spec, partition, config
     )
     if config.symmetric_band:
-        from ..core.bands import build_symmetric_band
-
-        reverse_matches = match_salient_features(
-            pattern_features, window_features, config.matching
-        )
-        reverse_consistent = prune_inconsistent_pairs(
-            reverse_matches, config.matching
-        )
-        reverse_partition = build_interval_partition(
-            reverse_consistent, pattern_length, window_length
-        )
-        reverse_band = build_constraint_band(
-            pattern_length, window_length, spec, reverse_partition, config
-        )
-        band = build_symmetric_band(
-            band, reverse_band, window_length, pattern_length
+        band = _symmetric(
+            band, spec, window_features, pattern_features,
+            window_length, pattern_length, config,
         )
     return band
+
+
+def _symmetric(
+    band: np.ndarray,
+    spec: ConstraintSpec,
+    window_features: Sequence[SalientFeature],
+    pattern_features: Sequence[SalientFeature],
+    window_length: int,
+    pattern_length: int,
+    config: SDTWConfig,
+) -> np.ndarray:
+    """*band* united with the pattern-driven band (``symmetric_band``)."""
+    reverse_matches = match_salient_features(
+        pattern_features, window_features, config.matching
+    )
+    reverse_consistent = prune_inconsistent_pairs(reverse_matches, config.matching)
+    reverse_partition = build_interval_partition(
+        reverse_consistent, pattern_length, window_length
+    )
+    reverse_band = build_constraint_band(
+        pattern_length, window_length, spec, reverse_partition, config
+    )
+    return build_symmetric_band(band, reverse_band, window_length, pattern_length)
+
+
+def build_stream_bands(
+    spec: ConstraintSpec,
+    snapshots: Sequence[FeatureSet],
+    shifts: Sequence[int],
+    pattern_features: FeatureSet,
+    m: int,
+    config: SDTWConfig,
+) -> np.ndarray:
+    """The adaptive bands of many stream windows, as one ``(W, m, 2)`` array.
+
+    Window ``w`` has the pattern's length *m* and starts ``shifts[w]``
+    samples after its extractor snapshot ``snapshots[w]`` does (windows of
+    one block share snapshots); its band equals :func:`build_stream_band`
+    of ``shift_snapshot_features(snapshots[w], shifts[w], m)``, bit for
+    bit.  It gets there without a per-window object:
+
+    1. Each window's match decisions come from the snapshot's memo of its
+       row selection (:meth:`~repro.core.features.FeatureSet.memo_for`),
+       or are made on exactly those rows.
+    2. The matched pairs of all windows are scored together
+       (:func:`~repro.core.consistency.combined_scores`) from the
+       snapshots' stacked positions and shifted scopes
+       (:func:`~repro.core.features.shift_scopes`).
+    3. Each window commits its pairs on plain floats
+       (:func:`~repro.core.consistency.commit_consistent`).
+    4. The committed boundaries become cuts
+       (:func:`~repro.core.intervals.boundary_cuts`), and the block's
+       partitions are banded and validated in one pass
+       (:func:`~repro.core.bands.build_constraint_bands`).
+
+    With ``symmetric_band`` on, each window's pattern-driven band is
+    still built per window and united with its band.
+    """
+    pattern = FeatureSet.of(pattern_features)
+    shift_array = np.asarray(shifts, dtype=np.intp)
+    sources, rows, columns, distances, sizes = _window_matches(
+        snapshots, shift_array, pattern, m, config.matching
+    )
+    cut_counts = [0] * len(shifts)
+    committed_x: List[float] = []
+    committed_y: List[float] = []
+    if distances:
+        limit = float(m - 1)
+        window = np.repeat(np.arange(len(shifts)), sizes)
+        shift = shift_array[window]
+        raw_start = np.concatenate([s.scope_starts for s in sources])[rows]
+        raw_end = np.concatenate([s.scope_ends for s in sources])[rows]
+        start_x, end_x = shift_scopes(raw_start, raw_end, shift, limit)
+        # A window at its snapshot's start reads the snapshot itself.
+        start_x = np.where(shift > 0, start_x, raw_start)
+        end_x = np.where(shift > 0, end_x, raw_end)
+        center_x = np.concatenate([s.positions for s in sources])[rows] - shift
+        start_y = pattern.scope_starts[columns]
+        end_y = pattern.scope_ends[columns]
+        # 2. Each window's pairs in match order (by position), scored.
+        order = np.lexsort((center_x, window))
+        sizes_array = np.asarray(sizes)
+        groups = (np.cumsum(sizes_array) - sizes_array)[sizes_array > 0]
+        _, _, combined = combined_scores(
+            np.asarray(distances)[order],
+            (end_x - start_x)[order],
+            (end_y - start_y)[order],
+            np.abs(center_x - pattern.positions[columns])[order],
+            np.concatenate([s.mean_amplitudes for s in sources])[rows][order],
+            pattern.mean_amplitudes[columns][order],
+            groups,
+        )
+        # 3. Commit order: best combined score first, ties in match order.
+        commit = order[np.lexsort((-combined, window[order]))]
+        bounds = list(zip(
+            start_x[commit].tolist(), end_x[commit].tolist(),
+            start_y[commit].tolist(), end_y[commit].tolist(),
+        ))
+        first = 0
+        for index, size in enumerate(sizes):
+            if not size:
+                continue
+            pairs = bounds[first: first + size]
+            first += size
+            if config.matching.prune_inconsistencies:
+                _, boundaries_x, boundaries_y = commit_consistent(pairs)
+            else:
+                boundaries_x, boundaries_y = all_boundaries(pairs)
+            committed_x += boundaries_x
+            committed_y += boundaries_y
+            cut_counts[index] = len(boundaries_x)
+
+    # 4. Sorted boundaries give sorted cuts: rounding and clipping keep order.
+    stack = stack_partitions(
+        boundary_cuts(np.asarray(committed_x, dtype=float), m),
+        boundary_cuts(np.asarray(committed_y, dtype=float), m),
+        cut_counts, m, m,
+    )
+    bands = build_constraint_bands(m, m, spec, stack, config)
+    if config.symmetric_band:
+        for index, (snapshot, shift) in enumerate(zip(snapshots, shifts)):
+            bands[index] = _symmetric(
+                bands[index], spec, snapshot.shifted(shift, m), pattern,
+                m, m, config,
+            )
+    return bands
+
+
+def _window_matches(
+    snapshots: Sequence[FeatureSet],
+    shifts: np.ndarray,
+    pattern: FeatureSet,
+    m: int,
+    matching: MatchingConfig,
+) -> Tuple[List[FeatureSet], np.ndarray, np.ndarray, List[float], List[int]]:
+    """Step 1 of :func:`build_stream_bands`: every window's matched pairs.
+
+    Returns the snapshots of the windows' runs (consecutive windows
+    reading one snapshot), and per pair, window after window: its row in
+    the concatenation of those snapshots, its pattern row and its
+    descriptor distance; then each window's pair count.  A window's rows
+    are the features inside it, all of them at shift 0 (where the window
+    reads the snapshot itself); consecutive windows of a run often select
+    the same rows and share their decisions.
+    """
+    limit = float(m - 1)
+    sources: List[FeatureSet] = []
+    rows_of_pairs: List[int] = []
+    pattern_rows: List[int] = []
+    distances: List[float] = []
+    sizes: List[int] = []
+    offset = begin = 0
+    while begin < len(snapshots):
+        snapshot = snapshots[begin]
+        end = begin + 1
+        while end < len(snapshots) and snapshots[end] is snapshot:
+            end += 1
+        run = shifts[begin:end, None]
+        moved = snapshot.positions - run
+        inside = ((moved >= 0.0) & (moved <= limit)) | (run == 0)
+        repeats = [False] + (inside[1:] == inside[:-1]).all(axis=1).tolist()
+        for index, repeat in enumerate(repeats):
+            if not repeat:
+                rows = np.flatnonzero(inside[index]).tolist()
+                chosen, columns, found = match_decisions(
+                    snapshot, pattern, matching, snapshot.memo_for(rows), rows
+                )
+                chosen = [offset + rows[i] for i in chosen]
+            rows_of_pairs += chosen
+            pattern_rows += columns
+            distances += found
+            sizes.append(len(chosen))
+        sources.append(snapshot)
+        offset += len(snapshot)
+        begin = end
+    return (
+        sources,
+        np.asarray(rows_of_pairs, dtype=np.intp),
+        np.asarray(pattern_rows, dtype=np.intp),
+        distances,
+        sizes,
+    )
 
 
 class SlidingWindowMatcher:
@@ -552,7 +736,8 @@ class SlidingWindowMatcher:
 
         The caller appends the block to *buffer* first; the earliest of
         its windows must still be retained.  Adaptive constraints build
-        each window's band from *snapshots*, the extractor's
+        the bands of the windows that survive LB_Keogh together
+        (:func:`build_stream_bands`) from *snapshots*, the extractor's
         ``(features, snapshot_start)`` at each of the block's full-window
         ticks as :meth:`IncrementalExtractor.observe_block` returns them;
         without them the matcher drives its own extractor over the block.
@@ -636,8 +821,14 @@ class SlidingWindowMatcher:
             return distances
         if not alive.size:
             return distances
-        bands = np.stack([self._band(first + index, snapshots[index])
-                          for index in alive.tolist()])
+        picked = [snapshots[index] for index in alive.tolist()]
+        bands = build_stream_bands(
+            self._spec,
+            [features for features, _ in picked],
+            [first + index - self._m + 1 - start
+             for index, (_, start) in zip(alive.tolist(), picked)],
+            self._pattern_features, self._m, self.config,
+        )
         if self._range_table is not None:
             bound = lb_band_envelope(windows[alive], bands, self._range_table)
             # The bound sums in another order than the DP, so it gets the
@@ -653,17 +844,6 @@ class SlidingWindowMatcher:
         stats.dp_runs += alive.size - int(abandoned.sum())
         distances[alive] = found
         return distances
-
-    def _band(self, tick: int, snapshot: Tuple[FeatureSet, int]) -> np.ndarray:
-        """Adaptive band of the window ending at *tick* from a snapshot."""
-        features, snapshot_start = snapshot
-        window_features = shift_snapshot_features(
-            features, tick - self._m + 1 - snapshot_start, self._m
-        )
-        return build_stream_band(
-            self._spec, window_features, self._pattern_features,
-            self._m, self._m, self.config,
-        )
 
     def update(self, buffer: StreamBuffer) -> List[StreamMatch]:
         """Score the window ending at the buffer's newest sample.

@@ -7,6 +7,7 @@ generators and examples use the normalisation and resampling helpers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,13 +20,23 @@ def gaussian_kernel(sigma: float, truncate: float = 4.0) -> np.ndarray:
 
     The kernel is truncated at ``truncate * sigma`` samples on each side
     (matching the common scipy convention) and normalised to sum to one so
-    smoothing preserves the series mean.
+    smoothing preserves the series mean.  Returns a fresh copy of the
+    cached kernel.
     """
-    sigma = check_positive(sigma, "sigma")
+    return _kernel(check_positive(sigma, "sigma"), float(truncate)).copy()
+
+
+@lru_cache(maxsize=256)
+def _kernel(sigma: float, truncate: float) -> np.ndarray:
+    """The kernel of :func:`gaussian_kernel`, built once per (σ, truncate)
+    and shared read-only: feature extraction smooths at a handful of σ
+    many times over."""
     radius = max(1, int(truncate * sigma + 0.5))
     positions = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(positions ** 2) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
+    kernel = kernel / kernel.sum()
+    kernel.setflags(write=False)
+    return kernel
 
 
 def gaussian_smooth(
@@ -40,7 +51,7 @@ def gaussian_smooth(
     difference-of-Gaussian analysis.
     """
     values = as_series(series, "series")
-    kernel = gaussian_kernel(sigma, truncate)
+    kernel = _kernel(check_positive(sigma, "sigma"), float(truncate))
     radius = (kernel.size - 1) // 2
     if radius == 0:
         return values.copy()

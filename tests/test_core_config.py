@@ -137,10 +137,6 @@ class TestSDTWConfig:
             SDTWConfig(adaptive_width_lower_bound=0.5,
                        adaptive_width_upper_bound=0.3)
 
-    def test_negative_neighbor_radius_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SDTWConfig(neighbor_radius=-1)
-
     def test_configs_are_immutable(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.width_fraction = 0.5  # type: ignore[misc]
@@ -176,6 +172,14 @@ class TestDictRoundTrips:
         rebuilt = SDTWConfig.from_dict(config.to_dict())
         assert rebuilt == config
         assert rebuilt.descriptor.num_bins == 8
+
+    def test_retired_neighbor_radius_key_is_dropped(self):
+        # ac2,aw's averaging radius comes from the constraint label; the
+        # knob configurations once persisted never reached the bands.
+        payload = SDTWConfig(width_fraction=0.06).to_dict()
+        assert "neighbor_radius" not in payload
+        payload["neighbor_radius"] = 3
+        assert SDTWConfig.from_dict(payload) == SDTWConfig(width_fraction=0.06)
 
     def test_round_trip_is_json_compatible(self):
         import json

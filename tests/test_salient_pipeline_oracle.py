@@ -2,17 +2,20 @@
 
 The reference functions below are the loop versions the array code
 replaced, kept as written: keypoint detection, descriptors (with the
-feature assembly of batch extraction), dominant-pair matching, the
-adaptive core with the adaptive-width loop, per-tick feature shifting
-and the per-tick stream band built from them.  The array versions
-compute every value with the same float operations in the same order,
-so each property asserts exact equality, never closeness.
+feature assembly of batch extraction), dominant-pair matching, pair
+scoring with the consistency greedy over boundary-order objects, the
+interval partition, the adaptive core with the adaptive-width loop,
+per-tick feature shifting and the per-tick stream band built from them.
+The array versions compute every value with the same float operations in
+the same order, so each property asserts exact equality, never
+closeness.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
@@ -33,7 +36,11 @@ from repro.core.config import (
     ScaleSpaceConfig,
     SDTWConfig,
 )
-from repro.core.consistency import prune_inconsistent_pairs
+from repro.core.consistency import (
+    ConsistentAlignment,
+    ScoredPair,
+    prune_inconsistent_pairs,
+)
 from repro.core.descriptors import (
     compute_descriptor,
     compute_descriptors,
@@ -45,8 +52,10 @@ from repro.core.features import (
     extract_salient_features,
 )
 from repro.core.intervals import (
+    Interval,
     IntervalPartition,
     build_interval_partition,
+    locate_stacked,
     partition_from_boundaries,
 )
 from repro.core.keypoints import Keypoint
@@ -54,10 +63,16 @@ from repro.core.matching import MatchedPair, match_salient_features
 from repro.core.scale_space import ScaleSpace, build_scale_space, classify_scale
 from repro.dtw.banded import validate_band
 from repro.dtw.constraints import sakoe_chiba_band_fraction
+from repro.exceptions import ValidationError
 from repro.streaming.buffer import StreamBuffer
 from repro.streaming.incremental import IncrementalExtractor
-from repro.streaming.subsequence import build_stream_band, shift_snapshot_features
+from repro.streaming.subsequence import (
+    build_stream_band,
+    build_stream_bands,
+    shift_snapshot_features,
+)
 from repro.utils.preprocessing import gaussian_smooth
+from repro.utils.stats import safe_divide
 
 
 # ---------------------------------------------------------------------- #
@@ -411,6 +426,249 @@ def reference_match_salient_features(
     return matches
 
 
+def reference_amplitude_percentage_difference(pair: MatchedPair) -> float:
+    """Δ_amp: relative difference between the mean scope amplitudes of a pair.
+
+    Expressed as a fraction of the larger magnitude, clipped to [0, 1], so
+    ``1 − Δ_amp`` stays a usable multiplicative factor.
+    """
+    a = pair.feature_x.mean_amplitude
+    b = pair.feature_y.mean_amplitude
+    denom = max(abs(a), abs(b))
+    if denom == 0:
+        return 0.0
+    return float(min(1.0, abs(a - b) / denom))
+
+
+def reference_score_pairs(pairs: Sequence[MatchedPair]) -> List[ScoredPair]:
+    """Compute μ_align, μ_sim and the combined F-measure score for all pairs."""
+    if not pairs:
+        return []
+    similarities = [pair.descriptor_similarity for pair in pairs]
+    min_similarity = min(similarities)
+    raw_align: List[float] = []
+    raw_sim: List[float] = []
+    for pair in pairs:
+        scope_avg = (pair.feature_x.scope_length + pair.feature_y.scope_length) / 2.0
+        align = scope_avg / (1.0 + pair.center_offset)
+        sim = safe_divide(pair.descriptor_similarity, min_similarity, default=1.0)
+        sim *= 1.0 - reference_amplitude_percentage_difference(pair)
+        raw_align.append(align)
+        raw_sim.append(sim)
+    max_align = max(raw_align) if max(raw_align) > 0 else 1.0
+    max_sim = max(raw_sim) if max(raw_sim) > 0 else 1.0
+    scored: List[ScoredPair] = []
+    for pair, align, sim in zip(pairs, raw_align, raw_sim):
+        ns_align = align / max_align
+        ns_sim = sim / max_sim
+        if ns_align + ns_sim == 0:
+            combined = 0.0
+        else:
+            combined = 2.0 * ns_align * ns_sim / (ns_align + ns_sim)
+        scored.append(
+            ScoredPair(
+                pair=pair,
+                alignment_score=align,
+                similarity_score=sim,
+                combined_score=combined,
+            )
+        )
+    return scored
+
+
+class _BoundaryOrder:
+    """Sorted list of committed scope boundaries for one series."""
+
+    def __init__(self) -> None:
+        self._values: List[float] = []
+
+    def rank_of(self, value: float) -> int:
+        """Rank (insertion index) the value would take in the current order."""
+        return bisect.bisect_left(self._values, value)
+
+    def has_value(self, value: float) -> bool:
+        """True if an identical boundary value is already committed."""
+        idx = bisect.bisect_left(self._values, value)
+        return idx < len(self._values) and self._values[idx] == value
+
+    def insert(self, value: float) -> None:
+        bisect.insort(self._values, value)
+
+    def values(self) -> Tuple[float, ...]:
+        return tuple(self._values)
+
+
+def _ranks_compatible(
+    order_x: _BoundaryOrder,
+    order_y: _BoundaryOrder,
+    value_x: float,
+    value_y: float,
+) -> bool:
+    """Check that inserting (value_x, value_y) keeps the two orders aligned.
+
+    The ranks must be equal; as the paper notes, exact ties on existing
+    boundary values are also accepted (the "special cases" exception),
+    because an identical time value cannot introduce a crossing.
+    """
+    if order_x.rank_of(value_x) == order_y.rank_of(value_y):
+        return True
+    return order_x.has_value(value_x) and order_y.has_value(value_y)
+
+
+def reference_prune_inconsistent_pairs(
+    pairs: Sequence[MatchedPair],
+    config: Optional[MatchingConfig] = None,
+) -> ConsistentAlignment:
+    """Remove temporally inconsistent matched pairs.
+
+    Pairs are committed greedily in descending order of their combined
+    score; a pair is kept only if both its start boundaries and both its
+    end boundaries can be inserted at matching ranks of the two per-series
+    boundary orderings (no crossings), treating each pair's insertion
+    atomically.
+
+    Parameters
+    ----------
+    pairs:
+        Candidate matched pairs from :func:`match_salient_features`.
+    config:
+        Matching configuration.  If ``prune_inconsistencies`` is False the
+        pairs are only scored and returned unchanged (useful for the
+        ablation study).
+
+    Returns
+    -------
+    ConsistentAlignment
+    """
+    if config is None:
+        config = MatchingConfig()
+    scored = reference_score_pairs(pairs)
+    scored.sort(key=lambda sp: sp.combined_score, reverse=True)
+
+    if not config.prune_inconsistencies:
+        kept_all = tuple(sorted((sp.pair for sp in scored),
+                                key=lambda p: p.feature_x.position))
+        bx = tuple(sorted(
+            b for p in kept_all
+            for b in (p.feature_x.scope_start, p.feature_x.scope_end)
+        ))
+        by = tuple(sorted(
+            b for p in kept_all
+            for b in (p.feature_y.scope_start, p.feature_y.scope_end)
+        ))
+        return ConsistentAlignment(
+            pairs=kept_all,
+            scored_pairs=tuple(scored),
+            boundaries_x=bx,
+            boundaries_y=by,
+        )
+
+    order_x = _BoundaryOrder()
+    order_y = _BoundaryOrder()
+    kept: List[MatchedPair] = []
+    for sp in scored:
+        pair = sp.pair
+        st_x, end_x = pair.feature_x.scope_start, pair.feature_x.scope_end
+        st_y, end_y = pair.feature_y.scope_start, pair.feature_y.scope_end
+        # Tentatively check the start boundary, then the end boundary given
+        # the start has (virtually) been inserted.  Because both starts are
+        # inserted before both ends and st <= end, checking the two
+        # boundaries independently against the committed orders is
+        # equivalent to the paper's sequential insertion attempt.
+        if not _ranks_compatible(order_x, order_y, st_x, st_y):
+            continue
+        if not _ranks_compatible(order_x, order_y, end_x, end_y):
+            continue
+        # Additionally require that the start/end of this pair do not
+        # straddle an existing committed boundary asymmetrically: the rank
+        # of the end (after inserting the start) must also match.
+        rank_end_x = order_x.rank_of(end_x) + (1 if st_x <= end_x else 0)
+        rank_end_y = order_y.rank_of(end_y) + (1 if st_y <= end_y else 0)
+        if rank_end_x != rank_end_y and not (
+            order_x.has_value(end_x) and order_y.has_value(end_y)
+        ):
+            continue
+        order_x.insert(st_x)
+        order_x.insert(end_x)
+        order_y.insert(st_y)
+        order_y.insert(end_y)
+        kept.append(pair)
+
+    kept.sort(key=lambda p: p.feature_x.position)
+    return ConsistentAlignment(
+        pairs=tuple(kept),
+        scored_pairs=tuple(scored),
+        boundaries_x=order_x.values(),
+        boundaries_y=order_y.values(),
+    )
+
+
+def _reference_boundaries_to_intervals(
+    boundaries: Sequence[float], length: int
+) -> List[Interval]:
+    """Convert sorted boundary positions into consecutive covering intervals.
+
+    Boundaries are rounded to sample indices and deduplicated while
+    *preserving multiplicity positions*: each boundary closes the current
+    interval and opens the next one, so ``k`` boundaries produce ``k + 1``
+    intervals (possibly empty, i.e. single-sample, when boundaries
+    coincide or sit at the series ends).
+    """
+    cuts: List[int] = []
+    for b in boundaries:
+        idx = int(round(b))
+        idx = max(0, min(length - 1, idx))
+        cuts.append(idx)
+    cuts.sort()
+    intervals: List[Interval] = []
+    start = 0
+    for cut in cuts:
+        end = max(start, cut)
+        intervals.append(Interval(start=start, end=end))
+        start = min(length - 1, end)
+    intervals.append(Interval(start=start, end=length - 1))
+    return intervals
+
+
+def reference_build_interval_partition(
+    alignment: ConsistentAlignment, n: int, m: int
+) -> IntervalPartition:
+    """Build the corresponding interval partitions from a consistent alignment.
+
+    Parameters
+    ----------
+    alignment:
+        Output of :func:`repro.core.consistency.prune_inconsistent_pairs`.
+        Its two boundary lists have equal length by construction.
+    n, m:
+        Lengths of the two series.
+
+    Returns
+    -------
+    IntervalPartition
+        With no committed boundaries the partition degenerates to a single
+        interval pair covering both series (which yields a plain diagonal
+        core and a global width — the graceful fallback the complexity
+        discussion in Section 3.4 anticipates).
+    """
+    if n < 1 or m < 1:
+        raise ValidationError("series lengths must be >= 1")
+    bx = list(alignment.boundaries_x)
+    by = list(alignment.boundaries_y)
+    if len(bx) != len(by):
+        raise ValidationError(
+            "consistent alignment must provide equally many boundaries per series"
+        )
+    intervals_x = _reference_boundaries_to_intervals(bx, n)
+    intervals_y = _reference_boundaries_to_intervals(by, m)
+    return IntervalPartition(
+        intervals_x=tuple(intervals_x),
+        intervals_y=tuple(intervals_y),
+        n=n,
+        m=m,
+    )
+
+
 def _candidate_points_adaptive_core(
     n: int, m: int, partition: IntervalPartition
 ) -> np.ndarray:
@@ -590,8 +848,10 @@ def reference_build_stream_band(
     matches = reference_match_salient_features(
         window_features, pattern_features, config.matching
     )
-    consistent = prune_inconsistent_pairs(matches, config.matching)
-    partition = build_interval_partition(consistent, window_length, pattern_length)
+    consistent = reference_prune_inconsistent_pairs(matches, config.matching)
+    partition = reference_build_interval_partition(
+        consistent, window_length, pattern_length
+    )
     band = reference_build_constraint_band(
         window_length, pattern_length, spec, partition, config
     )
@@ -599,10 +859,10 @@ def reference_build_stream_band(
         reverse_matches = reference_match_salient_features(
             pattern_features, window_features, config.matching
         )
-        reverse_consistent = prune_inconsistent_pairs(
+        reverse_consistent = reference_prune_inconsistent_pairs(
             reverse_matches, config.matching
         )
-        reverse_partition = build_interval_partition(
+        reverse_partition = reference_build_interval_partition(
             reverse_consistent, pattern_length, window_length
         )
         reverse_band = reference_build_constraint_band(
@@ -852,13 +1112,20 @@ def test_matching_of_shifted_sets_matches_reference(args_x, args_y, args_z, conf
 
 
 @ORACLE
-@given(partitions())
+@given(st.lists(partitions(), min_size=1, max_size=4))
 def test_interval_lookup_matches_binary_search(drawn):
-    _, m, partition = drawn
-    samples = np.arange(-3, m + 3)
-    assert partition.interval_indices_for_y(samples).tolist() == [
-        partition.interval_index_for_y(int(j)) for j in samples
-    ]
+    # One lookup over a stack of partitions (of different lengths), with
+    # samples beyond both ends, against each partition's binary search.
+    stacks = [partition.stack() for _, _, partition in drawn]
+    samples = np.arange(-3, max(m for _, m, _ in drawn) + 3)
+    found = locate_stacked(
+        np.concatenate([stack.starts_y for stack in stacks]),
+        np.concatenate([stack.ends_y for stack in stacks]),
+        np.concatenate([stack.counts for stack in stacks]),
+        np.tile(samples, (len(drawn), 1)),
+    )
+    for row, (_, _, partition) in zip(found, drawn):
+        assert row.tolist() == [partition.interval_index_for_y(int(j)) for j in samples]
 
 
 @ORACLE
@@ -866,7 +1133,7 @@ def test_interval_lookup_matches_binary_search(drawn):
 def test_constraint_bands_match_reference(drawn, spec, config):
     n, m, partition = drawn
     assert np.array_equal(
-        bands._candidate_points_adaptive_core(n, m, partition),
+        bands._adaptive_cores(n, m, partition.stack())[0],
         _candidate_points_adaptive_core(n, m, partition),
     )
     assert np.array_equal(
@@ -892,6 +1159,116 @@ def test_stream_band_matches_reference(args_w, args_p, spec, config, shift):
             parsed, reference_shift_snapshot_features(snapshot, shift, window.size),
             pattern_features, window.size, pattern.size, config,
         ),
+    )
+
+
+@ORACLE
+@given(
+    st.integers(16, 96),
+    st.integers(0, 2 ** 32 - 1),
+    st.booleans(),
+    st.sampled_from(SPECS),
+    sdtw_configs,
+    st.booleans(),
+    st.integers(1, 8),
+    st.integers(0, 3),
+)
+def test_stream_bands_match_per_window_bands(
+    m, seed, quantize, spec, config, prune, hop, empty
+):
+    # A block of windows over three consecutive snapshots, each read at
+    # shifts 0 .. hop - 1 (one of them empty when ``empty`` < 3), against
+    # the per-window band and the reference pipeline.
+    config = replace(
+        config, matching=replace(config.matching, prune_inconsistencies=prune)
+    )
+    stream = make_series(m + 3 * hop, seed, quantize)
+    pattern_features = extract_salient_features(
+        make_series(m, seed ^ 1, quantize), config
+    )
+    snapshots: List[FeatureSet] = []
+    shifts: List[int] = []
+    for block in range(3):
+        start = block * hop
+        snapshot = FeatureSet(
+            () if block == empty
+            else extract_salient_features(stream[start: start + m], config)
+        )
+        snapshots += [snapshot] * hop
+        shifts += list(range(hop))
+    parsed = parse_constraint_spec(spec)
+    pattern = FeatureSet(pattern_features)
+    got = build_stream_bands(parsed, snapshots, shifts, pattern, m, config)
+    assert got.shape == (len(shifts), m, 2)
+    for band, snapshot, shift in zip(got, snapshots, shifts):
+        assert np.array_equal(band, build_stream_band(
+            parsed, shift_snapshot_features(snapshot, shift, m), pattern,
+            m, m, config,
+        ))
+        assert np.array_equal(band, reference_build_stream_band(
+            parsed, reference_shift_snapshot_features(list(snapshot), shift, m),
+            pattern_features, m, m, config,
+        ))
+
+
+@ORACLE
+@given(
+    synthetic_features(),
+    synthetic_features(),
+    matching_configs,
+    st.sampled_from(SPECS),
+    st.lists(st.integers(0, 12), min_size=1, max_size=8),
+)
+def test_stream_bands_match_per_window_bands_on_ties(
+    snapshot, pattern_features, matching, spec, shifts
+):
+    # Hand-built features: tied distances, scores and positions, scopes
+    # past the window (kept as they are at shift 0), features outside it.
+    config = SDTWConfig(matching=matching)
+    snapshot, pattern = FeatureSet(snapshot), FeatureSet(pattern_features)
+    parsed = parse_constraint_spec(spec)
+    got = build_stream_bands(parsed, [snapshot] * len(shifts), shifts, pattern, 40, config)
+    for band, shift in zip(got, shifts):
+        assert np.array_equal(band, reference_build_stream_band(
+            parsed, reference_shift_snapshot_features(list(snapshot), shift, 40),
+            pattern_features, 40, 40, config,
+        ))
+
+
+@ORACLE
+@given(synthetic_features(), synthetic_features(), matching_configs, st.booleans())
+def test_pruning_and_partition_match_reference(features_x, features_y, config, prune):
+    config = replace(config, prune_inconsistencies=prune)
+    matches = match_salient_features(features_x, features_y, config)
+    ours = prune_inconsistent_pairs(matches, config)
+    theirs = reference_prune_inconsistent_pairs(matches, config)
+    assert ours == theirs
+    assert [repr(value) for value in ours.boundaries_x + ours.boundaries_y] == [
+        repr(value) for value in theirs.boundaries_x + theirs.boundaries_y
+    ]
+    assert build_interval_partition(ours, 64, 70) == (
+        reference_build_interval_partition(theirs, 64, 70)
+    )
+
+
+@ORACLE
+@given(
+    st.one_of(
+        series_args.map(lambda args: extract_salient_features(make_series(*args))),
+        synthetic_features(),
+    ),
+    st.integers(0, 40),
+)
+def test_feature_set_arrays_match_items(features, shift):
+    stacked = FeatureSet(features)
+    for view in (stacked, stacked.shifted(shift, 40)):
+        assert view.positions.tolist() == [f.position for f in view]
+        assert view.scope_starts.tolist() == [f.scope_start for f in view]
+        assert view.scope_ends.tolist() == [f.scope_end for f in view]
+        assert view.mean_amplitudes.tolist() == [f.mean_amplitude for f in view]
+    assert_features_identical(
+        stacked.shifted(shift, 40),
+        reference_shift_snapshot_features(features, shift, 40),
     )
 
 

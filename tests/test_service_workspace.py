@@ -463,6 +463,51 @@ class TestRetiredServingKeys:
             ServingConfig.from_dict({"micro_batch": True, "trace_rings": 7})
 
 
+class TestRetiredSDTWKey:
+    """Manifests written while SDTWConfig still had ``neighbor_radius``
+    carry it in the workspace's ``sdtw`` section and in the index's
+    ``extraction_config``; such workspaces open and answer bit-identically
+    under an adaptive constraint, and re-save without the key."""
+
+    def test_old_manifests_open_and_answer_identically(self, dataset, tmp_path):
+        config = WorkspaceConfig(
+            engine=EngineConfig(constraint="ac2,aw"),
+            index=IndexConfig(num_codewords=24, num_shards=2, candidate_budget=6),
+            default_k=3,
+        )
+        target = str(tmp_path / "ws")
+        workspace = _fill(Workspace.create(target, config), dataset)
+        workspace.build_index()
+        workspace.close()
+        manifest_path = os.path.join(target, "workspace.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert "neighbor_radius" not in manifest["config"]["sdtw"]
+        manifest["config"]["sdtw"]["neighbor_radius"] = 3
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        index_manifest_path = os.path.join(
+            target, manifest["index_dir"], "manifest.json"
+        )
+        with open(index_manifest_path, encoding="utf-8") as handle:
+            index_manifest = json.load(handle)
+        index_manifest["extraction_config"]["neighbor_radius"] = 3
+        with open(index_manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(index_manifest, handle)
+
+        fresh = _fill(Workspace(config), dataset)
+        fresh.build_index()
+        with Workspace.open(target) as reopened:
+            for mode in ("exact", "indexed"):
+                ours = reopened.query(dataset[0].values, mode=mode)
+                theirs = fresh.query(dataset[0].values, mode=mode)
+                assert ours.ids == theirs.ids
+                assert ours.distances == theirs.distances
+            reopened.save()
+        with open(manifest_path, encoding="utf-8") as handle:
+            assert "neighbor_radius" not in json.load(handle)["config"]["sdtw"]
+
+
 class TestPairwiseAndStreaming:
     def test_pairwise_matches_direct_sdtw(self, dataset, config):
         from repro.core.sdtw import SDTW

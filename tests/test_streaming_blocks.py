@@ -4,22 +4,35 @@
 together.  Whatever the chunk size, every pattern must report what the
 per-tick offline scans report, the merged list must come back in (settle
 tick, registration order), and the work counters must not depend on how
-the stream was cut.
+the stream was cut.  A block's adaptive bands, built together, must equal
+the per-window bands the offline scan builds.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.core.config import DescriptorConfig, SDTWConfig
+from repro.core.bands import parse_constraint_spec
+from repro.core.config import DescriptorConfig, MatchingConfig, SDTWConfig
+from repro.core.features import FeatureSet, extract_salient_features
+from repro.core.matching import match_salient_features
 from repro.datasets.generators import embed_pattern_stream, make_stream_patterns
 from repro.exceptions import ValidationError
 from repro.streaming import StreamMonitor
+from repro.streaming.buffer import StreamBuffer
+from repro.streaming.incremental import IncrementalExtractor
 from repro.streaming.offline import (
     calibrate_thresholds,
     naive_sliding_scan,
     naive_spring_scan,
+)
+from repro.streaming.subsequence import (
+    build_stream_band,
+    build_stream_bands,
+    shift_snapshot_features,
 )
 
 M = 32
@@ -163,3 +176,74 @@ class TestWholeChunks:
         expected = fresh.extend("s", good) + fresh.finalize("s")
         assert [key(m) for m in got] == [key(m) for m in expected]
         assert got
+
+
+class TestBlockBands:
+    """``build_stream_bands`` over each block of a stream, against the
+    per-window ``build_stream_band``.  Without ``symmetric_band`` (whose
+    per-window reverse bands go through the same helpers) the counters
+    check that the run reaches the block's special paths: bands that need
+    repair, interval lookups on shared interval starts, and windows
+    without a match."""
+
+    @pytest.mark.parametrize("constraint", ["fc,aw", "ac,fw", "ac,aw", "ac2,aw"])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_block_bands_equal_per_window_bands(
+        self, setup, constraint, symmetric, monkeypatch
+    ):
+        stream, _, kinds = setup
+        config = SDTWConfig(
+            descriptor=DescriptorConfig(num_bins=16),
+            matching=MatchingConfig(max_amplitude_difference=0.05),
+            symmetric_band=symmetric,
+        )
+        spec = parse_constraint_spec(constraint)
+        pattern = FeatureSet(extract_salient_features(kinds[0][1], config))
+        extractor = IncrementalExtractor(M, config, hop=4)
+        buffer = StreamBuffer(capacity=stream.size)
+        banded = importlib.import_module("repro.dtw.banded")
+        intervals = importlib.import_module("repro.core.intervals")
+        seen = {"repairs": 0, "replays": 0, "unmatched": 0, "windows": 0}
+
+        def counted(module, name, counter):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                seen[counter] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for begin in range(0, stream.size, 40):
+            chunk = stream[begin: begin + 40]
+            for value in chunk:
+                buffer.append(value)
+            snapshots = extractor.observe_block(buffer, chunk.size)
+            if not snapshots:
+                continue
+            first = max(buffer.total - chunk.size, M - 1)
+            shifts = [first + k - M + 1 - start
+                      for k, (_, start) in enumerate(snapshots)]
+            with monkeypatch.context() as patch:
+                patch.setattr(banded, "validate_band",
+                              counted(banded, "validate_band", "repairs"))
+                patch.setattr(intervals, "_replay_search",
+                              counted(intervals, "_replay_search", "replays"))
+                bands = build_stream_bands(
+                    spec, [features for features, _ in snapshots], shifts,
+                    pattern, M, config,
+                )
+            for (features, _), shift, band in zip(snapshots, shifts, bands):
+                window = shift_snapshot_features(features, shift, M)
+                seen["unmatched"] += not match_salient_features(
+                    window, pattern, config.matching
+                )
+                assert np.array_equal(
+                    band, build_stream_band(spec, window, pattern, M, M, config)
+                )
+            seen["windows"] += len(shifts)
+        assert seen["windows"] == stream.size - M + 1
+        assert seen["unmatched"] > 0
+        if not symmetric:
+            assert seen["repairs"] > 0 or constraint == "fc,aw"
+            assert seen["replays"] > 0 or constraint == "ac,fw"
