@@ -11,7 +11,8 @@ worker counts, comparing
   backends, with the multiprocessing backend swept over worker counts.
 
 Every configuration is verified to return *identical* hit rankings before
-its timing is reported.  Run it directly::
+its timing is reported, and the script exits 1 when any configuration
+reads ``NO``.  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py \
         --sizes 50,100,200 --length 256 --queries 10 --k 10 --workers 1,2,4
@@ -173,6 +174,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=0.0,
     )
     print(f"\nminimum multiprocessing speedup over seed: {worst:.2f}x")
+    mismatched = [f"{row[1]} at {row[0]} series" for row in rows if row[5] != "yes"]
+    if mismatched:
+        print(f"rankings differ from the seed path: {', '.join(mismatched)}")
+        return 1
     return 0
 
 

@@ -53,6 +53,7 @@ from typing import Optional, Sequence
 from .core.sdtw import SDTW
 from .core.config import SDTWConfig
 from .datasets.registry import available_datasets, load_dataset
+from .engine.backends import BACKENDS
 from .exceptions import ExperimentError, ReproError
 
 
@@ -140,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="refinement constraint: full, fc,fw, itakura, "
                           "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
     eng.add_argument("--backend", default="serial",
-                     choices=["serial", "vectorized", "multiprocessing"],
+                     choices=BACKENDS,
                      help="execution backend (default: serial)")
     eng.add_argument("--workers", type=int, default=None,
                      help="worker processes for the multiprocessing backend")
@@ -256,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="engine constraint: full, fc,fw, itakura, "
                               "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
     ws_init.add_argument("--backend", default="serial",
-                         choices=["serial", "vectorized", "multiprocessing"],
+                         choices=BACKENDS,
                          help="execution backend (default: serial)")
     ws_init.add_argument("--codewords", type=int, default=256,
                          help="index codebook size (default: 256)")

@@ -3,8 +3,8 @@
 This module ties scale-space construction, keypoint detection, and
 descriptor creation together into :func:`extract_salient_features`, the
 function the sDTW driver (and the Table 2 experiment) calls per series.
-:class:`FeatureSet` holds a feature list with the arrays matching reads
-stacked once.
+:class:`FeatureSet` holds a feature list with the arrays matching and
+pair scoring read stacked once.
 """
 
 from __future__ import annotations
@@ -85,36 +85,22 @@ class FeatureSet(Sequence[SalientFeature]):
     Matching compares every feature of one series with every feature of
     the other through a descriptor matrix, its row squared norms and the
     amplitude and σ arrays
-    (:func:`repro.core.matching.match_salient_features`).  A FeatureSet
-    stacks them once, so a set that is matched many times (a stream
-    pattern, an extractor snapshot) pays for the stacking once.  Each
-    descriptor row keeps the common length of the set's descriptors.
+    (:func:`repro.core.matching.match_salient_features`), and pair
+    scoring reads the positions, scope bounds and mean amplitudes.  A
+    FeatureSet stacks them all once, so a set that is matched many times
+    (a stream pattern, an extractor snapshot) pays for the stacking once.
+    Each descriptor row keeps the common length of the set's descriptors.
 
-    The scope bounds and mean amplitudes that pair scoring reads
-    (:attr:`scope_starts`, :attr:`scope_ends`, :attr:`mean_amplitudes`)
-    are stacked on first read, so a set that is only matched never pays
-    for them.
-
-    :meth:`shifted` re-expresses the set in the coordinates of a later
-    window.  It only selects rows of the stacked arrays, and its scope
-    arrays are the source's shifted and clipped by :func:`shift_scopes`;
-    a shifted :class:`SalientFeature` is built from them when it is first
-    read.  The stream block band builder
-    (:func:`repro.streaming.subsequence.build_stream_bands`) reads the
-    arrays and builds no feature at all.
-
-    Consecutive shifted views of one set often select the same rows (a
-    stream window slides a sample at a time, and a feature leaves it only
-    every few ticks).  Such views share one :attr:`memo` dict
-    (:meth:`memo_for`), where matching keeps the decisions it made on
-    those rows: the same stacked arrays give the same decisions.  A set
-    that is not a shifted view has no memo (``None``).
+    The stream block band builder
+    (:func:`repro.streaming.subsequence.build_stream_bands`) reads a
+    snapshot's arrays, with each window's rows and shift applied, and
+    builds no feature at all.  :meth:`shifted` builds the features of a
+    later window, for the per-window reference scan.
     """
 
     __slots__ = (
         "descriptors", "squared_norms", "amplitudes", "sigmas", "positions",
-        "memo", "_items", "_source", "_rows", "_shift", "_limit",
-        "_last_rows", "_last_memo", "_scopes",
+        "scope_starts", "scope_ends", "mean_amplitudes", "_items",
     )
 
     def __init__(self, features: Sequence[SalientFeature]) -> None:
@@ -130,18 +116,10 @@ class FeatureSet(Sequence[SalientFeature]):
         self.amplitudes = np.asarray([f.amplitude for f in items], dtype=float)
         self.sigmas = np.asarray([f.sigma for f in items], dtype=float)
         self.positions = np.asarray([f.position for f in items], dtype=float)
-        self.memo: Optional[dict] = None
+        self.scope_starts = np.asarray([f.scope_start for f in items], dtype=float)
+        self.scope_ends = np.asarray([f.scope_end for f in items], dtype=float)
+        self.mean_amplitudes = np.asarray([f.mean_amplitude for f in items], dtype=float)
         self._items = items
-        self._source: Optional[FeatureSet] = None
-        self._rows: List[int] = []
-        self._shift = 0
-        self._limit = 0.0
-        # The rows and memo of the latest shifted view.  The set keeps the
-        # memo, not the view: a view refers back to its set, and a cycle
-        # would hold each stream snapshot until the garbage collector runs.
-        self._last_rows: Optional[List[int]] = None
-        self._last_memo: Optional[dict] = None
-        self._scopes: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def of(cls, features: Sequence[SalientFeature]) -> "FeatureSet":
@@ -152,88 +130,30 @@ class FeatureSet(Sequence[SalientFeature]):
         return len(self._items)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        item = self._items[index]
-        if item is None:
-            item = replace(
-                self._source[self._rows[index]],
-                position=float(self.positions[index]),
-                scope_start=float(self.scope_starts[index]),
-                scope_end=float(self.scope_ends[index]),
-            )
-            self._items[index] = item
-        return item
-
-    @property
-    def scope_starts(self) -> np.ndarray:
-        """Scope start of each feature."""
-        return self._scope_arrays()[0]
-
-    @property
-    def scope_ends(self) -> np.ndarray:
-        """Scope end of each feature."""
-        return self._scope_arrays()[1]
-
-    @property
-    def mean_amplitudes(self) -> np.ndarray:
-        """Mean series amplitude within each feature's scope."""
-        return self._scope_arrays()[2]
-
-    def _scope_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._scopes is None:
-            source = self._source
-            if source is None:
-                items = self._items
-                self._scopes = (
-                    np.asarray([f.scope_start for f in items], dtype=float),
-                    np.asarray([f.scope_end for f in items], dtype=float),
-                    np.asarray([f.mean_amplitude for f in items], dtype=float),
-                )
-            else:
-                rows = np.asarray(self._rows, dtype=np.intp)
-                self._scopes = shift_scopes(
-                    source.scope_starts[rows], source.scope_ends[rows],
-                    self._shift, self._limit,
-                ) + (source.mean_amplitudes[rows],)
-        return self._scopes
-
-    def memo_for(self, rows: List[int]) -> dict:
-        """The decision memo of the shifted views that select *rows*.
-
-        The set keeps the memo of the latest row selection only: stream
-        windows visit their row selections in order.
-        """
-        if rows != self._last_rows:
-            self._last_rows, self._last_memo = rows, {}
-        return self._last_memo
+        return self._items[index]
 
     def shifted(self, shift: int, window_length: int) -> "FeatureSet":
         """The features in the coordinates of a window *shift* samples later.
 
         Features whose position leaves ``[0, window_length - 1]`` are
-        dropped and scopes are clipped to that extent, mirroring what batch
-        extraction clips at the series boundary.
+        dropped and scopes are clipped to that extent
+        (:func:`shift_scopes`), mirroring what batch extraction clips at
+        the series boundary.
         """
         if shift == 0:
             return self
         positions = self.positions - shift
         limit = float(window_length - 1)
         rows = np.flatnonzero((positions >= 0.0) & (positions <= limit))
-        view = object.__new__(FeatureSet)
-        view.descriptors = self.descriptors[rows]
-        view.squared_norms = self.squared_norms[rows]
-        view.amplitudes = self.amplitudes[rows]
-        view.sigmas = self.sigmas[rows]
-        view.positions = positions[rows]
-        view._items = [None] * rows.size
-        view._source = self
-        view._rows = rows.tolist()
-        view._shift = shift
-        view._limit = limit
-        view._last_rows = view._last_memo = view._scopes = None
-        view.memo = self.memo_for(view._rows)
-        return view
+        starts, ends = shift_scopes(
+            self.scope_starts[rows], self.scope_ends[rows], shift, limit
+        )
+        return FeatureSet([
+            replace(self._items[row], position=position, scope_start=start, scope_end=end)
+            for row, position, start, end in zip(
+                rows.tolist(), positions[rows].tolist(), starts.tolist(), ends.tolist()
+            )
+        ])
 
 
 def shift_scopes(

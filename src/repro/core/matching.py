@@ -73,11 +73,10 @@ def match_salient_features(
     set passed as one is stacked once, not on every call.  The distance
     grid is computed on exactly the two given sets: a matmul over a
     subset of rows is not bit-equal to those rows of a larger product, so
-    no grid is sliced from another.  When the first set is a shifted view
-    selecting the same rows as an earlier one, the decisions (which rows
-    match, at what distance) come from the views' shared
-    :attr:`~repro.core.features.FeatureSet.memo`: they were made on
-    identical arrays.  The pairs are always built from the given sets.
+    no grid is sliced from another.  The decisions (which rows match, at
+    what distance) come from :func:`match_decisions`, which the stream
+    block band builder calls directly on each window's rows of a
+    snapshot.
 
     Parameters
     ----------
@@ -103,7 +102,7 @@ def match_salient_features(
             feature_y=set_y[j],
             descriptor_distance=distance,
         )
-        for i, j, distance in zip(*match_decisions(set_x, set_y, config, set_x.memo))
+        for i, j, distance in zip(*match_decisions(set_x, set_y, config))
     ]
     matches.sort(key=lambda pair: pair.feature_x.position)
     return matches
@@ -116,37 +115,16 @@ def match_decisions(
     set_x: FeatureSet,
     set_y: FeatureSet,
     config: MatchingConfig,
-    memo: Optional[dict] = None,
     rows: Optional[List[int]] = None,
 ) -> Decisions:
-    """The matching rows of *set_x*, their rows of *set_y* and distances.
+    """The matching rows of *set_x*, their best rows of *set_y* and distances.
 
     With *rows*, the first set is those rows of *set_x*, the arrays a
-    shifted view selecting them holds (matching reads no position), and
-    the matching rows index *rows*.  They come in ascending order.  *memo*
-    (a :meth:`~repro.core.features.FeatureSet.memo_for` dict of views
-    selecting the same rows) returns the decisions made earlier on
-    identical arrays and keeps new ones.
+    window selecting them holds (matching reads no position), and the
+    matching rows index *rows*.  They come in ascending order.
     """
     if not (len(set_x) if rows is None else len(rows)) or not len(set_y):
         return [], [], []
-    key = (set_y, config)
-    decisions = memo.get(key) if memo is not None else None
-    if decisions is None:
-        decisions = _dominant_pairs(set_x, set_y, config, rows)
-        if memo is not None:
-            memo[key] = decisions
-    return decisions
-
-
-def _dominant_pairs(
-    set_x: FeatureSet,
-    set_y: FeatureSet,
-    config: MatchingConfig,
-    rows: Optional[List[int]] = None,
-) -> Decisions:
-    """The accepted rows of *set_x* (of its *rows*), their best rows of
-    *set_y*, distances."""
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
     # Descriptors may have different lengths if callers mix configurations;
@@ -172,14 +150,14 @@ def _dominant_pairs(
     admissible &= ratio <= config.max_scale_ratio
 
     gated = np.where(admissible, distances, np.inf)
-    rows = np.arange(gated.shape[0])
+    grid_rows = np.arange(gated.shape[0])
     best_j = gated.argmin(axis=1)
-    best = gated[rows, best_j]
+    best = gated[grid_rows, best_j]
     accepted = np.isfinite(best)
     if config.require_distinctive and gated.shape[1] > 1:
         # The runner-up is the row's second-smallest value (equal to the
         # best when the minimum repeats), as ``np.partition(row, 1)[1]``.
-        gated[rows, best_j] = np.inf
+        gated[grid_rows, best_j] = np.inf
         second = np.minimum.reduce(gated, axis=1)
         # Accept only if the best match is clearly better than the
         # runner-up: best * tau_d <= second (always so when there is no

@@ -7,8 +7,11 @@ primitive: for each index ``i`` of the first series, a contiguous window
 visit.  This module implements the dynamic program over such a window,
 counting exactly how many grid cells are filled (the basis of the paper's
 time-gain measure) and backtracking the constrained-optimal warp path.
-:func:`banded_dtw_ragged` runs the distance-only program for many
-equal-length series, each under its own band, in lock-step.
+:func:`banded_dtw_batch` runs the distance-only program for many pairs in
+lock-step, with each of the row series, the column series and the band
+either stacked per pair or shared: the engine's batches (one query,
+stacked candidates, one band) and a stream block's windows (stacked
+windows, one pattern, a band per window) run this one kernel.
 """
 
 from __future__ import annotations
@@ -370,9 +373,10 @@ def _banded_dtw_distance_only(
         vals[j] = prefix[j] + min_{t <= j} (diag_or_up[t] - prefix[t - 1])
 
     which turns the per-cell Python loop into ``cumsum`` plus a running
-    minimum (``np.minimum.accumulate``).  The same formulation is applied
-    per candidate row by the batch kernel in :mod:`repro.engine`, so the
-    serial and batched code paths produce bit-identical distances.
+    minimum (``np.minimum.accumulate``).  The lock-step kernel
+    :func:`banded_dtw_batch` applies the same formulation to every pair
+    of a batch, so the per-pair and batched code paths produce
+    bit-identical distances.
 
     A narrow band spends its time on per-call overhead, not arithmetic, so
     each row costs four in-place numpy calls:
@@ -483,65 +487,85 @@ def _banded_dtw_distance_only(
     return BandedDTWResult(distance=final, path=None, cells_filled=cells, band=window)
 
 
-def banded_dtw_ragged(
+def banded_dtw_batch(
     xs: np.ndarray,
     ys: np.ndarray,
     bands: np.ndarray,
     func,
     abandon_threshold: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Banded DTW of many equal-length series against one, each under its own band.
+    """Banded DTW of many pairs in lock-step.
 
-    The lock-step form of :func:`_banded_dtw_distance_only` for ``C``
-    series (the rows of *xs*) that share the second series *ys* but not
-    the band: row ``i`` of every series advances together, so a row costs
-    a handful of numpy calls on a ``(width, C)`` matrix instead of ``C``
-    times the per-pair scan's calls.
+    Pair ``c`` is row series ``xs[c]`` against column series ``ys[c]``
+    under band ``bands[c]``, and each of the three may instead be one
+    operand shared by every pair.  The engine runs one query (shared)
+    against stacked candidates under one band; a stream matcher runs
+    stacked windows against one pattern, each window under its own band.
+    This is the lock-step form of :func:`_banded_dtw_distance_only`: row
+    ``i`` of every pair advances together, so a row costs a handful of
+    numpy calls on a ``(width, C)`` matrix instead of ``C`` times the
+    per-pair scan's calls.
 
-    * Each series' window ``[lo, hi]`` is padded on the right to the
+    * Each pair's window ``[lo, hi]`` is padded on the right to the
       row's widest window.  Pointwise costs and their prefix sums are
       computed for a block of rows at once, as in the per-pair scan; the
       prefix added back at the end of a row is inf in padded cells, so
       padded cells come out inf.
-    * Each series' last row is kept in a ``(2m + pad, C)`` buffer
-      relative to its own window: slot ``m + k`` holds column ``lo + k``
-      and every other slot is inf.  A row gathers ``min(diag, up)`` for
-      its window from that buffer, subtracts the shifted prefix, takes
-      the running minimum, adds the prefix and writes the row back.
-    * A series is abandoned at the first row whose minimum exceeds the
+    * Each pair's last row is kept in a ``(slots, C)`` buffer relative
+      to its own window: slot ``base + k`` holds column ``lo + k`` and
+      every other slot is inf.  The buffer spans the widest window plus
+      the farthest any window starts from its predecessor's start.  A
+      row gathers ``min(diag, up)`` for its window from that buffer,
+      subtracts the shifted prefix, takes the running minimum, adds the
+      prefix and writes the row back.
+    * Where the windows of a block all start together, as every block
+      under a shared band does, a row reads its predecessor by slice
+      instead of gathering it, and a one-row block slices its cost
+      columns out of the column series.  A block whose rows each have one
+      width across the pairs needs no padding.
+    * A pair is abandoned at the first row whose minimum exceeds the
       cutoff, as in the per-pair scan.  Its buffer column is set to inf,
-      and abandoned series are compacted out once they are half the
+      and abandoned pairs are compacted out once they are half the
       batch.
 
-    Every series sees the same operations on the same operands in the
+    Every pair sees the same operations on the same operands in the
     same order as in the per-pair scan: ``cumsum`` and
-    ``minimum.accumulate`` run sequentially along the row (axis 0 here),
-    and a padded cell only follows a row's real cells.  So distances are
+    ``minimum.accumulate`` run sequentially along each pair's row, and a
+    padded cell only follows a row's real cells.  So distances are
     bit-identical, and cells (counted up to the abandoning row) and
     abandonment are equal.
 
     Parameters
     ----------
     xs:
-        ``(C, n)`` matrix of series.
+        Row series: a ``(C, n)`` stack, or one series of length n shared.
     ys:
-        The shared series, length m.
+        Column series: a ``(C, m)`` stack, or one series of length m
+        shared.
     bands:
-        ``(C, n, 2)`` stack of *validated* bands (see
-        :func:`validate_band`); they are not checked again.
+        *Validated* bands (see :func:`validate_band`; they are not
+        checked again): a ``(C, n, 2)`` stack, or one ``(n, 2)`` band
+        shared.
     func:
         Pointwise distance callable (broadcasting).
     abandon_threshold:
-        Optional early-abandoning threshold applied to every series.
+        Optional early-abandoning threshold applied to every pair.
 
     Returns
     -------
     (distances, cells, abandoned):
         ``(C,)`` float distances (``inf`` where abandoned), ``(C,)`` int
-        cells filled per series and a ``(C,)`` boolean abandonment mask.
+        cells filled per pair and a ``(C,)`` boolean abandonment mask.
+        ``C`` is 1 when all three operands are shared.
     """
-    count, n = xs.shape
-    m = ys.size
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    bands = np.asarray(bands)
+    stacked = {a.shape[0] for a, ndim in ((xs, 2), (ys, 2), (bands, 3)) if a.ndim == ndim}
+    if len(stacked) > 1:
+        raise ValueError(f"stacked operands disagree on the number of pairs: {sorted(stacked)}")
+    count = stacked.pop() if stacked else 1
+    n, m = xs.shape[-1], ys.shape[-1]
     inf = np.inf
     distances = np.full(count, inf)
     cells = np.zeros(count, dtype=np.int64)
@@ -549,29 +573,47 @@ def banded_dtw_ragged(
     if count == 0:
         return distances, cells, abandoned
     cutoff = None if abandon_threshold is None else abandon_cutoff(abandon_threshold)
-    # Everything below is laid out (row, C) or (column, row, C): series
-    # run along the last axis.
-    xs = np.ascontiguousarray(np.asarray(xs, dtype=float).T)
+    # Everything below is laid out (row, pair), (column, pair) or
+    # (row, column, pair): pairs run along the last axis, which a shared
+    # operand keeps at 1.
+    xs = np.ascontiguousarray(xs.reshape(-1, n).T)
+    ys = np.ascontiguousarray(ys.reshape(-1, m).T)
+    bands = bands.reshape(-1, n, 2)
     los = np.ascontiguousarray(bands[:, :, 0].T)
     widths = bands[:, :, 1].T - los + 1
+    if (los[-1] + widths[-1] != m).any():
+        raise BandError("band must contain the end cell (n-1, m-1)")
+    shared_band = los.shape[1] == 1
     # How far each window starts right of the previous row's window.
     shifts = np.diff(los, axis=0, prepend=los[:1])
     max_width = int(widths.max())
     steps = np.arange(max_width + 1)
-    # Slot m + k of the buffer holds column lo + k of the last row; a
-    # window starts at most m - 1 columns either side of the previous one.
-    row = np.full((2 * m + max_width, count), inf)
-    # ``alive`` maps buffer columns to series; ``live`` marks the ones not
+    # Slot base + k of the buffer holds column lo + k of the last row; a
+    # row reads slots base + shift - 1 to base + shift + width - 1.
+    base = 1 - min(int(shifts.min()), 0)
+    row = np.full((base + max(int(shifts.max()), 0) + max_width, count), inf)
+    # ``alive`` maps buffer columns to pairs; ``live`` marks the ones not
     # yet abandoned.
     alive = np.arange(count)
     live = np.ones(count, dtype=bool)
     dead = 0
     written = 0
+    scratch = np.empty((max_width, count))
+    # Each row's widest window, and the buffer offset a row reads its
+    # predecessor from when the windows start together.
+    widest = widths.max(axis=1)
+    row_widths = widest.tolist()
+    reads = (base - 1 + shifts[:, 0]).tolist()
+
+    def per_pair(values: np.ndarray, selected: np.ndarray) -> np.ndarray:
+        # The selected pairs' columns of a stacked operand; a shared one
+        # (one column) applies to every pair as it is.
+        return values if values.shape[-1] == 1 else values[..., selected]
 
     def gather_offsets(start: int, stop: int, width: int) -> np.ndarray:
         # Flat buffer offsets of the diagonal/up cells of rows start..stop:
-        # column lo + k - 1 sits in slot m + shift + k - 1 of the buffer.
-        slots = shifts[start:stop, np.newaxis] + steps[: width + 1, np.newaxis] + (m - 1)
+        # column lo + k - 1 sits in slot base + shift + k - 1 of the buffer.
+        slots = shifts[start:stop, np.newaxis] + steps[: width + 1, np.newaxis] + (base - 1)
         return slots * alive.size + np.arange(alive.size)
 
     # One block of prefix sums takes at most _BLOCK_BYTES, as in the
@@ -579,40 +621,61 @@ def banded_dtw_ragged(
     block_rows = max(1, _BLOCK_BYTES // (8 * count * (max_width + 1)))
     for start in range(0, n, block_rows):
         stop = min(start + block_rows, n)
-        block_widths = widths[start:stop]
-        width = int(block_widths.max())
-        row_widths = block_widths.max(axis=1).tolist()
-        columns = np.take(ys, los[start:stop] + steps[:width, np.newaxis, np.newaxis],
-                          mode="clip")
-        sums = np.zeros((width + 1,) + columns.shape[1:])
-        np.cumsum(func(xs[start:stop], columns), axis=0, out=sums[1:])
-        del columns
-        ends = np.where(steps[:width, np.newaxis, np.newaxis] < block_widths, sums[1:], inf)
-        offsets = gather_offsets(start, stop, width)
-        for r, w in enumerate(row_widths):
+        width = max(row_widths[start:stop])
+        # Equal window starts over the block and the row before it give
+        # every pair the same start and shift in each row of the block.
+        first = max(start - 1, 0)
+        together = shared_band or bool((los[first:stop] == los[first:stop, :1]).all())
+        if together and stop - start == 1:
+            lo = int(los[start, 0])
+            columns = ys[np.newaxis, lo: lo + width]
+        elif together:
+            columns = np.take(ys, los[start:stop, :1] + steps[:width], axis=0, mode="clip")
+        else:
+            index = los[start:stop, np.newaxis] + steps[:width, np.newaxis]
+            if ys.shape[1] == 1:
+                columns = np.take(ys[:, 0], index, mode="clip")
+            else:
+                columns = ys[np.minimum(index, m - 1), np.arange(alive.size)]
+            offsets = gather_offsets(start, stop, width)
+        costs = func(xs[start:stop, np.newaxis], columns)
+        sums = np.empty((stop - start, width + 1) + costs.shape[2:])
+        sums[:, 0] = 0.0
+        np.cumsum(costs, axis=1, out=sums[:, 1:])
+        del columns, costs
+        if shared_band or bool((widths[start:stop] == widest[start:stop, np.newaxis]).all()):
+            ends = sums[:, 1:]
+        else:
+            ends = np.where(
+                steps[:width, np.newaxis] < widths[start:stop, np.newaxis], sums[:, 1:], inf
+            )
+        for r, w in enumerate(row_widths[start:stop]):
+            current = row[base: base + w]
             if start + r == 0:
                 # First row: only horizontal moves (validated bands start at 0).
-                vals = ends[:w, 0].copy()
+                current[...] = ends[0, :w]
             else:
-                previous = np.take(row, offsets[r, : w + 1])
-                vals = np.minimum(previous[:w], previous[1:])
-                vals -= sums[:w, r]
+                if together:
+                    previous = row[reads[start + r]: reads[start + r] + w + 1]
+                else:
+                    previous = np.take(row, offsets[r, : w + 1])
+                vals = np.minimum(previous[:w], previous[1:], out=scratch[:w])
+                vals -= sums[r, :w]
                 np.minimum.accumulate(vals, axis=0, out=vals)
-                vals += ends[:w, r]
-            row[m: m + w] = vals
+                np.add(vals, ends[r, :w], out=current)
             if w < written:
-                row[m + w: m + written] = inf
+                row[base + w: base + written] = inf
             written = w
             if cutoff is None:
                 continue
-            over = vals.min(axis=0) > cutoff
+            over = current.min(axis=0) > cutoff
             if np.count_nonzero(over) == dead:
                 continue
             # Every continuation only adds non-negative costs.  An abandoned
-            # series' buffer stays inf from here on, so it stays over.
+            # pair's buffer stays inf from here on, so it stays over.
             newly = over & live
             abandoned[alive[newly]] = True
-            cells[alive[newly]] = widths[: start + r + 1, newly].sum(axis=0)
+            cells[alive[newly]] = per_pair(widths[: start + r + 1].sum(axis=0), newly)
             live &= ~newly
             row[:, newly] = inf
             dead = alive.size - int(np.count_nonzero(live))
@@ -620,23 +683,30 @@ def banded_dtw_ragged(
                 return distances, cells, abandoned
             if 2 * dead >= alive.size:
                 keep = live
-                alive, row, xs = alive[keep], row[:, keep], xs[:, keep]
-                los, widths, shifts = los[:, keep], widths[:, keep], shifts[:, keep]
-                block_widths = block_widths[:, keep]
-                sums, ends = sums[:, :, keep], ends[:, :, keep]
-                offsets = gather_offsets(start, stop, width)
+                alive, row = alive[keep], row[:, keep]
+                xs, ys, los, widths, shifts, sums, ends = (
+                    per_pair(values, keep)
+                    for values in (xs, ys, los, widths, shifts, sums, ends)
+                )
+                # This block's rows keep their widths; later blocks read
+                # the survivors' widths and starts.
+                widest = widths.max(axis=1)
+                row_widths, reads = widest.tolist(), (base - 1 + shifts[:, 0]).tolist()
+                if not together:
+                    offsets = gather_offsets(start, stop, width)
                 live = np.ones(alive.size, dtype=bool)
+                scratch = np.empty((max_width, alive.size))
                 dead = 0
 
-    # Column m - 1 of the last row; abandoned series hold inf.
-    final = row[2 * m - 1 - los[-1], np.arange(alive.size)][live]
+    # Column m - 1 of the last row; abandoned pairs hold inf.
+    final = row[base + m - 1 - los[-1], np.arange(alive.size)][live]
     if not np.isfinite(final).all():
         raise BandError(
             "band does not admit any warp path from (0, 0) to (n-1, m-1); "
             "use repair=True to bridge gaps"
         )
     distances[alive[live]] = final
-    cells[alive[live]] = widths[:, live].sum(axis=0)
+    cells[alive[live]] = per_pair(widths.sum(axis=0), live)
     return distances, cells, abandoned
 
 

@@ -106,10 +106,11 @@ def dtw_distance(
     y: Union[Sequence[float], np.ndarray],
     distance: Union[str, PointwiseDistance, None] = None,
 ) -> float:
-    """Return only the DTW distance, computed with a fast vectorised filler.
+    """Return only the DTW distance, keeping two rows instead of the matrix.
 
-    The row-wise recurrence is vectorised with a cumulative-minimum trick
-    along each row, which keeps the inner loop in numpy instead of Python.
+    Each row takes ``min(diag, up)`` for all of its cells in one numpy
+    call; the left-to-right recurrence over the row then runs per cell in
+    Python.
     """
     xs = as_series(x, "x")
     ys = as_series(y, "y")

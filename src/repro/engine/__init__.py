@@ -34,9 +34,11 @@ Backend selection
 
 * ``serial`` — per-pair reference path; transparent and allocation-light.
 * ``vectorized`` — numpy-batched lower bounds, and for shared-band
-  constraint families over equal-length collections a lock-step batch DP
-  that advances one grid row for dozens of candidates per numpy call
-  (bit-identical distances to the serial kernel).
+  constraint families over equal-length collections the lock-step DP
+  kernel :func:`repro.dtw.banded.banded_dtw_batch` (re-exported here),
+  which advances one grid row for dozens of candidates per numpy call
+  with bit-identical distances to the serial per-pair scan.  The sliding
+  stream matchers run the same kernel.
 * ``multiprocessing`` — whole queries fan out to worker processes (each
   running the vectorised path); series matrices, envelopes and
   salient-feature caches are shared copy-on-write via ``fork`` where
@@ -57,6 +59,7 @@ the seed sequential scan.
 See ``examples/batch_retrieval.py`` for a walkthrough.
 """
 
+from ..dtw.banded import banded_dtw_batch
 from .backends import BACKENDS, default_num_workers, resolve_backend
 from .engine import (
     BatchDistanceResult,
@@ -67,7 +70,6 @@ from .engine import (
     cascade_bounds,
     normalize_constraint,
 )
-from .kernels import banded_dtw_batch
 from .stats import EngineStats
 
 __all__ = [

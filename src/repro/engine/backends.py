@@ -6,7 +6,9 @@ Three strategies orchestrate the same per-query cascade:
   per-pair DTW kernels, one candidate at a time.
 * ``vectorized`` — batched numpy lower bounds over the stacked collection
   and (for shared-band constraint families over equal-length collections)
-  the lock-step batch DP kernel of :mod:`repro.engine.kernels`.
+  the lock-step DP kernel :func:`repro.dtw.banded.banded_dtw_batch`, run
+  as one query against stacked candidates under one band; the sliding
+  stream matchers run the same kernel on their windows.
 * ``multiprocessing`` — a process pool that fans whole queries out to
   workers; each worker runs the vectorised per-query path.  On platforms
   with ``fork`` the engine state (series matrix, envelopes, salient-feature

@@ -41,7 +41,7 @@ from ..core.config import SDTWConfig
 from ..core.features import FeatureSet, SalientFeature
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
-from ..dtw.banded import banded_dtw
+from ..dtw.banded import banded_dtw, banded_dtw_batch
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import get_pointwise_distance
 from ..dtw.lower_bounds import (
@@ -54,7 +54,6 @@ from ..dtw.lower_bounds import (
 )
 from ..exceptions import DatasetError, ValidationError
 from .backends import default_num_workers, resolve_backend, run_parallel
-from .kernels import banded_dtw_batch
 from .stats import EngineStats
 
 # Constraint families whose band depends only on the pair of lengths, so a

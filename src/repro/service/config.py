@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.config import SDTWConfig, _DictRoundTrip
+from ..engine.backends import BACKENDS
 from ..exceptions import ConfigurationError
-
-_BACKENDS = ("serial", "vectorized", "multiprocessing")
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ class EngineConfig(_DictRoundTrip):
     itakura_max_slope: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ConfigurationError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1 when given")

@@ -25,7 +25,7 @@ query pattern:
   stacked arrays (:func:`build_stream_bands`); each equals the
   per-window reference :func:`build_stream_band`.  Each band also yields
   a band-envelope bound, and the surviving windows' DPs advance in
-  lock-step (:func:`repro.dtw.banded.banded_dtw_ragged`).
+  lock-step (:func:`repro.dtw.banded.banded_dtw_batch`).
 
 Both matchers report :class:`StreamMatch` intervals in absolute stream
 coordinates and keep :class:`StreamStats` work accounting compatible with
@@ -64,7 +64,7 @@ from ..core.features import (
 )
 from ..core.intervals import boundary_cuts, build_interval_partition, stack_partitions
 from ..core.matching import match_decisions, match_salient_features
-from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_ragged
+from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
 from ..dtw.lower_bounds import keogh_envelope, lb_band_envelope, range_extrema_table
@@ -361,9 +361,8 @@ def shift_snapshot_features(
     The extractor's snapshot window starts *shift* ticks before the
     current one; features that slid off the front are dropped and scopes
     are clipped to the new window extent, mirroring what batch extraction
-    clips at the series boundary.  It selects rows of the snapshot's
-    stacked arrays (:meth:`~repro.core.features.FeatureSet.shifted`) and
-    builds a shifted feature only when one is read.  This is the
+    clips at the series boundary
+    (:meth:`~repro.core.features.FeatureSet.shifted`).  This is the
     per-window reference path; the online matcher shifts no feature
     (:func:`build_stream_bands`).
     """
@@ -442,9 +441,10 @@ def build_stream_bands(
     of ``shift_snapshot_features(snapshots[w], shifts[w], m)``, bit for
     bit.  It gets there without a per-window object:
 
-    1. Each window's match decisions come from the snapshot's memo of its
-       row selection (:meth:`~repro.core.features.FeatureSet.memo_for`),
-       or are made on exactly those rows.
+    1. Each window's match decisions are made on exactly its rows of
+       the snapshot's stacked arrays
+       (:func:`~repro.core.matching.match_decisions`); consecutive
+       windows that select the same rows share them.
     2. The matched pairs of all windows are scored together
        (:func:`~repro.core.consistency.combined_scores`) from the
        snapshots' stacked positions and shifted scopes
@@ -566,7 +566,7 @@ def _window_matches(
             if not repeat:
                 rows = np.flatnonzero(inside[index]).tolist()
                 chosen, columns, found = match_decisions(
-                    snapshot, pattern, matching, snapshot.memo_for(rows), rows
+                    snapshot, pattern, matching, rows
                 )
                 chosen = [offset + rows[i] for i in chosen]
             rows_of_pairs += chosen
@@ -836,7 +836,7 @@ class SlidingWindowMatcher:
             passed = bound <= abandon_cutoff(threshold)
             stats.pruned_lb_keogh += alive.size - int(passed.sum())
             alive, bands = alive[passed], bands[passed]
-        found, cells, abandoned = banded_dtw_ragged(
+        found, cells, abandoned = banded_dtw_batch(
             windows[alive], self.pattern, bands, self._func, abandon
         )
         stats.cells_filled += int(cells.sum())

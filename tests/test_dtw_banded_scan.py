@@ -5,9 +5,10 @@ its own pointwise costs, ``cumsum`` and inf-padded predecessor array.
 The production scan computes costs and prefix sums for a block of rows
 at once and keeps the DP row in one buffer updated in place, with the
 same operands in the same order, so the two must agree bit for bit in
-``distance``, ``cells_filled`` and ``abandoned``.  The ragged lock-step
-kernel, which runs many series under their own bands at once, must in
-turn agree bit for bit with the per-pair scan.
+``distance``, ``cells_filled`` and ``abandoned``.  The lock-step kernel,
+which runs many pairs at once with each of the row series, the column
+series and the band either stacked per pair or shared, must in turn
+agree bit for bit with the per-pair scan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.dtw.banded import (
     BandedDTWResult,
     abandon_cutoff,
     banded_dtw,
-    banded_dtw_ragged,
+    banded_dtw_batch,
     validate_band,
 )
 from repro.dtw.constraints import full_band, itakura_band, sakoe_chiba_band
@@ -180,44 +181,88 @@ class TestScanMatchesReference:
                         assert not result.abandoned
 
 
+# Operand layouts of the lock-step kernel: whether the row series, the
+# column series and the band are shared by every pair.  The engine runs
+# (shared, stacked, shared), a stream block (stacked, shared, stacked).
+LAYOUTS = [
+    (shared_x, shared_y, shared_band)
+    for shared_x in (True, False)
+    for shared_y in (True, False)
+    for shared_band in (True, False)
+]
+
+
+def random_band(draw, n: int, m: int) -> np.ndarray:
+    starts = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    spans = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    band = np.stack([np.array(starts), np.array(starts) + np.array(spans)], axis=1)
+    return validate_band(band, n, m, repair=True)
+
+
 @st.composite
-def ragged_inputs(draw):
-    """Several series of one length against one, each under its own band."""
+def batch_inputs(draw):
+    """Pairs in every operand layout; stacked bands may start together."""
     count = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=30))
     m = draw(st.integers(min_value=1, max_value=30))
-    bands = []
-    for _ in range(count):
-        starts = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-        spans = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
-        band = np.stack([np.array(starts), np.array(starts) + np.array(spans)], axis=1)
-        bands.append(validate_band(band, n, m, repair=True))
-    xs = np.stack([draw(series_of(n)) for _ in range(count)])
+    shared_x, shared_y, shared_band = draw(st.sampled_from(LAYOUTS))
+    starts = draw(st.sampled_from(["apart", "together", "some together"]))
+    if shared_band:
+        bands = random_band(draw, n, m)[np.newaxis]
+    elif starts == "together":
+        # Every window of a row starts at one column; the ends differ.
+        base = random_band(draw, n, m)
+        bands = []
+        for _ in range(count):
+            extra = np.array(draw(st.lists(st.integers(0, m), min_size=n, max_size=n)))
+            band = base.copy()
+            band[:, 1] = np.minimum(base[:, 1] + extra, m - 1)
+            bands.append(band)
+    elif starts == "some together":
+        # Pairs share one of two bands, so only some blocks start together.
+        pool = [random_band(draw, n, m), random_band(draw, n, m)]
+        bands = [pool[draw(st.integers(0, 1))] for _ in range(count)]
+    else:
+        bands = [random_band(draw, n, m) for _ in range(count)]
+    xs = np.stack([draw(series_of(n)) for _ in range(1 if shared_x else count)])
+    ys = np.stack([draw(series_of(m)) for _ in range(1 if shared_y else count)])
     distance = draw(st.sampled_from(["absolute", "squared"]))
-    return xs, draw(series_of(m)), np.stack(bands), distance
+    return xs, ys, np.stack(bands), (shared_x, shared_y, shared_band), distance
 
 
-class TestRaggedMatchesPerPair:
-    @given(inputs=ragged_inputs())
-    @settings(max_examples=80, deadline=None)
+class TestBatchMatchesPerPair:
+    @given(inputs=batch_inputs())
+    @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_the_per_pair_scan(self, inputs):
-        xs, y, bands, distance = inputs
+        xs, ys, bands, (shared_x, shared_y, shared_band), distance = inputs
         func = get_pointwise_distance(distance)
+        pairs = max(len(xs), len(ys), len(bands))
+        operands = [
+            (xs[0 if shared_x else c], ys[0 if shared_y else c],
+             bands[0 if shared_band else c])
+            for c in range(pairs)
+        ]
         exact = [banded_dtw(x, y, band, distance, return_path=False).distance
-                 for x, band in zip(xs, bands)]
-        # Thresholds around each series' distance, so that series abandon
-        # at different rows and get compacted out mid-block; a tiny block
-        # budget puts every row in a block of its own.
+                 for x, y, band in operands]
+        # Thresholds around each pair's distance, so that pairs abandon at
+        # different rows and get compacted out mid-block.  The default
+        # block budget keeps these grids in one multi-row block, a tiny one
+        # puts every row in a block of its own, and one between gives
+        # blocks of a few rows.
         thresholds = {None, 0.0} | {
             t for d in exact for t in (d * 0.5, d, np.nextafter(d, np.inf))
         }
-        for block_bytes in (banded._BLOCK_BYTES, 8):
+        for block_bytes in (banded._BLOCK_BYTES, 8, 600):
             with mock.patch.object(banded, "_BLOCK_BYTES", block_bytes):
                 for threshold in sorted(thresholds, key=lambda t: -1 if t is None else t):
-                    distances, cells, abandoned = banded_dtw_ragged(
-                        xs, y, bands, func, threshold
+                    distances, cells, abandoned = banded_dtw_batch(
+                        xs[0] if shared_x else xs,
+                        ys[0] if shared_y else ys,
+                        bands[0] if shared_band else bands,
+                        func, threshold,
                     )
-                    for c, (x, band) in enumerate(zip(xs, bands)):
+                    assert distances.shape == cells.shape == abandoned.shape == (pairs,)
+                    for c, (x, y, band) in enumerate(operands):
                         assert_same_result(
                             BandedDTWResult(
                                 distance=distances[c], path=None,
