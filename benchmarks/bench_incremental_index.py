@@ -1,12 +1,12 @@
-"""Incremental index maintenance vs. full rebuilds, plus PQ accounting.
+"""Incremental index maintenance vs. full rebuilds.
 
 The PR 5 acceptance benchmark.  Over a 50words-like collection it
-measures three things:
+measures two things:
 
 1. **Incremental speed** — after ``build_index()`` over N series, adding
    A more series one by one through ``Workspace.add``.  With incremental
    maintenance each add extracts the new series' features, quantizes
-   them against the frozen codebook/PQ and appends one delta shard
+   them against the frozen codebook and appends one delta shard
    (O(new features)); the baseline configuration
    (``IndexConfig(incremental=False)``) marks the index stale and pays a
    full ``build_index()`` — codebook refit, re-quantization of all
@@ -20,11 +20,8 @@ measures three things:
    postings rebuild), and indexed queries at C = N must reproduce the
    exhaustive engine ranking exactly, before and after compaction.
 
-3. **PQ quality and size** — recall@k of ``rank_mode="pq"`` against
-   ``rank_mode="tfidf"`` at the default candidate budget (the PQ
-   ranking must reach at least TF-IDF's recall) and the residual
-   codec's compression ratio (stored code bytes vs. raw ``float32``
-   residuals; must be >= ``--min-compression``, default 4x).
+It also reports, without a gate, the TF-IDF recall@k at the candidate
+budget ``--candidates``.
 
 Run it directly::
 
@@ -48,7 +45,6 @@ import numpy as np
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.datasets.synthetic import make_fiftywords_like
 from repro.indexing import InvertedIndex
-from repro.indexing.searcher import pq_entry_for
 from repro.indexing.shards import OPTIONAL_SHARD_MEMBERS, SHARD_MEMBERS
 from repro.service import IndexConfig, Workspace, WorkspaceConfig
 from repro.utils.tables import format_table
@@ -68,9 +64,6 @@ def make_config(args: argparse.Namespace, incremental: bool) -> WorkspaceConfig:
             seed=args.seed,
             incremental=incremental,
             max_delta_shards=max(args.add + 1, 2),
-            pq=True,
-            pq_subquantizers=args.pq_subquantizers,
-            pq_bits=args.pq_bits,
         ),
         default_k=args.k,
     )
@@ -111,7 +104,6 @@ def recall_against_exact(
     queries,
     exclude: List[str],
     k: int,
-    rank_mode: str,
     candidates: Optional[int] = None,
 ) -> float:
     recalls = []
@@ -120,8 +112,7 @@ def recall_against_exact(
                                 exclude_identifier=identifier)
         indexed = workspace.query(probe, k, mode="indexed",
                                   candidates=candidates,
-                                  exclude_identifier=identifier,
-                                  rank_mode=rank_mode)
+                                  exclude_identifier=identifier)
         want = set(exact.ids)
         recalls.append(len(want & set(indexed.ids)) / len(want) if want else 1.0)
     return float(np.mean(recalls)) if recalls else 1.0
@@ -185,8 +176,7 @@ def run_benchmark(args: argparse.Namespace) -> int:
     exclude = [incremental_ws.identifiers[i] for i in range(num_queries)]
 
     full_budget = recall_against_exact(
-        incremental_ws, probes[:3], exclude[:3], args.k, "tfidf",
-        candidates=total,
+        incremental_ws, probes[:3], exclude[:3], args.k, candidates=total,
     )
     if full_budget != 1.0:
         failures.append(
@@ -205,13 +195,8 @@ def run_benchmark(args: argparse.Namespace) -> int:
         searcher.codebook.bag(feats, length)
         for feats, length in zip(store_features, lengths)
     ]
-    entries = [
-        pq_entry_for(searcher.codebook, searcher.pq, feats, length)
-        for feats, length in zip(store_features, lengths)
-    ]
     fresh = InvertedIndex.from_bags(
-        bags, searcher.codebook.num_codewords,
-        num_shards=args.shards, pq_entries=entries,
+        bags, searcher.codebook.num_codewords, num_shards=args.shards
     )
     incremental_ws.compact_index()
     compacted = incremental_ws.searcher.index
@@ -223,8 +208,7 @@ def run_benchmark(args: argparse.Namespace) -> int:
             "under the frozen codebook"
         )
     post_compact = recall_against_exact(
-        incremental_ws, probes[:3], exclude[:3], args.k, "tfidf",
-        candidates=total,
+        incremental_ws, probes[:3], exclude[:3], args.k, candidates=total,
     )
     if post_compact != 1.0:
         failures.append(
@@ -232,33 +216,13 @@ def run_benchmark(args: argparse.Namespace) -> int:
             f"expected exactly 1.0"
         )
 
-    # ---------------------------------------------------------------- #
-    # 3. PQ ranking quality and compression
-    # ---------------------------------------------------------------- #
+    # Reported only: TF-IDF recall at the configured candidate budget.
     started = time.perf_counter()
     tfidf_recall = recall_against_exact(
-        incremental_ws, probes, exclude, args.k, "tfidf"
+        incremental_ws, probes, exclude, args.k
     )
     tfidf_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    pq_recall = recall_against_exact(
-        incremental_ws, probes, exclude, args.k, "pq"
-    )
-    pq_seconds = time.perf_counter() - started
-    compression = incremental_ws.searcher.pq.compression_ratio
     metrics["tfidf_recall"] = round(tfidf_recall, 4)
-    metrics["pq_recall"] = round(pq_recall, 4)
-    metrics["pq_compression_ratio"] = round(compression, 2)
-    if pq_recall < tfidf_recall:
-        failures.append(
-            f"PQ ranking recall@{args.k} {pq_recall:.3f} fell below the "
-            f"TF-IDF baseline {tfidf_recall:.3f} at C={args.candidates}"
-        )
-    if compression < args.min_compression:
-        failures.append(
-            f"PQ compression {compression:.1f}x below the "
-            f"{args.min_compression:.1f}x bar"
-        )
 
     print(format_table(
         ["metric", "value"],
@@ -271,11 +235,8 @@ def run_benchmark(args: argparse.Namespace) -> int:
             ["compact == fresh rebuild", "yes" if identical else "NO"],
             [f"recall@{args.k} tfidf (C={args.candidates})",
              f"{tfidf_recall:.3f} ({tfidf_seconds:.2f} s)"],
-            [f"recall@{args.k} pq (C={args.candidates})",
-             f"{pq_recall:.3f} ({pq_seconds:.2f} s)"],
-            ["pq compression vs raw residuals", f"{compression:.1f}x"],
         ],
-        title="Incremental index maintenance + PQ candidate scoring",
+        title="Incremental index maintenance",
     ))
 
     if args.json:
@@ -308,20 +269,16 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--shards", type=int, default=4,
                         help="base postings shards (default: 4)")
     parser.add_argument("--candidates", type=int, default=64,
-                        help="candidate budget for the recall comparison "
+                        help="candidate budget of the reported recall "
                              "(default: 64)")
     parser.add_argument("--queries", type=int, default=10,
                         help="stored series replayed as queries (default: 10)")
     parser.add_argument("--k", type=int, default=10, help="neighbours per query")
     parser.add_argument("--descriptor-bins", type=int, default=32,
                         help="descriptor length (default: 32)")
-    parser.add_argument("--pq-subquantizers", type=int, default=8)
-    parser.add_argument("--pq-bits", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="incremental-vs-rebuild bar (default: 5.0)")
-    parser.add_argument("--min-compression", type=float, default=4.0,
-                        help="PQ compression bar (default: 4.0)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the metrics as JSON (CI artifact)")
     parser.add_argument("--quick", action="store_true",
@@ -337,7 +294,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         args.queries = 5
         args.k = 5
         args.descriptor_bins = 16
-        args.pq_subquantizers = 4
     return args
 
 

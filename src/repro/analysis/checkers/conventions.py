@@ -109,13 +109,14 @@ def _call_name(func: ast.expr) -> Optional[str]:
 @checker(
     "RPR202",
     "float32-accumulation",
-    "DTW / ADC distances accumulate in float64; float32 is storage-only.",
+    "DTW distances and index scores accumulate in float64; "
+    "float32 is storage-only.",
     rationale=(
         "The engine's pruning cascade is admissible only because "
         "lower bounds and refinements are computed in float64 — "
         "float32 rounding can reorder neighbours and break the "
         "bit-identical equivalence suites.  float32 is reserved for "
-        "on-disk payloads (index weights, PQ residuals) and must be "
+        "on-disk payloads (index posting weights) and must be "
         "cast at the storage boundary, never accumulated into."),
     example="scores = np.zeros(n, dtype=np.float32)  # accumulator",
     scope=_COMPUTE_SCOPE + (("repro", "indexing"),),

@@ -199,15 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="subsample the collection to this many series")
     build.add_argument("--seed", type=int, default=7,
                        help="generation/sampling seed")
-    build.add_argument("--no-pq", action="store_true",
-                       help="skip fitting the residual product quantizer "
-                            "(disables rank-mode pq on this index)")
-    build.add_argument("--pq-subquantizers", type=int, default=8,
-                       help="PQ sub-quantizers / stored bytes per feature "
-                            "(default: 8)")
-    build.add_argument("--pq-bits", type=int, default=8,
-                       help="bits per PQ code, sub-codebook size 2^bits "
-                            "(default: 8)")
 
     query = index_sub.add_parser(
         "query", help="answer indexed k-NN queries against a persisted index")
@@ -220,10 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--constraint", default="fc,fw",
                        help="re-ranking constraint: full, fc,fw, itakura, "
                             "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
-    query.add_argument("--rank-mode", default="tfidf",
-                       choices=["tfidf", "pq"],
-                       help="stage-1 candidate ranking (pq needs an index "
-                            "built with PQ codes; default: tfidf)")
     query.add_argument("--exact", action="store_true",
                        help="bypass the index (full exhaustive scan)")
     query.add_argument("--no-mmap", action="store_true",
@@ -291,10 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ws_query.add_argument("workspace_dir", help="workspace written by 'workspace init'")
     ws_query.add_argument("--candidates", type=int, default=None,
                           help="candidate budget override (indexed mode)")
-    ws_query.add_argument("--rank-mode", default=None,
-                          choices=["tfidf", "pq"],
-                          help="stage-1 ranking override for indexed queries "
-                               "(default: the workspace configuration)")
     ws_query.add_argument("--num-queries", type=int, default=5,
                           help="how many stored series to replay as queries")
     ws_query.add_argument("--format", default="table",
@@ -323,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ws_doctor = ws_sub.add_parser(
         "doctor",
-        help="check workspace invariants (manifest, index accounting, PQ "
-             "shapes, logs) and report OK / WARN / FAIL per check")
+        help="check workspace invariants (manifest, index accounting, "
+             "logs) and report OK / WARN / FAIL per check")
     ws_doctor.add_argument("workspace_dir",
                            help="workspace written by 'workspace init'")
     ws_doctor.add_argument("--no-probe", action="store_true",
@@ -670,7 +653,7 @@ def _run_index(args: argparse.Namespace) -> int:
 def _run_index_build(args: argparse.Namespace) -> int:
     import time
 
-    from .indexing import CodebookConfig, IndexedSearcher, PQConfig
+    from .indexing import CodebookConfig, IndexedSearcher
     from .utils.rng import rng_from_seed
 
     dataset = load_dataset(args.dataset, seed=args.seed)
@@ -687,11 +670,6 @@ def _run_index_build(args: argparse.Namespace) -> int:
             config, num_codewords=args.codewords, seed=args.seed,
         ),
         num_shards=args.shards,
-        pq_config=None if args.no_pq else PQConfig(
-            subquantizers=args.pq_subquantizers,
-            bits=args.pq_bits,
-            seed=args.seed,
-        ),
     )
     manifest_path = searcher.save(args.output)
     elapsed = time.perf_counter() - started
@@ -700,10 +678,6 @@ def _run_index_build(args: argparse.Namespace) -> int:
           f"{elapsed:.2f}s")
     print(f"codebook: {searcher.codebook.num_codewords} codewords; "
           f"postings: {index.num_postings} across {len(index.shards)} shards")
-    if searcher.pq is not None:
-        print(f"pq: {searcher.pq.code_bytes} bytes/feature over "
-              f"{index.num_pq_postings} coded features "
-              f"({searcher.pq.compression_ratio:.1f}x vs raw residuals)")
     print(f"manifest: {manifest_path}")
     return 0
 
@@ -715,7 +689,6 @@ def _run_index_query(args: argparse.Namespace) -> int:
     reader = IndexReader.open(args.index_dir, mmap=not args.no_mmap)
     searcher = IndexedSearcher.from_reader(
         reader, constraint=args.constraint, candidate_budget=args.candidates,
-        rank_mode=args.rank_mode,
     )
     num_queries = max(1, min(args.num_queries, len(searcher)))
     stored = searcher.engine.stored_items()[:num_queries]
@@ -786,13 +759,6 @@ def _run_index_stats(args: argparse.Namespace) -> int:
     print(f"live series: {index.num_live}  "
           f"delta shards: {index.num_delta_shards}  "
           f"tombstones: {index.num_tombstones}")
-    if reader.pq is not None:
-        print(f"pq: {reader.pq.code_bytes} bytes/feature over "
-              f"{index.num_pq_postings} coded features "
-              f"(compression {reader.pq.compression_ratio:.1f}x vs raw "
-              f"residuals)")
-    else:
-        print("pq: none (TF-IDF candidate ranking only)")
     store = reader.store_path
     print(f"feature store: {store if store else '(none)'}")
     print()
@@ -837,7 +803,6 @@ def _run_index_compact(args: argparse.Namespace) -> int:
         live_labels,
         feature_store=feature_store,
         extraction_config=reader.extraction_config(),
-        pq=reader.pq,
     )
     elapsed = time.perf_counter() - started
     print(f"Compacted {deltas} delta shards and {tombstones} tombstones into "
@@ -954,7 +919,6 @@ def _run_workspace_query(args: argparse.Namespace) -> int:
                     workspace.series_of(identifier), args.k,
                     mode=args.mode, candidates=args.candidates,
                     exclude_identifier=identifier,
-                    rank_mode=args.rank_mode,
                 )
                 if args.output_format == "json":
                     # One wire payload per line — byte-for-byte the
@@ -1149,9 +1113,6 @@ def _run_workspace_stats(args: argparse.Namespace) -> int:
         print(f"index slots: {index['num_live']} live of "
               f"{index['num_slots']}  delta shards: {index['delta_shards']}  "
               f"tombstones: {index['tombstones']}")
-        ratio = index["pq_compression_ratio"]
-        print(f"index rank mode: {index['rank_mode']}  pq compression: "
-              f"{'none' if ratio is None else f'{ratio:.1f}x'}")
     return 0
 
 

@@ -29,16 +29,30 @@ class _DictRoundTrip:
     record the configuration they were built with.  Nested configurations
     (:class:`SDTWConfig`) override :meth:`from_dict` to rebuild their
     sections.
+
+    A class lists in ``_RETIRED_KEYS`` the fields it no longer has but
+    older artefacts still carry; :meth:`from_dict` drops exactly those,
+    and any other unknown key still raises.
     """
+
+    _RETIRED_KEYS = frozenset()
 
     def to_dict(self) -> dict:
         """Plain-dict form of the configuration (JSON-serialisable)."""
         return asdict(self)
 
     @classmethod
+    def _current_keys(cls, data: dict) -> dict:
+        """*data* without the keys this class declares retired."""
+        return {
+            key: value for key, value in data.items()
+            if key not in cls._RETIRED_KEYS
+        }
+
+    @classmethod
     def from_dict(cls, data: dict):
         """Rebuild a configuration written by :meth:`to_dict`."""
-        return cls(**dict(data))
+        return cls(**cls._current_keys(data))
 
 
 @dataclass(frozen=True)
@@ -244,6 +258,10 @@ class SDTWConfig(_DictRoundTrip):
     symmetric_band: bool = False
     pointwise_distance: str = "absolute"
 
+    # The ``ac2,aw`` averaging radius became part of the constraint label
+    # (:func:`repro.core.bands.parse_constraint_spec`).
+    _RETIRED_KEYS = frozenset(("neighbor_radius",))
+
     def __post_init__(self) -> None:
         if not 0 < self.width_fraction <= 1:
             raise ConfigurationError("width_fraction must lie in (0, 1]")
@@ -272,14 +290,8 @@ class SDTWConfig(_DictRoundTrip):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SDTWConfig":
-        """Rebuild a configuration written by :meth:`to_dict`.
-
-        ``neighbor_radius``, which configurations written before it was
-        retired carry, is dropped: the ``ac2,aw`` averaging radius is part
-        of the constraint label (:func:`repro.core.bands.parse_constraint_spec`).
-        """
-        payload = dict(data)
-        payload.pop("neighbor_radius", None)
+        """Rebuild a configuration written by :meth:`to_dict`."""
+        payload = cls._current_keys(data)
         return cls(
             scale_space=ScaleSpaceConfig(**payload.pop("scale_space", {})),
             descriptor=DescriptorConfig(**payload.pop("descriptor", {})),

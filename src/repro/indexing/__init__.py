@@ -30,13 +30,7 @@ package as its ``indexed`` query mode.
 
 from .codebook import Codebook, CodebookConfig, feature_embedding
 from .postings import InvertedIndex, inverse_document_frequencies
-from .pq import PQConfig, ResidualPQ
-from .searcher import (
-    IndexedSearchResult,
-    IndexedSearcher,
-    RecallReport,
-    pq_entry_for,
-)
+from .searcher import IndexedSearchResult, IndexedSearcher, RecallReport
 from .shards import IndexShard, load_npz, mmap_npz
 from .store import IndexReader, IndexWriter
 
@@ -49,12 +43,9 @@ __all__ = [
     "IndexedSearchResult",
     "IndexedSearcher",
     "InvertedIndex",
-    "PQConfig",
     "RecallReport",
-    "ResidualPQ",
     "feature_embedding",
     "inverse_document_frequencies",
     "load_npz",
     "mmap_npz",
-    "pq_entry_for",
 ]

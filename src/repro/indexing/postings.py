@@ -47,8 +47,6 @@ from ..exceptions import ValidationError
 from .shards import IndexShard
 
 Bag = Tuple[np.ndarray, np.ndarray]
-# One series' rank-0 PQ payload: (codeword per feature, (F, M) uint8 codes).
-PQEntry = Tuple[np.ndarray, np.ndarray]
 
 
 def inverse_document_frequencies(
@@ -204,7 +202,6 @@ class InvertedIndex:
         num_codewords: int,
         *,
         num_shards: int = 1,
-        pq_entries: Optional[Sequence[Optional[PQEntry]]] = None,
     ) -> "InvertedIndex":
         """Build an in-memory index from per-series bags of codewords.
 
@@ -214,20 +211,10 @@ class InvertedIndex:
         scattered into the postings lists, so posting weights can be
         dot-producted directly; the raw counts are stored alongside so a
         later compaction can recompute the weights exactly.
-
-        Parameters
-        ----------
-        pq_entries:
-            Optional per-series PQ payloads, one ``(codewords, codes)``
-            pair per series (rank-0 codeword per feature in feature
-            order, plus the matching ``(F, M)`` ``uint8`` code rows) —
-            or ``None`` for series without features.
         """
         num_series = len(bags)
         if num_series == 0:
             raise ValidationError("cannot build an index over zero series")
-        if pq_entries is not None and len(pq_entries) != num_series:
-            raise ValidationError("pq_entries must have one entry per series")
         num_codewords = check_int_at_least(num_codewords, 1, "num_codewords")
         document_frequency = np.zeros(num_codewords)
         for codewords, counts in bags:
@@ -255,61 +242,12 @@ class InvertedIndex:
             _sorted_columns(per_series_codewords, per_series_payloads)
         )
 
-        code_width = 0
-        if pq_entries is not None:
-            pq_per_series_codewords: List[np.ndarray] = []
-            pq_per_series_payloads: List[List[np.ndarray]] = []
-            for entry in pq_entries:
-                if entry is None:
-                    pq_per_series_codewords.append(np.zeros(0, dtype=np.int64))
-                    pq_per_series_payloads.append(
-                        [np.zeros((0, 0), dtype=np.uint8)]
-                    )
-                    continue
-                entry_codewords = np.asarray(entry[0], dtype=np.int64)
-                entry_codes = np.atleast_2d(np.asarray(entry[1], dtype=np.uint8))
-                if entry_codewords.size != entry_codes.shape[0]:
-                    raise ValidationError(
-                        "pq entry must carry one code row per assigned feature"
-                    )
-                if entry_codewords.size:
-                    code_width = max(code_width, entry_codes.shape[1])
-                pq_per_series_codewords.append(entry_codewords)
-                pq_per_series_payloads.append([entry_codes])
-            if code_width == 0:
-                # No series carried any encoded feature; skip the PQ
-                # structure entirely rather than building empty CSRs.
-                pq_codeword_column = None
-            else:
-                for payloads in pq_per_series_payloads:
-                    if payloads[0].shape[0] == 0:
-                        payloads[0] = np.zeros((0, code_width), dtype=np.uint8)
-                pq_codeword_column, pq_series_column, (pq_code_column,) = (
-                    _sorted_columns(pq_per_series_codewords, pq_per_series_payloads)
-                )
-                pq_code_column = np.asarray(pq_code_column, dtype=np.uint8).reshape(
-                    -1, code_width
-                )
-        else:
-            pq_codeword_column = None
-
         postings_per_codeword = np.bincount(
             codeword_column, minlength=num_codewords
         )
         shards = []
         for lo, hi in _split_codeword_ranges(postings_per_codeword, num_shards):
             start, stop, unique, offsets = _csr_for_range(codeword_column, lo, hi)
-            pq_members = {}
-            if pq_codeword_column is not None:
-                pq_start, pq_stop, pq_unique, pq_offsets = _csr_for_range(
-                    pq_codeword_column, lo, hi
-                )
-                pq_members = {
-                    "pq_codeword_ids": pq_unique,
-                    "pq_offsets": pq_offsets,
-                    "pq_series": pq_series_column[pq_start:pq_stop].astype(np.int32),
-                    "pq_codes": pq_code_column[pq_start:pq_stop],
-                }
             shards.append(
                 IndexShard(
                     first_codeword=int(lo),
@@ -319,7 +257,6 @@ class InvertedIndex:
                     series=series_column[start:stop].astype(np.int32),
                     weights=weight_column[start:stop],
                     counts=count_column[start:stop],
-                    **pq_members,
                 )
             )
         return cls(
@@ -344,13 +281,6 @@ class InvertedIndex:
     @property
     def num_tombstones(self) -> int:
         return int(self.tombstones.sum())
-
-    @property
-    def has_pq(self) -> bool:
-        """Whether any shard carries PQ code postings."""
-        return any(s.has_pq for s in self.shards) or any(
-            s.has_pq for s in self.delta_shards
-        )
 
     @property
     def supports_incremental(self) -> bool:
@@ -414,7 +344,7 @@ class InvertedIndex:
             "hit_rate": (hits / total) if total else 0.0,
         }
 
-    def add_series(self, bag: Bag, pq_entry: Optional[PQEntry] = None) -> int:
+    def add_series(self, bag: Bag) -> int:
         """Append one series as a delta shard; returns its new slot id.
 
         Cost is O(bag size): the new postings are weighted with the
@@ -436,26 +366,7 @@ class InvertedIndex:
         norm = float(np.linalg.norm(weights))
         if norm > 0.0:
             weights = weights / norm
-        pq_members = {}
-        if pq_entry is not None:
-            entry_codewords = np.asarray(pq_entry[0], dtype=np.int64)
-            entry_codes = np.atleast_2d(np.asarray(pq_entry[1], dtype=np.uint8))
-            if entry_codewords.size != entry_codes.shape[0]:
-                raise ValidationError(
-                    "pq entry must carry one code row per assigned feature"
-                )
-            order = np.argsort(entry_codewords, kind="stable")
-            sorted_codewords = entry_codewords[order]
-            unique, first_positions = np.unique(sorted_codewords, return_index=True)
-            pq_members = {
-                "pq_codeword_ids": unique.astype(np.int32),
-                "pq_offsets": np.concatenate(
-                    [first_positions, [sorted_codewords.size]]
-                ).astype(np.int64),
-                "pq_series": np.full(sorted_codewords.size, slot, dtype=np.int32),
-                "pq_codes": entry_codes[order],
-            }
-        if codewords.size or pq_members:
+        if codewords.size:
             delta = IndexShard(
                 first_codeword=0,
                 last_codeword=self.num_codewords,
@@ -464,7 +375,6 @@ class InvertedIndex:
                 series=np.full(codewords.size, slot, dtype=np.int32),
                 weights=weights.astype(np.float32),
                 counts=counts,
-                **pq_members,
             )
             if self._postings_cache_capacity:
                 delta.enable_postings_cache(self._postings_cache_capacity)
@@ -484,46 +394,28 @@ class InvertedIndex:
         tombstones[slot] = True
         self.tombstones = tombstones
 
-    def _gather_columns(self, pq: bool):
-        """All postings columns across base + delta shards, in shard order."""
+    def _gather_columns(self):
+        """All postings columns (codeword, series, raw count) across base
+        + delta shards, in shard order."""
         codeword_parts: List[np.ndarray] = []
         series_parts: List[np.ndarray] = []
-        payload_parts: List[np.ndarray] = []
+        count_parts: List[np.ndarray] = []
         for shard in list(self.shards) + list(self.delta_shards):
-            if pq:
-                if not shard.has_pq:
-                    continue
-                lengths = np.diff(np.asarray(shard.pq_offsets, dtype=np.int64))
-                codeword_parts.append(
-                    np.repeat(np.asarray(shard.pq_codeword_ids, dtype=np.int64),
-                              lengths)
+            if not shard.has_counts:
+                raise ValidationError(
+                    "cannot compact an index whose shards were written "
+                    "without raw counts (format version 1); rebuild it"
                 )
-                series_parts.append(np.asarray(shard.pq_series, dtype=np.int64))
-                payload_parts.append(np.asarray(shard.pq_codes, dtype=np.uint8))
-            else:
-                if not shard.has_counts:
-                    raise ValidationError(
-                        "cannot compact an index whose shards were written "
-                        "without raw counts (format version 1); rebuild it"
-                    )
-                lengths = np.diff(np.asarray(shard.offsets, dtype=np.int64))
-                codeword_parts.append(
-                    np.repeat(np.asarray(shard.codeword_ids, dtype=np.int64),
-                              lengths)
-                )
-                series_parts.append(np.asarray(shard.series, dtype=np.int64))
-                payload_parts.append(np.asarray(shard.counts, dtype=np.float64))
-        if not codeword_parts:
-            empty_payload = (
-                np.zeros((0, 0), dtype=np.uint8) if pq else np.zeros(0)
+            lengths = np.diff(np.asarray(shard.offsets, dtype=np.int64))
+            codeword_parts.append(
+                np.repeat(np.asarray(shard.codeword_ids, dtype=np.int64), lengths)
             )
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), (
-                empty_payload
-            )
+            series_parts.append(np.asarray(shard.series, dtype=np.int64))
+            count_parts.append(np.asarray(shard.counts, dtype=np.float64))
         return (
             np.concatenate(codeword_parts),
             np.concatenate(series_parts),
-            np.concatenate(payload_parts),
+            np.concatenate(count_parts),
         )
 
     def compact(self, *, num_shards: int = 1) -> Tuple["InvertedIndex", np.ndarray]:
@@ -543,7 +435,7 @@ class InvertedIndex:
         slot_map = np.full(self.num_series, -1, dtype=np.int64)
         slot_map[live] = np.arange(int(live.sum()), dtype=np.int64)
 
-        codewords, series, counts = self._gather_columns(pq=False)
+        codewords, series, counts = self._gather_columns()
         keep = live[series] if series.size else np.zeros(0, dtype=bool)
         codewords, series, counts = codewords[keep], series[keep], counts[keep]
         # Per-series bags, codewords ascending — exactly what the
@@ -566,35 +458,8 @@ class InvertedIndex:
             ):
                 bags[int(block_series[0])] = (block_codewords, block_counts)
 
-        pq_entries: Optional[List[Optional[PQEntry]]] = None
-        if self.has_pq:
-            pq_codewords, pq_series, pq_codes = self._gather_columns(pq=True)
-            keep = live[pq_series] if pq_series.size else np.zeros(0, dtype=bool)
-            pq_codewords, pq_series, pq_codes = (
-                pq_codewords[keep], pq_series[keep], pq_codes[keep],
-            )
-            # Stable series-major regrouping: within a series the
-            # (codeword, original order) pairs survive every merge, so
-            # the rebuilt CSR matches a fresh build bit for bit.
-            order = np.argsort(pq_series, kind="stable")
-            pq_codewords, pq_series, pq_codes = (
-                pq_codewords[order], slot_map[pq_series[order]], pq_codes[order],
-            )
-            pq_entries = [None] * num_live
-            if pq_series.size:
-                boundaries = np.flatnonzero(np.diff(pq_series)) + 1
-                for block_series, block_codewords, block_codes in zip(
-                    np.split(pq_series, boundaries),
-                    np.split(pq_codewords, boundaries),
-                    np.split(pq_codes, boundaries),
-                ):
-                    pq_entries[int(block_series[0])] = (
-                        block_codewords, block_codes,
-                    )
-
         compacted = InvertedIndex.from_bags(
-            bags, self.num_codewords,
-            num_shards=num_shards, pq_entries=pq_entries,
+            bags, self.num_codewords, num_shards=num_shards
         )
         return compacted, slot_map
 
@@ -605,12 +470,6 @@ class InvertedIndex:
     def num_postings(self) -> int:
         return sum(shard.num_postings for shard in self.shards) + sum(
             shard.num_postings for shard in self.delta_shards
-        )
-
-    @property
-    def num_pq_postings(self) -> int:
-        return sum(shard.num_pq_postings for shard in self.shards) + sum(
-            shard.num_pq_postings for shard in self.delta_shards
         )
 
     @property
@@ -676,19 +535,6 @@ class InvertedIndex:
             scores[self.tombstones] = 0.0
             touched[self.tombstones] = False
         return scores, touched
-
-    def pq_postings_segments(self, codeword: int):
-        """Yield ``(series, codes)`` PQ postings of one codeword per shard."""
-        codeword = int(codeword)
-        shard_index = int(
-            np.searchsorted(self._shard_starts, codeword, side="right") - 1
-        )
-        for shard in [self.shards[shard_index]] + list(self.delta_shards):
-            if not shard.has_pq:
-                continue
-            series, codes = shard.pq_postings_of(codeword)
-            if series.size:
-                yield series, codes
 
     def candidates(self, bag: Bag, limit: Optional[int] = None) -> np.ndarray:
         """Ranked candidate series indices for a query bag.

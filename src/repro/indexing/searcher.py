@@ -24,7 +24,7 @@ trade-off against the exhaustive ranking.
 When constructed with a telemetry registry (see :mod:`repro.telemetry`)
 the searcher counts candidate-cache hits/misses, and when a query trace
 is active (:func:`repro.telemetry.trace.current_trace`) stage 1 attaches
-its sub-spans — feature extraction, TF-IDF/PQ ranking, or the cache
+its sub-spans — feature extraction, TF-IDF ranking, or the cache
 short-circuit — to the trace.
 """
 
@@ -48,12 +48,9 @@ from ..engine.stats import EngineStats
 from ..exceptions import ValidationError
 from ..telemetry.registry import NULL_REGISTRY
 from ..telemetry.trace import current_trace
-from .codebook import Codebook, CodebookConfig, feature_embedding
+from .codebook import Codebook, CodebookConfig
 from .postings import InvertedIndex
-from .pq import PQConfig, ResidualPQ
 from .store import IndexReader, IndexWriter
-
-_RANK_MODES = ("tfidf", "pq")
 
 
 @dataclass(frozen=True)
@@ -115,66 +112,6 @@ class RecallReport:
         return self.exhaustive_seconds / self.indexed_seconds
 
 
-def pq_entry_for(
-    codebook: Codebook,
-    pq: ResidualPQ,
-    features: Sequence,
-    series_length: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Rank-0 codewords and PQ codes of one series' features.
-
-    Both the build-time and the incremental ``add_series`` paths encode
-    through this helper (one series at a time), so a compacted index is
-    bit-identical to a from-scratch build with the same frozen codebook
-    and quantizer.
-    """
-    if not len(features):
-        return None
-    embedded = feature_embedding(features, series_length, codebook.config)
-    assigned = codebook.assign(features, series_length, 1)[:, 0].astype(np.int64)
-    codes = pq.encode(embedded - codebook.centroids[assigned])
-    return assigned, codes
-
-
-def _fit_pq(
-    codebook: Codebook,
-    features_per_series: Sequence[Sequence],
-    lengths: Sequence[int],
-    pq_config: PQConfig,
-) -> Tuple[ResidualPQ, List[Optional[Tuple[np.ndarray, np.ndarray]]]]:
-    """Fit a residual quantizer on a collection and encode every series.
-
-    Embeddings/assignments are computed once per series and reused for
-    both the training-residual collection and the per-series encode, so
-    the build pays the quantization geometry exactly once.  Each series
-    is encoded individually — the same per-series call shape as the
-    incremental :func:`pq_entry_for` path — so incrementally added
-    series round-trip bit-identically through compaction.
-    """
-    per_series: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    residual_blocks: List[np.ndarray] = []
-    for features, length in zip(features_per_series, lengths):
-        if not len(features):
-            per_series.append(None)
-            continue
-        embedded = feature_embedding(features, length, codebook.config)
-        assigned = codebook.assign(features, length, 1)[:, 0].astype(np.int64)
-        residuals = embedded - codebook.centroids[assigned]
-        per_series.append((assigned, residuals))
-        residual_blocks.append(residuals)
-    if not residual_blocks:
-        raise ValidationError(
-            "cannot fit a product quantizer: the collection has no salient "
-            "features"
-        )
-    pq = ResidualPQ(pq_config).fit(np.vstack(residual_blocks))
-    entries: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
-        None if cached is None else (cached[0], pq.encode(cached[1]))
-        for cached in per_series
-    ]
-    return pq, entries
-
-
 class IndexedSearcher:
     """k-NN search with sublinear candidate generation.
 
@@ -193,14 +130,6 @@ class IndexedSearcher:
         configuration the indexed features were extracted with.
     candidate_budget:
         Default number of candidates generated per query.
-    pq:
-        Optional fitted :class:`~repro.indexing.pq.ResidualPQ`; required
-        for ``rank_mode="pq"`` queries (approximate descriptor-distance
-        ranking of the candidate set).
-    rank_mode:
-        Default stage-1 ranking: ``"tfidf"`` (codeword-overlap cosine
-        scores) or ``"pq"`` (asymmetric PQ distances over the touched
-        series, falling back to TF-IDF order for series without codes).
     index_to_engine:
         Optional slot -> engine-position mapping.  Needed when the index
         carries tombstoned slots (the engine then only stores the live
@@ -210,8 +139,8 @@ class IndexedSearcher:
         :meth:`InvertedIndex.enable_postings_cache`); ``0`` disables.
     candidate_cache:
         LRU entries of stage-1 candidate sets keyed by (query bytes,
-        budget, rank mode); a repeat query skips candidate generation
-        entirely.  Cleared on every mutation.  ``0`` disables.
+        budget); a repeat query skips candidate generation entirely.
+        Cleared on every mutation.  ``0`` disables.
     telemetry:
         Optional :class:`repro.telemetry.MetricsRegistry`; the searcher
         pre-binds ``repro_candidate_cache_requests_total{outcome}``
@@ -227,8 +156,6 @@ class IndexedSearcher:
         *,
         config: Optional[SDTWConfig] = None,
         candidate_budget: int = 100,
-        pq: Optional[ResidualPQ] = None,
-        rank_mode: str = "tfidf",
         index_to_engine: Optional[Sequence[int]] = None,
         postings_cache: int = 0,
         candidate_cache: int = 0,
@@ -261,20 +188,9 @@ class IndexedSearcher:
             self._index_to_engine = mapping
         if not codebook.is_fitted:
             raise ValidationError("the searcher needs a fitted codebook")
-        if rank_mode not in _RANK_MODES:
-            raise ValidationError(
-                f"unknown rank_mode {rank_mode!r}; choose one of {_RANK_MODES}"
-            )
-        if rank_mode == "pq" and (pq is None or not index.has_pq):
-            raise ValidationError(
-                "rank_mode='pq' needs a fitted ResidualPQ and an index built "
-                "with PQ codes"
-            )
         self.index = index
         self.codebook = codebook
         self.engine = engine
-        self.pq = pq
-        self.rank_mode = rank_mode
         self.config = config if config is not None else SDTWConfig()
         if self.config.descriptor.num_bins != codebook.config.descriptor_bins:
             raise ValidationError(
@@ -292,7 +208,7 @@ class IndexedSearcher:
         # instead of re-materialising the collection per insertion.
         self._identifier_set: Optional[set] = None
         # Stage-1 candidate-set LRU (see enable_caches).
-        self._candidate_cache: "OrderedDict[Tuple[bytes, int, str], np.ndarray]" = (
+        self._candidate_cache: "OrderedDict[Tuple[bytes, int], np.ndarray]" = (
             OrderedDict()
         )
         self._candidate_cache_capacity = 0
@@ -362,8 +278,6 @@ class IndexedSearcher:
         num_shards: int = 4,
         candidate_budget: int = 100,
         features: Optional[Sequence[Sequence]] = None,
-        pq_config: Optional[PQConfig] = None,
-        rank_mode: str = "tfidf",
         telemetry=None,
     ) -> "IndexedSearcher":
         """Build the index layers over an engine's stored collection.
@@ -383,10 +297,6 @@ class IndexedSearcher:
             must come from the same extraction configuration.  Skips the
             per-series extraction pass entirely — this is how the
             Workspace facade builds its index without ever re-extracting.
-        pq_config:
-            When given, a :class:`ResidualPQ` is fitted on the rank-0
-            descriptor residuals and its codes are stored alongside the
-            postings, enabling ``rank_mode="pq"`` queries.
         """
         config = config if config is not None else SDTWConfig()
         if codebook_config is None:
@@ -417,23 +327,13 @@ class IndexedSearcher:
             codebook.bag(feature_list, length)
             for feature_list, length in zip(features, lengths)
         ]
-        pq: Optional[ResidualPQ] = None
-        pq_entries = None
-        if pq_config is not None:
-            pq, pq_entries = _fit_pq(codebook, features, lengths, pq_config)
-        elif rank_mode == "pq":
-            raise ValidationError(
-                "rank_mode='pq' requires a pq_config so the residual codes "
-                "are built"
-            )
         index = InvertedIndex.from_bags(
-            bags, codebook.num_codewords,
-            num_shards=num_shards, pq_entries=pq_entries,
+            bags, codebook.num_codewords, num_shards=num_shards
         )
         searcher = cls(
             index, codebook, engine,
             config=config, candidate_budget=candidate_budget,
-            pq=pq, rank_mode=rank_mode, telemetry=telemetry,
+            telemetry=telemetry,
         )
         searcher._features = features
         return searcher
@@ -452,8 +352,6 @@ class IndexedSearcher:
         candidate_budget: int = 100,
         backend: str = "serial",
         engine_kwargs: Optional[dict] = None,
-        pq_config: Optional[PQConfig] = None,
-        rank_mode: str = "tfidf",
     ) -> "IndexedSearcher":
         """Build a searcher (codebook + index + engine) over a collection."""
         config = config if config is not None else SDTWConfig()
@@ -479,8 +377,6 @@ class IndexedSearcher:
             codebook_config=codebook_config,
             num_shards=num_shards,
             candidate_budget=candidate_budget,
-            pq_config=pq_config,
-            rank_mode=rank_mode,
         )
 
     @classmethod
@@ -504,7 +400,6 @@ class IndexedSearcher:
         candidate_budget: int = 100,
         backend: str = "serial",
         engine_kwargs: Optional[dict] = None,
-        rank_mode: str = "tfidf",
     ) -> "IndexedSearcher":
         """Reopen a persisted index (with its bundled feature store).
 
@@ -545,7 +440,6 @@ class IndexedSearcher:
         return cls(
             reader.index, reader.codebook, engine,
             config=config, candidate_budget=candidate_budget,
-            pq=reader.pq, rank_mode=rank_mode,
             index_to_engine=mapping,
         )
 
@@ -585,7 +479,6 @@ class IndexedSearcher:
             [label for _, _, label in stored],
             feature_store=feature_store,
             extraction_config=self.config,
-            pq=self.pq,
         )
 
     @classmethod
@@ -607,10 +500,9 @@ class IndexedSearcher:
 
         Cost is O(new features): the series is added to the engine, its
         features are extracted, quantized against the *frozen* codebook
-        (and PQ, when present) and appended to the index as a delta
-        shard — no codebook refit, no postings rebuild.  Run
-        :meth:`compact` periodically to fold deltas back into the base
-        shards with fresh IDF statistics.
+        and appended to the index as a delta shard — no codebook refit,
+        no postings rebuild.  Run :meth:`compact` periodically to fold
+        deltas back into the base shards with fresh IDF statistics.
         """
         array = as_series(values, "values")
         if self._identifier_set is None:
@@ -624,11 +516,7 @@ class IndexedSearcher:
         identifier = self.engine.add(array, identifier=identifier, label=label)
         self._identifier_set.add(identifier)
         features = extract_salient_features(array, self.config)
-        bag = self.codebook.bag(features, array.size)
-        pq_entry = None
-        if self.pq is not None:
-            pq_entry = pq_entry_for(self.codebook, self.pq, features, array.size)
-        self.index.add_series(bag, pq_entry)
+        self.index.add_series(self.codebook.bag(features, array.size))
         self._clear_candidate_cache()
         if self._index_to_engine is not None:
             self._index_to_engine = np.append(
@@ -644,7 +532,7 @@ class IndexedSearcher:
         Returns the old-slot -> new-slot mapping.  The compacted
         postings are bit-identical to a from-scratch
         :meth:`InvertedIndex.from_bags` build over the surviving bags
-        under the same codebook/PQ, and exact re-rank results are
+        under the same codebook, and exact re-rank results are
         unchanged.
         """
         if num_shards is None:
@@ -670,78 +558,10 @@ class IndexedSearcher:
         mapped = self._index_to_engine[slots]
         return mapped[mapped >= 0]
 
-    def _resolve_rank_mode(self, rank_mode: Optional[str]) -> str:
-        if rank_mode is None:
-            return self.rank_mode
-        if rank_mode not in _RANK_MODES:
-            raise ValidationError(
-                f"unknown rank_mode {rank_mode!r}; choose one of {_RANK_MODES}"
-            )
-        if rank_mode == "pq" and (self.pq is None or not self.index.has_pq):
-            raise ValidationError(
-                "rank_mode='pq' needs a fitted ResidualPQ and an index built "
-                "with PQ codes"
-            )
-        return rank_mode
-
-    def _pq_candidate_slots(
-        self, features: Sequence, series_length: int, limit: int
-    ) -> np.ndarray:
-        """Stage 1 in PQ mode: rank touched series by asymmetric distance.
-
-        Every query feature probes its ``query_multiplicity`` nearest
-        codewords, builds the asymmetric distance table of its residual
-        and takes the minimum approximate distance to any stored rank-0
-        feature of each candidate in those cells (features that match
-        nothing for a candidate contribute that feature's worst observed
-        distance, so candidates covering more of the query rank
-        strictly better).  The candidate universe is the TF-IDF touched
-        set — PQ re-scores it, it never shrinks it — and the tail is
-        padded exactly like TF-IDF ranking, so ``limit >= num_live``
-        still degrades to the full live collection.
-        """
-        index, codebook, pq = self.index, self.codebook, self.pq
-        bag = codebook.bag(features, series_length, query=True)
-        if not len(features):
-            return index.candidates(bag, limit)
-        _, touched = index.scores(bag)
-        touched_slots = np.nonzero(touched)[0]
-        if not touched_slots.size:
-            return index.candidates(bag, limit)
-        embedded = feature_embedding(features, series_length, codebook.config)
-        probes = codebook.assign(
-            features, series_length, codebook.config.query_multiplicity
-        )
-        totals = np.zeros(index.num_series)
-        feature_min = np.empty(index.num_series)
-        for row in range(probes.shape[0]):
-            feature_min.fill(np.inf)
-            for cell in probes[row]:
-                cell = int(cell)
-                table = pq.adc_table(embedded[row] - codebook.centroids[cell])
-                for series, codes in index.pq_postings_segments(cell):
-                    np.minimum.at(
-                        feature_min, series, pq.adc_scores(codes, table)
-                    )
-            matched = feature_min[touched_slots]
-            finite = np.isfinite(matched)
-            if not finite.any():
-                continue  # feature matches no candidate: uninformative
-            miss = float(matched[finite].max())
-            totals[touched_slots] += np.where(finite, matched, miss)
-        order = np.lexsort((touched_slots, totals[touched_slots]))
-        ranked = touched_slots[order]
-        if ranked.size >= limit:
-            return ranked[:limit]
-        rest = np.nonzero(~touched & ~index.tombstones)[0]
-        return np.concatenate([ranked, rest[: limit - ranked.size]])
-
     def generate_candidates(
         self,
         values: Union[Sequence[float], np.ndarray],
         limit: Optional[int] = None,
-        *,
-        rank_mode: Optional[str] = None,
     ) -> np.ndarray:
         """Stage 1 alone: the ranked candidate indices for a query.
 
@@ -749,18 +569,17 @@ class IndexedSearcher:
         unless the index carries tombstoned slots).
 
         With an enabled candidate cache (see :meth:`enable_caches`) a
-        byte-identical repeat of a recent (query, budget, rank-mode)
-        triple returns the memoised candidate set without touching the
-        postings; the cache is cleared on every index mutation, so a
-        hit is always exactly what a fresh stage 1 would produce.
+        byte-identical repeat of a recent (query, budget) pair returns
+        the memoised candidate set without touching the postings; the
+        cache is cleared on every index mutation, so a hit is always
+        exactly what a fresh stage 1 would produce.
         """
-        return self._generate(values, limit, rank_mode)[0]
+        return self._generate(values, limit)[0]
 
     def _generate(
         self,
         values: Union[Sequence[float], np.ndarray],
         limit: Optional[int],
-        rank_mode: Optional[str],
     ) -> Tuple[np.ndarray, Optional[List[SalientFeature]]]:
         """Stage 1: the candidates and the query features it extracted.
 
@@ -770,12 +589,11 @@ class IndexedSearcher:
         query = as_series(values, "query")
         limit = limit if limit is not None else self.candidate_budget
         limit = check_int_at_least(limit, 1, "limit")
-        mode = self._resolve_rank_mode(rank_mode)
         trace = current_trace()
         started = time.perf_counter() if trace is not None else 0.0
-        cache_key: Optional[Tuple[bytes, int, str]] = None
+        cache_key: Optional[Tuple[bytes, int]] = None
         if self._candidate_cache_capacity:
-            cache_key = (query.tobytes(), limit, mode)
+            cache_key = (query.tobytes(), limit)
             with self._candidate_cache_lock:
                 cached = self._candidate_cache.get(cache_key)
                 if cached is not None:
@@ -796,17 +614,12 @@ class IndexedSearcher:
             trace.add_stage(
                 "query_features", extracted - started, features=len(features)
             )
-        if mode == "pq":
-            slots = self._pq_candidate_slots(features, query.size, limit)
-        else:
-            bag = self.codebook.bag(features, query.size, query=True)
-            slots = self.index.candidates(bag, limit)
-        candidates = self._slots_to_engine(slots)
+        bag = self.codebook.bag(features, query.size, query=True)
+        candidates = self._slots_to_engine(self.index.candidates(bag, limit))
         if trace is not None:
             trace.add_stage(
                 "candidate_rank",
                 time.perf_counter() - extracted,
-                rank_mode=mode,
                 candidates=int(candidates.size),
             )
         if cache_key is not None:
@@ -825,7 +638,6 @@ class IndexedSearcher:
         candidates: Optional[int] = None,
         exact: bool = False,
         exclude_identifier: Optional[str] = None,
-        rank_mode: Optional[str] = None,
     ) -> IndexedSearchResult:
         """Find the k nearest stored series to a query.
 
@@ -844,9 +656,6 @@ class IndexedSearcher:
             hatch; the result is the exhaustive ranking).
         exclude_identifier:
             Skip this stored identifier (leave-one-out evaluations).
-        rank_mode:
-            Stage-1 ranking override: ``"tfidf"`` or ``"pq"`` (default:
-            the searcher's configured mode).
         """
         k = check_int_at_least(k, 1, "k")
         if exact:
@@ -862,7 +671,7 @@ class IndexedSearcher:
                 stats=result.stats,
             )
         started = time.perf_counter()
-        candidate_set, features = self._generate(values, candidates, rank_mode)
+        candidate_set, features = self._generate(values, candidates)
         generation_seconds = time.perf_counter() - started
         # The re-rank aligns with the features stage 1 extracted, so the
         # query is extracted once, unless the engine extracts differently.
@@ -894,7 +703,6 @@ class IndexedSearcher:
         *,
         candidates: Optional[int] = None,
         exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
-        rank_mode: Optional[str] = None,
     ) -> List[IndexedSearchResult]:
         """Indexed k-NN for many queries (results in query order)."""
         if exclude_identifiers is not None and len(exclude_identifiers) != len(queries):
@@ -908,7 +716,6 @@ class IndexedSearcher:
                 exclude_identifier=(
                     exclude_identifiers[qi] if exclude_identifiers else None
                 ),
-                rank_mode=rank_mode,
             )
             for qi, values in enumerate(queries)
         ]
@@ -923,7 +730,6 @@ class IndexedSearcher:
         *,
         candidates: Optional[int] = None,
         exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
-        rank_mode: Optional[str] = None,
     ) -> RecallReport:
         """Recall@k of the indexed ranking vs. the exhaustive ranking.
 
@@ -943,8 +749,7 @@ class IndexedSearcher:
                 exclude_identifiers[qi] if exclude_identifiers is not None else None
             )
             indexed = self.query(
-                values, k, candidates=budget, exclude_identifier=exclude,
-                rank_mode=rank_mode,
+                values, k, candidates=budget, exclude_identifier=exclude
             )
             report.indexed_seconds += indexed.elapsed_seconds
             exact = self.query(values, k, exact=True, exclude_identifier=exclude)
@@ -962,5 +767,4 @@ __all__ = [
     "IndexedSearchResult",
     "IndexedSearcher",
     "RecallReport",
-    "pq_entry_for",
 ]

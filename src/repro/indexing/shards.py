@@ -8,7 +8,10 @@ of a contiguous codeword range in CSR layout:
 * ``offsets`` — CSR offsets into the postings arrays, one entry per
   codeword id plus a trailing sentinel (``int64``);
 * ``series`` — series indices of the postings (``int32``);
-* ``weights`` — TF-IDF posting weights (``float32``).
+* ``weights`` — TF-IDF posting weights (``float32``);
+* ``counts`` — raw term frequencies (``float64``, format version 2 on).
+
+Legacy ``pq_*`` members of version-2 and -3 archives are ignored.
 
 ``.npz`` archives are ZIP files; :func:`numpy.savez` stores members
 *uncompressed* (``ZIP_STORED``), so each member is a plain ``.npy`` byte
@@ -39,22 +42,10 @@ _LOCAL_HEADER = struct.Struct("<4s5H3I2H")
 _LOCAL_MAGIC = b"PK\x03\x04"
 
 SHARD_MEMBERS = ("codeword_ids", "offsets", "series", "weights")
-# Members introduced by the incremental/PQ index format (version 2).
-# ``counts`` holds the raw (pre-IDF, unnormalised) term frequencies so a
-# compaction can recompute TF-IDF weights bit-identically to a fresh
-# build; the ``pq_*`` members hold the rank-0 feature assignments and
-# their product-quantized residual codes in a second CSR structure.
-OPTIONAL_SHARD_MEMBERS = (
-    "counts", "pq_codeword_ids", "pq_offsets", "pq_series", "pq_codes",
-)
-# Archive-only members of the version-3 sub-byte layout: ``pq_codes``
-# may be replaced on disk by the bit-packed pair ``pq_codes_packed`` +
-# ``pq_codes_shape`` (bits, rows, cols) when the quantizer uses fewer
-# than 8 bits per code.  :meth:`IndexShard.open` unpacks transparently
-# back into the dense ``pq_codes`` attribute, so these names never
-# appear on a live shard object — and v2 archives (dense codes) keep
-# loading unchanged.
-PACKED_ARCHIVE_MEMBERS = ("pq_codes_packed", "pq_codes_shape")
+# ``counts`` (format version 2) holds the raw (pre-IDF, unnormalised)
+# term frequencies, so a compaction recomputes TF-IDF weights
+# bit-identically to a fresh build.
+OPTIONAL_SHARD_MEMBERS = ("counts",)
 
 
 def _member_data_offset(handle, info: zipfile.ZipInfo) -> int:
@@ -137,11 +128,7 @@ class IndexShard:
 
     Version-2 shards additionally carry ``counts`` (raw term
     frequencies, ``float64``; the input a compaction recomputes TF-IDF
-    weights from) and an optional second CSR structure over the *rank-0*
-    feature assignments: ``pq_codeword_ids`` / ``pq_offsets`` routing
-    into ``pq_series`` (stored series per encoded feature) and
-    ``pq_codes`` (``(num_features, M)`` ``uint8`` product-quantizer
-    codes).  All five are optional so version-1 shards keep loading.
+    weights from), optional so version-1 shards keep loading.
     """
 
     first_codeword: int
@@ -151,10 +138,6 @@ class IndexShard:
     series: np.ndarray
     weights: np.ndarray
     counts: Optional[np.ndarray] = None
-    pq_codeword_ids: Optional[np.ndarray] = None
-    pq_offsets: Optional[np.ndarray] = None
-    pq_series: Optional[np.ndarray] = None
-    pq_codes: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         # Optional decoded-postings cache (see enable_postings_cache);
@@ -174,26 +157,6 @@ class IndexShard:
             raise ValidationError("shard series/weights arrays must have equal length")
         if self.counts is not None and self.counts.size != self.series.size:
             raise ValidationError("shard counts must parallel the postings arrays")
-        pq_members = (
-            self.pq_codeword_ids, self.pq_offsets, self.pq_series, self.pq_codes,
-        )
-        if any(member is not None for member in pq_members) and any(
-            member is None for member in pq_members
-        ):
-            raise ValidationError(
-                "shard PQ members must be present together (pq_codeword_ids, "
-                "pq_offsets, pq_series, pq_codes) or all absent"
-            )
-        if self.has_pq:
-            if self.pq_offsets.size != self.pq_codeword_ids.size + 1:
-                raise ValidationError(
-                    "shard pq_offsets must have one entry per pq codeword "
-                    "plus a sentinel"
-                )
-            if self.pq_codes.shape[0] != self.pq_series.size:
-                raise ValidationError(
-                    "shard pq_codes must have one row per pq_series entry"
-                )
 
     @property
     def num_postings(self) -> int:
@@ -202,14 +165,6 @@ class IndexShard:
     @property
     def has_counts(self) -> bool:
         return self.counts is not None
-
-    @property
-    def has_pq(self) -> bool:
-        return self.pq_series is not None
-
-    @property
-    def num_pq_postings(self) -> int:
-        return int(self.pq_series.size) if self.has_pq else 0
 
     @property
     def is_memory_mapped(self) -> bool:
@@ -301,29 +256,7 @@ class IndexShard:
         stop = int(self.offsets[position + 1])
         return self.counts[start:stop]
 
-    def pq_postings_of(self, codeword: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(series, codes)`` of the rank-0 features quantized to a codeword."""
-        if not self.has_pq:
-            return (
-                np.empty(0, dtype=np.int32),
-                np.empty((0, 0), dtype=np.uint8),
-            )
-        position = int(np.searchsorted(self.pq_codeword_ids, codeword))
-        if (
-            position >= self.pq_codeword_ids.size
-            or int(self.pq_codeword_ids[position]) != codeword
-        ):
-            return (
-                np.empty(0, dtype=self.pq_series.dtype),
-                np.empty((0, self.pq_codes.shape[1]), dtype=self.pq_codes.dtype),
-            )
-        start = int(self.pq_offsets[position])
-        stop = int(self.pq_offsets[position + 1])
-        return self.pq_series[start:stop], self.pq_codes[start:stop]
-
-    def save(
-        self, path: Union[str, os.PathLike], *, pq_bits: Optional[int] = None
-    ) -> None:
+    def save(self, path: Union[str, os.PathLike]) -> None:
         """Write the shard as an uncompressed (mappable) ``.npz`` archive.
 
         The archive is assembled in a sibling temp file and moved into
@@ -332,11 +265,6 @@ class IndexShard:
         directory is safe on POSIX even while the previous shard files
         are still memory-mapped (the old inodes stay alive under the
         existing mappings).
-
-        With ``pq_bits < 8`` the PQ code matrix is bit-packed into
-        ``ceil(bits/8)`` of its dense size (format version 3); without
-        *pq_bits* (or at 8 bits) codes are written dense, which is the
-        version-2 layout.
         """
         payload = {
             "codeword_ids": np.asarray(self.codeword_ids, dtype=np.int32),
@@ -346,22 +274,6 @@ class IndexShard:
         }
         if self.counts is not None:
             payload["counts"] = np.asarray(self.counts, dtype=np.float64)
-        if self.has_pq:
-            payload["pq_codeword_ids"] = np.asarray(
-                self.pq_codeword_ids, dtype=np.int32
-            )
-            payload["pq_offsets"] = np.asarray(self.pq_offsets, dtype=np.int64)
-            payload["pq_series"] = np.asarray(self.pq_series, dtype=np.int32)
-            codes = np.asarray(self.pq_codes, dtype=np.uint8)
-            if pq_bits is not None and pq_bits < 8:
-                from .pq import pack_codes
-
-                payload["pq_codes_packed"] = pack_codes(codes, pq_bits)
-                payload["pq_codes_shape"] = np.array(
-                    [pq_bits, codes.shape[0], codes.shape[1]], dtype=np.int64
-                )
-            else:
-                payload["pq_codes"] = codes
         path = os.fspath(path)
         temp_path = path + ".tmp"
         try:
@@ -393,24 +305,6 @@ class IndexShard:
             raise ValidationError(
                 f"shard archive {os.fspath(path)!r} is missing members: {missing}"
             )
-        pq_codes = arrays.get("pq_codes")
-        if pq_codes is None and "pq_codes_packed" in arrays:
-            # Version-3 sub-byte layout: decode the bit-packed stream
-            # back into the dense uint8 matrix queries expect.  The
-            # decoded matrix lives in RAM (it cannot be memory-mapped),
-            # which is the documented cost of the smaller file.
-            from .pq import unpack_codes
-
-            shape = np.asarray(arrays["pq_codes_shape"], dtype=np.int64)
-            if shape.shape != (3,):
-                raise ValidationError(
-                    f"shard archive {os.fspath(path)!r} has a malformed "
-                    f"pq_codes_shape member"
-                )
-            pq_codes = unpack_codes(
-                arrays["pq_codes_packed"],
-                int(shape[0]), int(shape[1]), int(shape[2]),
-            )
         return cls(
             first_codeword=first_codeword,
             last_codeword=last_codeword,
@@ -419,8 +313,4 @@ class IndexShard:
             series=arrays["series"],
             weights=arrays["weights"],
             counts=arrays.get("counts"),
-            pq_codeword_ids=arrays.get("pq_codeword_ids"),
-            pq_offsets=arrays.get("pq_offsets"),
-            pq_series=arrays.get("pq_series"),
-            pq_codes=pq_codes,
         )

@@ -5,7 +5,6 @@ An index lives in one directory::
     index-dir/
         manifest.json     # routing table + identifiers + fingerprints
         codebook.npz      # fitted k-means quantizer
-        pq.npz            # optional residual product quantizer
         stats.npz         # per-codeword IDF
         shard-0000.npz    # base postings shards (uncompressed, mappable)
         shard-0001.npz
@@ -20,12 +19,10 @@ so opening an index reads only the manifest, codebook and IDF table —
 postings pages fault in as queries touch them.
 
 Format version 2 adds incremental state: delta shard entries, the
-tombstoned slot list, the optional PQ codec file and per-posting raw
-counts inside the shards.  Version 3 bit-packs sub-byte PQ codes inside
-the shards (``pq_bits < 8`` no longer spends a full byte per code on
-disk).  Both older versions still open: version-1 directories simply
-cannot be compacted until rebuilt, and version-2 shards carry dense
-codes the reader accepts as-is.
+tombstoned slot list and per-posting raw counts inside the shards;
+version 3 keeps that layout.  Version-1 directories still open but
+cannot be compacted until rebuilt.  Legacy ``pq_*`` members (the
+manifest's ``pq_file``, ``pq.npz``, shard arrays) are ignored.
 """
 
 from __future__ import annotations
@@ -40,14 +37,14 @@ import numpy as np
 from ..exceptions import DatasetError, ValidationError
 from .codebook import Codebook
 from .postings import InvertedIndex
-from .pq import ResidualPQ
 from .shards import IndexShard
 
 MANIFEST_NAME = "manifest.json"
 CODEBOOK_NAME = "codebook.npz"
-PQ_NAME = "pq.npz"
 STATS_NAME = "stats.npz"
 STORE_NAME = "store.npz"
+# Written by releases with a product-quantizer codec; never read.
+LEGACY_PQ_NAME = "pq.npz"
 FORMAT_NAME = "repro-salient-index"
 FORMAT_VERSION = 3
 
@@ -59,7 +56,6 @@ def _shard_entry(filename: str, shard: IndexShard) -> Dict[str, object]:
         "last_codeword": shard.last_codeword,
         "num_postings": shard.num_postings,
         "num_codewords_present": int(shard.codeword_ids.size),
-        "num_pq_postings": shard.num_pq_postings,
     }
 
 
@@ -85,7 +81,6 @@ class IndexWriter:
         *,
         feature_store=None,
         extraction_config=None,
-        pq: Optional[ResidualPQ] = None,
     ) -> str:
         """Persist everything; returns the manifest path.
 
@@ -110,9 +105,6 @@ class IndexWriter:
             features were extracted with; persisted in the manifest so a
             reader reconstructs (and can verify) the exact configuration
             instead of trusting the descriptor-bin count alone.
-        pq:
-            Optional fitted :class:`~repro.indexing.pq.ResidualPQ` whose
-            codes are embedded in the shards.
         """
         if len(identifiers) != index.num_series:
             raise ValidationError(
@@ -136,24 +128,17 @@ class IndexWriter:
         os.makedirs(directory, exist_ok=True)
 
         codebook.save(os.path.join(directory, CODEBOOK_NAME))
-        pq_file: Optional[str] = None
-        if pq is not None:
-            pq_file = PQ_NAME
-            pq.save(os.path.join(directory, PQ_NAME))
         np.savez(os.path.join(directory, STATS_NAME), idf=index.idf)
 
-        # Sub-byte quantizers get their codes bit-packed inside the
-        # shard files (format version 3); 8-bit codes stay dense.
-        pq_bits = None if pq is None else int(pq.config.bits)
         shard_entries: List[Dict[str, object]] = []
         for number, shard in enumerate(index.shards):
             filename = f"shard-{number:04d}.npz"
-            shard.save(os.path.join(directory, filename), pq_bits=pq_bits)
+            shard.save(os.path.join(directory, filename))
             shard_entries.append(_shard_entry(filename, shard))
         delta_entries: List[Dict[str, object]] = []
         for number, shard in enumerate(index.delta_shards):
             filename = f"delta-{number:04d}.npz"
-            shard.save(os.path.join(directory, filename), pq_bits=pq_bits)
+            shard.save(os.path.join(directory, filename))
             delta_entries.append(_shard_entry(filename, shard))
 
         store_file: Optional[str] = None
@@ -179,7 +164,6 @@ class IndexWriter:
                 int(slot) for slot in np.nonzero(index.tombstones)[0]
             ],
             "codebook_file": CODEBOOK_NAME,
-            "pq_file": pq_file,
             "stats_file": STATS_NAME,
             "store_file": store_file,
             "extraction_config": (
@@ -187,22 +171,24 @@ class IndexWriter:
             ),
         }
         # Atomic manifest swap: until the new manifest is in place the
-        # old one keeps referencing only files that still exist (shard
-        # writes replace in place, nothing has been deleted yet), so a
-        # crash or concurrent IndexReader.open never sees a manifest
-        # pointing at missing shards.
+        # old one keeps referencing only files that still exist (nothing
+        # has been deleted yet), so a crash or concurrent IndexReader.open
+        # never sees a manifest pointing at missing shards.  It is not a
+        # crash-safe commit, though: the shards above were already
+        # replaced in place, so a crash between those writes and this
+        # swap leaves the old manifest describing new shard contents.
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         temp_path = manifest_path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2)
             handle.write("\n")
         os.replace(temp_path, manifest_path)
-        # Only now prune files a previous (larger) build left behind —
-        # nothing references them anymore.
+        # Only now prune files a previous (larger or older) build left
+        # behind — nothing references them anymore.
         written = {str(entry["file"]) for entry in shard_entries}
         written.update(str(entry["file"]) for entry in delta_entries)
         for name in os.listdir(directory):
-            if (
+            if name == LEGACY_PQ_NAME or (
                 name.startswith(("shard-", "delta-"))
                 and name.endswith(".npz")
                 and name not in written
@@ -227,9 +213,6 @@ class IndexReader:
         The inverted index (base + delta shards, tombstones applied),
         with shard postings memory-mapped unless the reader was opened
         with ``mmap=False``.
-    pq:
-        The residual product quantizer, or ``None`` when the index was
-        written without one.
     identifiers, labels:
         Series identifiers / labels in slot order (including tombstoned
         slots; see :meth:`live_identifiers`).
@@ -241,7 +224,6 @@ class IndexReader:
     index: InvertedIndex
     identifiers: List[str]
     labels: List[Optional[int]] = field(default_factory=list)
-    pq: Optional[ResidualPQ] = None
 
     @classmethod
     def open(
@@ -271,10 +253,6 @@ class IndexReader:
         codebook = Codebook.load(
             os.path.join(directory, str(manifest["codebook_file"]))
         )
-        pq: Optional[ResidualPQ] = None
-        pq_file = manifest.get("pq_file")
-        if pq_file:
-            pq = ResidualPQ.load(os.path.join(directory, str(pq_file)))
         with np.load(
             os.path.join(directory, str(manifest["stats_file"])),
             allow_pickle=False,
@@ -317,7 +295,6 @@ class IndexReader:
             manifest=manifest,
             codebook=codebook,
             index=index,
-            pq=pq,
             identifiers=[str(name) for name in manifest["identifiers"]],
             labels=(
                 [None] * index.num_series if labels is None

@@ -404,6 +404,14 @@ class WorkspaceServer:
         candidates = payload.get("candidates")
         if candidates is not None and not isinstance(candidates, int):
             raise ProtocolError("'candidates' must be an integer")
+        # v1 clients may still send the stage-1 ranking; tfidf is the
+        # only one left.
+        if payload.get("rank_mode") not in (None, "tfidf"):
+            raise ProtocolError(
+                f"rank_mode {payload['rank_mode']!r} was removed with the PQ "
+                f"codec; indexed queries rank candidates by TF-IDF only "
+                f"(omit rank_mode or send \"tfidf\")"
+            )
         want_trace = self._default_trace
         if "trace" in request.query:
             want_trace = _parse_flag(request.query["trace"], "trace")
@@ -416,7 +424,6 @@ class WorkspaceServer:
             mode=str(mode),
             candidates=candidates,
             exclude_identifier=payload.get("exclude_identifier"),
-            rank_mode=payload.get("rank_mode"),
         ))
         return HTTPResponse.from_json(
             200, result.to_dict(include_trace=want_trace)

@@ -188,7 +188,6 @@ class RemoteWorkspace:
         mode: str = "auto",
         candidates: Optional[int] = None,
         exclude_identifier: Optional[str] = None,
-        rank_mode: Optional[str] = None,
         trace: bool = False,
     ) -> WorkspaceQueryResult:
         """Mirror of :meth:`repro.service.Workspace.query` over HTTP.
@@ -206,8 +205,6 @@ class RemoteWorkspace:
             payload["candidates"] = int(candidates)
         if exclude_identifier is not None:
             payload["exclude_identifier"] = str(exclude_identifier)
-        if rank_mode is not None:
-            payload["rank_mode"] = str(rank_mode)
         path = "/query?trace=1" if trace else "/query"
         return WorkspaceQueryResult.from_dict(self._call("POST", path, payload))
 

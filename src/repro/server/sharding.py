@@ -270,7 +270,6 @@ class ShardedWorkspace:
         mode: str = "auto",
         candidates: Optional[int] = None,
         exclude_identifier: Optional[str] = None,
-        rank_mode: Optional[str] = None,
     ) -> WorkspaceQueryResult:
         """k nearest stored series, scatter-gathered across the shards.
 
@@ -307,7 +306,6 @@ class ShardedWorkspace:
                     mode=mode,
                     candidates=candidates,
                     exclude_identifier=exclude_identifier,
-                    rank_mode=rank_mode,
                 )
             except BaseException as exc:  # noqa: BLE001 - gathered below
                 outcomes[slot] = exc

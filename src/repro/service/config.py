@@ -110,18 +110,6 @@ class IndexConfig(_DictRoundTrip):
         Auto-compaction threshold: once an incremental update would
         leave more than this many delta shards, the workspace folds
         them back into the base shards.
-    pq:
-        Fit a :class:`~repro.indexing.pq.ResidualPQ` at build time and
-        store descriptor-residual codes alongside the postings (enables
-        ``rank_mode="pq"`` and the compression reported by ``stats``).
-    pq_subquantizers:
-        Sub-quantizers of the residual PQ (stored bytes per feature).
-    pq_bits:
-        Bits per PQ sub-quantizer code (sub-codebook size ``2**bits``).
-    rank_mode:
-        Default stage-1 candidate ranking for indexed queries:
-        ``"tfidf"`` (codeword-overlap cosine) or ``"pq"`` (asymmetric
-        PQ descriptor distances; requires ``pq=True``).
     postings_cache:
         Hot postings pages kept decoded per shard (codeword -> posting
         arrays with weights already converted to float64).  Serving
@@ -129,8 +117,8 @@ class IndexConfig(_DictRoundTrip):
         derivations and index clones.  ``0`` disables the cache.
     candidate_cache:
         LRU entries of quantised-query candidate sets kept per serving
-        searcher (keyed by query bytes, budget and rank mode).  A repeat
-        query skips stage 1 entirely.  ``0`` disables the cache.
+        searcher (keyed by query bytes and budget).  A repeat query
+        skips stage 1 entirely.  ``0`` disables the cache.
     """
 
     num_codewords: int = 256
@@ -140,12 +128,14 @@ class IndexConfig(_DictRoundTrip):
     mmap: bool = True
     incremental: bool = True
     max_delta_shards: int = 32
-    pq: bool = True
-    pq_subquantizers: int = 8
-    pq_bits: int = 8
-    rank_mode: str = "tfidf"
     postings_cache: int = 256
     candidate_cache: int = 128
+
+    # Product-quantizer knobs of older manifests.  TF-IDF is the only
+    # candidate ranking, so a manifest's rank_mode "pq" answers as tfidf.
+    _RETIRED_KEYS = frozenset((
+        "pq", "pq_subquantizers", "pq_bits", "rank_mode",
+    ))
 
     def __post_init__(self) -> None:
         if self.num_codewords < 1:
@@ -156,18 +146,6 @@ class IndexConfig(_DictRoundTrip):
             raise ConfigurationError("candidate_budget must be >= 1")
         if self.max_delta_shards < 1:
             raise ConfigurationError("max_delta_shards must be >= 1")
-        if self.pq_subquantizers < 1:
-            raise ConfigurationError("pq_subquantizers must be >= 1")
-        if not 1 <= self.pq_bits <= 8:
-            raise ConfigurationError("pq_bits must be between 1 and 8")
-        if self.rank_mode not in ("tfidf", "pq"):
-            raise ConfigurationError(
-                f"rank_mode must be 'tfidf' or 'pq', got {self.rank_mode!r}"
-            )
-        if self.rank_mode == "pq" and not self.pq:
-            raise ConfigurationError(
-                "rank_mode='pq' requires pq=True (codes must be built)"
-            )
         if self.postings_cache < 0:
             raise ConfigurationError("postings_cache must be >= 0")
         if self.candidate_cache < 0:
@@ -226,6 +204,13 @@ class ServingConfig(_DictRoundTrip):
     telemetry: bool = True
     slow_query_threshold: Optional[float] = None
 
+    # Retention settings that became constants of repro.service.workspace
+    # and repro.telemetry.events; older manifests still carry them.
+    _RETIRED_KEYS = frozenset((
+        "trace_ring", "event_log_ring", "event_log_file", "event_log_max_bytes",
+        "slow_query_ring",
+    ))
+
     def __post_init__(self) -> None:
         if self.batch_window_ms < 0:
             raise ConfigurationError("batch_window_ms must be non-negative")
@@ -236,26 +221,6 @@ class ServingConfig(_DictRoundTrip):
                 "slow_query_threshold must be >= 0 seconds when given"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingConfig":
-        """Rebuild a configuration written by :meth:`to_dict`.
-
-        Manifests written before the retention settings became
-        constants still list them; exactly those keys are dropped, and
-        any other unknown key still raises.
-        """
-        return cls(**{
-            key: value for key, value in data.items()
-            if key not in _RETIRED_SERVING_KEYS
-        })
-
-
-# Retention settings that became constants of repro.service.workspace and
-# repro.telemetry.events; older manifests still carry them.
-_RETIRED_SERVING_KEYS = frozenset((
-    "trace_ring", "event_log_ring", "event_log_file", "event_log_max_bytes",
-    "slow_query_ring",
-))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The serving stack accumulates state with many cross-references — the
 manifest's roster must match the feature store, index slots must
-reconcile with tombstone and live counts, PQ code widths must match
-their codec, the serving snapshot must cover exactly the live roster.
+reconcile with tombstone and live counts, the serving snapshot must
+cover exactly the live roster.
 Each of those is an invariant some subsystem *assumes*; the doctor is
 the one place that *checks* them all, so an operator can ask "is this
 workspace healthy" before (or after) trusting it with traffic.
@@ -30,8 +30,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from ..telemetry.registry import MetricsRegistry
 
@@ -144,7 +142,6 @@ def run_doctor(workspace, *, probe: bool = True) -> DoctorReport:
     _run_check(report, "store", lambda: _check_store(workspace))
     _run_check(report, "index_accounting", lambda: _check_index(workspace))
     _run_check(report, "index_format", lambda: _check_index_format(workspace))
-    _run_check(report, "pq_codes", lambda: _check_pq(workspace))
     _run_check(report, "caches", lambda: _check_caches(workspace))
     _run_check(report, "event_log", lambda: _check_event_log(workspace))
     if probe:
@@ -328,69 +325,6 @@ def _check_index_format(workspace) -> DoctorCheck:
             f"(supports <= {INDEX_FORMAT_VERSION})",
         )
     return DoctorCheck("index_format", OK, f"index format v{version}")
-
-
-def _check_pq(workspace) -> DoctorCheck:
-    persisted = workspace._index
-    if persisted is None or persisted.pq is None:
-        if (
-            persisted is not None
-            and workspace.config.index.rank_mode == "pq"
-        ):
-            return DoctorCheck(
-                "pq_codes", WARN,
-                "rank_mode='pq' configured but the index carries no PQ "
-                "codes; queries silently downgrade to tfidf ranking",
-            )
-        return DoctorCheck("pq_codes", OK, "no PQ codec on this index")
-    pq = persisted.pq
-    expected_bytes = (pq.config.subquantizers * pq.config.bits + 7) // 8
-    if int(pq.code_bytes) != expected_bytes:
-        return DoctorCheck(
-            "pq_codes", FAIL,
-            f"code_bytes={pq.code_bytes} but M={pq.config.subquantizers} "
-            f"bits={pq.config.bits} implies {expected_bytes}",
-        )
-    index = persisted.index
-    if not index.has_pq:
-        return DoctorCheck(
-            "pq_codes", WARN,
-            "PQ codec present but the postings carry no code columns",
-        )
-    if persisted.stale:
-        # Removals no longer reach a stale index, so its live slots may
-        # name series the store has dropped; the rebuild re-encodes all.
-        return DoctorCheck(
-            "pq_codes", OK, "index is stale; codes are re-encoded on rebuild"
-        )
-    # The build and every incremental add encode each stored feature
-    # once, at its rank-0 codeword, so every live slot carries exactly
-    # one code per feature.  (Postings are per distinct codeword over
-    # the soft assignments, so their count says nothing about codes.)
-    coded_per_slot = np.bincount(
-        np.concatenate([
-            np.asarray(shard.pq_series, dtype=np.int64)
-            for shard in list(index.shards) + list(index.delta_shards)
-            if shard.has_pq
-        ]),
-        minlength=len(persisted.slots),
-    )
-    for slot, name in enumerate(persisted.slots):
-        if index.tombstones[slot]:
-            continue
-        expected = len(workspace._store.features_of(name))
-        if coded_per_slot[slot] != expected:
-            return DoctorCheck(
-                "pq_codes", FAIL,
-                f"slot {slot} ({name!r}) carries {coded_per_slot[slot]} PQ "
-                f"codes for {expected} stored features",
-            )
-    coded = int(index.num_pq_postings)
-    return DoctorCheck(
-        "pq_codes", OK,
-        f"{pq.code_bytes} bytes/feature over {coded} coded features "
-        f"({pq.compression_ratio:.1f}x vs raw residuals)",
-    )
 
 
 def _check_caches(workspace) -> DoctorCheck:

@@ -68,13 +68,7 @@ from ..engine import BatchKNNResult, DistanceEngine
 from ..engine.engine import EngineHit
 from ..engine.stats import EngineStats
 from ..exceptions import DatasetError, ValidationError, WorkspaceError
-from ..indexing import (
-    CodebookConfig,
-    IndexReader,
-    IndexedSearcher,
-    PQConfig,
-    pq_entry_for,
-)
+from ..indexing import CodebookConfig, IndexReader, IndexedSearcher
 from ..retrieval.feature_store import FeatureStore
 from ..streaming import StreamMatch, StreamMonitor
 from ..telemetry.events import NULL_EVENT_LOG, EventLog, json_safe
@@ -412,7 +406,6 @@ class _PersistedIndex:
     index: object  # InvertedIndex
     codebook: object  # Codebook
     slots: List[str] = field(default_factory=list)
-    pq: object = None  # Optional[ResidualPQ]
     stale: bool = False
     generation: int = 0
 
@@ -680,7 +673,6 @@ class Workspace:
                 index=reader.index,
                 codebook=reader.codebook,
                 slots=list(reader.identifiers),
-                pq=reader.pq,
             )
         workspace._attach_diagnostics_sinks()
         workspace._events.emit(
@@ -806,11 +798,6 @@ class Workspace:
                 "num_live": int(index.num_live),
                 "delta_shards": int(index.num_delta_shards),
                 "tombstones": int(index.num_tombstones),
-                "rank_mode": self._effective_rank_mode(),
-                "pq_compression_ratio": (
-                    None if self._index.pq is None
-                    else float(self._index.pq.compression_ratio)
-                ),
             }
         serving = self._serving
         return {
@@ -973,9 +960,9 @@ class Workspace:
 
         With ``config.index.incremental`` (the default) an existing
         fresh index stays fresh: the new series' features are extracted,
-        quantized against the frozen codebook (and PQ codec) and
-        appended as one delta shard — O(new features) instead of a full
-        rebuild, and ``auto`` queries keep using the indexed path.
+        quantized against the frozen codebook and appended as one delta
+        shard — O(new features) instead of a full rebuild, and ``auto``
+        queries keep using the indexed path.
         With ``incremental=False`` adding marks the index stale and
         ``auto`` queries fall back to the exact scan until
         :meth:`build_index` runs again.
@@ -1034,12 +1021,8 @@ class Workspace:
             return False
         features = self._store.ensure_features(identifier)
         codebook = persisted.codebook
-        bag = codebook.bag(features, array.size)
-        pq_entry = None
-        if persisted.pq is not None:
-            pq_entry = pq_entry_for(codebook, persisted.pq, features, array.size)
         updated = persisted.index.clone()
-        updated.add_series(bag, pq_entry)
+        updated.add_series(codebook.bag(features, array.size))
         slots = persisted.slots + [identifier]
         generation = persisted.generation
         self._m_index_updates.labels(kind="incremental_add").inc()
@@ -1070,7 +1053,6 @@ class Workspace:
             index=updated,
             codebook=codebook,
             slots=slots,
-            pq=persisted.pq,
             generation=generation,
         )
         return True
@@ -1129,7 +1111,6 @@ class Workspace:
             index=updated,
             codebook=persisted.codebook,
             slots=list(persisted.slots),
-            pq=persisted.pq,
             generation=persisted.generation,  # tombstones keep slot numbers
         )
         self._m_index_updates.labels(kind="tombstone").inc()
@@ -1408,8 +1389,6 @@ class Workspace:
             engine,
             config=self.config.sdtw,
             candidate_budget=self.config.index.candidate_budget,
-            pq=self._index.pq,
-            rank_mode=self._effective_rank_mode(),
             index_to_engine=mapping,
             postings_cache=self.config.index.postings_cache,
             candidate_cache=self.config.index.candidate_cache,
@@ -1460,17 +1439,6 @@ class Workspace:
             size=len(engine),
             index_generation=generation,
         )
-
-    def _effective_rank_mode(self) -> str:
-        """The configured rank mode, downgraded when the index lacks codes."""
-        if (
-            self.config.index.rank_mode == "pq"
-            and self._index is not None
-            and self._index.pq is not None
-            and self._index.index.has_pq
-        ):
-            return "pq"
-        return "tfidf"
 
     def _slot_mapping(
         self, engine: Optional[DistanceEngine] = None
@@ -1554,13 +1522,6 @@ class Workspace:
                 else num_codewords,
                 seed=cfg.seed,
             )
-            pq_config = None
-            if cfg.pq:
-                pq_config = PQConfig(
-                    subquantizers=cfg.pq_subquantizers,
-                    bits=cfg.pq_bits,
-                    seed=cfg.seed,
-                )
             searcher = IndexedSearcher.from_engine(
                 snapshot.engine,
                 config=self.config.sdtw,
@@ -1574,8 +1535,6 @@ class Workspace:
                     list(self._store.features_of(identifier))
                     for identifier in self._identifiers
                 ],
-                pq_config=pq_config,
-                rank_mode=cfg.rank_mode,
                 telemetry=self._metrics,
             )
             self._m_index_updates.labels(kind="rebuild").inc()
@@ -1583,7 +1542,6 @@ class Workspace:
                 "index", "rebuilt",
                 num_series=len(self._identifiers),
                 num_codewords=int(searcher.codebook.num_codewords),
-                pq=searcher.pq is not None,
             )
             self._events.emit(
                 "cache", "candidate_cache_invalidated", level="debug",
@@ -1593,7 +1551,6 @@ class Workspace:
                 index=searcher.index,
                 codebook=searcher.codebook,
                 slots=list(self._identifiers),
-                pq=searcher.pq,
                 generation=(
                     0 if self._index is None else self._index.generation + 1
                 ),
@@ -1646,7 +1603,6 @@ class Workspace:
                     name for slot, name in enumerate(persisted.slots)
                     if slot_map[slot] >= 0
                 ],
-                pq=persisted.pq,
                 generation=persisted.generation + 1,  # slots renumbered
             )
             self._m_index_updates.labels(kind="compaction").inc()
@@ -1679,7 +1635,6 @@ class Workspace:
         mode: str = "auto",
         candidates: Optional[int] = None,
         exclude_identifier: Optional[str] = None,
-        rank_mode: Optional[str] = None,
     ) -> WorkspaceQueryResult:
         """k nearest stored series to a query.
 
@@ -1698,9 +1653,6 @@ class Workspace:
             Per-query candidate budget override (indexed mode).
         exclude_identifier:
             Skip this stored identifier (leave-one-out evaluations).
-        rank_mode:
-            Stage-1 ranking override for indexed queries: ``"tfidf"``
-            or ``"pq"`` (default: ``config.index.rank_mode``).
         """
         self._require_open()
         k = self.config.default_k if k is None else check_int_at_least(k, 1, "k")
@@ -1741,7 +1693,6 @@ class Workspace:
                     values, k,
                     candidates=candidates,
                     exclude_identifier=exclude_identifier,
-                    rank_mode=rank_mode,
                 )
             outcome = WorkspaceQueryResult(
                 hits=self._remap_hits(snapshot, result.hits),
@@ -2093,7 +2044,6 @@ class Workspace:
                     slot_labels,
                     feature_store=self._store,
                     extraction_config=self.config.sdtw,
-                    pq=self._index.pq,
                 )
             else:
                 # A previously persisted index that is now stale (or was

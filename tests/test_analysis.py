@@ -245,7 +245,7 @@ class TestDoctorCrossLink:
     #: Check names run_doctor registers (see service/doctor.py).
     DOCTOR_CHECKS = {
         "manifest", "config", "store", "index_accounting",
-        "index_format", "pq_codes", "caches", "event_log",
+        "index_format", "caches", "event_log",
         "serving_snapshot", "query_probe", "telemetry_overhead",
     }
 

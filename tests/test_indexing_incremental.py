@@ -9,7 +9,7 @@ Covers the three contracts of the incremental layer:
 * ``compact()`` folds base + deltas - tombstones into a fresh base shard
   set that is **bit-identical** to ``InvertedIndex.from_bags`` over the
   surviving bags (a from-scratch rebuild under the same frozen
-  codebook), including the PQ code CSRs.
+  codebook).
 
 Plus the persistence satellite: add -> save -> open -> query round
 trips, tombstones surviving reopen, and the Workspace-level incremental
@@ -18,9 +18,14 @@ path (auto-compaction, removal, close/open cycles).
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.datasets.synthetic import make_gun_like
 from repro.exceptions import DatasetError, ValidationError
@@ -30,10 +35,12 @@ from repro.indexing import (
     IndexedSearcher,
     InvertedIndex,
     IndexWriter,
-    PQConfig,
 )
-from repro.indexing.searcher import pq_entry_for
-from repro.indexing.shards import OPTIONAL_SHARD_MEMBERS, SHARD_MEMBERS
+from repro.indexing.shards import (
+    OPTIONAL_SHARD_MEMBERS,
+    SHARD_MEMBERS,
+    load_npz,
+)
 from repro.service import IndexConfig, Workspace, WorkspaceConfig
 
 CONFIG = SDTWConfig(descriptor=DescriptorConfig(num_bins=16))
@@ -88,7 +95,6 @@ def searcher(dataset):
         ),
         num_shards=3,
         candidate_budget=6,
-        pq_config=PQConfig(subquantizers=4, seed=11),
     )
 
 
@@ -227,13 +233,9 @@ class TestSearcherIncremental:
             searcher.codebook.bag(feats, length)
             for feats, length in zip(features, lengths)
         ]
-        entries = [
-            pq_entry_for(searcher.codebook, searcher.pq, feats, length)
-            for feats, length in zip(features, lengths)
-        ]
         fresh = InvertedIndex.from_bags(
             bags, searcher.codebook.num_codewords,
-            num_shards=len(searcher.index.shards), pq_entries=entries,
+            num_shards=len(searcher.index.shards),
         )
         searcher.compact()
         assert_indexes_bit_identical(searcher.index, fresh)
@@ -290,7 +292,6 @@ class TestDeltaPersistence:
             [label for _, _, label in stored],
             feature_store=store,
             extraction_config=CONFIG,
-            pq=searcher.pq,
         )
         reader = IndexReader.open(directory)
         assert reader.index.num_tombstones == 1
@@ -306,6 +307,90 @@ class TestDeltaPersistence:
             searcher.save(str(tmp_path / "idx"))
 
 
+def _add_legacy_pq_parts(directory: str, version: int) -> None:
+    """Give an index directory the product-quantizer state older releases
+    wrote: dense ``pq_*`` shard members (manifest version 2) or the
+    bit-packed ``pq_codes_packed`` + ``pq_codes_shape`` pair (version 3),
+    plus a ``pq.npz`` named by the manifest's ``pq_file``."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    for entry in manifest["shards"] + manifest["delta_shards"]:
+        path = os.path.join(directory, entry["file"])
+        members = load_npz(path)
+        rows = int(members["series"].size)
+        members["pq_codeword_ids"] = members["codeword_ids"]
+        members["pq_offsets"] = members["offsets"]
+        members["pq_series"] = members["series"]
+        if version == 2:
+            members["pq_codes"] = np.ones((rows, 4), dtype=np.uint8)
+        else:
+            # Four 4-bit codes per row.
+            members["pq_codes_packed"] = np.ones(2 * rows, dtype=np.uint8)
+            members["pq_codes_shape"] = np.array([4, rows, 4], dtype=np.int64)
+        np.savez(path, **members)
+        entry["num_pq_postings"] = rows
+    np.savez(
+        os.path.join(directory, "pq.npz"),
+        centroids=np.zeros((4, 16, 2)), dim=np.array(8),
+    )
+    manifest["pq_file"] = "pq.npz"
+    manifest["version"] = version
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+class TestLegacyPQIndexDirectories:
+    """Index directories from releases with a product quantizer open,
+    answer exactly like the same index without PQ state, and are
+    rewritten without it."""
+
+    @staticmethod
+    def _answers(directory, dataset, *, mmap):
+        searcher = IndexedSearcher.open(directory, mmap=mmap, candidate_budget=6)
+        answers = []
+        for ts in dataset.series[:4]:
+            result = searcher.query(ts.values, 4,
+                                    exclude_identifier=ts.identifier)
+            answers.append((
+                searcher.generate_candidates(ts.values).tolist(),
+                [hit.identifier for hit in result.hits],
+                [hit.distance for hit in result.hits],
+            ))
+        return answers
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_legacy_members_are_ignored_and_compacted_away(
+        self, searcher, dataset, tmp_path, version
+    ):
+        searcher.add_series(dataset[0].values * 0.9, identifier="delta-a")
+        plain = str(tmp_path / "plain")
+        searcher.save(plain)
+        legacy = str(tmp_path / "legacy")
+        shutil.copytree(plain, legacy)
+        _add_legacy_pq_parts(legacy, version)
+
+        for mmap in (True, False):
+            assert self._answers(legacy, dataset, mmap=mmap) == self._answers(
+                plain, dataset, mmap=mmap
+            )
+
+        assert main(["index", "compact", legacy]) == 0
+        assert main(["index", "compact", plain]) == 0
+        assert self._answers(legacy, dataset, mmap=True) == self._answers(
+            plain, dataset, mmap=True
+        )
+        with open(os.path.join(legacy, "manifest.json"), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert "pq_file" not in manifest
+        assert not os.path.exists(os.path.join(legacy, "pq.npz"))
+        assert not manifest["delta_shards"]
+        for entry in manifest["shards"]:
+            assert "num_pq_postings" not in entry
+            members = set(load_npz(os.path.join(legacy, entry["file"])))
+            assert members == set(ALL_SHARD_MEMBERS)
+
+
 class TestWorkspaceIncremental:
     @pytest.fixture()
     def config(self):
@@ -313,7 +398,7 @@ class TestWorkspaceIncremental:
             sdtw=CONFIG,
             index=IndexConfig(
                 num_codewords=24, num_shards=2, candidate_budget=6,
-                pq_subquantizers=4, seed=11,
+                seed=11,
             ),
             default_k=3,
         )
@@ -376,7 +461,7 @@ class TestWorkspaceIncremental:
             sdtw=CONFIG,
             index=IndexConfig(
                 num_codewords=24, num_shards=2, candidate_budget=6,
-                pq_subquantizers=4, seed=11, max_delta_shards=2,
+                seed=11, max_delta_shards=2,
             ),
             default_k=3,
         )

@@ -1089,8 +1089,8 @@ def test_matching_matches_reference_on_ties(features_x, features_y, config):
 @ORACLE
 @given(series_args, series_args, series_args, matching_configs, st.integers(0, 80))
 def test_matching_of_shifted_sets_matches_reference(args_x, args_y, args_z, config, first):
-    # Consecutive shifts of one stacked set, matched against two sets in
-    # turn: views that select the same rows share their match decisions.
+    # Consecutive shifts of one stacked set, each matched against two
+    # sets in both argument orders.
     features_x = extract_salient_features(make_series(*args_x))
     others = [extract_salient_features(make_series(*args)) for args in (args_y, args_z)]
     stacked_others = [FeatureSet(features) for features in others]

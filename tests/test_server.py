@@ -38,7 +38,11 @@ from repro.server import (
     split_workspace,
 )
 from repro.service import EngineConfig, IndexConfig, Workspace, WorkspaceConfig
-from repro.service.workspace import WIRE_FORMAT, WIRE_VERSION
+from repro.service.workspace import (
+    WIRE_FORMAT,
+    WIRE_VERSION,
+    WorkspaceQueryResult,
+)
 
 
 NUM_SERIES = 24
@@ -301,6 +305,30 @@ class TestErrorContract:
             headers={"Content-Type": "application/json"})
         assert status == 400
         assert json.loads(body)["error"]["type"] == "ProtocolError"
+
+    def test_removed_rank_mode_is_400_and_tfidf_still_answers(
+        self, server, workspace, dataset
+    ):
+        values = [float(v) for v in dataset[0].values]
+        for rank_mode in ("pq", "bogus", 3):
+            status, _, body = raw_request(
+                server, "POST", "/query",
+                body=json.dumps({"values": values, "rank_mode": rank_mode}),
+                headers={"Content-Type": "application/json"})
+            assert status == 400
+            error = json.loads(body)["error"]
+            assert error["type"] == "ProtocolError"
+            assert "removed" in error["message"]
+        local = workspace.query(dataset[0].values, 3, mode="indexed")
+        for rank_mode in (None, "tfidf"):
+            status, _, body = raw_request(
+                server, "POST", "/query",
+                body=json.dumps({"values": values, "k": 3, "mode": "indexed",
+                                 "rank_mode": rank_mode}),
+                headers={"Content-Type": "application/json"})
+            assert status == 200
+            remote = WorkspaceQueryResult.from_dict(json.loads(body))
+            assert_bit_identical(remote, local)
 
     def test_unknown_route_is_404(self, server):
         status, _, body = raw_request(server, "GET", "/no-such-route")

@@ -1,7 +1,7 @@
 """Churn equivalence: interleaved add/remove/query against a Workspace
 must be bit-identical to a fresh Workspace rebuilt from the surviving
-series — across exact, indexed-tfidf and indexed-pq paths, with derived
-snapshots on and off, and for readers holding pre-mutation snapshots.
+series — across the exact and indexed paths, with derived snapshots on
+and off, and for readers holding pre-mutation snapshots.
 
 These are the PR 6 acceptance tests for the incremental serving
 snapshot: derivation (shared prepared segments + appended segments +
@@ -33,16 +33,13 @@ def dataset():
     return make_gun_like(num_series=16, seed=41)
 
 
-def _config(*, incremental_snapshots=True, rank_mode="tfidf", backend="serial"):
+def _config(*, incremental_snapshots=True, backend="serial"):
     return WorkspaceConfig(
         engine=EngineConfig(constraint="fc,fw", backend=backend),
         index=IndexConfig(
             num_codewords=24,
             num_shards=2,
             candidate_budget=6,
-            pq=True,
-            pq_subquantizers=4,
-            rank_mode=rank_mode,
         ),
         serving=ServingConfig(incremental_snapshots=incremental_snapshots),
         default_k=K,
@@ -171,15 +168,12 @@ class TestChurnExactEquivalence:
 
 
 class TestChurnIndexedEquivalence:
-    @pytest.mark.parametrize("rank_mode", ["tfidf", "pq"])
-    def test_indexed_bit_identical_to_fresh_at_full_budget(
-        self, dataset, rank_mode
-    ):
+    def test_indexed_bit_identical_to_fresh_at_full_budget(self, dataset):
         """With candidates >= N the indexed ranking equals the exhaustive
         one, so churned-vs-fresh must match even though delta-shard IDF
         drift can reorder *candidates* (budget covers everything)."""
         queries = [ts.values for ts in dataset.series[:3]]
-        config = _config(rank_mode=rank_mode)
+        config = _config()
         budget = len(dataset.series) + 8
 
         def check(workspace, survivors):
@@ -198,19 +192,14 @@ class TestChurnIndexedEquivalence:
         workspace = Workspace(config)
         _run_churn_with_index(workspace, dataset, check=check, budget=budget)
 
-    @pytest.mark.parametrize("rank_mode", ["tfidf", "pq"])
-    def test_indexed_derived_vs_rebuilt_snapshots_identical(
-        self, dataset, rank_mode
-    ):
+    def test_indexed_derived_vs_rebuilt_snapshots_identical(self, dataset):
         """Derived and rebuilt snapshots over the same index state must be
         bit-identical at any candidate budget (the index deltas are
         shared; only the engine/snapshot lineage differs)."""
         queries = [ts.values for ts in dataset.series[:3]]
         outcomes = {}
         for incremental, bucket in ((True, "derived"), (False, "rebuilt")):
-            config = _config(
-                incremental_snapshots=incremental, rank_mode=rank_mode
-            )
+            config = _config(incremental_snapshots=incremental)
             workspace = Workspace(config)
             collected = []
 

@@ -88,7 +88,7 @@ def _model_distances(constraint: str) -> np.ndarray:
 
 
 class _WorkspaceMachine(RuleBasedStateMachine):
-    constraint = "fc,fw"
+    constraint: str  # set by each concrete machine
 
     def __init__(self) -> None:
         super().__init__()

@@ -463,6 +463,57 @@ class TestRetiredServingKeys:
             ServingConfig.from_dict({"micro_batch": True, "trace_rings": 7})
 
 
+class TestRetiredIndexKeys:
+    """Manifests written while IndexConfig still had its product-quantizer
+    knobs list them, possibly with ``rank_mode: "pq"``; such workspaces
+    open, answer in TF-IDF mode like a fresh workspace, and re-save
+    without the keys."""
+
+    RETIRED = {
+        "pq": True,
+        "pq_subquantizers": 8,
+        "pq_bits": 4,
+        "rank_mode": "pq",
+    }
+
+    def test_old_manifest_opens_answers_and_resaves(
+        self, dataset, config, tmp_path
+    ):
+        target = str(tmp_path / "ws")
+        workspace = _fill(Workspace.create(target, config), dataset)
+        workspace.build_index()
+        workspace.close()
+        manifest_path = os.path.join(target, "workspace.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert not set(self.RETIRED) & set(manifest["config"]["index"])
+        manifest["config"]["index"].update(self.RETIRED)
+        assert len(manifest["config"]["index"]) == 13
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+        fresh = _fill(Workspace(config), dataset)
+        fresh.build_index()
+        with Workspace.open(target) as reopened:
+            assert reopened.config == config
+            for mode in ("exact", "indexed"):
+                ours = reopened.query(dataset[0].values, mode=mode)
+                theirs = fresh.query(dataset[0].values, mode=mode)
+                assert ours.ids == theirs.ids
+                assert ours.distances == theirs.distances
+            report = run_doctor(reopened)
+            assert report.healthy, report.rows()
+            reopened.save()
+        with open(manifest_path, encoding="utf-8") as handle:
+            index = json.load(handle)["config"]["index"]
+        assert not set(self.RETIRED) & set(index)
+        assert len(index) == 9
+
+    def test_other_unknown_index_key_still_raises(self):
+        with pytest.raises(TypeError):
+            IndexConfig.from_dict({"num_codewords": 8, "rank_modes": "pq"})
+
+
 class TestRetiredSDTWKey:
     """Manifests written while SDTWConfig still had ``neighbor_radius``
     carry it in the workspace's ``sdtw`` section and in the index's

@@ -400,23 +400,15 @@ class TestWorkspaceTraces:
 
     def test_indexed_tfidf_trace(self, dataset):
         workspace = _workspace(dataset)
-        result = workspace.query(dataset[1].values, mode="indexed",
-                                 rank_mode="tfidf")
+        result = workspace.query(dataset[1].values, mode="indexed")
         _assert_trace_complete(result, "candidate_rank")
         names = [stage.name for stage in result.trace.stages]
         assert "query_features" in names
         rank = next(stage for stage in result.trace.stages
                     if stage.name == "candidate_rank")
-        assert rank.attributes["rank_mode"] == "tfidf"
-
-    def test_indexed_pq_trace(self, dataset):
-        workspace = _workspace(dataset)
-        result = workspace.query(dataset[2].values, mode="indexed",
-                                 rank_mode="pq")
-        _assert_trace_complete(result, "candidate_rank")
-        rank = next(stage for stage in result.trace.stages
-                    if stage.name == "candidate_rank")
-        assert rank.attributes["rank_mode"] == "pq"
+        assert rank.attributes == {
+            "candidates": result.candidates_generated
+        }
 
     def test_repeat_indexed_query_hits_candidate_cache(self, dataset):
         workspace = _workspace(dataset)
