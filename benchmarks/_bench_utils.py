@@ -1,7 +1,9 @@
-"""Helpers shared by the benchmark modules (result saving, summarising)."""
+"""Helpers shared by the benchmark modules (result saving, summarising,
+merging metrics into a shared JSON artifact)."""
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict
 
@@ -29,3 +31,24 @@ def summarise_rows(result, value_column: int, label_column: int = 1) -> Dict[str
         if isinstance(value, (int, float)):
             summary[label] = round(float(value), 4)
     return summary
+
+
+def merge_json_section(path: str, section: str, metrics: Dict[str, object]) -> None:
+    """Write *metrics* as the *section* key of the JSON object at *path*.
+
+    Every other section already in the file is kept, so the perf guards
+    can run in any order against one artifact (``BENCH_ci.json``).  A
+    missing or unparsable file, or one whose top level is not an object,
+    starts from an empty object.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (FileNotFoundError, json.JSONDecodeError):
+        payload = {}
+    if not isinstance(payload, dict):
+        payload = {}
+    payload[section] = metrics
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")

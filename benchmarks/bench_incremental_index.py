@@ -28,14 +28,14 @@ Run it directly::
     PYTHONPATH=src python benchmarks/bench_incremental_index.py \
         --base-size 2000 --add 100 --queries 10
 
-``--quick`` shrinks everything for CI; ``--json PATH`` writes the
-metrics (the CI perf-guard artifact ``BENCH_ci.json``).
+``--quick`` shrinks everything for CI; ``--json PATH`` merges the
+metrics into PATH under the ``"incremental_index"`` key, keeping the
+other sections of the CI perf-guard artifact ``BENCH_ci.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Dict, List, Optional
@@ -48,6 +48,8 @@ from repro.indexing import InvertedIndex
 from repro.indexing.shards import OPTIONAL_SHARD_MEMBERS, SHARD_MEMBERS
 from repro.service import IndexConfig, Workspace, WorkspaceConfig
 from repro.utils.tables import format_table
+
+from _bench_utils import merge_json_section
 
 ALL_SHARD_MEMBERS = SHARD_MEMBERS + OPTIONAL_SHARD_MEMBERS
 
@@ -241,10 +243,8 @@ def run_benchmark(args: argparse.Namespace) -> int:
 
     if args.json:
         metrics["failures"] = failures
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2)
-            handle.write("\n")
-        print(f"\nmetrics written to {args.json}")
+        merge_json_section(args.json, "incremental_index", metrics)
+        print(f"\nmetrics merged into {args.json} under 'incremental_index'")
 
     if failures:
         print()
@@ -280,7 +280,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="incremental-vs-rebuild bar (default: 5.0)")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the metrics as JSON (CI artifact)")
+                        help="merge the metrics into PATH under "
+                             "'incremental_index' (CI artifact)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny CI configuration (same gates)")
     args = parser.parse_args(argv)

@@ -1,68 +1,38 @@
-"""Workspace serving benchmark: concurrent-query throughput, micro-batching
-on vs. off, plus a serving-churn run for the incremental snapshot path.
+"""Workspace serving benchmarks: snapshot churn, telemetry overhead and
+the HTTP tier.  Pick one mode with ``--churn``, ``--telemetry-guard`` or
+``--http``.
 
-Simulates a serving deployment: T client threads fire exact k-NN queries
-at one shared :class:`repro.service.Workspace` and the benchmark measures
-end-to-end throughput (queries per second) in two configurations:
-
-* **un-batched** — every thread runs the full per-query cascade itself
-  through :meth:`Workspace.query` on the workspace's default (serial)
-  backend; concurrent callers contend for the interpreter while each
-  drives its own per-pair Python row loop.
-* **micro-batched** — ``serving.micro_batch`` is on, so concurrent
-  callers are coalesced by the :class:`repro.service.MicroBatcher` into
-  single :meth:`DistanceEngine.knn` calls executed through the engine's
-  vectorised batch kernels: the batch advances its DP over ``(C, width)``
-  numpy matrices instead of per-caller Python loops.  This is the
-  serving rationale for coalescing — a batch unlocks lock-step kernels
-  that an interactive single query on the default backend does not use.
-
-Both configurations are verified to return **bit-identical** hits before
-any timing is reported (micro-batching is a throughput knob, never a
-semantics knob; the engine's cross-backend equivalence suite pins the
-kernel identity down).  The expectation — checked by the CI dry run —
-is that micro-batched throughput is at least the un-batched throughput
-once several threads are in flight.  The honest flip side: a workspace
-explicitly configured with ``backend="vectorized"`` already spends its
-time inside GIL-releasing numpy kernels, and there concurrent unbatched
-threads scale with cores while coalescing serialises — micro-batching
-is the right knob for the default transparent backend, not for that one.
-
-The ``--churn`` mode measures the PR 6 incremental serving snapshot
-instead: interleaved add/remove/query over a large collection (10k
-series by default).  With ``serving.incremental_snapshots`` on, the
-snapshot taken after a mutation *extends* the previous one — shared
-prepared segments, one appended segment for the new series, tombstone
-masks for removals — so the first query after an add pays O(new)
-preparation instead of re-preparing all N stored series.  The run
-reports steady-state p50/p99 query latency, churn-phase p50/p99, and
-the first-query-after-add cost, and gates (ratio form, since the query
-scan itself is O(N)) that the first query after an add stays within a
-small factor of the steady-state median rather than absorbing an O(N)
-rebuild.  A shorter rebuild-mode pass (``incremental_snapshots=False``)
-runs alongside for comparison.
+The ``--churn`` mode measures the incremental serving snapshot:
+interleaved add/remove/query over a large collection (10k series by
+default).  The snapshot taken after a mutation *extends* the previous
+one — shared prepared segments, one appended segment for the new series,
+tombstone masks for removals — so the first query after an add pays
+O(new) preparation instead of re-preparing all N stored series.  The run
+reports steady-state p50/p99 query latency, churn-phase p50/p99, and the
+first-query-after-add cost, and gates (ratio form, since the query scan
+itself is O(N)) that the first query after an add stays within a small
+factor of the steady-state median rather than absorbing an O(N)
+rebuild.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_workspace_serving.py \
-        --series 64 --length 128 --queries 48 --threads 8
-    PYTHONPATH=src python benchmarks/bench_workspace_serving.py \
         --churn --churn-series 10000
 
-The ``--telemetry-guard`` mode gates the PR 7 telemetry layer instead:
-two identical workspaces — ``serving.telemetry`` on vs. off — serve the
-same exact-query stream and the guard asserts the enabled p50 latency
-stays within ``--max-telemetry-overhead`` (default 5%) of the disabled
-p50, modulo a small absolute noise floor.  This is the "near-zero
-overhead" claim of :mod:`repro.telemetry` measured on the real serving
-path, not a microbenchmark of the registry.
+The ``--telemetry-guard`` mode gates the telemetry layer: two identical
+workspaces — ``serving.telemetry`` on vs. off — serve the same
+exact-query stream and the guard asserts the enabled p50 latency stays
+within ``--max-telemetry-overhead`` (default 5%) of the disabled p50,
+modulo a small absolute noise floor.  This is the "near-zero overhead"
+claim of :mod:`repro.telemetry` measured on the real serving path, not a
+microbenchmark of the registry.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_workspace_serving.py \
         --telemetry-guard --repeats 5
 
-The ``--http`` mode measures the PR 10 network service tier: a
+The ``--http`` mode measures the network service tier: a
 :class:`repro.server.WorkspaceServer` serves the workspace over HTTP
 and ≥8 concurrent :class:`repro.server.RemoteWorkspace` clients drive
 exact queries at shard counts 1, 2 and 4 (``split_workspace``
@@ -89,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import http.client
-import json
 import re
 import threading
 import time
@@ -102,74 +71,22 @@ from repro.server import RemoteWorkspace, WorkspaceServer, split_workspace
 from repro.server.http import PROMETHEUS_CONTENT_TYPE
 from repro.service import (
     EngineConfig,
-    IndexConfig,
     ServingConfig,
     Workspace,
     WorkspaceConfig,
 )
 from repro.utils.tables import format_table
 
-
-def build_workspace(dataset, *, micro_batch: bool, window_ms: float) -> Workspace:
-    workspace = Workspace(WorkspaceConfig(
-        engine=EngineConfig(constraint="fc,fw", backend="serial"),
-        index=IndexConfig(num_codewords=32, num_shards=2),
-        serving=ServingConfig(
-            micro_batch=micro_batch,
-            batch_window_ms=window_ms,
-            max_batch=64,
-        ),
-        default_k=5,
-    ))
-    workspace.add_dataset(dataset)
-    # Pay snapshot construction up front so the timed section measures
-    # serving, not preparation.
-    workspace.engine
-    return workspace
-
-
-def run_clients(
-    workspace: Workspace,
-    queries: List[np.ndarray],
-    *,
-    threads: int,
-    k: int,
-) -> Tuple[float, List[Optional[Tuple]]]:
-    """Fan the query list across T threads; returns (seconds, outcomes)."""
-    outcomes: List[Optional[Tuple]] = [None] * len(queries)
-    errors: List[BaseException] = []
-    barrier = threading.Barrier(threads + 1)
-
-    def worker(slot: int) -> None:
-        try:
-            barrier.wait()
-            for qi in range(slot, len(queries), threads):
-                result = workspace.query(queries[qi], k, mode="exact")
-                outcomes[qi] = (result.ids, result.distances)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-
-    pool = [threading.Thread(target=worker, args=(slot,)) for slot in range(threads)]
-    for thread in pool:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in pool:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    if errors:
-        raise errors[0]
-    return elapsed, outcomes
+from _bench_utils import merge_json_section
 
 
 def _percentile_ms(samples: List[float], q: float) -> float:
     return float(np.percentile(np.asarray(samples) * 1000.0, q))
 
 
-def build_churn_workspace(dataset, size: int, *, incremental: bool) -> Workspace:
+def build_churn_workspace(dataset, size: int) -> Workspace:
     workspace = Workspace(WorkspaceConfig(
         engine=EngineConfig(constraint="fc,fw", backend="vectorized"),
-        serving=ServingConfig(incremental_snapshots=incremental),
         default_k=5,
     ))
     for position in range(size):
@@ -246,50 +163,31 @@ def run_churn_benchmark(args: argparse.Namespace) -> int:
           f"{args.length}, {args.churn_rounds} add/remove/query rounds, "
           f"k={args.k}")
 
-    derived_ws = build_churn_workspace(
-        dataset, args.churn_series, incremental=True
-    )
-    derived = drive_churn(
-        derived_ws, dataset, size=args.churn_series,
+    workspace = build_churn_workspace(dataset, args.churn_series)
+    samples = drive_churn(
+        workspace, dataset, size=args.churn_series,
         rounds=args.churn_rounds, steady_queries=args.churn_steady,
         k=args.k,
     )
-    # A short rebuild-mode pass for comparison: every post-mutation query
-    # re-prepares all N series, so keep it brief at large N.
-    rebuild_rounds = min(args.churn_rounds, 8)
-    rebuilt_ws = build_churn_workspace(
-        dataset, args.churn_series, incremental=False
-    )
-    rebuilt = drive_churn(
-        rebuilt_ws, dataset, size=args.churn_series,
-        rounds=rebuild_rounds, steady_queries=max(args.churn_steady // 2, 4),
-        k=args.k,
-    )
 
-    steady_p50 = _percentile_ms(derived["steady"], 50)
-    steady_p99 = _percentile_ms(derived["steady"], 99)
-    churn_p50 = _percentile_ms(derived["churn"], 50)
-    churn_p99 = _percentile_ms(derived["churn"], 99)
-    first_p50 = _percentile_ms(derived["first_after_add"], 50)
-    rebuilt_first_p50 = _percentile_ms(rebuilt["first_after_add"], 50)
+    steady_p50 = _percentile_ms(samples["steady"], 50)
+    steady_p99 = _percentile_ms(samples["steady"], 99)
+    churn_p50 = _percentile_ms(samples["churn"], 50)
+    churn_p99 = _percentile_ms(samples["churn"], 99)
+    first_p50 = _percentile_ms(samples["first_after_add"], 50)
     ratio = first_p50 / steady_p50 if steady_p50 > 0 else float("inf")
 
     print()
     print(format_table(
-        ["metric", "derived (ms)", "rebuilt (ms)"],
+        ["metric", "latency (ms)"],
         [
-            ["steady query p50", round(steady_p50, 3),
-             round(_percentile_ms(rebuilt["steady"], 50), 3)],
-            ["steady query p99", round(steady_p99, 3),
-             round(_percentile_ms(rebuilt["steady"], 99), 3)],
-            ["churn query p50", round(churn_p50, 3),
-             round(_percentile_ms(rebuilt["churn"], 50), 3)],
-            ["churn query p99", round(churn_p99, 3),
-             round(_percentile_ms(rebuilt["churn"], 99), 3)],
-            ["first query after add p50", round(first_p50, 3),
-             round(rebuilt_first_p50, 3)],
+            ["steady query p50", round(steady_p50, 3)],
+            ["steady query p99", round(steady_p99, 3)],
+            ["churn query p50", round(churn_p50, 3)],
+            ["churn query p99", round(churn_p99, 3)],
+            ["first query after add p50", round(first_p50, 3)],
         ],
-        title="Serving churn latency: incremental snapshots vs rebuild",
+        title="Serving churn latency with derived snapshots",
     ))
     print()
     print(f"first-query-after-add / steady p50: {ratio:.2f}x "
@@ -318,23 +216,10 @@ def run_churn_benchmark(args: argparse.Namespace) -> int:
             "churn_p50_ms": round(churn_p50, 4),
             "churn_p99_ms": round(churn_p99, 4),
             "first_query_after_add_p50_ms": round(first_p50, 4),
-            "rebuilt_first_query_after_add_p50_ms": round(
-                rebuilt_first_p50, 4
-            ),
             "first_query_ratio": round(ratio, 3),
             "failures": failures,
         }
-        try:
-            with open(args.json, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                payload = {"incremental_index": payload}
-        except (FileNotFoundError, json.JSONDecodeError):
-            payload = {}
-        payload["workspace_churn"] = metrics
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        merge_json_section(args.json, "workspace_churn", metrics)
         print(f"\nchurn metrics merged into {args.json} "
               "under 'workspace_churn'")
 
@@ -446,17 +331,7 @@ def run_telemetry_guard(args: argparse.Namespace) -> int:
             "max_overhead_fraction": args.max_telemetry_overhead,
             "failures": failures,
         }
-        try:
-            with open(args.json, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                payload = {"incremental_index": payload}
-        except (FileNotFoundError, json.JSONDecodeError):
-            payload = {}
-        payload["telemetry_overhead"] = metrics
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        merge_json_section(args.json, "telemetry_overhead", metrics)
         print(f"\ntelemetry metrics merged into {args.json} "
               "under 'telemetry_overhead'")
 
@@ -629,17 +504,7 @@ def run_http_benchmark(args: argparse.Namespace) -> int:
             "shard_counts": per_shard_metrics,
             "failures": failures,
         }
-        try:
-            with open(args.json, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                payload = {"incremental_index": payload}
-        except (FileNotFoundError, json.JSONDecodeError):
-            payload = {}
-        payload["serving_http"] = metrics
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        merge_json_section(args.json, "serving_http", metrics)
         print(f"\nHTTP serving metrics merged into {args.json} "
               "under 'serving_http'")
 
@@ -655,6 +520,17 @@ def run_http_benchmark(args: argparse.Namespace) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--churn", action="store_true",
+                      help="run the serving-churn benchmark (incremental "
+                           "snapshots)")
+    mode.add_argument("--telemetry-guard", action="store_true",
+                      help="measure telemetry-on vs telemetry-off query "
+                           "latency and gate the overhead")
+    mode.add_argument("--http", action="store_true",
+                      help="serve the workspace over HTTP and measure "
+                           "concurrent-client latency/QPS at shard "
+                           "counts 1/2/4 (bit-identity gated)")
     parser.add_argument("--series", type=int, default=64,
                         help="stored collection size (default: 64)")
     parser.add_argument("--length", type=int, default=128,
@@ -664,13 +540,8 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=8,
                         help="client threads (default: 8)")
     parser.add_argument("--k", type=int, default=5, help="neighbours per query")
-    parser.add_argument("--window-ms", type=float, default=2.0,
-                        help="micro-batch window (default: 2.0 ms)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions, best-of (default: 3)")
-    parser.add_argument("--churn", action="store_true",
-                        help="run the serving-churn benchmark (incremental "
-                             "snapshots) instead of the throughput run")
     parser.add_argument("--churn-series", type=int, default=10_000,
                         help="stored collection size for --churn "
                              "(default: 10000)")
@@ -687,13 +558,6 @@ def main() -> int:
                         help="additive floor on the first-query bar, "
                              "absorbs timer noise at tiny scales "
                              "(default: 5.0)")
-    parser.add_argument("--http", action="store_true",
-                        help="serve the workspace over HTTP and measure "
-                             "concurrent-client latency/QPS at shard "
-                             "counts 1/2/4 (bit-identity gated)")
-    parser.add_argument("--telemetry-guard", action="store_true",
-                        help="measure telemetry-on vs telemetry-off query "
-                             "latency and gate the overhead")
     parser.add_argument("--max-telemetry-overhead", type=float, default=0.05,
                         help="maximum fractional p50 overhead of enabled "
                              "telemetry (default: 0.05)")
@@ -702,9 +566,10 @@ def main() -> int:
                              "gate never fires, absorbing timer noise "
                              "(default: 0.25)")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="merge churn / telemetry metrics into PATH "
-                             "under 'workspace_churn' / "
-                             "'telemetry_overhead' (CI artifact)")
+                        help="merge churn / telemetry / HTTP metrics into "
+                             "PATH under 'workspace_churn' / "
+                             "'telemetry_overhead' / 'serving_http' "
+                             "(CI artifact)")
     parser.add_argument("--dry-run", "--quick", action="store_true",
                         help="tiny configuration for CI")
     args = parser.parse_args()
@@ -723,71 +588,7 @@ def main() -> int:
         return run_churn_benchmark(args)
     if args.telemetry_guard:
         return run_telemetry_guard(args)
-    if args.http:
-        return run_http_benchmark(args)
-
-    dataset = make_gun_like(num_series=args.series, length=args.length, seed=7)
-    rng = np.random.default_rng(11)
-    queries = [
-        dataset[int(rng.integers(len(dataset)))].values
-        + rng.normal(scale=0.05, size=args.length)
-        for _ in range(args.queries)
-    ]
-
-    print(f"Workspace serving: {args.series} series x length {args.length}, "
-          f"{args.queries} queries, {args.threads} threads, k={args.k}")
-
-    unbatched = build_workspace(dataset, micro_batch=False,
-                                window_ms=args.window_ms)
-    batched = build_workspace(dataset, micro_batch=True,
-                              window_ms=args.window_ms)
-
-    # Equivalence gate: the two serving paths must agree bit for bit.
-    _, reference = run_clients(unbatched, queries, threads=args.threads, k=args.k)
-    _, coalesced = run_clients(batched, queries, threads=args.threads, k=args.k)
-    if reference != coalesced:
-        raise SystemExit(
-            "FAIL: micro-batched results differ from un-batched results"
-        )
-    print("equivalence: micro-batched hits are bit-identical to un-batched")
-
-    best_unbatched = min(
-        run_clients(unbatched, queries, threads=args.threads, k=args.k)[0]
-        for _ in range(args.repeats)
-    )
-    best_batched = min(
-        run_clients(batched, queries, threads=args.threads, k=args.k)[0]
-        for _ in range(args.repeats)
-    )
-
-    qps_unbatched = args.queries / best_unbatched
-    qps_batched = args.queries / best_batched
-    ratio = qps_batched / qps_unbatched
-    batcher = batched._batcher
-    per_batch = (
-        batcher.requests_batched / batcher.batches_executed
-        if batcher is not None and batcher.batches_executed else 0.0
-    )
-
-    print()
-    print(format_table(
-        ["configuration", "wall s", "queries/s"],
-        [
-            ["un-batched", round(best_unbatched, 4), round(qps_unbatched, 1)],
-            ["micro-batched", round(best_batched, 4), round(qps_batched, 1)],
-        ],
-        title="Concurrent exact-query throughput (best of "
-              f"{args.repeats})",
-    ))
-    print()
-    print(f"micro-batched / un-batched throughput: {ratio:.2f}x "
-          f"(mean {per_batch:.1f} requests per engine batch)")
-    if ratio >= 1.0:
-        print("OK: micro-batched throughput >= un-batched")
-    else:
-        print("note: micro-batching did not pay off at this configuration "
-              "(tiny collections or few threads leave nothing to coalesce)")
-    return 0
+    return run_http_benchmark(args)
 
 
 if __name__ == "__main__":

@@ -252,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="index postings shards (default: 4)")
     ws_init.add_argument("--candidates", type=int, default=100,
                          help="indexed-query candidate budget (default: 100)")
-    ws_init.add_argument("--micro-batch", action="store_true",
-                         help="coalesce concurrent exact queries into engine "
-                              "batches")
     ws_init.add_argument("--slow-query-threshold", type=float, default=None,
                          metavar="SECONDS",
                          help="log a slow_query event with the full trace "
@@ -843,16 +840,12 @@ def _run_workspace_init(args: argparse.Namespace) -> int:
             num_shards=args.shards,
             candidate_budget=args.candidates,
         ),
-        serving=ServingConfig(
-            micro_batch=args.micro_batch,
-            slow_query_threshold=args.slow_query_threshold,
-        ),
+        serving=ServingConfig(slow_query_threshold=args.slow_query_threshold),
     )
     workspace = Workspace.create(args.workspace_dir, config)
     print(f"Created workspace at {workspace.path}")
     print(f"constraint={args.constraint} backend={args.backend} "
-          f"codewords={args.codewords} shards={args.shards} "
-          f"micro_batch={args.micro_batch}")
+          f"codewords={args.codewords} shards={args.shards}")
     if args.slow_query_threshold is not None:
         print(f"slow-query capture: queries >= {args.slow_query_threshold}s "
               f"are logged as slow_query events in events.jsonl")
@@ -1100,7 +1093,6 @@ def _run_workspace_stats(args: argparse.Namespace) -> int:
           f"lengths: [{summary['min_length']}, {summary['max_length']}]")
     print(f"constraint: {summary['constraint']}  "
           f"backend: {summary['backend']}  "
-          f"micro-batch: {summary['micro_batch']}  "
           f"telemetry: {'on' if summary['telemetry'] else 'off'}")
     index = summary["index"]
     if index is None:

@@ -19,6 +19,13 @@ Three strategies orchestrate the same per-query cascade:
 All three produce identical distances and k-NN rankings; the equivalence
 test suite (``tests/test_engine_equivalence.py``) enforces it.
 
+The backend is fixed per engine (``EngineConfig.backend``) and runs every
+query that engine answers; no call overrides it.  Threads that query one
+``serial`` engine at once mostly wait on the interpreter, because its DP
+is a Python row loop.  ``vectorized`` spends its time in numpy kernels,
+so it is the backend for concurrent exact load, best with a bounded
+number of queries in flight (``repro serve --max-inflight``).
+
 Backends are agnostic to how the engine stores its collection: the
 engine's prepared state is segmented (immutable per-segment arrays
 shared structurally between derived serving snapshots, with tombstone

@@ -1056,9 +1056,12 @@ class DistanceEngine:
         exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
         candidate_indices: Optional[Sequence[Optional[Sequence[int]]]] = None,
         query_features: Optional[Sequence[Optional[Sequence[SalientFeature]]]] = None,
-        backend: Optional[str] = None,
     ) -> BatchKNNResult:
         """k nearest stored series for every query, in one batch call.
+
+        The engine's configured backend runs every query.  Queries share
+        the prepared collection caches but no DP work: outside the
+        multiprocessing backend each query runs its own cascade in turn.
 
         Parameters
         ----------
@@ -1079,18 +1082,9 @@ class DistanceEngine:
             indexing subsystem extracts them for candidate generation);
             ``None`` entries are extracted here, once per query.  Must
             have one entry per query when given.
-        backend:
-            Per-call execution-backend override (results are identical
-            across backends; the equivalence suite pins that down).  The
-            serving layer uses this to run coalesced micro-batches
-            through the vectorised batch kernels while interactive
-            single queries keep the engine's configured backend.
         """
         self._require_collection()
         self.prepare()
-        active_backend = (
-            self.backend if backend is None else resolve_backend(backend)
-        )
         k = check_int_at_least(k, 1, "k")
         arrays = [as_series(q, f"queries[{i}]") for i, q in enumerate(queries)]
         if exclude_identifiers is None:
@@ -1123,14 +1117,14 @@ class DistanceEngine:
             for qi in range(len(arrays))
         ]
         started = time.perf_counter()
-        if active_backend == "multiprocessing" and len(payloads) > 1:
+        if self.backend == "multiprocessing" and len(payloads) > 1:
             workers = (
                 self.num_workers if self.num_workers is not None
                 else default_num_workers()
             )
             outcomes = run_parallel(self, _knn_query_task, payloads, workers)
         else:
-            mode = "serial" if active_backend == "serial" else "vectorized"
+            mode = "serial" if self.backend == "serial" else "vectorized"
             outcomes = [
                 (qi, self._run_query(
                     query, k, exclude, mode, candidates, query_features

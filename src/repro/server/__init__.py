@@ -4,8 +4,8 @@ Three layers, one contract:
 
 * :class:`WorkspaceServer` (``repro serve``) — an asyncio front end
   exposing ``/query``, ``/add``, ``/remove``, ``/stats``, ``/healthz``
-  and ``/metrics`` over a workspace, with bounded admission control
-  feeding the micro-batcher.
+  and ``/metrics`` over a workspace, with bounded admission control in
+  front of the workspace's query path.
 * :class:`ShardedWorkspace` — one logical workspace hash-partitioned
   across shard workspaces (in-process, served, or mixed) with
   scatter-gather k-NN merge that is bit-identical to querying a single

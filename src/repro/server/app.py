@@ -20,13 +20,13 @@ GET       /metrics    Prometheus text exposition format 0.0.4
 
 Concurrency model: the asyncio loop parses requests and writes
 responses; workspace calls run on a bounded thread pool
-(``max_inflight`` workers), so concurrent queries genuinely overlap
-and — with ``ServingConfig.micro_batch`` on — coalesce through the
-workspace's :class:`~repro.service.batching.MicroBatcher` into
-vectorised engine batches.  Admission control is two-level: up to
-``max_inflight`` requests execute, up to ``max_pending`` more wait,
-and anything beyond is refused immediately with 503 instead of
-building an unbounded queue.
+(``max_inflight`` workers), so concurrent queries genuinely overlap,
+each running its own engine cascade.  ``max_inflight`` is also the
+throughput lever for exact queries: on the ``vectorized`` backend a
+small cap beats letting every request contend for the interpreter.
+Admission control is two-level: up to ``max_inflight`` requests
+execute, up to ``max_pending`` more wait, and anything beyond is
+refused immediately with 503 instead of building an unbounded queue.
 
 The error payload contract mirrors the library's exception hierarchy:
 invalid input (:class:`ValidationError`, malformed JSON/HTTP) is 400,

@@ -403,7 +403,6 @@ class ShardedWorkspace:
             generation_seconds=max(r.generation_seconds for r in results),
             rerank_seconds=max(r.rerank_seconds for r in results),
             stats=EngineStats.merged([r.stats for r in results]),
-            queue_wait_seconds=max(r.queue_wait_seconds for r in results),
             trace=trace,
             snapshot_version=max(r.snapshot_version for r in results),
             shard_versions=tuple(

@@ -3,11 +3,10 @@ streaming sDTW.
 
 One stateful front door for the whole library (see
 :mod:`repro.service.workspace` for the object model and the on-disk
-layout, :mod:`repro.service.config` for the declarative configuration,
-and :mod:`repro.service.batching` for the concurrent request path).
+layout, and :mod:`repro.service.config` for the declarative
+configuration).
 """
 
-from .batching import MicroBatcher
 from .config import (
     DEFAULT_WORKSPACE_CONFIG,
     EngineConfig,
@@ -24,7 +23,6 @@ __all__ = [
     "DoctorReport",
     "EngineConfig",
     "IndexConfig",
-    "MicroBatcher",
     "ServingConfig",
     "Workspace",
     "WorkspaceConfig",

@@ -22,8 +22,7 @@ Sections
     The optional inverted index: codebook size, shard count, candidate
     budget, build seed.
 ``serving``
-    The concurrent request path: micro-batching of simultaneous
-    ``query`` calls.
+    The request path's observability: telemetry and slow-query capture.
 """
 
 from __future__ import annotations
@@ -154,29 +153,10 @@ class IndexConfig(_DictRoundTrip):
 
 @dataclass(frozen=True)
 class ServingConfig(_DictRoundTrip):
-    """Concurrent request-path settings.
+    """Request-path observability settings.
 
     Attributes
     ----------
-    micro_batch:
-        Coalesce concurrent exact ``query`` calls into one engine batch
-        (:meth:`repro.engine.DistanceEngine.knn`) instead of running each
-        caller's cascade independently.  Results are bit-identical either
-        way; batching trades a small queueing delay for shared batch-DP
-        work and is worthwhile under multi-threaded load.
-    batch_window_ms:
-        How long the first request of a batch waits once at least one
-        companion is queued (a request that stays alone never waits; see
-        :class:`~repro.service.batching.MicroBatcher`).
-    max_batch:
-        Requests per batch before the window closes early.
-    incremental_snapshots:
-        Derive the serving snapshot from the previous one after a
-        mutation (shared prepared segments, appended series, query-time
-        tombstones — O(new) instead of an O(N) engine rebuild).
-        ``False`` restores the PR 5 behaviour of rebuilding the snapshot
-        from scratch on the first query after any mutation; results are
-        bit-identical either way.
     telemetry:
         Collect metrics, per-query traces and the structured event log
         (see :mod:`repro.telemetry`).  When ``False`` the workspace
@@ -194,33 +174,27 @@ class ServingConfig(_DictRoundTrip):
         :meth:`Workspace.slow_queries`, and for path-backed workspaces
         in ``events.jsonl``.  ``None`` disables capture; ``0.0``
         captures every query (the CI smoke configuration).  Applies to
-        exact, indexed and micro-batched queries alike.
+        exact and indexed queries alike.
     """
 
-    micro_batch: bool = False
-    batch_window_ms: float = 2.0
-    max_batch: int = 32
-    incremental_snapshots: bool = True
     telemetry: bool = True
     slow_query_threshold: Optional[float] = None
 
-    # Retention settings that became constants of repro.service.workspace
-    # and repro.telemetry.events; older manifests still carry them.
+    # Fields older manifests still carry: retention settings that became
+    # constants of repro.service.workspace and repro.telemetry.events,
+    # the three query-batching knobs, and the snapshot-rebuild switch.
+    # None of them changed an answer.
     _RETIRED_KEYS = frozenset((
         "trace_ring", "event_log_ring", "event_log_file", "event_log_max_bytes",
         "slow_query_ring",
+        "micro_batch", "batch_window_ms", "max_batch", "incremental_snapshots",
     ))
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ConfigurationError("batch_window_ms must be non-negative")
-        if self.max_batch < 1:
-            raise ConfigurationError("max_batch must be >= 1")
         if self.slow_query_threshold is not None and self.slow_query_threshold < 0:
             raise ConfigurationError(
                 "slow_query_threshold must be >= 0 seconds when given"
             )
-
 
 
 @dataclass(frozen=True)
@@ -236,7 +210,7 @@ class WorkspaceConfig(_DictRoundTrip):
     index:
         Inverted-index settings.
     serving:
-        Concurrent request-path settings.
+        Request-path observability settings.
     default_k:
         Neighbours returned when ``query`` is called without ``k``.
     """

@@ -43,9 +43,10 @@ readers are lock-free once the snapshot exists — index shards are
 memory-mapped, and the engine's prepared caches are never mutated by a
 query.  A query racing a mutation simply serves the snapshot taken
 before the mutation; it can never observe a half-added series.
-Optionally, concurrent exact queries are coalesced through a
-:class:`~repro.service.batching.MicroBatcher` into single engine batch
-calls for throughput.
+Each exact query runs on its own caller's thread through the engine's
+configured backend; under concurrent exact load the ``vectorized``
+backend with a bounded number of in-flight queries (``repro serve
+--max-inflight``) is the throughput configuration.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from ..streaming import StreamMatch, StreamMonitor
 from ..telemetry.events import NULL_EVENT_LOG, EventLog, json_safe
 from ..telemetry.registry import NULL_REGISTRY, MetricsRegistry
 from ..telemetry.trace import QueryTrace, TraceRing, trace_scope
-from .batching import MicroBatcher, QueryRequest
 from .config import WorkspaceConfig
 
 MANIFEST_NAME = "workspace.json"
@@ -136,10 +136,6 @@ class WorkspaceQueryResult:
     stats:
         Per-stage engine work accounting (bounds computed, candidates
         pruned, cells filled, phase seconds).
-    queue_wait_seconds:
-        Enqueue→execute wait this query spent in the micro-batcher
-        (0.0 for unbatched and indexed queries), recorded so batched and
-        unbatched breakdowns stay comparable.
     trace:
         Structured per-stage :class:`~repro.telemetry.QueryTrace`
         (``None`` when ``ServingConfig.telemetry`` is off).  Stage
@@ -170,7 +166,6 @@ class WorkspaceQueryResult:
     generation_seconds: float
     rerank_seconds: float
     stats: EngineStats
-    queue_wait_seconds: float = 0.0
     trace: Optional[QueryTrace] = None
     snapshot_version: int = 0
     shard_versions: Optional[Tuple[Tuple[str, int], ...]] = None
@@ -208,14 +203,8 @@ class WorkspaceQueryResult:
         return self.candidates_generated / float(self.collection_size)
 
     def timings(self) -> Dict[str, float]:
-        """Per-stage wall-clock breakdown of the query.
-
-        ``queue_wait_seconds`` is the micro-batcher's enqueue→execute
-        delay (0.0 when batching is off), reported as its own stage so a
-        batched query's breakdown is comparable with an unbatched one.
-        """
+        """Per-stage wall-clock breakdown of the query."""
         return {
-            "queue_wait_seconds": self.queue_wait_seconds,
             "generation_seconds": self.generation_seconds,
             "bound_seconds": self.stats.bound_seconds,
             "extract_seconds": self.stats.extract_seconds,
@@ -269,7 +258,6 @@ class WorkspaceQueryResult:
             "failed_shards": list(self.failed_shards),
             "hits": hits,
             "timings": {
-                "queue_wait_seconds": self.queue_wait_seconds,
                 "generation_seconds": self.generation_seconds,
                 "rerank_seconds": self.rerank_seconds,
                 "elapsed_seconds": self.elapsed_seconds,
@@ -344,9 +332,6 @@ class WorkspaceQueryResult:
                 ),
                 rerank_seconds=float(timings.get("rerank_seconds", 0.0)),
                 stats=EngineStats.from_dict(payload.get("stats") or {}),
-                queue_wait_seconds=float(
-                    timings.get("queue_wait_seconds", 0.0)
-                ),
                 trace=(
                     None if trace_payload is None
                     else QueryTrace.from_dict(trace_payload)
@@ -459,10 +444,10 @@ class Workspace:
         )
         self._traces = TraceRing(TRACE_RING)
         # The structured event log follows the same master switch: every
-        # state transition (mutations, snapshot derivations, compactions,
-        # batcher failures) emits one event; queries emit none unless
-        # slow.  An armed slow-query threshold keeps the log on, because
-        # its slow_query events are the slow-query record.
+        # state transition (mutations, snapshot derivations, compactions)
+        # emits one event; queries emit none unless slow.  An armed
+        # slow-query threshold keeps the log on, because its slow_query
+        # events are the slow-query record.
         self._events: EventLog = (
             EventLog(EVENT_RING)
             if self.config.serving.telemetry
@@ -470,15 +455,6 @@ class Workspace:
             else NULL_EVENT_LOG
         )
         self._register_metrics()
-        self._batcher: Optional[MicroBatcher] = None
-        if self.config.serving.micro_batch:
-            self._batcher = MicroBatcher(
-                self._run_exact_batch,
-                window_seconds=self.config.serving.batch_window_ms / 1000.0,
-                max_batch=self.config.serving.max_batch,
-                metrics=self._metrics,
-                events=self._events,
-            )
 
     def _register_metrics(self) -> None:
         """Pre-register the metric catalogue and bind hot-path handles.
@@ -809,7 +785,6 @@ class Workspace:
             "max_length": max(lengths) if lengths else 0,
             "constraint": self.config.engine.constraint,
             "backend": self.config.engine.backend,
-            "micro_batch": self.config.serving.micro_batch,
             "telemetry": self._metrics.enabled,
             "events_total": int(self._events.events_total),
             "slow_queries": len(self.slow_queries()),
@@ -1241,15 +1216,12 @@ class Workspace:
         Derives from the previous snapshot when possible — O(pending
         mutations) instead of an O(N) engine rebuild — and falls back to
         :meth:`_build_snapshot` when there is no usable base (first
-        query, ``incremental_snapshots=False``, or too many accumulated
-        tombstones).
+        query) or too many accumulated tombstones.  The rebuild is also
+        the tests' oracle for derivation: a negative
+        ``_MAX_DEAD_FRACTION`` on an instance forces it on every refresh.
         """
         previous = self._previous
-        if (
-            not self.config.serving.incremental_snapshots
-            or previous is None
-            or previous.engine._prepared is None
-        ):
+        if previous is None or previous.engine._prepared is None:
             return self._build_snapshot()
         added, removed = self._net_pending()
         total = len(previous.engine) + len(added)
@@ -1708,17 +1680,9 @@ class Workspace:
                 snapshot_version=snapshot.version,
             )
             return self._finish_query(outcome, trace, started)
-        queue_wait = 0.0
-        if self._batcher is not None:
-            request = self._batcher.submit_request(
-                (snapshot, as_series(values, "values"), k, exclude_identifier)
-            )
-            engine_result = request.result
-            queue_wait = request.queue_wait_seconds
-        else:
-            engine_result = snapshot.engine.query(
-                values, k, exclude_identifier=exclude_identifier
-            )
+        engine_result = snapshot.engine.query(
+            values, k, exclude_identifier=exclude_identifier
+        )
         outcome = WorkspaceQueryResult(
             hits=self._remap_hits(snapshot, engine_result.hits),
             mode="exact",
@@ -1729,7 +1693,6 @@ class Workspace:
             generation_seconds=0.0,
             rerank_seconds=engine_result.stats.elapsed_seconds,
             stats=engine_result.stats,
-            queue_wait_seconds=queue_wait,
             trace=trace,
             snapshot_version=snapshot.version,
         )
@@ -1765,8 +1728,6 @@ class Workspace:
         stats = result.stats
         self._m_query_seconds.labels(mode=result.mode).observe(elapsed)
         stage_hist = self._m_stage_seconds
-        if result.queue_wait_seconds:
-            stage_hist.labels(stage="queue_wait").observe(result.queue_wait_seconds)
         if result.generation_seconds:
             stage_hist.labels(stage="generation").observe(result.generation_seconds)
         stage_hist.labels(stage="bounds").observe(stats.bound_seconds)
@@ -1782,8 +1743,6 @@ class Workspace:
         self._m_cells_total.inc(stats.total_cells)
         trace.mode = result.mode
         trace.candidates_generated = result.candidates_generated
-        if result.queue_wait_seconds:
-            trace.add_stage("queue_wait", result.queue_wait_seconds)
         trace.add_stage(
             "bounds",
             stats.bound_seconds,
@@ -1843,7 +1802,6 @@ class Workspace:
             k=result.k,
             collection_size=result.collection_size,
             candidates_generated=result.candidates_generated,
-            queue_wait_seconds=result.queue_wait_seconds,
             hits=[
                 {"identifier": hit.identifier, "distance": hit.distance}
                 for hit in result.hits[:5]
@@ -1896,44 +1854,6 @@ class Workspace:
                 for result in batch.results
             ]
         return batch
-
-    def _run_exact_batch(self, batch: List[QueryRequest]) -> None:
-        """Micro-batch runner: group coalesced requests and run one knn each.
-
-        Requests are grouped by (snapshot, k) — concurrent callers racing
-        a mutation may hold different snapshots, and the engine's batch
-        entry point takes one k for the whole batch.  Genuine batches are
-        executed through the engine's vectorised batch kernels (the
-        throughput rationale for coalescing; results are identical across
-        backends), while a lone request keeps the configured backend.
-        """
-        groups: Dict[Tuple[int, int], List[QueryRequest]] = {}
-        for request in batch:
-            snapshot, _, k, _ = request.payload
-            groups.setdefault((id(snapshot), k), []).append(request)
-        for requests in groups.values():
-            snapshot = requests[0].payload[0]
-            k = requests[0].payload[2]
-            try:
-                outcome = snapshot.engine.knn(
-                    [request.payload[1] for request in requests],
-                    k,
-                    exclude_identifiers=[
-                        request.payload[3] for request in requests
-                    ],
-                    backend=(
-                        "vectorized"
-                        if len(requests) > 1
-                        and snapshot.engine.backend == "serial"
-                        else None
-                    ),
-                )
-            except BaseException as exc:  # noqa: BLE001 - per-request delivery
-                for request in requests:
-                    request.fail(exc)
-                continue
-            for request, result in zip(requests, outcome.results):
-                request.resolve(result)
 
     # ------------------------------------------------------------------ #
     # Pairwise distances

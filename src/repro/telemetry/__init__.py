@@ -35,7 +35,6 @@ from .events import NULL_EVENT_LOG, Event, EventLog, NullEventLog, json_safe
 from .profiler import ProfileReport, SamplingProfiler
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
     NULL_REGISTRY,
     MetricsRegistry,
     NullMetricsRegistry,
@@ -44,7 +43,6 @@ from .trace import QueryTrace, TraceRing, TraceStage, current_trace, trace_scope
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
     "Event",
     "EventLog",
     "MetricsRegistry",

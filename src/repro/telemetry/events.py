@@ -6,9 +6,9 @@ one query spend its time".  Neither answers the operator question "what
 happened in the last 30 seconds before this query went slow" — that is
 what the event log is for: every *state transition* of the serving
 stack (mutations, snapshot derivations vs rebuilds, pending-log folds,
-delta appends, compactions, cache invalidations, micro-batcher request
-failures, persistence) emits one structured :class:`Event` with a
-component, a level and free-form fields.
+delta appends, compactions, cache invalidations, persistence) emits
+one structured :class:`Event` with a component, a level and free-form
+fields.
 
 Two sinks, both optional:
 

@@ -39,14 +39,13 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",
 ]
 
 # Exponential-ish latency edges from 0.1 ms to 10 s: fine enough to
-# resolve micro-batched query latencies, coarse enough that a histogram
+# resolve sub-millisecond query stages, coarse enough that a histogram
 # child is ~20 machine words.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001,
@@ -65,19 +64,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     2.5,
     5.0,
     10.0,
-)
-
-# Power-of-two edges for count-valued distributions (batch sizes etc.).
-DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
-    1.0,
-    2.0,
-    4.0,
-    8.0,
-    16.0,
-    32.0,
-    64.0,
-    128.0,
-    256.0,
 )
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

@@ -14,9 +14,9 @@ active those calls are a single ``getattr`` returning ``None``.
 
 ``QueryTrace.finish`` closes the trace against the measured end-to-end
 wall time and appends a residual ``other`` stage covering whatever the
-named stages did not (snapshot pinning, micro-batch companions, result
-remapping), so ``sum(stage.seconds) == total_seconds`` holds exactly
-and per-stage breakdowns are honest rather than merely approximate.
+named stages did not (snapshot pinning, result remapping), so
+``sum(stage.seconds) == total_seconds`` holds exactly and per-stage
+breakdowns are honest rather than merely approximate.
 """
 
 from __future__ import annotations

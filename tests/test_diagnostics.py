@@ -20,7 +20,6 @@ from repro.service import (
     WorkspaceConfig,
     run_doctor,
 )
-from repro.service.batching import MicroBatcher
 from repro.telemetry import (
     NULL_EVENT_LOG,
     EventLog,
@@ -302,10 +301,8 @@ class TestSlowQueryCapture:
             workspace.query(_series(phase))
         assert len(workspace.slow_queries()) == 2
 
-    def test_capture_covers_indexed_and_batched_paths(self):
-        workspace = Workspace(
-            _small_config(slow_query_threshold=0.0, micro_batch=True)
-        )
+    def test_capture_covers_indexed_and_exact_paths(self):
+        workspace = Workspace(_small_config(slow_query_threshold=0.0))
         _populate(workspace, 5)
         workspace.build_index()
         workspace.query(_series(0.1), mode="indexed")
@@ -475,55 +472,6 @@ class TestSamplingProfiler:
         )
         assert attribution >= 0.8, report.collapsed()
         assert report.sampler_overhead < 0.10
-
-
-class TestMicroBatcherFailureEvents:
-    def test_worker_failure_emits_batcher_event(self):
-        events = EventLog(capacity=16)
-
-        def run_batch(batch):
-            raise RuntimeError("engine exploded")
-
-        batcher = MicroBatcher(run_batch, events=events)
-        with pytest.raises(RuntimeError, match="engine exploded"):
-            batcher.submit("payload")
-        failures = events.snapshot(component="batcher")
-        assert len(failures) == 1
-        event = failures[0]
-        assert event.name == "request_failed"
-        assert event.level == "error"
-        assert event.fields["failed"] == 1
-        assert event.fields["error"] == "RuntimeError"
-        assert "engine exploded" in event.fields["message"]
-
-    def test_unresolved_request_counts_as_failure_event(self):
-        events = EventLog(capacity=16)
-
-        def run_batch(batch):
-            pass  # resolves nothing
-
-        batcher = MicroBatcher(run_batch, events=events)
-        with pytest.raises(RuntimeError, match="did not resolve"):
-            batcher.submit("payload")
-        assert [e.name for e in events.snapshot(component="batcher")] == [
-            "request_failed"
-        ]
-
-    def test_successful_batches_emit_nothing(self):
-        events = EventLog(capacity=16)
-        batcher = MicroBatcher(
-            lambda batch: [r.resolve(r.payload) for r in batch],
-            events=events,
-        )
-        assert batcher.submit("ok") == "ok"
-        assert events.snapshot(component="batcher") == []
-
-    def test_no_event_log_still_works(self):
-        batcher = MicroBatcher(lambda batch: (_ for _ in ()).throw(
-            ValueError("boom")
-        ))
-        with pytest.raises(ValueError):
-            batcher.submit("payload")
 
 
 class TestDoctor:

@@ -157,8 +157,11 @@ class TestWireSchema:
         result = workspace.query(dataset[0].values, 2, mode="exact")
         payload = result.to_dict()
         payload["future_extension"] = {"anything": True}
+        # Older servers still send the queue wait of the retired batcher.
+        payload["timings"]["queue_wait_seconds"] = 0.0002
         rebuilt = type(result).from_dict(payload)
         assert_bit_identical(rebuilt, result)
+        assert rebuilt.timings() == result.timings()
 
     def test_rejects_non_object_payloads(self, workspace, dataset):
         result = workspace.query(dataset[0].values, 1)

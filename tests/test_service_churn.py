@@ -1,7 +1,8 @@
 """Churn equivalence: interleaved add/remove/query against a Workspace
 must be bit-identical to a fresh Workspace rebuilt from the surviving
-series — across the exact and indexed paths, with derived snapshots on
-and off, and for readers holding pre-mutation snapshots.
+series — across the exact and indexed paths, against an oracle workspace
+whose every snapshot refresh is a rebuild, and for readers holding
+pre-mutation snapshots.
 
 These are the PR 6 acceptance tests for the incremental serving
 snapshot: derivation (shared prepared segments + appended segments +
@@ -20,7 +21,6 @@ from repro.datasets.synthetic import make_gun_like
 from repro.service import (
     EngineConfig,
     IndexConfig,
-    ServingConfig,
     Workspace,
     WorkspaceConfig,
 )
@@ -33,7 +33,7 @@ def dataset():
     return make_gun_like(num_series=16, seed=41)
 
 
-def _config(*, incremental_snapshots=True, backend="serial"):
+def _config(*, backend="serial"):
     return WorkspaceConfig(
         engine=EngineConfig(constraint="fc,fw", backend=backend),
         index=IndexConfig(
@@ -41,9 +41,25 @@ def _config(*, incremental_snapshots=True, backend="serial"):
             num_shards=2,
             candidate_budget=6,
         ),
-        serving=ServingConfig(incremental_snapshots=incremental_snapshots),
         default_k=K,
     )
+
+
+def _rebuilding_oracle(config):
+    """A Workspace whose every snapshot refresh rebuilds from scratch.
+
+    Any tombstone fraction exceeds a negative threshold, so
+    ``_next_snapshot`` never derives on this instance.
+    """
+    workspace = Workspace(config)
+    workspace._MAX_DEAD_FRACTION = -1.0
+    return workspace
+
+
+def _snapshots_of_kind(workspace, kind):
+    counters = workspace.metrics_to_dict()["counters"]
+    values = counters["repro_snapshots_total"]["values"]
+    return values.get(f"kind={kind}", 0)
 
 
 def _series_map(dataset):
@@ -123,13 +139,12 @@ class TestChurnExactEquivalence:
         _run_churn(workspace, dataset, mode="exact", check=check)
 
     def test_derived_vs_rebuilt_snapshots_identical(self, dataset):
-        """incremental_snapshots on/off must be indistinguishable at any
-        candidate budget (same workspace lineage, same index deltas)."""
+        """Derived snapshots must be indistinguishable from the rebuilding
+        oracle at any candidate budget (same workspace lineage, same
+        index deltas)."""
         queries = [ts.values for ts in dataset.series[:3]]
-        derived_cfg = _config(incremental_snapshots=True)
-        rebuilt_cfg = _config(incremental_snapshots=False)
-        derived = Workspace(derived_cfg)
-        rebuilt = Workspace(rebuilt_cfg)
+        derived = Workspace(_config())
+        rebuilt = _rebuilding_oracle(_config())
         collected = {"derived": [], "rebuilt": []}
 
         def check_for(workspace, bucket):
@@ -143,6 +158,9 @@ class TestChurnExactEquivalence:
                    check=check_for(derived, "derived"))
         _run_churn(rebuilt, dataset, mode="exact",
                    check=check_for(rebuilt, "rebuilt"))
+        assert _snapshots_of_kind(rebuilt, "derived") == 0
+        assert _snapshots_of_kind(rebuilt, "rebuilt") > 1
+        assert _snapshots_of_kind(derived, "derived") > 0
         assert collected["derived"] == collected["rebuilt"]
 
     def test_derivation_actually_engaged(self, dataset):
@@ -198,9 +216,11 @@ class TestChurnIndexedEquivalence:
         shared; only the engine/snapshot lineage differs)."""
         queries = [ts.values for ts in dataset.series[:3]]
         outcomes = {}
-        for incremental, bucket in ((True, "derived"), (False, "rebuilt")):
-            config = _config(incremental_snapshots=incremental)
-            workspace = Workspace(config)
+        workspaces = {
+            "derived": Workspace(_config()),
+            "rebuilt": _rebuilding_oracle(_config()),
+        }
+        for bucket, workspace in workspaces.items():
             collected = []
 
             def check(ws, survivors, _collected=collected):
@@ -211,6 +231,9 @@ class TestChurnIndexedEquivalence:
 
             _run_churn_with_index(workspace, dataset, check=check, budget=4)
             outcomes[bucket] = collected
+        assert _snapshots_of_kind(workspaces["rebuilt"], "derived") == 0
+        assert _snapshots_of_kind(workspaces["rebuilt"], "rebuilt") > 1
+        assert _snapshots_of_kind(workspaces["derived"], "derived") > 0
         assert outcomes["derived"] == outcomes["rebuilt"]
         assert outcomes["derived"], "no indexed queries ran"
 

@@ -1,11 +1,10 @@
 """Concurrency tests for the Workspace: threaded reads must be
-serial-identical, with and without micro-batching, and must survive
+serial-identical on the serial and vectorized backends, and must survive
 concurrent mutation."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -13,12 +12,9 @@ from repro.datasets.synthetic import make_gun_like
 from repro.service import (
     EngineConfig,
     IndexConfig,
-    MicroBatcher,
-    ServingConfig,
     Workspace,
     WorkspaceConfig,
 )
-from repro.service.batching import QueryRequest
 
 NUM_THREADS = 8
 
@@ -28,11 +24,10 @@ def dataset():
     return make_gun_like(num_series=12, seed=29)
 
 
-def _config(micro_batch: bool) -> WorkspaceConfig:
+def _config(backend: str = "vectorized") -> WorkspaceConfig:
     return WorkspaceConfig(
-        engine=EngineConfig(constraint="fc,fw", backend="vectorized"),
+        engine=EngineConfig(constraint="fc,fw", backend=backend),
         index=IndexConfig(num_codewords=24, num_shards=2, candidate_budget=6),
-        serving=ServingConfig(micro_batch=micro_batch, batch_window_ms=1.0),
         default_k=3,
     )
 
@@ -67,8 +62,11 @@ def _run_threaded(workspace, queries, *, mode="exact", repeats=2):
 
 
 class TestThreadedReads:
-    def test_eight_threads_serial_identical_exact(self, dataset):
-        workspace = Workspace(_config(micro_batch=False))
+    # "serial" is the thread-contended configuration: eight threads each
+    # drive a Python row loop over one shared engine.
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_eight_threads_serial_identical_exact(self, dataset, backend):
+        workspace = Workspace(_config(backend))
         workspace.add_dataset(dataset)
         queries = [ts.values for ts in dataset.series[:4]]
         serial = [
@@ -79,7 +77,7 @@ class TestThreadedReads:
             assert per_thread == serial
 
     def test_eight_threads_serial_identical_indexed(self, dataset):
-        workspace = Workspace(_config(micro_batch=False))
+        workspace = Workspace(_config())
         workspace.add_dataset(dataset)
         workspace.build_index()
         queries = [ts.values for ts in dataset.series[:4]]
@@ -90,39 +88,13 @@ class TestThreadedReads:
         for per_thread in _run_threaded(workspace, queries, mode="indexed"):
             assert per_thread == serial
 
-    def test_micro_batched_reads_bit_identical_to_unbatched(self, dataset):
-        unbatched = Workspace(_config(micro_batch=False))
-        unbatched.add_dataset(dataset)
-        batched = Workspace(_config(micro_batch=True))
-        batched.add_dataset(dataset)
-        queries = [ts.values for ts in dataset.series[:4]]
-        serial = [
-            (r.ids, r.distances)
-            for r in (unbatched.query(q, 3, mode="exact") for q in queries)
-        ]
-        for per_thread in _run_threaded(batched, queries):
-            assert per_thread == serial
-        batcher = batched._batcher
-        assert batcher is not None
-        assert batcher.requests_batched >= NUM_THREADS
-
-    def test_micro_batched_single_caller_works(self, dataset):
-        workspace = Workspace(_config(micro_batch=True))
-        workspace.add_dataset(dataset)
-        reference = Workspace(_config(micro_batch=False))
-        reference.add_dataset(dataset)
-        ours = workspace.query(dataset[0].values, 3, mode="exact")
-        want = reference.query(dataset[0].values, 3, mode="exact")
-        assert ours.ids == want.ids
-        assert ours.distances == want.distances
-
 
 class TestReadsDuringMutation:
     def test_queries_survive_concurrent_adds(self, dataset):
         """Readers racing add_batch never crash and never see a torn state;
         once the writer finishes, results equal a serial engine over the
         final collection."""
-        workspace = Workspace(_config(micro_batch=False))
+        workspace = Workspace(_config())
         first, rest = dataset.series[:6], dataset.series[6:]
         workspace.add_batch(
             [ts.values for ts in first],
@@ -154,7 +126,7 @@ class TestReadsDuringMutation:
         if errors:
             raise errors[0]
 
-        final = Workspace(_config(micro_batch=False))
+        final = Workspace(_config())
         final.add_dataset(dataset)
         for values in queries:
             ours = workspace.query(values, 3, mode="exact")
@@ -163,7 +135,7 @@ class TestReadsDuringMutation:
             assert ours.distances == want.distances
 
     def test_queries_survive_concurrent_build_index(self, dataset):
-        workspace = Workspace(_config(micro_batch=False))
+        workspace = Workspace(_config())
         workspace.add_dataset(dataset)
         queries = [ts.values for ts in dataset.series[:3]]
         serial = [
@@ -193,98 +165,3 @@ class TestReadsDuringMutation:
         if errors:
             raise errors[0]
         assert workspace.has_index
-
-
-class TestMicroBatcher:
-    def test_concurrent_submissions_share_batches(self):
-        """Requests arriving while a batch is in flight coalesce behind
-        the next leader (group-commit batching)."""
-        seen = []
-        first_entered = threading.Event()
-        release_first = threading.Event()
-
-        def run_batch(batch):
-            if any(request.payload == 0 for request in batch):
-                # Hold the first batch in flight until the companions
-                # have arrived, so they must share the next batch.
-                first_entered.set()
-                release_first.wait(timeout=5.0)
-            seen.append(len(batch))
-            for request in batch:
-                request.resolve(request.payload * 2)
-
-        batcher = MicroBatcher(run_batch, window_seconds=0.05, max_batch=16)
-        results = [None] * 6
-
-        def worker(slot):
-            results[slot] = batcher.submit(slot)
-
-        first = threading.Thread(target=worker, args=(0,))
-        first.start()
-        assert first_entered.wait(timeout=5.0)
-        rest = [
-            threading.Thread(target=worker, args=(slot,))
-            for slot in range(1, 6)
-        ]
-        for thread in rest:
-            thread.start()
-        while batcher.requests_batched + len(batcher._queue) < 6:
-            time.sleep(0.001)
-        release_first.set()
-        first.join()
-        for thread in rest:
-            thread.join()
-        assert results == [0, 2, 4, 6, 8, 10]
-        assert sum(seen) == 6
-        assert max(seen) >= 2
-
-    def test_solo_submission_does_not_wait_out_the_window(self):
-        """A lone request must close the window immediately instead of
-        sleeping the full window_seconds (the PR 6 latency-floor fix)."""
-
-        def run_batch(batch):
-            for request in batch:
-                request.resolve(request.payload)
-
-        batcher = MicroBatcher(run_batch, window_seconds=0.5, max_batch=16)
-        start = time.monotonic()
-        assert batcher.submit("solo") == "solo"
-        elapsed = time.monotonic() - start
-        assert elapsed < 0.25, (
-            f"solo query took {elapsed:.3f}s against a 0.5s window; the "
-            f"leader slept out the batching window with no companions"
-        )
-        assert batcher.batches_executed == 1
-
-    def test_window_still_gathers_companions_when_present(self):
-        """With a companion already queued, the leader keeps the window
-        open and both requests land in one batch."""
-        seen = []
-
-        def run_batch(batch):
-            seen.append(len(batch))
-            for request in batch:
-                request.resolve(request.payload)
-
-        batcher = MicroBatcher(run_batch, window_seconds=0.2, max_batch=16)
-        follower = QueryRequest("follower")
-        batcher._queue.append(follower)
-        assert batcher.submit("leader") == "leader"
-        assert follower.result == "follower"
-        assert seen == [2]
-
-    def test_runner_errors_propagate_to_every_caller(self):
-        def run_batch(batch):
-            raise RuntimeError("boom")
-
-        batcher = MicroBatcher(run_batch, window_seconds=0.0, max_batch=4)
-        with pytest.raises(RuntimeError, match="boom"):
-            batcher.submit(1)
-
-    def test_unresolved_requests_fail_instead_of_hanging(self):
-        def run_batch(batch):
-            pass  # resolves nothing
-
-        batcher = MicroBatcher(run_batch, window_seconds=0.0, max_batch=4)
-        with pytest.raises(RuntimeError, match="did not resolve"):
-            batcher.submit(1)

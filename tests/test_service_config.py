@@ -49,9 +49,7 @@ class TestValidation:
 
     def test_invalid_serving_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            ServingConfig(batch_window_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            ServingConfig(max_batch=0)
+            ServingConfig(slow_query_threshold=-1.0)
 
     def test_invalid_default_k_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -71,15 +69,14 @@ class TestRoundTrip:
                                 prune=False, batch_size=8),
             index=IndexConfig(num_codewords=64, num_shards=2,
                               candidate_budget=25, seed=11, mmap=False),
-            serving=ServingConfig(micro_batch=True, batch_window_ms=1.0,
-                                  max_batch=8),
+            serving=ServingConfig(telemetry=False, slow_query_threshold=0.5),
             default_k=3,
         )
         rebuilt = WorkspaceConfig.from_dict(config.to_dict())
         assert rebuilt == config
         assert rebuilt.sdtw.descriptor.num_bins == 16
         assert rebuilt.engine.backend == "vectorized"
-        assert rebuilt.serving.micro_batch is True
+        assert rebuilt.serving.slow_query_threshold == 0.5
 
     def test_to_dict_is_json_serialisable(self):
         payload = json.dumps(WorkspaceConfig().to_dict())
@@ -89,7 +86,7 @@ class TestRoundTrip:
         for section in (
             EngineConfig(constraint="itakura", itakura_max_slope=3.0),
             IndexConfig(seed=3),
-            ServingConfig(micro_batch=True),
+            ServingConfig(telemetry=False),
         ):
             assert type(section).from_dict(section.to_dict()) == section
 

@@ -417,7 +417,9 @@ class TestMutatedPathEdgeCases:
 
 class TestRetiredServingKeys:
     """Manifests written while ServingConfig still had its five retention
-    settings list them; such workspaces open, answer and re-save."""
+    settings, its three query-batching knobs and its snapshot-rebuild
+    switch list them; such workspaces open, answer like a fresh
+    workspace, pass the doctor and re-save without them."""
 
     RETIRED = {
         "trace_ring": 7,
@@ -425,6 +427,10 @@ class TestRetiredServingKeys:
         "event_log_file": False,
         "event_log_max_bytes": 2048,
         "slow_query_ring": 3,
+        "micro_batch": True,
+        "batch_window_ms": 1.0,
+        "max_batch": 8,
+        "incremental_snapshots": False,
     }
 
     def test_old_manifest_opens_answers_and_resaves(
@@ -456,11 +462,11 @@ class TestRetiredServingKeys:
         with open(manifest_path, encoding="utf-8") as handle:
             serving = json.load(handle)["config"]["serving"]
         assert not set(self.RETIRED) & set(serving)
-        assert len(serving) == 6
+        assert len(serving) == 2
 
     def test_other_unknown_serving_key_still_raises(self):
         with pytest.raises(TypeError):
-            ServingConfig.from_dict({"micro_batch": True, "trace_rings": 7})
+            ServingConfig.from_dict({"trace_rings": 7, "batching": True})
 
 
 class TestRetiredIndexKeys:

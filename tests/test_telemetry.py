@@ -421,13 +421,6 @@ class TestWorkspaceTraces:
             "repro_candidate_cache_requests_total"]["values"]
         assert values.get("outcome=hit", 0) >= 1
 
-    def test_batched_mode_records_queue_wait(self, dataset):
-        workspace = _workspace(dataset, micro_batch=True)
-        result = workspace.query(dataset[4].values, mode="exact")
-        assert result.queue_wait_seconds >= 0.0
-        assert "queue_wait_seconds" in result.timings()
-        _assert_trace_complete(result, "dp")
-
     def test_trace_ring_retains_recent(self, dataset, monkeypatch):
         monkeypatch.setattr(workspace_module, "TRACE_RING", 2)
         workspace = _workspace(dataset)
