@@ -1,11 +1,12 @@
 """Indexed vs. exhaustive search: wall-clock speedup and recall@k.
 
-Builds a persistent salient-feature index (``repro.indexing``) over
-synthetic collections of growing size, persists it, reopens it from
-memory-mapped shards, and answers the same k-NN workload twice — through
-the two-stage indexed pipeline (codeword candidates -> exact cascade
-re-rank) and through the exhaustive :class:`repro.engine.DistanceEngine`
-scan.
+Builds a path-backed :class:`repro.service.Workspace` with its
+salient-feature index (``repro.indexing``) over synthetic collections of
+growing size, which persists both, reopens the workspace with the index
+served from memory-mapped shards, and answers the same k-NN workload
+twice through its searcher — through the two-stage indexed pipeline
+(codeword candidates -> exact cascade re-rank) and through the
+exhaustive :class:`repro.engine.DistanceEngine` scan.
 
 The collections are *variable-length* (each 50words-like series is
 resampled to a random length within ±15% of the nominal one) because
@@ -19,7 +20,10 @@ full banded DP for most candidates, and candidate generation changes
 the complexity class of a query.  For every collection size the
 benchmark reports:
 
-* index build time and on-disk size,
+* build time (adding the series, extracting their features, fitting
+  the codebook, building the postings and saving the workspace) and the
+  on-disk size of the index directory (the feature store lives outside
+  it, at the workspace root),
 * mean per-query wall-clock of both paths and the speedup,
 * recall@k of the indexed ranking against the exhaustive one,
 * resident-set growth of serving the index via mmap vs. loading the
@@ -51,7 +55,7 @@ from typing import List, Optional
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.datasets.base import Dataset, TimeSeries
 from repro.datasets.synthetic import make_fiftywords_like
-from repro.indexing import CodebookConfig, IndexedSearcher
+from repro.service import EngineConfig, IndexConfig, Workspace, WorkspaceConfig
 from repro.utils.preprocessing import resample_linear
 from repro.utils.rng import rng_from_seed
 from repro.utils.tables import format_table
@@ -152,56 +156,53 @@ def run_benchmark(args: argparse.Namespace) -> int:
             size, args.length, args.seed,
             0.0 if args.equal_length else args.length_spread,
         )
-        codebook_config = CodebookConfig.for_sdtw(
-            config, num_codewords=codewords, seed=args.seed,
+        workspace_config = WorkspaceConfig(
+            sdtw=config,
+            engine=EngineConfig(constraint=args.constraint, backend="vectorized"),
+            # The read caches stay off: with them the warm-up query below
+            # would come back as a candidate-cache hit in the timed loop.
+            index=IndexConfig(
+                num_codewords=codewords, num_shards=args.shards,
+                candidate_budget=candidates, seed=args.seed,
+                postings_cache=0, candidate_cache=0,
+            ),
         )
-        started = time.perf_counter()
-        built = IndexedSearcher.from_dataset(
-            dataset,
-            config=config,
-            codebook_config=codebook_config,
-            constraint=args.constraint,
-            num_shards=args.shards,
-            candidate_budget=candidates,
-            backend="vectorized",
-        )
-        build_seconds = time.perf_counter() - started
-
         workdir = tempfile.mkdtemp(prefix=f"repro-index-{size}-")
         try:
-            built.save(workdir)
-            index_bytes = directory_size_bytes(workdir)
-            rss_mmap = measure_open_rss(workdir, True)
-            rss_preload = measure_open_rss(workdir, False)
+            path = os.path.join(workdir, "ws")
+            started = time.perf_counter()
+            with Workspace.create(path, workspace_config) as built:
+                built.add_dataset(dataset)
+                built.build_index()
+            build_seconds = time.perf_counter() - started
+            index_dir = os.path.join(path, "index")
+            index_bytes = directory_size_bytes(index_dir)
+            rss_mmap = measure_open_rss(index_dir, True)
+            rss_preload = measure_open_rss(index_dir, False)
 
-            searcher = IndexedSearcher.open(
-                workdir, mmap=True, config=config,
-                constraint=args.constraint, candidate_budget=candidates,
-                backend="vectorized",
-            )
-            searcher.engine.prepare()
-            num_queries = min(args.queries, size)
-            stored = searcher.engine.stored_items()[:num_queries]
-            queries = [values for _, values, _ in stored]
-            exclude = [identifier for identifier, _, _ in stored]
-            # One warm-up query outside the timed region (page faults,
-            # envelope caches).
-            searcher.query(queries[0], args.k, exclude_identifier=exclude[0])
+            with Workspace.open(path) as workspace:
+                searcher = workspace.searcher
+                num_queries = min(args.queries, size)
+                exclude = workspace.identifiers[:num_queries]
+                queries = [workspace.series_of(name) for name in exclude]
+                # One warm-up query outside the timed region (page
+                # faults, envelope caches).
+                searcher.query(queries[0], args.k, exclude_identifier=exclude[0])
 
-            report = searcher.recall_at_k(
-                queries, args.k,
-                candidates=candidates, exclude_identifiers=exclude,
-            )
-            if args.dry_run:
-                degenerate = searcher.recall_at_k(
-                    queries[:2], args.k, candidates=size,
-                    exclude_identifiers=exclude[:2],
+                report = searcher.recall_at_k(
+                    queries, args.k,
+                    candidates=candidates, exclude_identifiers=exclude,
                 )
-                if degenerate.mean_recall != 1.0:
-                    failures.append(
-                        f"size {size}: C=N recall was "
-                        f"{degenerate.mean_recall:.3f}, expected exactly 1.0"
+                if args.dry_run:
+                    degenerate = searcher.recall_at_k(
+                        queries[:2], args.k, candidates=size,
+                        exclude_identifiers=exclude[:2],
                     )
+                    if degenerate.mean_recall != 1.0:
+                        failures.append(
+                            f"size {size}: C=N recall was "
+                            f"{degenerate.mean_recall:.3f}, expected exactly 1.0"
+                        )
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 

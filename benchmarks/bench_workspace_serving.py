@@ -540,8 +540,9 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=8,
                         help="client threads (default: 8)")
     parser.add_argument("--k", type=int, default=5, help="neighbours per query")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions, best-of (default: 3)")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="timed repetitions, best-of (default: 3, "
+                             "or 2 with --quick)")
     parser.add_argument("--churn-series", type=int, default=10_000,
                         help="stored collection size for --churn "
                              "(default: 10000)")
@@ -579,10 +580,12 @@ def main() -> int:
         args.length = 96
         args.queries = 16
         args.threads = 4
-        args.repeats = 2
         args.churn_series = 300
         args.churn_rounds = 12
         args.churn_steady = 10
+
+    if args.repeats is None:
+        args.repeats = 2 if args.dry_run else 3
 
     if args.churn:
         return run_churn_benchmark(args)

@@ -4,11 +4,12 @@ Two entry points are installed:
 
 * ``repro-sdtw`` (or ``python -m repro``) with sub-commands:
 
-  - ``workspace init | add | query | stats`` — the service front door:
-    create a persistent :class:`~repro.service.Workspace`, add data-set
-    series to it (optionally building the inverted index), answer k-NN
-    queries in ``auto`` / ``exact`` / ``indexed`` mode and inspect the
-    workspace state.
+  - ``workspace init | add | query | stats | compact`` — the service
+    front door: create a persistent :class:`~repro.service.Workspace`,
+    add data-set series to it (optionally building the inverted index),
+    answer k-NN queries in ``auto`` / ``exact`` / ``indexed`` mode,
+    inspect the workspace state, and fold the index's delta shards and
+    tombstones into its base shards.
   - ``workspace doctor | profile | flight-record`` — the diagnostics
     surfaces: run the invariant checker (exit 1 on any FAIL), record a
     sampling-profiler window over replayed queries, or dump the flight
@@ -31,10 +32,6 @@ Two entry points are installed:
     occurrences and monitor it online through the streaming subsystem
     (SPRING subsequence matching or cascaded sliding windows), reporting
     matches against ground truth plus per-pattern pruning statistics.
-  - ``index build | query | stats`` — build a persistent salient-feature
-    index over a data set, answer indexed k-NN queries through it
-    (reporting recall against the exhaustive ranking), and inspect an
-    index directory's manifest and shards.
   - ``datasets`` — list the registered data sets.
 
 Error handling: every intentional library failure derives from
@@ -181,57 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="disable early-abandoning refinement")
     stream.add_argument("--seed", type=int, default=7, help="generation seed")
 
-    index = subparsers.add_parser(
-        "index",
-        help="persistent salient-feature index (build / query / stats)")
-    index_sub = index.add_subparsers(dest="index_command")
-
-    build = index_sub.add_parser(
-        "build", help="build and persist an index over a data set")
-    build.add_argument("dataset", help="registered data-set name or UCR file path")
-    build.add_argument("--output", required=True, metavar="DIR",
-                       help="index directory to write")
-    build.add_argument("--codewords", type=int, default=256,
-                       help="codebook size (default: 256)")
-    build.add_argument("--shards", type=int, default=4,
-                       help="number of postings shards (default: 4)")
-    build.add_argument("--num-series", type=int, default=None,
-                       help="subsample the collection to this many series")
-    build.add_argument("--seed", type=int, default=7,
-                       help="generation/sampling seed")
-
-    query = index_sub.add_parser(
-        "query", help="answer indexed k-NN queries against a persisted index")
-    query.add_argument("index_dir", help="index directory written by 'index build'")
-    query.add_argument("--k", type=int, default=10, help="neighbours per query")
-    query.add_argument("--candidates", type=int, default=100,
-                       help="candidate budget C per query (default: 100)")
-    query.add_argument("--num-queries", type=int, default=5,
-                       help="how many stored series to replay as queries")
-    query.add_argument("--constraint", default="fc,fw",
-                       help="re-ranking constraint: full, fc,fw, itakura, "
-                            "fc,aw, ac,fw, ac,aw, ac2,aw (default: fc,fw)")
-    query.add_argument("--exact", action="store_true",
-                       help="bypass the index (full exhaustive scan)")
-    query.add_argument("--no-mmap", action="store_true",
-                       help="load shards fully into RAM instead of mmapping")
-    query.add_argument("--no-recall", action="store_true",
-                       help="skip the recall comparison against the "
-                            "exhaustive ranking")
-
-    stats = index_sub.add_parser(
-        "stats", help="print an index directory's manifest and shard table")
-    stats.add_argument("index_dir", help="index directory written by 'index build'")
-
-    compact = index_sub.add_parser(
-        "compact",
-        help="fold an index's delta shards and tombstones into its base "
-             "shards (bit-identical to a from-scratch postings rebuild)")
-    compact.add_argument("index_dir", help="index directory written by 'index build'")
-    compact.add_argument("--shards", type=int, default=None,
-                         help="base shard count after compaction (default: "
-                              "keep the current count)")
-
     workspace = subparsers.add_parser(
         "workspace",
         help="persistent Workspace service (init / add / query / stats)")
@@ -300,6 +246,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="replay up to N stored series as queries first "
                                "so latency histograms are populated "
                                "(default: 0)")
+
+    ws_compact = ws_sub.add_parser(
+        "compact",
+        help="fold the index's delta shards and tombstones into its base "
+             "shards (bit-identical to a from-scratch postings rebuild)")
+    ws_compact.add_argument("workspace_dir",
+                            help="workspace written by 'workspace init'")
+    ws_compact.add_argument("--shards", type=int, default=None,
+                            help="base shard count after compaction "
+                                 "(default: the workspace's configured "
+                                 "shard count)")
 
     ws_doctor = ws_sub.add_parser(
         "doctor",
@@ -633,185 +590,11 @@ def _run_stream(args) -> int:
     return 0
 
 
-def _run_index(args: argparse.Namespace) -> int:
-    if args.index_command is None:
-        print("error: 'index' needs a subcommand: build, query, compact or "
-              "stats", file=sys.stderr)
-        return 2
-    if args.index_command == "build":
-        return _run_index_build(args)
-    if args.index_command == "query":
-        return _run_index_query(args)
-    if args.index_command == "compact":
-        return _run_index_compact(args)
-    return _run_index_stats(args)
-
-
-def _run_index_build(args: argparse.Namespace) -> int:
-    import time
-
-    from .indexing import CodebookConfig, IndexedSearcher
-    from .utils.rng import rng_from_seed
-
-    dataset = load_dataset(args.dataset, seed=args.seed)
-    if args.num_series is not None and args.num_series < len(dataset):
-        rng = rng_from_seed(args.seed)
-        dataset = dataset.sample(args.num_series, rng,
-                                 name=f"{dataset.name}-n{args.num_series}")
-    config = SDTWConfig()
-    started = time.perf_counter()
-    searcher = IndexedSearcher.from_dataset(
-        dataset,
-        config=config,
-        codebook_config=CodebookConfig.for_sdtw(
-            config, num_codewords=args.codewords, seed=args.seed,
-        ),
-        num_shards=args.shards,
-    )
-    manifest_path = searcher.save(args.output)
-    elapsed = time.perf_counter() - started
-    index = searcher.index
-    print(f"Indexed {index.num_series} series of {dataset.name} in "
-          f"{elapsed:.2f}s")
-    print(f"codebook: {searcher.codebook.num_codewords} codewords; "
-          f"postings: {index.num_postings} across {len(index.shards)} shards")
-    print(f"manifest: {manifest_path}")
-    return 0
-
-
-def _run_index_query(args: argparse.Namespace) -> int:
-    from .indexing import IndexReader, IndexedSearcher
-    from .utils.tables import format_table
-
-    reader = IndexReader.open(args.index_dir, mmap=not args.no_mmap)
-    searcher = IndexedSearcher.from_reader(
-        reader, constraint=args.constraint, candidate_budget=args.candidates,
-    )
-    num_queries = max(1, min(args.num_queries, len(searcher)))
-    stored = searcher.engine.stored_items()[:num_queries]
-    queries = [values for _, values, _ in stored]
-    exclude = [identifier for identifier, _, _ in stored]
-
-    print(f"Index at {args.index_dir}: {len(searcher)} series, "
-          f"{searcher.index.num_postings} postings "
-          f"({'mmap' if searcher.index.is_memory_mapped else 'in-memory'}), "
-          f"constraint={args.constraint}")
-    rows = []
-    results = []
-    indexed_seconds = 0.0
-    for qi, values in enumerate(queries):
-        result = searcher.query(
-            values, args.k, exact=args.exact, exclude_identifier=exclude[qi],
-        )
-        results.append(result)
-        indexed_seconds += result.elapsed_seconds
-        top = result.hits[0] if result.hits else None
-        rows.append([
-            exclude[qi],
-            "exact" if result.exact else f"C={result.candidates_generated}",
-            top.identifier if top else "-",
-            round(top.distance, 4) if top else "-",
-            f"{result.elapsed_seconds * 1000:.2f} ms",
-        ])
-    print(format_table(["query", "mode", "nearest", "distance", "time"],
-                       rows, title=f"Top-1 of k={args.k}"))
-    if not args.exact and not args.no_recall:
-        # Re-uses the indexed results above: only the exhaustive scans
-        # are computed here.
-        recalls = []
-        exhaustive_seconds = 0.0
-        for qi, values in enumerate(queries):
-            exact = searcher.query(
-                values, args.k, exact=True, exclude_identifier=exclude[qi],
-            )
-            exhaustive_seconds += exact.elapsed_seconds
-            exact_top = set(exact.indices)
-            overlap = len(exact_top & set(results[qi].indices))
-            recalls.append(overlap / len(exact_top) if exact_top else 1.0)
-        speedup = (
-            exhaustive_seconds / indexed_seconds if indexed_seconds > 0
-            else float("inf")
-        )
-        print()
-        print(f"recall@{args.k} vs exhaustive: "
-              f"{sum(recalls) / len(recalls):.3f} "
-              f"(C={args.candidates}, "
-              f"speedup {speedup:.1f}x over full scan)")
-    return 0
-
-
-def _run_index_stats(args: argparse.Namespace) -> int:
-    from .indexing import IndexReader
-    from .utils.tables import format_table
-
-    reader = IndexReader.open(args.index_dir)
-    manifest = reader.manifest
-    index = reader.index
-    print(f"Index at {args.index_dir}")
-    print(f"format: {manifest['format']} v{manifest['version']}")
-    print(f"series: {manifest['num_series']}  "
-          f"codewords: {manifest['num_codewords']}  "
-          f"postings: {manifest['num_postings']}  "
-          f"descriptor bins: {manifest['descriptor_bins']}")
-    print(f"live series: {index.num_live}  "
-          f"delta shards: {index.num_delta_shards}  "
-          f"tombstones: {index.num_tombstones}")
-    store = reader.store_path
-    print(f"feature store: {store if store else '(none)'}")
-    print()
-    print(format_table(
-        ["shard", "codeword range", "codewords", "postings", "size"],
-        reader.stats_rows(), title="Shards"))
-    return 0
-
-
-def _run_index_compact(args: argparse.Namespace) -> int:
-    import time
-
-    from .indexing import IndexReader, IndexWriter
-
-    reader = IndexReader.open(args.index_dir, mmap=False)
-    index = reader.index
-    deltas, tombstones = index.num_delta_shards, index.num_tombstones
-    if not deltas and not tombstones:
-        print(f"Index at {args.index_dir} has no delta shards or tombstones; "
-              f"nothing to compact")
-        return 0
-    started = time.perf_counter()
-    num_shards = args.shards if args.shards is not None else len(index.shards)
-    compacted, slot_map = index.compact(num_shards=num_shards)
-    live_identifiers = [
-        identifier for slot, identifier in enumerate(reader.identifiers)
-        if slot_map[slot] >= 0
-    ]
-    live_labels = [
-        reader.labels[slot] for slot in range(len(reader.identifiers))
-        if slot_map[slot] >= 0
-    ]
-    feature_store = None
-    if reader.store_path is not None:
-        feature_store = reader.load_feature_store(
-            config=reader.extraction_config()
-        )
-    IndexWriter(args.index_dir).write(
-        compacted,
-        reader.codebook,
-        live_identifiers,
-        live_labels,
-        feature_store=feature_store,
-        extraction_config=reader.extraction_config(),
-    )
-    elapsed = time.perf_counter() - started
-    print(f"Compacted {deltas} delta shards and {tombstones} tombstones into "
-          f"{len(compacted.shards)} base shards in {elapsed:.2f}s")
-    print(f"postings: {compacted.num_postings} over {compacted.num_live} series")
-    return 0
-
-
 def _run_workspace(args: argparse.Namespace) -> int:
     if args.workspace_command is None:
         print("error: 'workspace' needs a subcommand: init, add, query, "
-              "stats, doctor, profile or flight-record", file=sys.stderr)
+              "stats, compact, doctor, profile or flight-record",
+              file=sys.stderr)
         return 2
     if args.workspace_command == "init":
         return _run_workspace_init(args)
@@ -819,6 +602,8 @@ def _run_workspace(args: argparse.Namespace) -> int:
         return _run_workspace_add(args)
     if args.workspace_command == "query":
         return _run_workspace_query(args)
+    if args.workspace_command == "compact":
+        return _run_workspace_compact(args)
     if args.workspace_command == "doctor":
         return _run_workspace_doctor(args)
     if args.workspace_command == "profile":
@@ -988,6 +773,23 @@ def _print_profile(report, top: int) -> None:
     ]
     print(format_table(["frame", "samples", "self"], rows,
                        title="Hottest frames (self time)"))
+
+
+def _run_workspace_compact(args: argparse.Namespace) -> int:
+    import time
+
+    from .service import Workspace
+
+    with Workspace.open(args.workspace_dir) as workspace:
+        before = workspace.stats()["index"]
+        started = time.perf_counter()
+        workspace.compact_index(num_shards=args.shards)
+        elapsed = time.perf_counter() - started
+        after = workspace.stats()["index"]
+    print(f"Compacted {before['delta_shards']} delta shards and "
+          f"{before['tombstones']} tombstones in {elapsed:.2f}s")
+    print(f"postings: {after['num_postings']} over {after['num_live']} series")
+    return 0
 
 
 def _run_workspace_doctor(args: argparse.Namespace) -> int:
@@ -1264,8 +1066,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_engine(args)
         if args.command == "stream":
             return _run_stream(args)
-        if args.command == "index":
-            return _run_index(args)
         if args.command == "workspace":
             return _run_workspace(args)
         if args.command == "serve":

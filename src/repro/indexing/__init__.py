@@ -15,6 +15,14 @@ Pipeline::
         -> IndexWriter / IndexReader (mmapped .npz shards + manifest)
         -> IndexedSearcher (top-C candidates -> DistanceEngine re-rank)
 
+:class:`repro.service.Workspace` is the one owner of an index: its
+``build_index`` builds one with :meth:`IndexedSearcher.from_engine`, its
+adds, removals and ``compact_index`` update copies of the
+:class:`InvertedIndex`, and it writes the index to its ``index/``
+directory with :class:`IndexWriter` and reopens it with
+:class:`IndexReader`.  That directory holds no feature store; the
+workspace keeps one, at its root.
+
 Naming note: this package is the canonical home of the library's
 *search* index — its classes are re-exported from the top-level
 ``repro`` package (``from repro import IndexedSearcher`` works) but
@@ -24,8 +32,7 @@ never through ``repro.retrieval``.  It is unrelated to
 distance *matrix* with cost accounting (an "index" in the
 experiment-bookkeeping sense), while this package is a disk-backed
 search index that trades a configurable candidate budget for sublinear
-query cost.  The :class:`repro.service.Workspace` facade embeds this
-package as its ``indexed`` query mode.
+query cost; it serves the Workspace's ``indexed`` query mode.
 """
 
 from .codebook import Codebook, CodebookConfig, feature_embedding

@@ -21,6 +21,13 @@ engine ranking; ``exact=True`` skips stage 1 entirely (the escape
 hatch).  :meth:`IndexedSearcher.recall_at_k` measures the speed/recall
 trade-off against the exhaustive ranking.
 
+A searcher only reads.  :class:`repro.service.Workspace` owns the index
+it serves: ``build_index`` builds it through
+:meth:`IndexedSearcher.from_engine`, incremental adds, removals and
+compaction update copies of the :class:`InvertedIndex`, and the
+workspace persists the index under its ``index/`` directory and reopens
+it.  Each update gets a new searcher over the new index.
+
 When constructed with a telemetry registry (see :mod:`repro.telemetry`)
 the searcher counts candidate-cache hits/misses, and when a query trace
 is active (:func:`repro.telemetry.trace.current_trace`) stage 1 attaches
@@ -41,7 +48,6 @@ import numpy as np
 from .._validation import as_series, check_int_at_least
 from ..core.config import SDTWConfig
 from ..core.features import SalientFeature, extract_salient_features
-from ..datasets.base import Dataset
 from ..engine import DistanceEngine
 from ..engine.engine import EngineHit, QueryResult
 from ..engine.stats import EngineStats
@@ -50,7 +56,6 @@ from ..telemetry.registry import NULL_REGISTRY
 from ..telemetry.trace import current_trace
 from .codebook import Codebook, CodebookConfig
 from .postings import InvertedIndex
-from .store import IndexReader, IndexWriter
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class IndexedSearcher:
     candidate_cache:
         LRU entries of stage-1 candidate sets keyed by (query bytes,
         budget); a repeat query skips candidate generation entirely.
-        Cleared on every mutation.  ``0`` disables.
+        ``0`` disables.
     telemetry:
         Optional :class:`repro.telemetry.MetricsRegistry`; the searcher
         pre-binds ``repro_candidate_cache_requests_total{outcome}``
@@ -202,11 +207,6 @@ class IndexedSearcher:
         self.candidate_budget = check_int_at_least(
             candidate_budget, 1, "candidate_budget"
         )
-        # Build-time features, kept so save() can skip re-extraction.
-        self._features: Optional[List] = None
-        # Lazily built identifier set; keeps add_series O(new features)
-        # instead of re-materialising the collection per insertion.
-        self._identifier_set: Optional[set] = None
         # Stage-1 candidate-set LRU (see enable_caches).
         self._candidate_cache: "OrderedDict[Tuple[bytes, int], np.ndarray]" = (
             OrderedDict()
@@ -224,9 +224,6 @@ class IndexedSearcher:
         self.enable_caches(
             postings_cache=postings_cache, candidate_cache=candidate_cache
         )
-
-    def __len__(self) -> int:
-        return self.index.num_series
 
     @property
     def index_to_engine(self) -> Optional[np.ndarray]:
@@ -249,10 +246,10 @@ class IndexedSearcher:
         ``postings_cache`` sets the per-shard decoded-postings page
         capacity (shard payloads are immutable, so those pages can never
         go stale and survive snapshot derivations).  ``candidate_cache``
-        sets the per-searcher LRU capacity for stage-1 candidate sets;
-        that cache is dropped wholesale on :meth:`add_series` and
-        :meth:`compact` because any mutation can change candidate
-        rankings.  ``None`` leaves a knob unchanged; ``0`` disables.
+        sets the per-searcher LRU capacity for stage-1 candidate sets.
+        A searcher never mutates its index, so that cache cannot go
+        stale: an index update builds a new searcher with an empty
+        cache.  ``None`` leaves a knob unchanged; ``0`` disables.
         """
         if postings_cache is not None:
             self.index.enable_postings_cache(postings_cache)
@@ -260,10 +257,6 @@ class IndexedSearcher:
             with self._candidate_cache_lock:
                 self._candidate_cache_capacity = max(0, int(candidate_cache))
                 self._candidate_cache.clear()
-
-    def _clear_candidate_cache(self) -> None:
-        with self._candidate_cache_lock:
-            self._candidate_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -282,11 +275,13 @@ class IndexedSearcher:
     ) -> "IndexedSearcher":
         """Build the index layers over an engine's stored collection.
 
-        The single construction path every builder funnels through:
-        features are extracted once per stored series (the paper's
-        amortisation argument), the codebook is fitted on them, and the
-        bags become the inverted index.  The engine is re-used as the
-        re-ranking stage.
+        The one way to build a searcher's index:
+        :meth:`repro.service.Workspace.build_index` calls it, and a
+        workspace persists and reopens what it builds.  Features are
+        extracted once per stored series (the paper's amortisation
+        argument), the codebook is fitted on them, and the bags become
+        the inverted index.  The engine is re-used as the re-ranking
+        stage.
 
         Parameters
         ----------
@@ -306,8 +301,8 @@ class IndexedSearcher:
             raise ValidationError("cannot build an index over zero series")
         identifiers = [identifier for identifier, _, _ in stored]
         if len(set(identifiers)) != len(identifiers):
-            # Persistence (and the bundled FeatureStore) key series by
-            # identifier; duplicates would silently collapse on reopen.
+            # Persistence keys series by identifier; duplicates would
+            # silently collapse on reopen.
             raise ValidationError(
                 "cannot index a collection with duplicate identifiers"
             )
@@ -315,12 +310,10 @@ class IndexedSearcher:
             features = [
                 extract_salient_features(values, config) for _, values, _ in stored
             ]
-        else:
-            features = [list(feature_list) for feature_list in features]
-            if len(features) != len(stored):
-                raise ValidationError(
-                    "features must have one feature list per stored series"
-                )
+        elif len(features) != len(stored):
+            raise ValidationError(
+                "features must have one feature list per stored series"
+            )
         lengths = [values.size for _, values, _ in stored]
         codebook = Codebook(codebook_config).fit(features, lengths)
         bags = [
@@ -330,223 +323,11 @@ class IndexedSearcher:
         index = InvertedIndex.from_bags(
             bags, codebook.num_codewords, num_shards=num_shards
         )
-        searcher = cls(
+        return cls(
             index, codebook, engine,
             config=config, candidate_budget=candidate_budget,
             telemetry=telemetry,
         )
-        searcher._features = features
-        return searcher
-
-    @classmethod
-    def build(
-        cls,
-        series: Sequence[Union[Sequence[float], np.ndarray]],
-        identifiers: Optional[Sequence[str]] = None,
-        labels: Optional[Sequence[Optional[int]]] = None,
-        *,
-        config: Optional[SDTWConfig] = None,
-        codebook_config: Optional[CodebookConfig] = None,
-        constraint: str = "fc,fw",
-        num_shards: int = 4,
-        candidate_budget: int = 100,
-        backend: str = "serial",
-        engine_kwargs: Optional[dict] = None,
-    ) -> "IndexedSearcher":
-        """Build a searcher (codebook + index + engine) over a collection."""
-        config = config if config is not None else SDTWConfig()
-        arrays = [as_series(values, f"series[{i}]") for i, values in enumerate(series)]
-        if not arrays:
-            raise ValidationError("cannot build an index over zero series")
-        if identifiers is None:
-            identifiers = [f"series-{i:05d}" for i in range(len(arrays))]
-        if len(identifiers) != len(arrays):
-            raise ValidationError("identifiers must have one entry per series")
-        if labels is None:
-            labels = [None] * len(arrays)
-        if len(labels) != len(arrays):
-            raise ValidationError("labels must have one entry per series")
-        engine = DistanceEngine(
-            constraint, config, backend=backend, **(engine_kwargs or {})
-        )
-        for values, identifier, label in zip(arrays, identifiers, labels):
-            engine.add(values, identifier=identifier, label=label)
-        return cls.from_engine(
-            engine,
-            config=config,
-            codebook_config=codebook_config,
-            num_shards=num_shards,
-            candidate_budget=candidate_budget,
-        )
-
-    @classmethod
-    def from_dataset(cls, dataset: Dataset, **kwargs) -> "IndexedSearcher":
-        """Build a searcher over a data set (labels preserved)."""
-        identifiers = [
-            ts.identifier or f"{dataset.name}-{i:04d}"
-            for i, ts in enumerate(dataset)
-        ]
-        return cls.build(
-            dataset.values_list(), identifiers, dataset.labels, **kwargs
-        )
-
-    @classmethod
-    def from_reader(
-        cls,
-        reader: IndexReader,
-        *,
-        config: Optional[SDTWConfig] = None,
-        constraint: str = "fc,fw",
-        candidate_budget: int = 100,
-        backend: str = "serial",
-        engine_kwargs: Optional[dict] = None,
-    ) -> "IndexedSearcher":
-        """Reopen a persisted index (with its bundled feature store).
-
-        The feature store supplies the raw series for re-ranking, in the
-        index's series order, so no re-extraction happens.  Tombstoned
-        slots are skipped: the engine only stores live series and the
-        searcher routes candidates through a slot mapping.
-        """
-        persisted = reader.extraction_config()
-        if config is None:
-            # Reconstruct the exact build-time configuration from the
-            # manifest; only pre-fingerprint indexes fall back to defaults.
-            config = persisted if persisted is not None else SDTWConfig()
-        elif persisted is not None and config != persisted:
-            raise ValidationError(
-                "the supplied extraction configuration differs from the one "
-                "this index was built with; omit `config` to use the "
-                "persisted configuration"
-            )
-        store = reader.load_feature_store(config=config)
-        engine = DistanceEngine(
-            constraint, config, backend=backend, **(engine_kwargs or {})
-        )
-        tombstones = reader.index.tombstones
-        mapping: Optional[np.ndarray] = None
-        if reader.index.num_tombstones:
-            mapping = np.full(reader.index.num_series, -1, dtype=np.int64)
-        for position, identifier in enumerate(reader.identifiers):
-            if tombstones[position]:
-                continue
-            if mapping is not None:
-                mapping[position] = len(engine)
-            engine.add(
-                store.series_of(identifier),
-                identifier=identifier,
-                label=reader.labels[position],
-            )
-        return cls(
-            reader.index, reader.codebook, engine,
-            config=config, candidate_budget=candidate_budget,
-            index_to_engine=mapping,
-        )
-
-    def save(self, directory, *, feature_store=None) -> str:
-        """Persist the searcher's index; returns the manifest path.
-
-        When *feature_store* is omitted one is assembled from the
-        engine's stored series (re-using build-time features when this
-        searcher was created by :meth:`build`).  Delta shards appended
-        by :meth:`add_series` are persisted as-is (no forced
-        compaction).
-        """
-        if self.index.num_tombstones:
-            raise ValidationError(
-                "cannot save a searcher over tombstoned slots; run compact() "
-                "first (or persist through the owning Workspace)"
-            )
-        stored = self.engine.stored_items()
-        if feature_store is None:
-            from ..retrieval.feature_store import FeatureStore
-
-            feature_store = FeatureStore(config=self.config)
-            build_features = self._features
-            for position, (identifier, values, _) in enumerate(stored):
-                feature_store.add_series(
-                    identifier,
-                    values,
-                    features=(
-                        build_features[position]
-                        if build_features is not None else None
-                    ),
-                )
-        return IndexWriter(directory).write(
-            self.index,
-            self.codebook,
-            [identifier for identifier, _, _ in stored],
-            [label for _, _, label in stored],
-            feature_store=feature_store,
-            extraction_config=self.config,
-        )
-
-    @classmethod
-    def open(cls, directory, **kwargs) -> "IndexedSearcher":
-        """Open a persisted index directory (memory-mapped shards)."""
-        mmap = kwargs.pop("mmap", True)
-        return cls.from_reader(IndexReader.open(directory, mmap=mmap), **kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance
-    # ------------------------------------------------------------------ #
-    def add_series(
-        self,
-        values: Union[Sequence[float], np.ndarray],
-        identifier: Optional[str] = None,
-        label: Optional[int] = None,
-    ) -> str:
-        """Index one new series incrementally; returns its identifier.
-
-        Cost is O(new features): the series is added to the engine, its
-        features are extracted, quantized against the *frozen* codebook
-        and appended to the index as a delta shard — no codebook refit,
-        no postings rebuild.  Run :meth:`compact` periodically to fold
-        deltas back into the base shards with fresh IDF statistics.
-        """
-        array = as_series(values, "values")
-        if self._identifier_set is None:
-            self._identifier_set = {
-                stored_id for stored_id, _, _ in self.engine.stored_items()
-            }
-        if identifier is not None and str(identifier) in self._identifier_set:
-            raise ValidationError(
-                f"identifier {identifier!r} is already indexed"
-            )
-        identifier = self.engine.add(array, identifier=identifier, label=label)
-        self._identifier_set.add(identifier)
-        features = extract_salient_features(array, self.config)
-        self.index.add_series(self.codebook.bag(features, array.size))
-        self._clear_candidate_cache()
-        if self._index_to_engine is not None:
-            self._index_to_engine = np.append(
-                self._index_to_engine, len(self.engine) - 1
-            )
-        if self._features is not None:
-            self._features.append(list(features))
-        return identifier
-
-    def compact(self, *, num_shards: Optional[int] = None) -> np.ndarray:
-        """Fold delta shards (and tombstones) into a fresh base shard set.
-
-        Returns the old-slot -> new-slot mapping.  The compacted
-        postings are bit-identical to a from-scratch
-        :meth:`InvertedIndex.from_bags` build over the surviving bags
-        under the same codebook, and exact re-rank results are
-        unchanged.
-        """
-        if num_shards is None:
-            num_shards = len(self.index.shards)
-        compacted, slot_map = self.index.compact(num_shards=num_shards)
-        # The compacted index is a fresh shard set: carry the postings
-        # cache capacity over (pages rebuild lazily) and drop the
-        # candidate LRU (slot renumbering invalidates every entry).
-        compacted.enable_postings_cache(self.index._postings_cache_capacity)
-        self.index = compacted
-        self._clear_candidate_cache()
-        if self._index_to_engine is not None:
-            self._index_to_engine = self._index_to_engine[slot_map >= 0]
-        return slot_map
 
     # ------------------------------------------------------------------ #
     # Querying
@@ -571,8 +352,8 @@ class IndexedSearcher:
         With an enabled candidate cache (see :meth:`enable_caches`) a
         byte-identical repeat of a recent (query, budget) pair returns
         the memoised candidate set without touching the postings; the
-        cache is cleared on every index mutation, so a hit is always
-        exactly what a fresh stage 1 would produce.
+        searcher's index never changes, so a hit is always exactly what
+        a fresh stage 1 would produce.
         """
         return self._generate(values, limit)[0]
 
@@ -695,30 +476,6 @@ class IndexedSearcher:
             rerank_seconds=result.stats.elapsed_seconds,
             stats=result.stats,
         )
-
-    def batch_query(
-        self,
-        queries: Sequence[Union[Sequence[float], np.ndarray]],
-        k: int = 10,
-        *,
-        candidates: Optional[int] = None,
-        exclude_identifiers: Optional[Sequence[Optional[str]]] = None,
-    ) -> List[IndexedSearchResult]:
-        """Indexed k-NN for many queries (results in query order)."""
-        if exclude_identifiers is not None and len(exclude_identifiers) != len(queries):
-            raise ValidationError(
-                "exclude_identifiers must have one entry per query"
-            )
-        return [
-            self.query(
-                values, k,
-                candidates=candidates,
-                exclude_identifier=(
-                    exclude_identifiers[qi] if exclude_identifiers else None
-                ),
-            )
-            for qi, values in enumerate(queries)
-        ]
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -1,6 +1,7 @@
 """Index persistence: directory layout, manifest, writer and reader.
 
-An index lives in one directory::
+An index lives in one directory, the ``index/`` directory of a
+:class:`repro.service.Workspace`::
 
     index-dir/
         manifest.json     # routing table + identifiers + fingerprints
@@ -10,7 +11,12 @@ An index lives in one directory::
         shard-0001.npz
         delta-0000.npz    # incremental delta shards (same format, full
         delta-0001.npz    # codeword range each)
-        store.npz         # optional FeatureStore (series + features)
+
+The directory holds no feature store: the raw series and their salient
+features live once, in the workspace's own ``store.npz``.  The manifest
+keeps its ``store_file`` key, written as ``null``; the ``store.npz`` that
+older releases bundled here is never read and is deleted by the next
+write.
 
 The manifest records which codeword range each shard file covers, so a
 reader routes a codeword to its shard without opening the others; shard
@@ -23,6 +29,9 @@ tombstoned slot list and per-posting raw counts inside the shards;
 version 3 keeps that layout.  Version-1 directories still open but
 cannot be compacted until rebuilt.  Legacy ``pq_*`` members (the
 manifest's ``pq_file``, ``pq.npz``, shard arrays) are ignored.
+
+:meth:`repro.service.Workspace.save` is the only code that writes index
+directories.
 """
 
 from __future__ import annotations
@@ -42,9 +51,9 @@ from .shards import IndexShard
 MANIFEST_NAME = "manifest.json"
 CODEBOOK_NAME = "codebook.npz"
 STATS_NAME = "stats.npz"
-STORE_NAME = "store.npz"
-# Written by releases with a product-quantizer codec; never read.
-LEGACY_PQ_NAME = "pq.npz"
+# Written by older releases (a bundled feature store and a
+# product-quantizer codec); never read, deleted by the next write.
+LEGACY_NAMES = ("store.npz", "pq.npz")
 FORMAT_NAME = "repro-salient-index"
 FORMAT_VERSION = 3
 
@@ -79,7 +88,6 @@ class IndexWriter:
         identifiers: Sequence[str],
         labels: Optional[Sequence[Optional[int]]] = None,
         *,
-        feature_store=None,
         extraction_config=None,
     ) -> str:
         """Persist everything; returns the manifest path.
@@ -96,15 +104,9 @@ class IndexWriter:
             so slot numbering survives the round trip).
         labels:
             Optional class labels, in the same order.
-        feature_store:
-            Optional :class:`repro.retrieval.feature_store.FeatureStore`
-            saved alongside the index so a reader can re-rank without
-            re-extracting features.
         extraction_config:
             The full :class:`~repro.core.config.SDTWConfig` the indexed
-            features were extracted with; persisted in the manifest so a
-            reader reconstructs (and can verify) the exact configuration
-            instead of trusting the descriptor-bin count alone.
+            features were extracted with, recorded in the manifest.
         """
         if len(identifiers) != index.num_series:
             raise ValidationError(
@@ -116,8 +118,8 @@ class IndexWriter:
             if not index.tombstones[slot]
         ]
         if len(set(live_identifiers)) != len(live_identifiers):
-            # The on-disk format (and the bundled FeatureStore) key series
-            # by identifier; duplicates would silently collapse on reopen.
+            # The on-disk format keys series by identifier; duplicates
+            # would silently collapse on reopen.
             raise ValidationError(
                 "index identifiers must be unique; the collection repeats "
                 "at least one identifier"
@@ -141,11 +143,6 @@ class IndexWriter:
             shard.save(os.path.join(directory, filename))
             delta_entries.append(_shard_entry(filename, shard))
 
-        store_file: Optional[str] = None
-        if feature_store is not None:
-            store_file = STORE_NAME
-            feature_store.save(os.path.join(directory, STORE_NAME))
-
         manifest = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -165,7 +162,7 @@ class IndexWriter:
             ],
             "codebook_file": CODEBOOK_NAME,
             "stats_file": STATS_NAME,
-            "store_file": store_file,
+            "store_file": None,
             "extraction_config": (
                 None if extraction_config is None else extraction_config.to_dict()
             ),
@@ -188,7 +185,7 @@ class IndexWriter:
         written = {str(entry["file"]) for entry in shard_entries}
         written.update(str(entry["file"]) for entry in delta_entries)
         for name in os.listdir(directory):
-            if name == LEGACY_PQ_NAME or (
+            if name in LEGACY_NAMES or (
                 name.startswith(("shard-", "delta-"))
                 and name.endswith(".npz")
                 and name not in written
@@ -302,10 +299,6 @@ class IndexReader:
             ),
         )
 
-    @property
-    def num_series(self) -> int:
-        return self.index.num_series
-
     def live_identifiers(self) -> List[str]:
         """Identifiers of the non-tombstoned slots, in slot order."""
         return [
@@ -313,54 +306,6 @@ class IndexReader:
             for slot, identifier in enumerate(self.identifiers)
             if not self.index.tombstones[slot]
         ]
-
-    def extraction_config(self):
-        """The persisted :class:`SDTWConfig`, or ``None`` on old manifests."""
-        from ..core.config import SDTWConfig
-
-        payload = self.manifest.get("extraction_config")
-        if payload is None:
-            return None
-        return SDTWConfig.from_dict(payload)
-
-    @property
-    def store_path(self) -> Optional[str]:
-        """Path of the bundled feature store, if one was written."""
-        store_file = self.manifest.get("store_file")
-        if not store_file:
-            return None
-        return os.path.join(self.directory, str(store_file))
-
-    def load_feature_store(self, config=None):
-        """Load the bundled :class:`FeatureStore` (series + features)."""
-        from ..retrieval.feature_store import FeatureStore
-
-        path = self.store_path
-        if path is None or not os.path.exists(path):
-            raise DatasetError(
-                f"index at {self.directory!r} was written without a feature store"
-            )
-        return FeatureStore.load(path, config=config)
-
-    def stats_rows(self) -> List[List[object]]:
-        """Tabular summary used by ``repro index stats``."""
-        rows: List[List[object]] = []
-        entries = list(self.manifest["shards"]) + list(
-            self.manifest.get("delta_shards", [])
-        )
-        for entry in entries:
-            path = os.path.join(self.directory, str(entry["file"]))
-            size = os.path.getsize(path) if os.path.exists(path) else 0
-            rows.append(
-                [
-                    str(entry["file"]),
-                    f"[{entry['first_codeword']}, {entry['last_codeword']})",
-                    int(entry["num_codewords_present"]),
-                    int(entry["num_postings"]),
-                    f"{size / 1024:.1f} KiB",
-                ]
-            )
-        return rows
 
 
 __all__ = ["IndexReader", "IndexWriter"]

@@ -15,7 +15,8 @@ all of them behind one object model and one versioned directory layout::
                           # index state
         store.npz         # FeatureStore: raw series + salient features
         index/            # optional inverted index (IndexWriter layout:
-                          # manifest.json, codebook.npz, mmappable shards)
+                          # manifest.json, codebook.npz, mmappable shards;
+                          # no second copy of the feature store)
 
 Lifecycle::
 
@@ -69,7 +70,12 @@ from ..engine import BatchKNNResult, DistanceEngine
 from ..engine.engine import EngineHit
 from ..engine.stats import EngineStats
 from ..exceptions import DatasetError, ValidationError, WorkspaceError
-from ..indexing import CodebookConfig, IndexReader, IndexedSearcher
+from ..indexing import (
+    CodebookConfig,
+    IndexReader,
+    IndexWriter,
+    IndexedSearcher,
+)
 from ..retrieval.feature_store import FeatureStore
 from ..streaming import StreamMatch, StreamMonitor
 from ..telemetry.events import NULL_EVENT_LOG, EventLog, json_safe
@@ -1949,8 +1955,6 @@ class Workspace:
             index_dir: Optional[str] = None
             if self._index is not None and not self._index.stale:
                 index_dir = INDEX_DIR_NAME
-                from ..indexing import IndexWriter
-
                 label_of = dict(zip(self._identifiers, self._labels))
                 tombstones = self._index.index.tombstones
                 slot_labels = [
@@ -1962,7 +1966,6 @@ class Workspace:
                     self._index.codebook,
                     self._index.slots,
                     slot_labels,
-                    feature_store=self._store,
                     extraction_config=self.config.sdtw,
                 )
             else:

@@ -15,8 +15,9 @@ Design notes
 * A family with labels hands out *children* via ``labels(...)``; a
   family without labels acts directly as its single child.  Children are
   cached, so hot paths can pre-bind them once (e.g. the candidate-cache
-  hit/miss counters in :class:`repro.indexing.searcher.IndexedSearcher`)
-  and pay only one small lock per update.
+  hit/miss counters that every :class:`repro.indexing.IndexedSearcher`
+  a Workspace builds binds from the workspace's registry) and pay only
+  one small lock per update.
 * Histograms use fixed bucket edges (exponential latency buckets by
   default) and estimate quantiles by linear interpolation inside the
   bucket that contains the target rank — the same estimator Prometheus'

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -168,54 +169,79 @@ class TestStreamCommand:
         assert "constraint=itakura" in capsys.readouterr().out
 
 
-class TestIndexCommand:
-    def test_index_requires_subcommand(self, capsys):
-        assert main(["index"]) == 2
-        assert "subcommand" in capsys.readouterr().err
+class TestWorkspaceCompactCommand:
+    """``workspace compact`` is the CLI's one index-maintenance command;
+    the standalone ``index`` command group is gone."""
 
-    def test_build_query_stats_round_trip(self, tmp_path, capsys):
-        index_dir = str(tmp_path / "idx")
-        code = main([
-            "index", "build", "gun-small", "--num-series", "10",
-            "--output", index_dir, "--codewords", "32", "--shards", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Indexed 10 series" in out
-        assert "manifest" in out
+    @staticmethod
+    def _full_budget_answers(path):
+        from repro.service import Workspace
 
-        assert main(["index", "stats", index_dir]) == 0
-        out = capsys.readouterr().out
-        assert "repro-salient-index" in out
-        assert "shard-0000.npz" in out
+        with Workspace.open(path) as workspace:
+            return [
+                workspace.query(
+                    workspace.series_of(identifier), 3, mode="indexed",
+                    candidates=len(workspace), exclude_identifier=identifier,
+                ).to_dict(include_trace=False)["hits"]
+                for identifier in workspace.identifiers
+            ]
 
-        code = main([
-            "index", "query", index_dir, "--k", "3", "--candidates", "5",
-            "--num-queries", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "nearest" in out
-        assert "recall@3" in out
+    def test_index_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'index'" in capsys.readouterr().err
 
-    def test_query_exact_mode_skips_recall(self, tmp_path, capsys):
-        index_dir = str(tmp_path / "idx")
-        assert main([
-            "index", "build", "gun-small", "--num-series", "8",
-            "--output", index_dir, "--codewords", "16",
-        ]) == 0
+    def test_compact_folds_delta_shards(self, tmp_path, capsys):
+        from repro.service import Workspace
+
+        path = str(tmp_path / "ws")
+        assert main(["workspace", "init", path, "--codewords", "32",
+                     "--shards", "2", "--candidates", "5"]) == 0
+        assert main(["workspace", "add", path, "gun-small",
+                     "--num-series", "10", "--build-index"]) == 0
+        assert main(["workspace", "add", path, "50words-tiny",
+                     "--num-series", "4"]) == 0
+        with Workspace.open(path) as workspace:
+            assert workspace.stats()["index"]["delta_shards"] == 4
+        before = self._full_budget_answers(path)
         capsys.readouterr()
-        assert main([
-            "index", "query", index_dir, "--k", "2", "--num-queries", "1",
-            "--exact",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "exact" in out
-        assert "recall@" not in out
 
-    def test_stats_on_missing_directory_reports_error(self, tmp_path, capsys):
-        assert main(["index", "stats", str(tmp_path / "nope")]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["workspace", "compact", path]) == 0
+        out = capsys.readouterr().out
+        assert "Compacted 4 delta shards and 0 tombstones" in out
+        assert "over 14 series" in out
+        with Workspace.open(path) as workspace:
+            index = workspace.stats()["index"]
+            assert index["delta_shards"] == 0
+            assert index["num_live"] == index["num_slots"] == 14
+        assert self._full_budget_answers(path) == before
+        assert main(["workspace", "doctor", path]) == 0
+        assert "-> healthy" in capsys.readouterr().out
+
+    def test_compact_without_fresh_index_exits_two(self, tmp_path, capsys):
+        from repro.service import IndexConfig, Workspace, WorkspaceConfig
+
+        path = str(tmp_path / "ws")
+        assert main(["workspace", "init", path]) == 0
+        assert main(["workspace", "add", path, "gun-small",
+                     "--num-series", "6"]) == 0
+        capsys.readouterr()
+        assert main(["workspace", "compact", path]) == 2
+        assert "no fresh index" in capsys.readouterr().err
+
+        stale = str(tmp_path / "stale")
+        config = WorkspaceConfig(
+            index=IndexConfig(num_codewords=16, incremental=False)
+        )
+        with Workspace.create(stale, config) as workspace:
+            workspace.add_batch([np.sin(np.linspace(0.0, 6.0, 48) + shift)
+                                 for shift in range(4)])
+            workspace.build_index()
+            workspace.add(np.cos(np.linspace(0.0, 6.0, 48)))
+            assert workspace.stats()["index"]["stale"]
+        assert main(["workspace", "compact", stale]) == 2
+        assert "no fresh index" in capsys.readouterr().err
 
 
 class TestWorkspaceCommand:

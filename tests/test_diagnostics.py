@@ -458,12 +458,14 @@ class TestSamplingProfiler:
             workspace.add(
                 _series(0.2 * index, length=256), identifier=f"p{index:02d}"
             )
+        # Built once, outside the window: only the queries are sampled.
+        query = _series(0.5, length=256)
         profiler = SamplingProfiler(
             interval_seconds=0.002, threads=[threading.get_ident()]
         ).start()
         deadline = time.perf_counter() + 1.0
         while time.perf_counter() < deadline:
-            workspace.query(_series(0.5, length=256), mode="exact")
+            workspace.query(query, mode="exact")
         report = profiler.stop()
         assert report.num_samples >= 20, "window too short to profile"
         assert report.coverage >= 0.25, report.to_dict()["coverage"]

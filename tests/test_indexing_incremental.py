@@ -11,13 +11,17 @@ Covers the three contracts of the incremental layer:
   surviving bags (a from-scratch rebuild under the same frozen
   codebook).
 
-Plus the persistence satellite: add -> save -> open -> query round
-trips, tombstones surviving reopen, and the Workspace-level incremental
+The Workspace owns the index, so the searcher-level contracts run
+through it too: an added series is found, compaction is bit-identical
+under the frozen codebook, delta shards and tombstones survive close and
+``Workspace.open``, and index directories with legacy PQ state answer
+like untouched ones.  Plus the rest of the Workspace-level incremental
 path (auto-compaction, removal, close/open cycles).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -29,13 +33,7 @@ from repro.cli import main
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.datasets.synthetic import make_gun_like
 from repro.exceptions import DatasetError, ValidationError
-from repro.indexing import (
-    CodebookConfig,
-    IndexReader,
-    IndexedSearcher,
-    InvertedIndex,
-    IndexWriter,
-)
+from repro.indexing import IndexReader, InvertedIndex
 from repro.indexing.shards import (
     OPTIONAL_SHARD_MEMBERS,
     SHARD_MEMBERS,
@@ -44,6 +42,12 @@ from repro.indexing.shards import (
 from repro.service import IndexConfig, Workspace, WorkspaceConfig
 
 CONFIG = SDTWConfig(descriptor=DescriptorConfig(num_bins=16))
+WORKSPACE_CONFIG = WorkspaceConfig(
+    sdtw=CONFIG,
+    index=IndexConfig(
+        num_codewords=24, num_shards=3, candidate_budget=6, seed=11,
+    ),
+)
 
 ALL_SHARD_MEMBERS = SHARD_MEMBERS + OPTIONAL_SHARD_MEMBERS
 
@@ -85,17 +89,20 @@ def dataset():
     return make_gun_like(num_series=14, seed=23)
 
 
+def _indexed(workspace, dataset):
+    workspace.add_dataset(dataset)
+    workspace.build_index()
+    return workspace
+
+
+def _indexed_workspace(path, dataset):
+    """A path-backed copy of the ``workspace`` fixture."""
+    return _indexed(Workspace.create(path, WORKSPACE_CONFIG), dataset)
+
+
 @pytest.fixture()
-def searcher(dataset):
-    return IndexedSearcher.from_dataset(
-        dataset,
-        config=CONFIG,
-        codebook_config=CodebookConfig.for_sdtw(
-            CONFIG, num_codewords=24, seed=11
-        ),
-        num_shards=3,
-        candidate_budget=6,
-    )
+def workspace(dataset):
+    return _indexed(Workspace(WORKSPACE_CONFIG), dataset)
 
 
 class TestInvertedIndexIncremental:
@@ -201,110 +208,99 @@ class TestInvertedIndexIncremental:
 
 
 class TestSearcherIncremental:
-    def test_add_series_then_query_finds_it(self, searcher, dataset):
+    def test_add_series_then_query_finds_it(self, workspace, dataset):
         probe = dataset[0].values * 0.9 + 0.05
-        identifier = searcher.add_series(probe, identifier="fresh")
+        identifier = workspace.add(probe, identifier="fresh")
         assert identifier == "fresh"
-        assert searcher.index.num_delta_shards == 1
-        result = searcher.query(probe, 3)
-        assert "fresh" in [hit.identifier for hit in result.hits]
+        assert workspace.stats()["index"]["delta_shards"] == 1
+        result = workspace.query(probe, 3, mode="indexed")
+        assert "fresh" in result.ids
         # C = N still reproduces the exhaustive ranking bit for bit.
-        exact = searcher.query(probe, 3, exact=True)
-        full = searcher.query(probe, 3, candidates=len(searcher.engine))
-        assert full.indices == exact.indices
+        exact = workspace.query(probe, 3, mode="exact")
+        full = workspace.query(probe, 3, mode="indexed",
+                               candidates=len(workspace))
+        assert full.ids == exact.ids
+        assert full.distances == exact.distances
 
-    def test_add_series_rejects_duplicate_identifier(self, searcher, dataset):
-        taken = searcher.engine.stored_items()[0][0]
+    def test_add_series_rejects_duplicate_identifier(self, workspace, dataset):
+        taken = workspace.identifiers[0]
         with pytest.raises(ValidationError):
-            searcher.add_series(dataset[0].values, identifier=taken)
+            workspace.add(dataset[0].values, identifier=taken)
+        index = workspace.stats()["index"]
+        assert index["num_slots"] == len(dataset)
+        assert index["delta_shards"] == 0
 
     def test_compact_matches_fresh_build_under_frozen_codebook(
-        self, searcher, dataset
+        self, workspace, dataset
     ):
+        codebook = workspace.searcher.codebook
         for offset in range(3):
-            searcher.add_series(
+            workspace.add(
                 dataset[offset].values * (0.8 + 0.1 * offset),
                 identifier=f"delta-{offset}",
             )
-        stored = searcher.engine.stored_items()
-        lengths = [values.size for _, values, _ in stored]
-        features = searcher._features
+        workspace.compact_index()
+        searcher = workspace.searcher
+        assert searcher.codebook is codebook
         bags = [
-            searcher.codebook.bag(feats, length)
-            for feats, length in zip(features, lengths)
+            codebook.bag(
+                workspace._store.features_of(identifier),
+                workspace.series_of(identifier).size,
+            )
+            for identifier in workspace.identifiers
         ]
         fresh = InvertedIndex.from_bags(
-            bags, searcher.codebook.num_codewords,
-            num_shards=len(searcher.index.shards),
+            bags, codebook.num_codewords, num_shards=len(searcher.index.shards),
         )
-        searcher.compact()
         assert_indexes_bit_identical(searcher.index, fresh)
 
-    def test_compact_preserves_full_budget_results(self, searcher, dataset):
-        searcher.add_series(dataset[1].values * 1.1, identifier="later")
+    def test_compact_preserves_full_budget_results(self, workspace, dataset):
+        workspace.add(dataset[1].values * 1.1, identifier="later")
         probe = dataset[2].values
-        before = searcher.query(probe, 4, candidates=len(searcher.engine))
-        searcher.compact()
-        after = searcher.query(probe, 4, candidates=len(searcher.engine))
-        assert before.indices == after.indices
-        assert [hit.distance for hit in before.hits] == [
-            hit.distance for hit in after.hits
-        ]
+        before = workspace.query(probe, 4, mode="indexed",
+                                 candidates=len(workspace))
+        workspace.compact_index()
+        after = workspace.query(probe, 4, mode="indexed",
+                                candidates=len(workspace))
+        assert before.ids == after.ids
+        assert before.distances == after.distances
 
 
 class TestDeltaPersistence:
-    def test_add_save_open_query_round_trip(self, searcher, dataset, tmp_path):
+    def test_add_save_open_query_round_trip(self, dataset, tmp_path):
+        path = str(tmp_path / "ws")
         probe = dataset[0].values * 0.85
-        searcher.add_series(probe, identifier="delta-a")
-        searcher.add_series(dataset[3].values * 1.15, identifier="delta-b")
-        expected = searcher.query(probe, 4)
-        directory = str(tmp_path / "idx")
-        searcher.save(directory)
+        with _indexed_workspace(path, dataset) as workspace:
+            workspace.add(probe, identifier="delta-a")
+            workspace.add(dataset[3].values * 1.15, identifier="delta-b")
+            expected = workspace.query(probe, 4, mode="indexed")
 
-        reader = IndexReader.open(directory)
+        reader = IndexReader.open(os.path.join(path, "index"))
         assert reader.index.num_delta_shards == 2
         assert reader.index.supports_incremental
-        reopened = IndexedSearcher.from_reader(reader, candidate_budget=6)
-        result = reopened.query(probe, 4)
-        assert [hit.identifier for hit in result.hits] == [
-            hit.identifier for hit in expected.hits
-        ]
-        assert [hit.distance for hit in result.hits] == [
-            hit.distance for hit in expected.hits
-        ]
+        with Workspace.open(path) as reopened:
+            assert reopened.stats()["index"]["delta_shards"] == 2
+            result = reopened.query(probe, 4, mode="indexed")
+        assert result.ids == expected.ids
+        assert result.distances == expected.distances
 
-    def test_tombstones_survive_reopen(self, searcher, dataset, tmp_path):
-        searcher.add_series(dataset[0].values * 0.7, identifier="doomed")
-        searcher.index.remove_series(searcher.index.num_series - 1)
-        directory = str(tmp_path / "idx")
-        stored = searcher.engine.stored_items()
-        store = None  # assembled manually: engine holds the tombstoned one
-        from repro.retrieval.feature_store import FeatureStore
+    def test_tombstones_survive_reopen(self, dataset, tmp_path):
+        path = str(tmp_path / "ws")
+        with _indexed_workspace(path, dataset) as workspace:
+            workspace.add(dataset[0].values * 0.7, identifier="doomed")
+            workspace.remove("doomed")
 
-        store = FeatureStore(config=CONFIG)
-        for slot, (identifier, values, _) in enumerate(stored):
-            if not searcher.index.tombstones[slot]:
-                store.add_series(identifier, values)
-        IndexWriter(directory).write(
-            searcher.index,
-            searcher.codebook,
-            [identifier for identifier, _, _ in stored],
-            [label for _, _, label in stored],
-            feature_store=store,
-            extraction_config=CONFIG,
-        )
-        reader = IndexReader.open(directory)
+        reader = IndexReader.open(os.path.join(path, "index"))
         assert reader.index.num_tombstones == 1
+        assert reader.index.num_delta_shards == 1
         assert "doomed" not in reader.live_identifiers()
-        reopened = IndexedSearcher.from_reader(reader, candidate_budget=6)
-        result = reopened.query(dataset[0].values * 0.7, 5,
-                                candidates=reader.index.num_series)
-        assert "doomed" not in [hit.identifier for hit in result.hits]
-
-    def test_save_with_tombstones_requires_compaction(self, searcher, tmp_path):
-        searcher.index.remove_series(0)
-        with pytest.raises(ValidationError):
-            searcher.save(str(tmp_path / "idx"))
+        with Workspace.open(path) as reopened:
+            index = reopened.stats()["index"]
+            assert index["tombstones"] == 1
+            assert index["delta_shards"] == 1
+            result = reopened.query(dataset[0].values * 0.7, 5, mode="indexed",
+                                    candidates=reader.index.num_series)
+        assert "doomed" not in result.ids
 
 
 def _add_legacy_pq_parts(directory: str, version: int) -> None:
@@ -341,53 +337,67 @@ def _add_legacy_pq_parts(directory: str, version: int) -> None:
 
 
 class TestLegacyPQIndexDirectories:
-    """Index directories from releases with a product quantizer open,
-    answer exactly like the same index without PQ state, and are
-    rewritten without it."""
+    """A workspace whose ``index/`` came from a release with a product
+    quantizer opens, answers exactly like the same workspace without PQ
+    state, and ``repro workspace compact`` rewrites it without that
+    state."""
 
     @staticmethod
-    def _answers(directory, dataset, *, mmap):
-        searcher = IndexedSearcher.open(directory, mmap=mmap, candidate_budget=6)
+    def _answers(path, dataset, *, mmap):
+        manifest_path = os.path.join(path, "workspace.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["config"]["index"]["mmap"] = mmap
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
         answers = []
-        for ts in dataset.series[:4]:
-            result = searcher.query(ts.values, 4,
-                                    exclude_identifier=ts.identifier)
-            answers.append((
-                searcher.generate_candidates(ts.values).tolist(),
-                [hit.identifier for hit in result.hits],
-                [hit.distance for hit in result.hits],
-            ))
+        with Workspace.open(path) as workspace:
+            assert workspace.config.index == dataclasses.replace(
+                WORKSPACE_CONFIG.index, mmap=mmap
+            )
+            searcher = workspace.searcher
+            assert searcher.index.is_memory_mapped is mmap
+            for ts in dataset.series[:4]:
+                result = workspace.query(ts.values, 4, mode="indexed",
+                                         exclude_identifier=ts.identifier)
+                answers.append((
+                    searcher.generate_candidates(ts.values).tolist(),
+                    result.ids,
+                    result.distances,
+                ))
         return answers
 
     @pytest.mark.parametrize("version", [2, 3])
     def test_legacy_members_are_ignored_and_compacted_away(
-        self, searcher, dataset, tmp_path, version
+        self, dataset, tmp_path, version
     ):
-        searcher.add_series(dataset[0].values * 0.9, identifier="delta-a")
         plain = str(tmp_path / "plain")
-        searcher.save(plain)
+        with _indexed_workspace(plain, dataset) as workspace:
+            workspace.add(dataset[0].values * 0.9, identifier="delta-a")
         legacy = str(tmp_path / "legacy")
         shutil.copytree(plain, legacy)
-        _add_legacy_pq_parts(legacy, version)
+        legacy_index = os.path.join(legacy, "index")
+        _add_legacy_pq_parts(legacy_index, version)
 
         for mmap in (True, False):
             assert self._answers(legacy, dataset, mmap=mmap) == self._answers(
                 plain, dataset, mmap=mmap
             )
 
-        assert main(["index", "compact", legacy]) == 0
-        assert main(["index", "compact", plain]) == 0
+        assert main(["workspace", "compact", legacy]) == 0
+        assert main(["workspace", "compact", plain]) == 0
         assert self._answers(legacy, dataset, mmap=True) == self._answers(
             plain, dataset, mmap=True
         )
-        with open(os.path.join(legacy, "manifest.json"), encoding="utf-8") as handle:
+        with open(os.path.join(legacy_index, "manifest.json"),
+                  encoding="utf-8") as handle:
             manifest = json.load(handle)
         assert "pq_file" not in manifest
-        assert not os.path.exists(os.path.join(legacy, "pq.npz"))
+        assert not os.path.exists(os.path.join(legacy_index, "pq.npz"))
         assert not manifest["delta_shards"]
         for entry in manifest["shards"]:
             assert "num_pq_postings" not in entry
-            members = set(load_npz(os.path.join(legacy, entry["file"])))
+            members = set(load_npz(os.path.join(legacy_index, entry["file"])))
             assert members == set(ALL_SHARD_MEMBERS)
 
 

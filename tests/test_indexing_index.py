@@ -200,12 +200,6 @@ class TestWriterReader:
                 index, codebook, identifiers[:-1], labels
             )
 
-    def test_stats_rows_cover_every_shard(self, built, tmp_path):
-        index, codebook, identifiers, labels, _ = built
-        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers, labels)
-        reader = IndexReader.open(tmp_path / "idx")
-        assert len(reader.stats_rows()) == len(index.shards)
-
 
 class TestValidation:
     def test_shards_must_cover_codeword_space(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.datasets.synthetic import make_gun_like
+from repro.engine import DistanceEngine
 from repro.exceptions import ValidationError
 from repro.indexing import CodebookConfig, IndexedSearcher
 
@@ -21,12 +22,13 @@ def dataset():
 
 
 def _build(dataset, constraint, **kwargs):
-    kwargs.setdefault("config", CONFIG)
+    engine = DistanceEngine(constraint, CONFIG)
+    engine.add_dataset(dataset)
     kwargs.setdefault(
         "codebook_config", CodebookConfig.for_sdtw(CONFIG, num_codewords=32, seed=2)
     )
     kwargs.setdefault("num_shards", 3)
-    return IndexedSearcher.from_dataset(dataset, constraint=constraint, **kwargs)
+    return IndexedSearcher.from_engine(engine, config=CONFIG, **kwargs)
 
 
 class TestFullBudgetEquivalence:
@@ -98,42 +100,6 @@ class TestBudgetedQueries:
         second = searcher.generate_candidates(dataset[4].values, 8)
         assert np.array_equal(first, second)
 
-    def test_batch_query_matches_single_queries(self, dataset):
-        searcher = _build(dataset, "fc,fw")
-        queries = [dataset[i].values for i in range(3)]
-        batch = searcher.batch_query(queries, k=4, candidates=8)
-        for qi, values in enumerate(queries):
-            single = searcher.query(values, k=4, candidates=8)
-            assert batch[qi].indices == single.indices
-
-
-class TestPersistenceRoundTrip:
-    def test_reopened_searcher_answers_identically(self, dataset, tmp_path):
-        searcher = _build(dataset, "fc,fw")
-        searcher.save(tmp_path / "idx")
-        reopened = IndexedSearcher.open(
-            tmp_path / "idx", config=CONFIG, constraint="fc,fw",
-        )
-        assert reopened.index.is_memory_mapped
-        for qi in (0, 7, 11):
-            query = dataset[qi].values
-            original = searcher.query(query, k=5, candidates=10)
-            restored = reopened.query(query, k=5, candidates=10)
-            assert original.indices == restored.indices
-            for mine, theirs in zip(original.hits, restored.hits):
-                assert mine.distance == theirs.distance
-
-    def test_reopened_full_budget_still_matches_engine(self, dataset, tmp_path):
-        searcher = _build(dataset, "itakura")
-        searcher.save(tmp_path / "idx")
-        reopened = IndexedSearcher.open(
-            tmp_path / "idx", config=CONFIG, constraint="itakura",
-        )
-        query = dataset[9].values
-        indexed = reopened.query(query, k=6, candidates=len(dataset))
-        exact = reopened.engine.query(query, 6)
-        assert indexed.indices == exact.indices
-
 
 class TestEngineIndexedPath:
     """``IndexedSearcher.from_engine`` over a Workspace's serving engine
@@ -160,8 +126,6 @@ class TestEngineIndexedPath:
         assert [hit.index for hit in exhaustive.hits] == list(result.indices)
 
     def test_empty_engine_rejected(self):
-        from repro.engine import DistanceEngine
-
         with pytest.raises(ValidationError):
             IndexedSearcher.from_engine(
                 DistanceEngine("fc,fw", config=CONFIG), config=CONFIG)
@@ -178,8 +142,6 @@ class TestValidation:
 
     def test_engine_size_mismatch_rejected(self, dataset):
         searcher = _build(dataset, "fc,fw")
-        from repro.engine import DistanceEngine
-
         small = DistanceEngine("fc,fw", CONFIG)
         small.add(dataset[0].values)
         with pytest.raises(ValidationError):
@@ -188,21 +150,11 @@ class TestValidation:
 
 class TestDuplicateIdentifiers:
     def test_from_engine_rejects_duplicate_identifiers(self, dataset):
-        from repro.engine import DistanceEngine
-
         engine = DistanceEngine("fc,fw", CONFIG)
         engine.add(dataset[0].values, identifier="dup")
         engine.add(dataset[1].values, identifier="dup")
         with pytest.raises(ValidationError):
             IndexedSearcher.from_engine(engine, config=CONFIG)
-
-    def test_build_rejects_duplicate_identifiers(self, dataset):
-        with pytest.raises(ValidationError):
-            IndexedSearcher.build(
-                [dataset[0].values, dataset[1].values],
-                identifiers=["dup", "dup"],
-                config=CONFIG,
-            )
 
     def test_writer_rejects_duplicate_identifiers(self, dataset, tmp_path):
         from repro.indexing import IndexWriter
@@ -216,26 +168,6 @@ class TestDuplicateIdentifiers:
 
 
 class TestPersistedExtractionConfig:
-    def test_reopen_reconstructs_build_config(self, dataset, tmp_path):
-        searcher = _build(dataset, "fc,fw")
-        searcher.save(tmp_path / "idx")
-        # No config passed: the persisted (16-bin) configuration is used.
-        reopened = IndexedSearcher.open(tmp_path / "idx", constraint="fc,fw")
-        assert reopened.config == CONFIG
-        query = dataset[3].values
-        assert (
-            reopened.query(query, k=4, candidates=10).indices
-            == searcher.query(query, k=4, candidates=10).indices
-        )
-
-    def test_mismatched_config_rejected_on_reopen(self, dataset, tmp_path):
-        searcher = _build(dataset, "fc,fw")
-        searcher.save(tmp_path / "idx")
-        wrong = SDTWConfig(descriptor=DescriptorConfig(num_bins=16),
-                           width_fraction=0.25)
-        with pytest.raises(ValidationError):
-            IndexedSearcher.open(tmp_path / "idx", config=wrong)
-
     def test_config_dict_round_trip(self):
         restored = SDTWConfig.from_dict(CONFIG.to_dict())
         assert restored == CONFIG

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,7 @@ class TestPersistence:
         assert reopened.config == config
         assert len(reopened) == len(dataset)
         assert reopened.has_index
+        assert reopened.searcher.index.is_memory_mapped
 
         direct_engine = _direct_engine(dataset, config)
         direct_searcher = _direct_searcher(dataset, config)
@@ -251,6 +253,66 @@ class TestPersistence:
             ts.identifier for ts in dataset
         ]
         assert reopened.labels == dataset.labels
+
+
+class TestFeatureStoreWrittenOnce:
+    """A workspace keeps one feature store, at its root; its ``index/``
+    directory bundles none.  A workspace whose ``index/`` still holds the
+    copy older releases wrote opens, answers and passes the doctor like
+    an untouched one, and loses the copy at its next save."""
+
+    @staticmethod
+    def _index_manifest(path):
+        with open(os.path.join(path, "index", "manifest.json"),
+                  encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_index_directory_holds_no_feature_store(
+        self, tmp_path, dataset, config
+    ):
+        path = str(tmp_path / "ws")
+        workspace = _fill(Workspace.create(path, config), dataset)
+        workspace.build_index()
+        assert os.path.exists(os.path.join(path, "store.npz"))
+        assert not os.path.exists(os.path.join(path, "index", "store.npz"))
+        manifest = self._index_manifest(path)
+        assert "store_file" in manifest
+        assert manifest["store_file"] is None
+        workspace.close()
+
+    def test_bundled_store_is_ignored_then_dropped_on_save(
+        self, tmp_path, dataset, config
+    ):
+        untouched = str(tmp_path / "untouched")
+        with _fill(Workspace.create(untouched, config), dataset) as workspace:
+            workspace.build_index()
+        target = str(tmp_path / "older")
+        shutil.copytree(untouched, target)
+        bundled = os.path.join(target, "index", "store.npz")
+        shutil.copyfile(os.path.join(target, "store.npz"), bundled)
+        manifest = self._index_manifest(target)
+        manifest["store_file"] = "store.npz"
+        with open(os.path.join(target, "index", "manifest.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+
+        with Workspace.open(target) as older, \
+                Workspace.open(untouched) as reference:
+            for ts in dataset.series[:4]:
+                for mode in ("exact", "indexed"):
+                    ours = older.query(ts.values, mode=mode,
+                                       exclude_identifier=ts.identifier)
+                    theirs = reference.query(ts.values, mode=mode,
+                                             exclude_identifier=ts.identifier)
+                    assert ours.mode == mode
+                    assert ours.ids == theirs.ids
+                    assert ours.distances == theirs.distances
+            report = run_doctor(older)
+            assert report.healthy, report.rows()
+            assert os.path.exists(bundled)
+            older.save()
+        assert not os.path.exists(bundled)
+        assert self._index_manifest(target)["store_file"] is None
 
 
 class TestLazyFeatureExtraction:
