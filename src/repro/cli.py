@@ -253,10 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "shards (bit-identical to a from-scratch postings rebuild)")
     ws_compact.add_argument("workspace_dir",
                             help="workspace written by 'workspace init'")
-    ws_compact.add_argument("--shards", type=int, default=None,
-                            help="base shard count after compaction "
-                                 "(default: the workspace's configured "
-                                 "shard count)")
 
     ws_doctor = ws_sub.add_parser(
         "doctor",
@@ -783,9 +779,13 @@ def _run_workspace_compact(args: argparse.Namespace) -> int:
     with Workspace.open(args.workspace_dir) as workspace:
         before = workspace.stats()["index"]
         started = time.perf_counter()
-        workspace.compact_index(num_shards=args.shards)
+        workspace.compact_index()
         elapsed = time.perf_counter() - started
         after = workspace.stats()["index"]
+    if not before["delta_shards"] and not before["tombstones"]:
+        print(f"Index of {args.workspace_dir} has no delta shards or "
+              f"tombstones; nothing to compact")
+        return 0
     print(f"Compacted {before['delta_shards']} delta shards and "
           f"{before['tombstones']} tombstones in {elapsed:.2f}s")
     print(f"postings: {after['num_postings']} over {after['num_live']} series")

@@ -13,10 +13,11 @@ An index lives in one directory, the ``index/`` directory of a
         delta-0001.npz    # codeword range each)
 
 The directory holds no feature store: the raw series and their salient
-features live once, in the workspace's own ``store.npz``.  The manifest
-keeps its ``store_file`` key, written as ``null``; the ``store.npz`` that
-older releases bundled here is never read and is deleted by the next
-write.
+features live once, in the workspace's own ``store.npz``, and their labels
+and extraction config in the workspace manifest.  The index manifest keeps
+its ``store_file``, ``labels`` and ``extraction_config`` keys, written as
+``null``; the ``store.npz`` that older releases bundled here is never read
+and is deleted by the next write.
 
 The manifest records which codeword range each shard file covers, so a
 reader routes a codeword to its shard without opening the others; shard
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -86,9 +87,6 @@ class IndexWriter:
         index: InvertedIndex,
         codebook: Codebook,
         identifiers: Sequence[str],
-        labels: Optional[Sequence[Optional[int]]] = None,
-        *,
-        extraction_config=None,
     ) -> str:
         """Persist everything; returns the manifest path.
 
@@ -102,11 +100,6 @@ class IndexWriter:
             Series identifiers, one per index *slot* (live identifiers
             must be unique; tombstoned slots keep their historical name
             so slot numbering survives the round trip).
-        labels:
-            Optional class labels, in the same order.
-        extraction_config:
-            The full :class:`~repro.core.config.SDTWConfig` the indexed
-            features were extracted with, recorded in the manifest.
         """
         if len(identifiers) != index.num_series:
             raise ValidationError(
@@ -124,8 +117,6 @@ class IndexWriter:
                 "index identifiers must be unique; the collection repeats "
                 "at least one identifier"
             )
-        if labels is not None and len(labels) != index.num_series:
-            raise ValidationError("labels must have one entry per indexed series")
         directory = os.fspath(self.directory)
         os.makedirs(directory, exist_ok=True)
 
@@ -152,9 +143,7 @@ class IndexWriter:
             "num_postings": index.num_postings,
             "descriptor_bins": codebook.config.descriptor_bins,
             "identifiers": list(identifiers),
-            "labels": None if labels is None else [
-                None if label is None else int(label) for label in labels
-            ],
+            "labels": None,
             "shards": shard_entries,
             "delta_shards": delta_entries,
             "tombstones": [
@@ -163,9 +152,7 @@ class IndexWriter:
             "codebook_file": CODEBOOK_NAME,
             "stats_file": STATS_NAME,
             "store_file": None,
-            "extraction_config": (
-                None if extraction_config is None else extraction_config.to_dict()
-            ),
+            "extraction_config": None,
         }
         # Atomic manifest swap: until the new manifest is in place the
         # old one keeps referencing only files that still exist (nothing
@@ -200,27 +187,20 @@ class IndexReader:
 
     Attributes
     ----------
-    directory:
-        The index directory.
-    manifest:
-        The parsed manifest.
     codebook:
         The fitted quantizer.
     index:
         The inverted index (base + delta shards, tombstones applied),
         with shard postings memory-mapped unless the reader was opened
         with ``mmap=False``.
-    identifiers, labels:
-        Series identifiers / labels in slot order (including tombstoned
-        slots; see :meth:`live_identifiers`).
+    identifiers:
+        Series identifiers in slot order (including tombstoned slots; see
+        :meth:`live_identifiers`).
     """
 
-    directory: str
-    manifest: Dict[str, object]
     codebook: Codebook
     index: InvertedIndex
     identifiers: List[str]
-    labels: List[Optional[int]] = field(default_factory=list)
 
     @classmethod
     def open(
@@ -286,17 +266,10 @@ class IndexReader:
             delta_shards=delta_shards,
             tombstones=tombstones,
         )
-        labels = manifest.get("labels")
         return cls(
-            directory=directory,
-            manifest=manifest,
             codebook=codebook,
             index=index,
             identifiers=[str(name) for name in manifest["identifiers"]],
-            labels=(
-                [None] * index.num_series if labels is None
-                else [None if label is None else int(label) for label in labels]
-            ),
         )
 
     def live_identifiers(self) -> List[str]:

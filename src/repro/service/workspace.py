@@ -1955,18 +1955,10 @@ class Workspace:
             index_dir: Optional[str] = None
             if self._index is not None and not self._index.stale:
                 index_dir = INDEX_DIR_NAME
-                label_of = dict(zip(self._identifiers, self._labels))
-                tombstones = self._index.index.tombstones
-                slot_labels = [
-                    None if tombstones[slot] else label_of.get(identifier)
-                    for slot, identifier in enumerate(self._index.slots)
-                ]
                 IndexWriter(os.path.join(self.path, INDEX_DIR_NAME)).write(
                     self._index.index,
                     self._index.codebook,
                     self._index.slots,
-                    slot_labels,
-                    extraction_config=self.config.sdtw,
                 )
             else:
                 # A previously persisted index that is now stale (or was

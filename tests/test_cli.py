@@ -219,6 +219,9 @@ class TestWorkspaceCompactCommand:
         assert main(["workspace", "doctor", path]) == 0
         assert "-> healthy" in capsys.readouterr().out
 
+        assert main(["workspace", "compact", path]) == 0
+        assert "nothing to compact" in capsys.readouterr().out
+
     def test_compact_without_fresh_index_exits_two(self, tmp_path, capsys):
         from repro.service import IndexConfig, Workspace, WorkspaceConfig
 

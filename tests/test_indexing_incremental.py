@@ -400,6 +400,31 @@ class TestLegacyPQIndexDirectories:
             members = set(load_npz(os.path.join(legacy_index, entry["file"])))
             assert members == set(ALL_SHARD_MEMBERS)
 
+    def test_nothing_to_compact_keeps_legacy_members_until_save(
+        self, dataset, tmp_path, capsys
+    ):
+        path = str(tmp_path / "legacy")
+        _indexed_workspace(path, dataset).close()
+        index_dir = os.path.join(path, "index")
+        _add_legacy_pq_parts(index_dir, 3)
+        capsys.readouterr()
+
+        assert main(["workspace", "compact", path]) == 0
+        assert "nothing to compact" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(index_dir, "pq.npz"))
+
+        with Workspace.open(path) as workspace:
+            workspace.save()
+        with open(os.path.join(index_dir, "manifest.json"),
+                  encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert "pq_file" not in manifest
+        assert not os.path.exists(os.path.join(index_dir, "pq.npz"))
+        for entry in manifest["shards"]:
+            assert "num_pq_postings" not in entry
+            members = set(load_npz(os.path.join(index_dir, entry["file"])))
+            assert members == set(ALL_SHARD_MEMBERS)
+
 
 class TestWorkspaceIncremental:
     @pytest.fixture()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,8 @@ def built():
     bags = [codebook.bag(f, n) for f, n in zip(features, lengths)]
     index = InvertedIndex.from_bags(bags, codebook.num_codewords, num_shards=3)
     identifiers = [f"series-{i:03d}" for i in range(len(dataset))]
-    labels = dataset.labels
     query_bag = codebook.bag(features[0], lengths[0], query=True)
-    return index, codebook, identifiers, labels, query_bag
+    return index, codebook, identifiers, query_bag
 
 
 class TestInvertedIndexScoring:
@@ -88,7 +89,7 @@ class TestInvertedIndexScoring:
             index.scores(bad)
 
     def test_sharding_preserves_scores(self, built):
-        index, codebook, _, _, query_bag = built
+        index, codebook, _, query_bag = built
         bags_scores = index.scores(query_bag)[0]
         # Rebuild with a different shard count; scores must not move.
         dataset = make_gun_like(num_series=15, length=96, seed=9)
@@ -156,12 +157,18 @@ class TestWriterReader:
     def test_round_trip_bit_identical_candidates_and_scores(
         self, built, tmp_path
     ):
-        index, codebook, identifiers, labels, query_bag = built
-        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers, labels)
+        index, codebook, identifiers, query_bag = built
+        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers)
         reader = IndexReader.open(tmp_path / "idx")
         assert reader.index.is_memory_mapped
         assert reader.identifiers == identifiers
-        assert reader.labels == labels
+        # Labels and the extraction config live in the workspace manifest;
+        # the index manifest keeps both keys, written as null.
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["labels"] is None
+        assert manifest["extraction_config"] is None
         original_scores, original_touched = index.scores(query_bag)
         reopened_scores, reopened_touched = reader.index.scores(query_bag)
         # Bit-identical, not approximately equal.
@@ -174,8 +181,8 @@ class TestWriterReader:
             )
 
     def test_reader_without_mmap(self, built, tmp_path):
-        index, codebook, identifiers, labels, query_bag = built
-        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers, labels)
+        index, codebook, identifiers, query_bag = built
+        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers)
         reader = IndexReader.open(tmp_path / "idx", mmap=False)
         assert not reader.index.is_memory_mapped
         assert np.array_equal(
@@ -183,8 +190,8 @@ class TestWriterReader:
         )
 
     def test_codebook_round_trips_through_directory(self, built, tmp_path):
-        index, codebook, identifiers, labels, _ = built
-        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers, labels)
+        index, codebook, identifiers, _ = built
+        IndexWriter(tmp_path / "idx").write(index, codebook, identifiers)
         reader = IndexReader.open(tmp_path / "idx")
         assert np.array_equal(reader.codebook.centroids, codebook.centroids)
         assert reader.codebook.config == codebook.config
@@ -194,10 +201,10 @@ class TestWriterReader:
             IndexReader.open(tmp_path / "nowhere")
 
     def test_identifier_count_mismatch_rejected(self, built, tmp_path):
-        index, codebook, identifiers, labels, _ = built
+        index, codebook, identifiers, _ = built
         with pytest.raises(ValidationError):
             IndexWriter(tmp_path / "idx").write(
-                index, codebook, identifiers[:-1], labels
+                index, codebook, identifiers[:-1]
             )
 
 
@@ -223,13 +230,13 @@ class TestRebuildIdempotence:
     def test_rewrite_removes_stale_shards(self, built, tmp_path):
         import os
 
-        index, codebook, identifiers, labels, query_bag = built
+        index, codebook, identifiers, query_bag = built
         target = tmp_path / "idx"
-        IndexWriter(target).write(index, codebook, identifiers, labels)
+        IndexWriter(target).write(index, codebook, identifiers)
         # Fake a leftover shard from a previous, wider build.
         stale = target / "shard-0099.npz"
         np.savez(stale, junk=np.arange(3))
-        IndexWriter(target).write(index, codebook, identifiers, labels)
+        IndexWriter(target).write(index, codebook, identifiers)
         assert not stale.exists()
         shard_files = sorted(
             name for name in os.listdir(target)

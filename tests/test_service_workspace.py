@@ -610,7 +610,10 @@ class TestRetiredSDTWKey:
         )
         with open(index_manifest_path, encoding="utf-8") as handle:
             index_manifest = json.load(handle)
-        index_manifest["extraction_config"]["neighbor_radius"] = 3
+        # Older releases also recorded the full sdtw config in the index
+        # manifest; today's writer leaves that key null.
+        assert index_manifest["extraction_config"] is None
+        index_manifest["extraction_config"] = manifest["config"]["sdtw"]
         with open(index_manifest_path, "w", encoding="utf-8") as handle:
             json.dump(index_manifest, handle)
 
@@ -625,6 +628,8 @@ class TestRetiredSDTWKey:
             reopened.save()
         with open(manifest_path, encoding="utf-8") as handle:
             assert "neighbor_radius" not in json.load(handle)["config"]["sdtw"]
+        with open(index_manifest_path, encoding="utf-8") as handle:
+            assert json.load(handle)["extraction_config"] is None
 
 
 class TestPairwiseAndStreaming:
