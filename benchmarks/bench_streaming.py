@@ -174,6 +174,8 @@ def run_extractor_section(values, config, args, rows) -> None:
     batch_seconds = time.perf_counter() - start
 
     speedup = batch_seconds / incremental_seconds if incremental_seconds else float("inf")
+    stats = extractor.stats
+    described = stats.descriptors_reused + stats.descriptors_computed
     rows.append([
         f"batch extraction per tick ({slice_length} pts)",
         f"{batch_seconds:.3f}",
@@ -181,7 +183,8 @@ def run_extractor_section(values, config, args, rows) -> None:
     ])
     rows.append([
         f"incremental extractor (hop={extractor.hop}, "
-        f"{extractor.stats.reuse_fraction:.0%} conv reuse)",
+        f"{stats.descriptors_reused / described if described else 0.0:.0%} "
+        f"descriptor reuse)",
         f"{incremental_seconds:.3f}",
         f"{slice_length / incremental_seconds:,.0f}", f"{speedup:.1f}", "-", "-",
     ])

@@ -87,25 +87,55 @@ def compute_descriptors(
     ``gradients[k]``, the centred gradient (``np.gradient``) of the
     series smoothed at that σ, over the samples within
     :func:`descriptor_window_radius` of its centre (clipped to the
-    ``length`` samples of the series).  Each sample's gradient magnitude,
-    weighted by a Gaussian centred on the keypoint, is added to the
-    increasing or decreasing bin of its temporal cell.  Keypoints of one σ
-    should pass the same gradient array: callers compute it once per σ.
+    ``length`` samples of the series).  This is :func:`stack_descriptors`
+    with each keypoint's gradient as one row of the gradient stack.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(len(positions), config.num_bins)`` matrix, one descriptor per
+        row.
+    """
+    stack = np.zeros((len(gradients), length))
+    for row, gradient in zip(stack, gradients):
+        row[:] = np.asarray(gradient, dtype=float)[:length]
+    return stack_descriptors(positions, sigmas, stack, range(len(gradients)), config)
+
+
+def stack_descriptors(
+    positions: Sequence[float],
+    sigmas: Sequence[float],
+    gradients: np.ndarray,
+    rows: Sequence[int],
+    config: DescriptorConfig,
+) -> np.ndarray:
+    """Descriptors of many keypoints over a stack of gradient rows.
+
+    Keypoint ``k`` at ``positions[k]`` with scale ``sigmas[k]`` reads row
+    ``rows[k]`` of the ``(count, length)`` *gradients* stack: the centred
+    gradient of its series smoothed at that σ.  It samples the row within
+    :func:`descriptor_window_radius` of its centre (clipped to the
+    series), and each sample's gradient magnitude, weighted by a Gaussian
+    centred on the keypoint, is added to the increasing or decreasing bin
+    of its temporal cell.
 
     Every sample of every keypoint is handled in one set of array
     operations, and each row equals the per-sample loop it replaces bit
     for bit, because each value goes through the same float operations in
     the same order:
 
-    * the squares in the weight use Python's ``**`` on Python floats,
-      which calls libm ``pow`` (numpy's ``x ** 2`` computes ``x * x`` and
-      differs in the last bit for some offsets); an array ``np.exp``
-      equals a scalar one;
-    * ``np.add.at`` adds repeated bins in index order, so each bin sums
+    * the radius, cell width and weight denominator are computed once
+      per distinct σ with Python floats, as the loop did;
+    * a sample's squared offset from an integral position is an integer
+      below 2**53, so ``offset * offset`` is exact and equals Python's
+      ``offset ** 2`` (libm ``pow``, whose error stays under one ulp).
+      Offsets from an off-grid position keep ``**`` on Python floats:
+      there numpy's ``x * x`` differs from ``pow`` in the last bit for
+      some offsets.  An array ``np.exp`` equals a scalar one;
+    * ``np.bincount`` adds repeated bins in index order, so each bin sums
       its samples in the loop's order;
-    * each row's L2 norm is the square root of the row's own 1-D BLAS
-      dot, as ``np.linalg.norm(row)`` computes it; ``norm(..., axis=1)``
-      sums in another order and differs in the last bit for many rows.
+    * each row's L2 norm is the square root of the row's own BLAS dot,
+      as ``np.linalg.norm(row)`` computes it (:func:`_row_norms`).
 
     Returns
     -------
@@ -114,41 +144,47 @@ def compute_descriptors(
         row.
     """
     num_cells = config.num_cells
-    count = len(positions)
-    descriptors = np.zeros((count, num_cells * 2))
+    bins_per_row = num_cells * 2
+    positions = np.asarray(positions, dtype=float)
+    count = positions.size
     if count == 0:
-        return descriptors
-    # Per keypoint: the sample range and the scalars of its weighting.
-    starts, sizes, window_starts, cell_widths, denominators = [], [], [], [], []
-    for position, sigma in zip(positions, sigmas):
+        return np.zeros((0, bins_per_row))
+    length = gradients.shape[1]
+    # The weighting scalars once per distinct σ.
+    sigma_values = np.asarray(sigmas, dtype=float)
+    distinct = np.sort(np.asarray(list(set(sigma_values.tolist()))))
+    radius_of, width_of, denominator_of = [], [], []
+    for sigma in distinct.tolist():
         radius = descriptor_window_radius(sigma, config)
-        center_index = int(round(position))
-        lo = max(0, center_index - radius)
-        hi = min(length - 1, center_index + radius)
-        starts.append(lo)
-        sizes.append(max(0, hi - lo + 1))
-        window_starts.append(position - radius)
-        cell_widths.append(2.0 * radius / num_cells)
+        radius_of.append(radius)
+        width_of.append(2.0 * radius / num_cells)
         weight_sigma = config.gaussian_weight_factor * radius
-        denominators.append(2.0 * weight_sigma ** 2)
-    sizes_arr = np.asarray(sizes)
-    rows = np.repeat(np.arange(count), sizes_arr)
-    first = np.cumsum(sizes_arr) - sizes_arr
-    samples = np.arange(rows.size) - first[rows] + np.asarray(starts)[rows]
-    grads = np.concatenate([
-        gradient[lo: lo + size]
-        for gradient, lo, size in zip(gradients, starts, sizes)
-    ])
-    offsets = samples - np.asarray(positions, dtype=float)[rows]
-    squares = np.asarray([offset ** 2 for offset in offsets.tolist()])
-    weights = np.exp(-squares / np.asarray(denominators)[rows])
+        denominator_of.append(2.0 * weight_sigma ** 2)
+    which = np.searchsorted(distinct, sigma_values)
+    radii = np.asarray(radius_of)[which]
+    centers = np.rint(positions).astype(np.intp)
+    starts = np.maximum(0, centers - radii)
+    sizes = np.maximum(0, np.minimum(length - 1, centers + radii) - starts + 1)
+    keypoint = np.repeat(np.arange(count), sizes)
+    first = np.cumsum(sizes) - sizes
+    samples = np.arange(keypoint.size) - first[keypoint] + starts[keypoint]
+    grads = gradients.ravel()[np.asarray(rows, dtype=np.intp)[keypoint] * length + samples]
+    offsets = samples - positions[keypoint]
+    squares = offsets * offsets
+    off_grid = (positions != np.floor(positions))[keypoint]
+    if off_grid.any():
+        squares[off_grid] = [offset ** 2 for offset in offsets[off_grid].tolist()]
+    weights = np.exp(-squares / np.asarray(denominator_of)[which][keypoint])
+    window_starts = positions - radii
     cells = (
-        (samples - np.asarray(window_starts)[rows]) / np.asarray(cell_widths)[rows]
+        (samples - window_starts[keypoint]) / np.asarray(width_of)[which][keypoint]
     ).astype(int)
     cells = np.minimum(np.maximum(cells, 0), num_cells - 1)
     rising = grads >= 0
-    bins = rows * (num_cells * 2) + cells * 2 + np.where(rising, 0, 1)
-    np.add.at(descriptors.ravel(), bins, weights * np.where(rising, grads, -grads))
+    bins = keypoint * bins_per_row + cells * 2 + np.where(rising, 0, 1)
+    descriptors = np.bincount(
+        bins, weights * np.where(rising, grads, -grads), minlength=count * bins_per_row
+    ).reshape(count, bins_per_row)
     if config.normalize:
         descriptors = _normalize_rows(descriptors, config.clip_value)
     return descriptors
@@ -156,8 +192,12 @@ def compute_descriptors(
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """L2 norm of each row, exactly as ``np.linalg.norm(row)`` computes it:
-    the square root of the row's BLAS dot with itself."""
-    return np.sqrt([row.dot(row) for row in matrix])
+    the square root of the row's BLAS dot with itself.  A stacked
+    ``(1, n) @ (n, 1)`` matmul makes that one dot call per row;
+    ``norm(..., axis=1)`` and ``einsum`` sum in other orders and differ
+    in the last bit for many rows."""
+    matrix = np.ascontiguousarray(matrix)
+    return np.sqrt(np.matmul(matrix[:, np.newaxis, :], matrix[:, :, np.newaxis])[:, 0, 0])
 
 
 def _normalize_rows(descriptors: np.ndarray, clip_value: float) -> np.ndarray:

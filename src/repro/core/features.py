@@ -1,10 +1,16 @@
 """Salient features: keypoints with descriptors, plus the extraction pipeline.
 
 This module ties scale-space construction, keypoint detection, and
-descriptor creation together into :func:`extract_salient_features`, the
-function the sDTW driver (and the Table 2 experiment) calls per series.
-:class:`FeatureSet` holds a feature list with the arrays matching and
-pair scoring read stacked once.
+descriptor creation together into one pass over a stack of equal-length
+series (:func:`extract_feature_sets`, driven step by step through
+:class:`KeypointStack`).  Every step is an array operation over the
+whole stack: one convolution per σ per octave, one extrema test per DoG
+level, one descriptor pass, and one row reduction per distinct scope
+length for the scope means.  :func:`extract_salient_features`, the
+function the sDTW driver (and the Table 2 experiment) calls per series,
+is the pass on a stack of one, and a stream extractor runs it over the
+windows a block refreshes.  :class:`FeatureSet` holds a feature list
+with the arrays matching and pair scoring read stacked once.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import as_series
-from ..utils.preprocessing import gaussian_smooth
+from ..utils.preprocessing import gaussian_smooth_rows
 from .config import SDTWConfig
-from .descriptors import compute_descriptors
-from .keypoints import Keypoint, detect_keypoints
-from .scale_space import build_scale_space
+from .descriptors import stack_descriptors
+from .keypoints import Keypoint, KeypointColumns, stack_keypoints
+from .scale_space import stack_scale_space
 
 
 @dataclass(frozen=True)
@@ -106,20 +112,57 @@ class FeatureSet(Sequence[SalientFeature]):
     def __init__(self, features: Sequence[SalientFeature]) -> None:
         items = list(features)
         length = min((f.descriptor.size for f in items), default=0)
-        self.descriptors = (
+        self._stack(
+            items,
             np.stack([f.descriptor[:length] for f in items])
-            if items else np.zeros((0, 0))
+            if items else np.zeros((0, 0)),
+            *(
+                np.asarray([getattr(f, name) for f in items], dtype=float)
+                for name in ("amplitude", "sigma", "position", "scope_start",
+                             "scope_end", "mean_amplitude")
+            ),
         )
+
+    def _stack(self, items, descriptors, amplitudes, sigmas, positions,
+               scope_starts, scope_ends, mean_amplitudes) -> None:
+        self._items = items
+        self.descriptors = descriptors
         # Row sums of squares, one reduction per row: a row's sum does not
         # depend on which other rows are stacked with it.
-        self.squared_norms = np.add.reduce(self.descriptors * self.descriptors, axis=1)
-        self.amplitudes = np.asarray([f.amplitude for f in items], dtype=float)
-        self.sigmas = np.asarray([f.sigma for f in items], dtype=float)
-        self.positions = np.asarray([f.position for f in items], dtype=float)
-        self.scope_starts = np.asarray([f.scope_start for f in items], dtype=float)
-        self.scope_ends = np.asarray([f.scope_end for f in items], dtype=float)
-        self.mean_amplitudes = np.asarray([f.mean_amplitude for f in items], dtype=float)
-        self._items = items
+        self.squared_norms = np.add.reduce(descriptors * descriptors, axis=1)
+        self.amplitudes = amplitudes
+        self.sigmas = sigmas
+        self.positions = positions
+        self.scope_starts = scope_starts
+        self.scope_ends = scope_ends
+        self.mean_amplitudes = mean_amplitudes
+
+    @classmethod
+    def _from_columns(
+        cls,
+        keypoints: KeypointColumns,
+        scope_starts: np.ndarray,
+        scope_ends: np.ndarray,
+        mean_amplitudes: np.ndarray,
+        descriptors: np.ndarray,
+    ) -> "FeatureSet":
+        """The features of one series' keypoint columns (the extraction
+        pass), stacked from the columns rather than from the features."""
+        items = [
+            SalientFeature(*fields)
+            for fields in zip(
+                keypoints.positions.tolist(), keypoints.sigmas.tolist(),
+                scope_starts.tolist(), scope_ends.tolist(),
+                keypoints.octaves.tolist(), keypoints.levels.tolist(),
+                keypoints.amplitudes.tolist(), mean_amplitudes.tolist(),
+                keypoints.dog_values.tolist(), keypoints.scale_classes.tolist(),
+                descriptors,
+            )
+        ]
+        self = cls.__new__(cls)
+        self._stack(items, descriptors, keypoints.amplitudes, keypoints.sigmas,
+                    keypoints.positions, scope_starts, scope_ends, mean_amplitudes)
+        return self
 
     @classmethod
     def of(cls, features: Sequence[SalientFeature]) -> "FeatureSet":
@@ -168,15 +211,46 @@ def shift_scopes(
     return np.maximum(0.0, starts - shift), np.minimum(limit, ends - shift)
 
 
+def scope_means(
+    rows: np.ndarray, series: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Mean amplitude over each scope of the series of a stack.
+
+    Scope ``k`` covers the samples ``floor(starts[k])`` to
+    ``ceil(ends[k])`` of ``rows[series[k]]``; a scope that covers no
+    sample reads the sample at its start.  Each mean equals ``np.mean``
+    of the scope's slice bit for bit: the scopes of one length are
+    gathered into a matrix, and each of its rows is reduced along the
+    contiguous axis, the same pairwise sum ``np.mean`` takes over a slice,
+    then divided by the length.  (``np.add.reduceat`` sums sequentially
+    and differs in the last bit.)
+    """
+    lo = np.floor(starts).astype(np.intp)
+    sizes = np.ceil(ends).astype(np.intp) + 1 - lo
+    flat = np.ascontiguousarray(rows).ravel()
+    first = series * rows.shape[1] + lo
+    means = flat[first]
+    if not means.size:
+        return means
+    order = np.argsort(sizes, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        size = int(sizes[group[0]])
+        if size > 0:
+            samples = flat[first[group, np.newaxis] + np.arange(size)]
+            means[group] = np.add.reduce(samples, axis=1) / size
+    return means
+
+
 def keypoint_feature(
     keypoint: Keypoint, series: np.ndarray, descriptor: np.ndarray
 ) -> SalientFeature:
     """Attach a descriptor and scope statistics to a detected keypoint."""
     scope_start = max(0.0, keypoint.scope_start)
     scope_end = min(float(series.size - 1), keypoint.scope_end)
-    lo = int(np.floor(scope_start))
-    hi = int(np.ceil(scope_end)) + 1
-    mean_amplitude = float(series[lo:hi].mean()) if hi > lo else float(series[lo])
+    mean_amplitude = scope_means(
+        series[np.newaxis], np.zeros(1, dtype=np.intp),
+        np.array([scope_start]), np.array([scope_end]),
+    )
     return SalientFeature(
         position=keypoint.position,
         sigma=keypoint.sigma,
@@ -185,11 +259,100 @@ def keypoint_feature(
         octave=keypoint.octave,
         level=keypoint.level,
         amplitude=keypoint.amplitude,
-        mean_amplitude=mean_amplitude,
+        mean_amplitude=float(mean_amplitude[0]),
         dog_value=keypoint.dog_value,
         scale_class=keypoint.scale_class,
         descriptor=descriptor,
     )
+
+
+class KeypointStack:
+    """The extraction pass over a ``(count, n)`` stack of series, step by step.
+
+    Construction runs steps 1 and 2 of Section 3.1.2 for every series:
+    the scale space (:func:`~repro.core.scale_space.stack_scale_space`)
+    and the keypoints (:func:`~repro.core.keypoints.stack_keypoints`).
+    :meth:`descriptors` runs step 3 for any subset of the keypoints, and
+    :meth:`feature_sets` assembles each series' features.  A caller that
+    already holds some descriptors (a stream extractor's cache) computes
+    only the others.
+    """
+
+    def __init__(self, rows: np.ndarray, config: SDTWConfig) -> None:
+        self.rows = rows
+        self.config = config
+        levels = stack_scale_space(rows, config.scale_space)
+        self.keypoints = stack_keypoints(levels, config.scale_space, rows.shape[1])
+        # The first octave smooths the series themselves, so descriptors at
+        # one of its σ read that smoothing instead of repeating it.
+        self._smoothed = {
+            level.sigma: level.smoothed for level in levels if level.octave == 0
+        }
+
+    def descriptors(self, selected: Optional[np.ndarray] = None) -> np.ndarray:
+        """Descriptors of the *selected* keypoints (all of them by default).
+
+        Each series is smoothed, and its gradient taken, once per distinct
+        σ of the selection, for the whole stack at once; the descriptors
+        then come from one :func:`~repro.core.descriptors.stack_descriptors`
+        pass.
+        """
+        keypoints = self.keypoints
+        if selected is None:
+            selected = np.arange(len(keypoints))
+        sigmas = keypoints.sigmas[selected]
+        distinct = np.sort(np.asarray(list(set(sigmas.tolist())), dtype=float))
+        gradients = [
+            np.gradient(
+                self._smoothed[sigma] if sigma in self._smoothed
+                else gaussian_smooth_rows(self.rows, sigma),
+                axis=1,
+            )
+            for sigma in distinct.tolist()
+        ]
+        count, n = self.rows.shape
+        return stack_descriptors(
+            keypoints.positions[selected],
+            sigmas,
+            np.concatenate(gradients) if gradients else np.zeros((0, n)),
+            np.searchsorted(distinct, sigmas) * count + keypoints.series[selected],
+            self.config.descriptor,
+        )
+
+    def feature_sets(self, descriptors: np.ndarray) -> List[FeatureSet]:
+        """Each series' features, ordered by position then σ.
+
+        *descriptors* holds one row per keypoint, in keypoint order.
+        Scopes are clipped to the series extent, and their mean amplitudes
+        come from :func:`scope_means` over the whole stack.
+        """
+        keypoints = self.keypoints
+        count, n = self.rows.shape
+        starts = np.maximum(0.0, keypoints.positions - keypoints.scope_radii)
+        ends = np.minimum(float(n - 1), keypoints.positions + keypoints.scope_radii)
+        means = scope_means(self.rows, keypoints.series, starts, ends)
+        bounds = np.searchsorted(keypoints.series, np.arange(count + 1)).tolist()
+        return [
+            FeatureSet._from_columns(
+                keypoints.slice(lo, hi),
+                starts[lo:hi], ends[lo:hi], means[lo:hi], descriptors[lo:hi],
+            )
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+
+def extract_feature_sets(
+    rows: np.ndarray, config: Optional[SDTWConfig] = None
+) -> List[FeatureSet]:
+    """The salient features of every series of a ``(count, n)`` stack.
+
+    Row ``r``'s set equals ``extract_salient_features(rows[r], config)``
+    field for field and bit for bit.
+    """
+    stack = KeypointStack(
+        np.asarray(rows, dtype=float), config if config is not None else SDTWConfig()
+    )
+    return stack.feature_sets(stack.descriptors())
 
 
 def extract_salient_features(
@@ -200,9 +363,8 @@ def extract_salient_features(
 
     This runs the three extraction steps of Section 3.1.2 — scale-space
     construction, ε-relaxed extrema detection, and descriptor creation —
-    and returns the features ordered by position.  The series is smoothed,
-    and its gradient taken, once per distinct keypoint σ; all descriptors
-    are then computed in one :func:`compute_descriptors` pass.
+    and returns the features ordered by position (ties by σ).  It is
+    :func:`extract_feature_sets` on a stack of one.
 
     Parameters
     ----------
@@ -216,29 +378,8 @@ def extract_salient_features(
     -------
     list of SalientFeature
     """
-    if config is None:
-        config = SDTWConfig()
     values = as_series(series, "series")
-    space = build_scale_space(values, config.scale_space)
-    keypoints = detect_keypoints(space)
-    gradients: dict = {}
-    for kp in keypoints:
-        sigma_key = round(kp.sigma, 6)
-        if sigma_key not in gradients:
-            gradients[sigma_key] = np.gradient(gaussian_smooth(values, kp.sigma))
-    descriptors = compute_descriptors(
-        values.size,
-        [kp.position for kp in keypoints],
-        [kp.sigma for kp in keypoints],
-        [gradients[round(kp.sigma, 6)] for kp in keypoints],
-        config.descriptor,
-    )
-    features = [
-        keypoint_feature(kp, values, descriptor)
-        for kp, descriptor in zip(keypoints, descriptors)
-    ]
-    features.sort(key=lambda f: (f.position, f.sigma))
-    return features
+    return list(extract_feature_sets(values[np.newaxis], config)[0])
 
 
 def count_features_by_scale(

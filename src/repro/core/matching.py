@@ -111,17 +111,41 @@ def match_salient_features(
 Decisions = Tuple[List[int], List[int], List[float]]
 
 
+def match_gates(
+    set_x: FeatureSet, set_y: FeatureSet, config: MatchingConfig
+) -> np.ndarray:
+    """The amplitude and scale gates of every (x, y) feature pair.
+
+    True where the pair is admissible: amplitude difference within τ_a
+    and σ ratio within τ_s.  The gates are elementwise, so the gates of a
+    selection of *set_x*'s rows are those rows of this matrix.
+    """
+    admissible = (
+        np.abs(np.subtract.outer(set_x.amplitudes, set_y.amplitudes))
+        <= config.max_amplitude_difference
+    )
+    smaller = np.minimum.outer(set_x.sigmas, set_y.sigmas)
+    ratio = np.maximum.outer(set_x.sigmas, set_y.sigmas) / np.maximum(
+        smaller, 1e-12, out=smaller
+    )
+    admissible &= ratio <= config.max_scale_ratio
+    return admissible
+
+
 def match_decisions(
     set_x: FeatureSet,
     set_y: FeatureSet,
     config: MatchingConfig,
     rows: Optional[List[int]] = None,
+    gates: Optional[np.ndarray] = None,
 ) -> Decisions:
     """The matching rows of *set_x*, their best rows of *set_y* and distances.
 
     With *rows*, the first set is those rows of *set_x*, the arrays a
     window selecting them holds (matching reads no position), and the
-    matching rows index *rows*.  They come in ascending order.
+    matching rows index *rows*.  They come in ascending order.  *gates*
+    is :func:`match_gates` of the two whole sets, for a caller that
+    selects many rows of one set; it is computed here when not given.
     """
     if not (len(set_x) if rows is None else len(rows)) or not len(set_y):
         return [], [], []
@@ -132,24 +156,13 @@ def match_decisions(
     min_len = min(set_x.descriptors.shape[1], set_y.descriptors.shape[1])
     desc_x, norms_x = _leading_columns(set_x, min_len, rows)
     desc_y, norms_y = _leading_columns(set_y, min_len)
-    amplitudes_x, sigmas_x = set_x.amplitudes, set_x.sigmas
-    if rows is not None:
-        amplitudes_x, sigmas_x = amplitudes_x[rows], sigmas_x[rows]
     # Pairwise Euclidean distances between descriptors.
     sq = norms_x[:, None] + norms_y[None, :] - 2.0 * desc_x @ desc_y.T
     distances = np.sqrt(np.maximum(sq, 0.0))
 
-    admissible = (
-        np.abs(np.subtract.outer(amplitudes_x, set_y.amplitudes))
-        <= config.max_amplitude_difference
-    )
-    smaller = np.minimum.outer(sigmas_x, set_y.sigmas)
-    ratio = np.maximum.outer(sigmas_x, set_y.sigmas) / np.maximum(
-        smaller, 1e-12, out=smaller
-    )
-    admissible &= ratio <= config.max_scale_ratio
-
-    gated = np.where(admissible, distances, np.inf)
+    if gates is None:
+        gates = match_gates(set_x, set_y, config)
+    gated = np.where(gates if rows is None else gates[rows], distances, np.inf)
     grid_rows = np.arange(gated.shape[0])
     best_j = gated.argmin(axis=1)
     best = gated[grid_rows, best_j]

@@ -5,18 +5,21 @@ This implements Step 1 of the paper's salient-feature search
 grows by a factor κ (with κ^s = 2) inside each octave; adjacent smoothed
 versions are subtracted to obtain DoG series; at the end of each octave the
 series is downsampled by keeping every second sample, doubling the
-effective smoothing rate for the next octave.
+effective smoothing rate for the next octave.  :func:`stack_scale_space`
+builds the levels of a whole stack of equal-length series at once, one
+convolution per σ per octave; :func:`build_scale_space` is that pass on a
+stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._validation import as_series
-from ..utils.preprocessing import downsample_by_two, gaussian_smooth
+from ..utils.preprocessing import downsample_by_two, gaussian_smooth_rows
 from .config import ScaleSpaceConfig
 
 
@@ -43,6 +46,9 @@ class ScaleLevel:
     dog:
         Difference-of-Gaussian values ``L(·, κσ) − L(·, σ)`` (octave
         resolution).
+
+    In the levels of :func:`stack_scale_space`, ``smoothed`` and ``dog``
+    are ``(count, length)`` stacks with one row per series.
     """
 
     octave: int
@@ -97,6 +103,20 @@ class ScaleSpace:
         return (min(sigmas), max(sigmas)) if sigmas else (0.0, 0.0)
 
 
+def octave_count(length: int, config: ScaleSpaceConfig) -> int:
+    """Number of octaves built for a series of *length* samples.
+
+    Octave ``k`` has sampling step ``2**k``; octaves are built while the
+    configured octave count allows and the octave's base keeps at least
+    4 samples.
+    """
+    count, size = 0, length
+    while count < config.octaves_for_length(length) and size >= 4:
+        count += 1
+        size = -(size // -2)
+    return count
+
+
 def build_scale_space(
     series: Union[Sequence[float], np.ndarray],
     config: ScaleSpaceConfig = None,
@@ -122,43 +142,51 @@ def build_scale_space(
     ``base_sigma * κ^l * 2^k``.  The octave's base series is obtained by
     downsampling the previous octave's most-smoothed version by two, so the
     doubling of σ is realised partly by the downsampling itself, exactly as
-    in SIFT.
+    in SIFT.  This is :func:`stack_scale_space` on a stack of one.
     """
     if config is None:
         config = ScaleSpaceConfig()
     values = as_series(series, "series")
-    n = values.size
-    num_octaves = config.octaves_for_length(n)
+    levels = tuple(
+        replace(level, smoothed=level.smoothed[0], dog=level.dog[0])
+        for level in stack_scale_space(values[np.newaxis], config)
+    )
+    return ScaleSpace(series=values, levels=levels, config=config)
+
+
+def stack_scale_space(rows: np.ndarray, config: ScaleSpaceConfig) -> Tuple[ScaleLevel, ...]:
+    """The DoG levels of every series of a ``(count, n)`` stack at once.
+
+    Each level holds ``(count, length)`` stacks; row ``r`` of every level
+    is the level :func:`build_scale_space` builds for ``rows[r]``, bit for
+    bit.  Each σ of an octave is one :func:`gaussian_smooth_rows` call
+    over the whole stack.
+    """
     kappa = config.kappa
     s = config.levels_per_octave
-
     levels: List[ScaleLevel] = []
-    octave_base = values.copy()
-    for octave in range(num_octaves):
+    octave_base = rows
+    for octave in range(octave_count(rows.shape[1], config)):
         step = 2 ** octave
-        if octave_base.size < 4:
-            break
         # Smoothed versions at sigma * kappa^l for l = 0..s (octave coordinates).
-        smoothed_versions = []
-        for lvl in range(s + 1):
-            sigma_local = config.base_sigma * (kappa ** lvl)
-            smoothed_versions.append(gaussian_smooth(octave_base, sigma_local))
+        smoothed_versions = [
+            gaussian_smooth_rows(octave_base, config.base_sigma * (kappa ** lvl))
+            for lvl in range(s + 1)
+        ]
         for lvl in range(s):
-            dog = smoothed_versions[lvl + 1] - smoothed_versions[lvl]
-            absolute_sigma = config.base_sigma * (kappa ** lvl) * step
             levels.append(
                 ScaleLevel(
                     octave=octave,
                     level=lvl,
-                    sigma=absolute_sigma,
+                    sigma=config.base_sigma * (kappa ** lvl) * step,
                     sampling_step=step,
                     smoothed=smoothed_versions[lvl],
-                    dog=dog,
+                    dog=smoothed_versions[lvl + 1] - smoothed_versions[lvl],
                 )
             )
         # Base of the next octave: the most-smoothed version, every 2nd sample.
         octave_base = downsample_by_two(smoothed_versions[-1])
-    return ScaleSpace(series=values, levels=tuple(levels), config=config)
+    return tuple(levels)
 
 
 def classify_scale(level: ScaleLevel, num_octaves: int) -> str:

@@ -12,9 +12,10 @@ Components
     O(1)-append ring storage with zero-copy trailing windows; a block's
     windows are one strided ``(windows, m)`` view.
 :class:`IncrementalExtractor`
-    Maintains the DoG scale space (Section 3.1.2) and salient features of
-    the trailing window incrementally — bit-identical to batch
-    re-extraction, at a fraction of the convolution work.
+    Keeps the salient features (Section 3.1.2) of the trailing window,
+    refreshed every ``hop`` ticks — all of a block's due windows in one
+    extraction pass, with interior descriptors cached — bit-identical to
+    batch re-extraction.
 :class:`SpringMatcher`
     SPRING-style subsequence DTW: one carried DP column reports
     variable-length, non-overlapping match intervals under a threshold.

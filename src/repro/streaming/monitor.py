@@ -101,9 +101,8 @@ class StreamMonitor:
         self._matchers: Dict[Tuple[str, str], object] = {}
         # Adaptive-constraint matchers of the same window length on the
         # same stream share one incremental extractor, whose snapshots
-        # extend() takes once per block for all of them, so the
-        # scale-space maintenance is paid once per stream, not once per
-        # pattern.
+        # extend() takes once per block for all of them, so feature
+        # extraction is paid once per stream, not once per pattern.
         self._extractors: Dict[Tuple[str, int, Optional[int]], IncrementalExtractor] = {}
 
     # ------------------------------------------------------------------ #

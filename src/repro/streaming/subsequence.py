@@ -24,8 +24,10 @@ query pattern:
   prescribes.  A block's bands are built together, from the snapshots'
   stacked arrays (:func:`build_stream_bands`); each equals the
   per-window reference :func:`build_stream_band`.  Each band also yields
-  a band-envelope bound, and the surviving windows' DPs advance in
-  lock-step (:func:`repro.dtw.banded.banded_dtw_batch`).
+  a band-envelope bound.  Under every constraint the surviving windows'
+  DPs advance in lock-step (:func:`repro.dtw.banded.banded_dtw_batch`),
+  each under its own band or all under the shared one; a lone survivor
+  takes the per-pair scan.
 
 Both matchers report :class:`StreamMatch` intervals in absolute stream
 coordinates and keep :class:`StreamStats` work accounting compatible with
@@ -63,8 +65,8 @@ from ..core.features import (
     shift_scopes,
 )
 from ..core.intervals import boundary_cuts, build_interval_partition, stack_partitions
-from ..core.matching import match_decisions, match_salient_features
-from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch
+from ..core.matching import match_decisions, match_gates, match_salient_features
+from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch, validate_band
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
 from ..dtw.lower_bounds import keogh_envelope, lb_band_envelope, range_extrema_table
@@ -544,7 +546,11 @@ def _window_matches(
     descriptor distance; then each window's pair count.  A window's rows
     are the features inside it, all of them at shift 0 (where the window
     reads the snapshot itself); consecutive windows of a run often select
-    the same rows and share their decisions.
+    the same rows and share their decisions.  The amplitude and scale
+    gates are built once per snapshot (:func:`match_gates`) and each
+    selection takes its rows of them; the descriptor distances are not,
+    because a matmul over a subset of rows is not bit-equal to those rows
+    of the whole product.
     """
     limit = float(m - 1)
     sources: List[FeatureSet] = []
@@ -562,11 +568,12 @@ def _window_matches(
         moved = snapshot.positions - run
         inside = ((moved >= 0.0) & (moved <= limit)) | (run == 0)
         repeats = [False] + (inside[1:] == inside[:-1]).all(axis=1).tolist()
+        gates = match_gates(snapshot, pattern, matching)
         for index, repeat in enumerate(repeats):
             if not repeat:
                 rows = np.flatnonzero(inside[index]).tolist()
                 chosen, columns, found = match_decisions(
-                    snapshot, pattern, matching, rows
+                    snapshot, pattern, matching, rows, gates
                 )
                 chosen = [offset + rows[i] for i in chosen]
             rows_of_pairs += chosen
@@ -595,7 +602,14 @@ class SlidingWindowMatcher:
     LB_Kim from each window's endpoints and extrema, LB_Keogh against the
     pattern's precomputed envelope, for adaptive constraints the
     band-envelope bound of each window's own band, then early-abandoning
-    banded DTW under the configured constraint family.  The resulting
+    banded DTW under the configured constraint family.  The surviving
+    windows' DPs run in one lock-step call
+    (:func:`repro.dtw.banded.banded_dtw_batch`): under a shared band
+    (``fc,fw``, ``full``, ``itakura``), validated once at construction,
+    as under per-window adaptive bands.  A block with one survivor runs
+    the per-pair scan (:func:`repro.dtw.banded.banded_dtw`) instead,
+    which is faster for a single pair.  Both give the same distances,
+    cells and abandonment as the per-window scan.  The resulting
     distance profile goes through the shared non-overlap suppression
     policy in tick order.  LB_Kim and LB_Keogh lower-bound the *full* DTW
     and therefore every constrained DTW (the same admissibility argument
@@ -642,6 +656,9 @@ class SlidingWindowMatcher:
         self.constraint = self._resolve_constraint(
             constraint, itakura_max_slope, extractor_hop, extractor
         )
+        if self._shared_band is not None:
+            # Validated once: the lock-step kernel takes validated bands.
+            self._shared_band = validate_band(self._shared_band, m, m, repair=True)
 
         # Pattern-side precomputation (the paper's one-time cost): LB_Kim
         # endpoints/extrema, the LB_Keogh envelope and, for per-window
@@ -805,40 +822,40 @@ class SlidingWindowMatcher:
             stats.pruned_lb_keogh += alive.size - int(passed.sum())
             alive = alive[passed]
         abandon = threshold if self.early_abandon else None
-        if self._shared_band is not None:
-            for index in alive.tolist():
-                result = banded_dtw(
-                    windows[index], self.pattern, self._shared_band,
-                    self.config.pointwise_distance,
-                    return_path=False, abandon_threshold=abandon,
-                )
-                stats.cells_filled += result.cells_filled
-                if result.abandoned:
-                    stats.dp_abandoned += 1
-                else:
-                    stats.dp_runs += 1
-                    distances[index] = result.distance
-            return distances
         if not alive.size:
             return distances
-        picked = [snapshots[index] for index in alive.tolist()]
-        bands = build_stream_bands(
-            self._spec,
-            [features for features, _ in picked],
-            [first + index - self._m + 1 - start
-             for index, (_, start) in zip(alive.tolist(), picked)],
-            self._pattern_features, self._m, self.config,
-        )
-        if self._range_table is not None:
-            bound = lb_band_envelope(windows[alive], bands, self._range_table)
-            # The bound sums in another order than the DP, so it gets the
-            # same rounding slack as abandonment.
-            passed = bound <= abandon_cutoff(threshold)
-            stats.pruned_lb_keogh += alive.size - int(passed.sum())
-            alive, bands = alive[passed], bands[passed]
-        found, cells, abandoned = banded_dtw_batch(
-            windows[alive], self.pattern, bands, self._func, abandon
-        )
+        if self._shared_band is not None:
+            bands = self._shared_band
+        else:
+            picked = [snapshots[index] for index in alive.tolist()]
+            bands = build_stream_bands(
+                self._spec,
+                [features for features, _ in picked],
+                [first + index - self._m + 1 - start
+                 for index, (_, start) in zip(alive.tolist(), picked)],
+                self._pattern_features, self._m, self.config,
+            )
+            if self._range_table is not None:
+                bound = lb_band_envelope(windows[alive], bands, self._range_table)
+                # The bound sums in another order than the DP, so it gets the
+                # same rounding slack as abandonment.
+                passed = bound <= abandon_cutoff(threshold)
+                stats.pruned_lb_keogh += alive.size - int(passed.sum())
+                alive, bands = alive[passed], bands[passed]
+        if alive.size == 1:
+            # A lone survivor takes the per-pair scan: at one pair it beats
+            # the lock-step kernel, by 1.5-1.7x under a threshold.
+            result = banded_dtw(
+                windows[alive[0]], self.pattern, bands if bands.ndim == 2 else bands[0],
+                self._func, return_path=False, abandon_threshold=abandon,
+            )
+            found = np.array([result.distance])
+            cells = np.array([result.cells_filled])
+            abandoned = np.array([result.abandoned])
+        else:
+            found, cells, abandoned = banded_dtw_batch(
+                windows[alive], self.pattern, bands, self._func, abandon
+            )
         stats.cells_filled += int(cells.sum())
         stats.dp_abandoned += int(abandoned.sum())
         stats.dp_runs += alive.size - int(abandoned.sum())

@@ -1,7 +1,7 @@
 """Time-series preprocessing primitives.
 
 The salient-feature extraction in :mod:`repro.core.scale_space` builds its
-own Gaussian pyramid on top of :func:`gaussian_smooth`; the dataset
+own Gaussian pyramid on top of :func:`gaussian_smooth_rows`; the dataset
 generators and examples use the normalisation and resampling helpers.
 """
 
@@ -26,12 +26,17 @@ def gaussian_kernel(sigma: float, truncate: float = 4.0) -> np.ndarray:
     return _kernel(check_positive(sigma, "sigma"), float(truncate)).copy()
 
 
+def kernel_radius(sigma: float, truncate: float = 4.0) -> int:
+    """Samples :func:`gaussian_kernel` reaches on each side of its centre."""
+    return max(1, int(truncate * sigma + 0.5))
+
+
 @lru_cache(maxsize=256)
 def _kernel(sigma: float, truncate: float) -> np.ndarray:
     """The kernel of :func:`gaussian_kernel`, built once per (σ, truncate)
     and shared read-only: feature extraction smooths at a handful of σ
     many times over."""
-    radius = max(1, int(truncate * sigma + 0.5))
+    radius = kernel_radius(sigma, truncate)
     positions = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(positions ** 2) / (2.0 * sigma * sigma))
     kernel = kernel / kernel.sum()
@@ -48,27 +53,39 @@ def gaussian_smooth(
 
     Edges are handled by reflecting the series, which avoids the spurious
     boundary extrema that zero padding would introduce into the
-    difference-of-Gaussian analysis.
+    difference-of-Gaussian analysis.  This is :func:`gaussian_smooth_rows`
+    on a stack of one.
     """
     values = as_series(series, "series")
+    return gaussian_smooth_rows(values[np.newaxis], sigma, truncate)[0]
+
+
+def gaussian_smooth_rows(rows: np.ndarray, sigma: float, truncate: float = 4.0) -> np.ndarray:
+    """:func:`gaussian_smooth` of every row of a ``(count, n)`` stack.
+
+    Each row is padded by reflection, ``radius`` samples a side; a row
+    too short to reflect that far repeats its outermost reflected sample
+    (its only sample, when ``n`` is 1).  The padded rows are laid end to
+    end and convolved with one ``np.convolve`` call.  Every output sample
+    is the dot product of the kernel with the ``2 * radius + 1`` padded
+    samples around it, the same operands in the same order whatever lies
+    beyond them, so each row equals smoothing it alone, bit for bit.
+    """
     kernel = _kernel(check_positive(sigma, "sigma"), float(truncate))
     radius = (kernel.size - 1) // 2
-    if radius == 0:
-        return values.copy()
-    pad = min(radius, values.size - 1) if values.size > 1 else 0
-    if pad > 0:
-        padded = np.concatenate([values[pad:0:-1], values, values[-2: -2 - pad: -1]])
-        extra = radius - pad
-        if extra > 0:
-            padded = np.concatenate(
-                [np.full(extra, padded[0]), padded, np.full(extra, padded[-1])]
-            )
-    else:
-        padded = np.concatenate(
-            [np.full(radius, values[0]), values, np.full(radius, values[-1])]
-        )
-    smoothed = np.convolve(padded, kernel, mode="valid")
-    return smoothed[: values.size] if smoothed.size > values.size else smoothed
+    count, n = rows.shape
+    pad = min(radius, n - 1)
+    index = np.concatenate([
+        np.minimum(np.arange(radius, 0, -1), pad),
+        np.arange(n),
+        n - 1 - np.minimum(np.arange(1, radius + 1), pad),
+    ])
+    width = n + 2 * radius
+    smoothed = np.empty(count * width)
+    smoothed[: count * width - 2 * radius] = np.convolve(
+        rows[:, index].ravel(), kernel, mode="valid"
+    )
+    return smoothed.reshape(count, width)[:, :n]
 
 
 def moving_average(
@@ -128,6 +145,11 @@ def resample_linear(
 
 
 def downsample_by_two(series: Union[Sequence[float], np.ndarray]) -> np.ndarray:
-    """Keep every second sample (the paper's octave downsampling rule)."""
-    values = as_series(series, "series")
-    return values[::2].copy()
+    """Keep every second sample (the paper's octave downsampling rule).
+
+    A ``(count, n)`` stack keeps every second sample of each row.
+    """
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 2:
+        values = as_series(values, "series")
+    return values[..., ::2].copy()

@@ -5,7 +5,8 @@ together.  Whatever the chunk size, every pattern must report what the
 per-tick offline scans report, the merged list must come back in (settle
 tick, registration order), and the work counters must not depend on how
 the stream was cut.  A block's adaptive bands, built together, must equal
-the per-window bands the offline scan builds.
+the per-window bands the offline scan builds, and a block's shared-band
+DPs, run together, must equal the per-window scan.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.core.bands import parse_constraint_spec
 from repro.core.config import DescriptorConfig, MatchingConfig, SDTWConfig
 from repro.core.features import FeatureSet, extract_salient_features
 from repro.core.matching import match_salient_features
+from repro.dtw.banded import banded_dtw
+from repro.dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from repro.datasets.generators import embed_pattern_stream, make_stream_patterns
 from repro.exceptions import ValidationError
 from repro.streaming import StreamMonitor
@@ -30,6 +33,7 @@ from repro.streaming.offline import (
     naive_spring_scan,
 )
 from repro.streaming.subsequence import (
+    SlidingWindowMatcher,
     build_stream_band,
     build_stream_bands,
     shift_snapshot_features,
@@ -247,3 +251,80 @@ class TestBlockBands:
         if not symmetric:
             assert seen["repairs"] > 0 or constraint == "fc,aw"
             assert seen["replays"] > 0 or constraint == "ac,fw"
+
+
+class TestSharedBandBlocks:
+    """A block's shared-band survivors run through one ``banded_dtw_batch``
+    call, and a lone survivor through the per-pair ``banded_dtw``; each
+    must get the per-window ``banded_dtw`` result, and the stats must be
+    what the per-window results add up to."""
+
+    BANDS = {
+        "fc,fw": lambda config: sakoe_chiba_band_fraction(M, M, config.width_fraction),
+        "full": lambda config: full_band(M, M),
+        "itakura": lambda config: itakura_band(M, M, 2.0),
+    }
+
+    @pytest.mark.parametrize("constraint", ["fc,fw", "full", "itakura"])
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_block_dp_equals_per_window_scan(self, setup, constraint, chunk, monkeypatch):
+        stream, config, kinds = setup
+        _, pattern, _, _, threshold = kinds[2]
+        subsequence = importlib.import_module("repro.streaming.subsequence")
+        batch, single = subsequence.banded_dtw_batch, subsequence.banded_dtw
+        calls = []
+
+        def batched(xs, ys, bands, func, abandon):
+            found, cells, dropped = batch(xs, ys, bands, func, abandon)
+            calls.append((np.array(xs), abandon, found, cells, dropped))
+            return found, cells, dropped
+
+        def alone(x, y, band, distance, **options):
+            result = single(x, y, band, distance, **options)
+            calls.append((np.array([x]), options["abandon_threshold"],
+                          np.array([result.distance]), np.array([result.cells_filled]),
+                          np.array([result.abandoned])))
+            return result
+
+        monkeypatch.setattr(subsequence, "banded_dtw_batch", batched)
+        monkeypatch.setattr(subsequence, "banded_dtw", alone)
+        matcher = SlidingWindowMatcher(pattern, threshold, constraint=constraint,
+                                       config=config)
+        buffer = StreamBuffer(capacity=stream.size)
+        for begin in range(0, stream.size, chunk):
+            block = stream[begin: begin + chunk]
+            for value in block:
+                buffer.append(value)
+            matcher.score_block(buffer, block.size)
+        band = self.BANDS[constraint](config)
+        runs = abandoned = cells = 0
+        for windows, abandon, found, filled, dropped in calls:
+            for window, distance, count, gave_up in zip(windows, found, filled, dropped):
+                expected = banded_dtw(window, pattern, band, config.pointwise_distance,
+                                      return_path=False, abandon_threshold=abandon)
+                assert (expected.abandoned, expected.cells_filled) == (gave_up, count)
+                assert np.float64(expected.distance).tobytes() == distance.tobytes()
+                runs += not gave_up
+                abandoned += bool(gave_up)
+                cells += int(count)
+        stats = matcher.stats
+        assert (stats.dp_runs, stats.dp_abandoned, stats.cells_filled) == (
+            runs, abandoned, cells)
+        assert runs > 0 and abandoned > 0
+        # Blocks of one tick have lone survivors; longer ones batch several.
+        sizes = {len(windows) for windows, *_ in calls}
+        assert sizes == {1} if chunk == 1 else max(sizes) > 1
+
+    @pytest.mark.parametrize("constraint", ["full", "itakura"])
+    def test_matches_equal_the_offline_scan(self, setup, constraint):
+        stream, config, kinds = setup
+        name, pattern, _, _, threshold = kinds[2]
+        monitor = StreamMonitor(config)
+        monitor.add_stream("s", capacity=2 * M)
+        monitor.add_pattern(pattern, name=name, mode="sliding", constraint=constraint,
+                            threshold=threshold)
+        online = [m for call in feed(monitor, stream, 40) for m in call]
+        offline, _ = naive_sliding_scan(stream, pattern, threshold, constraint=constraint,
+                                        config=config, name=name)
+        assert [key(m) for m in online] == [key(m) for m in offline]
+        assert online

@@ -8,12 +8,7 @@ import pytest
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.core.features import extract_salient_features
 from repro.streaming.buffer import StreamBuffer
-from repro.streaming.incremental import (
-    IncrementalExtractor,
-    _incremental_smooth,
-    _smooth_region,
-)
-from repro.utils.preprocessing import gaussian_smooth
+from repro.streaming.incremental import IncrementalExtractor
 
 
 @pytest.fixture(scope="module")
@@ -43,50 +38,6 @@ def assert_features_identical(batch, incremental):
         np.testing.assert_array_equal(a.descriptor, b.descriptor)
 
 
-class TestIncrementalSmoothing:
-    def test_smooth_region_slices_match_full(self, stream):
-        base = stream[:200]
-        for sigma in (1.0, 1.4142, 2.0):
-            full = gaussian_smooth(base, sigma)
-            for lo, hi in ((0, 10), (5, 40), (150, 200), (0, 200), (97, 113)):
-                np.testing.assert_array_equal(
-                    _smooth_region(base, sigma, lo, hi), full[lo:hi]
-                )
-
-    def test_incremental_smooth_bitwise_equal(self, stream):
-        sigma = 1.5
-        n = 160
-        prev = gaussian_smooth(stream[:n], sigma)
-        for shift in (1, 7, 32):
-            base = stream[shift: shift + n]
-            smoothed, reused = _incremental_smooth(base, sigma, prev, shift)
-            np.testing.assert_array_equal(smoothed, gaussian_smooth(base, sigma))
-            assert reused > 0
-
-    def test_incremental_smooth_falls_back_when_shift_too_large(self, stream):
-        sigma = 1.5
-        n = 40
-        prev = gaussian_smooth(stream[:n], sigma)
-        base = stream[n - 1: 2 * n - 1]
-        smoothed, reused = _incremental_smooth(base, sigma, prev, n - 1)
-        np.testing.assert_array_equal(smoothed, gaussian_smooth(base, sigma))
-        assert reused == 0
-
-    def test_dirty_margins_respected(self, stream):
-        # With declared dirty edges the reused interior shrinks accordingly
-        # but the output stays exact.
-        sigma = 1.2
-        n = 120
-        prev = gaussian_smooth(stream[:n], sigma)
-        base = stream[8: 8 + n]
-        smoothed, reused_clean = _incremental_smooth(base, sigma, prev, 8)
-        smoothed_dirty, reused_dirty = _incremental_smooth(
-            base, sigma, prev, 8, dirty_head=10, dirty_tail=10
-        )
-        np.testing.assert_array_equal(smoothed, smoothed_dirty)
-        assert reused_dirty < reused_clean
-
-
 class TestIncrementalExtractor:
     def test_features_identical_to_batch_at_every_refresh(self, stream, config):
         window = 256
@@ -100,13 +51,12 @@ class TestIncrementalExtractor:
                 batch = extract_salient_features(buffer.window(window), config)
                 assert_features_identical(batch, extractor.features())
         assert refreshes > 5
-        assert extractor.stats.samples_reused > 0
         assert extractor.stats.descriptors_reused > 0
 
     def test_misaligned_refresh_still_exact(self, stream, config):
-        # A hop that is not a multiple of the coarsest octave stride breaks
-        # downsampling alignment; coarse octaves fall back to full
-        # recomputation but the output must stay identical.
+        # A hop that is not a multiple of the coarsest octave stride moves
+        # the coarse octaves' sample grid between refreshes, so their
+        # descriptors are not reused; the output must stay identical.
         window = 256
         extractor = IncrementalExtractor(window, config, hop=extractor_hop(window, 13))
         buffer = StreamBuffer(window)
@@ -132,6 +82,43 @@ class TestIncrementalExtractor:
                 assert_features_identical(without.features(), with_cache.features())
         assert with_cache.stats.descriptors_reused > 0
         assert without.stats.descriptors_reused == 0
+
+    @pytest.mark.parametrize("window, hop, chunk", [(64, 8, 32), (128, 16, 100), (256, 13, 90)])
+    def test_block_refreshes_equal_tick_refreshes(self, stream, config, window, hop, chunk):
+        # A block extracts all its due windows in one pass, carrying the
+        # descriptor cache from window to window as refreshes one tick at a
+        # time do: the same snapshots, each equal to batch extraction, and
+        # the same reuse counts.
+        ticked = IncrementalExtractor(window, config, hop=hop)
+        blocked = IncrementalExtractor(window, config, hop=hop)
+        tick_buffer = StreamBuffer(capacity=stream.size)
+        block_buffer = StreamBuffer(capacity=stream.size)
+        values = stream[:1000]
+        multi = 0
+        for begin in range(0, values.size, chunk):
+            block = values[begin: begin + chunk]
+            expected = []
+            for value in block:
+                tick_buffer.append(value)
+                ticked.observe(tick_buffer)
+                if ticked.ready:
+                    expected.append((ticked.features(), ticked.snapshot_start))
+            for value in block:
+                block_buffer.append(value)
+            before = blocked.stats.refreshes
+            seen = blocked.observe_block(block_buffer, block.size)
+            multi += blocked.stats.refreshes - before > 1
+            assert [start for _, start in seen] == [start for _, start in expected]
+            for (features, start), (reference, _) in zip(seen, expected):
+                assert_features_identical(reference, features)
+            for start, features in {start: features for features, start in seen}.items():
+                assert_features_identical(
+                    extract_salient_features(values[start: start + window], config), features
+                )
+        assert multi > 0
+        assert blocked.stats == ticked.stats
+        if window >= 128:
+            assert blocked.stats.descriptors_reused > 0
 
     def test_refresh_cadence_and_snapshot_bookkeeping(self, stream, config):
         window = 64
