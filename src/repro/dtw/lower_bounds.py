@@ -6,6 +6,15 @@ standard retrieval substrate: they let a k-NN search skip full DTW
 computations whose lower bound already exceeds the current best.  They are
 included so the retrieval package can demonstrate the classic pruning
 pipeline next to the paper's constraint-based approach.
+
+LB_Yi, LB_Keogh and the band envelope charge each sample of one series
+its distance to a range of the other.  Each also holds with the roles
+swapped, charging the other series' samples instead, and the two sides
+prune different pairs; the UCR suite cascades both (Rakthanmanon et al.,
+"Searching and Mining Trillions of Time Series Subsequences under Dynamic
+Time Warping", KDD 2012).  :func:`lb_yi_batch` gives LB_Yi of one series
+against many value ranges, and :func:`lb_reverse_band_envelope` is the
+band envelope taken column by column.
 """
 
 from __future__ import annotations
@@ -81,6 +90,24 @@ def lb_yi(x: Union[Sequence[float], np.ndarray],
     above = xs[xs > hi] - hi
     below = lo - xs[xs < lo]
     return float(above.sum() + below.sum())
+
+
+def lb_yi_batch(
+    x: Union[Sequence[float], np.ndarray],
+    minima: np.ndarray,
+    maxima: np.ndarray,
+) -> np.ndarray:
+    """Vectorised LB_Yi of *x* against ``C`` value ranges.
+
+    Entry ``c`` is :func:`lb_yi` of *x* against any series whose minimum
+    and maximum are ``minima[c]`` and ``maxima[c]``: the mass of *x*
+    outside that range.  The terms are summed in another order than
+    :func:`lb_yi` sums them, so the two agree to rounding, not bit for bit.
+    """
+    xs = as_series(x, "x")
+    above = np.maximum(xs - np.asarray(maxima, dtype=float)[:, np.newaxis], 0.0)
+    below = np.maximum(np.asarray(minima, dtype=float)[:, np.newaxis] - xs, 0.0)
+    return np.sum(above + below, axis=1)
 
 
 def keogh_envelope(
@@ -167,22 +194,51 @@ def range_extrema_table(
     of ``y[j : j + 2**k]`` at column ``j``; entries whose range runs past
     the end are never read.  Built once per series in O(m log m), the
     tables give the extrema of any range ``y[lo..hi]`` exactly from two
-    overlapping power-of-two ranges (see :func:`lb_band_envelope`).
+    overlapping power-of-two ranges (:func:`range_extrema`).
+
+    A ``(C, m)`` stack of series gives ``(levels, C * m)`` tables over
+    the flattened stack, so index ``c * m + j`` is column ``j`` of series
+    ``c``; the entries whose range runs into the next series are never
+    read either.
     """
-    ys = as_series(y, "y")
-    m = ys.size
-    levels = m.bit_length()
-    mins = np.full((levels, m), np.inf)
-    maxs = np.full((levels, m), -np.inf)
-    mins[0] = maxs[0] = ys
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim != 2:
+        ys = as_series(ys, "y")
+    flat = ys.reshape(-1)
+    levels = ys.shape[-1].bit_length()
+    mins = np.empty((levels, flat.size))
+    maxs = np.empty((levels, flat.size))
+    mins[0] = maxs[0] = flat
     for k in range(1, levels):
         half = 1 << (k - 1)
-        count = m - 2 * half + 1
+        count = flat.size - 2 * half + 1
         np.minimum(mins[k - 1, :count], mins[k - 1, half: half + count],
                    out=mins[k, :count])
         np.maximum(maxs[k - 1, :count], maxs[k - 1, half: half + count],
                    out=maxs[k, :count])
     return mins, maxs
+
+
+def range_extrema(
+    table: Tuple[np.ndarray, np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The minimum and maximum of every range ``[lo, hi]`` of a series.
+
+    *table* is the :func:`range_extrema_table` of the series (or stack),
+    and *lo* and *hi* are equal-shaped arrays of inclusive indices into
+    it with ``lo <= hi``, each range inside one series.  The largest power
+    of two ``2**k`` not above a range's length gives two ranges, one
+    starting at ``lo`` and one ending at ``hi``, that cover it between
+    them, so each extremum is two table reads.
+    """
+    mins, maxs = table
+    length = hi - lo + 1
+    level = np.frexp(length)[1] - 1
+    left = level * mins.shape[1] + lo
+    right = left + (length - np.left_shift(1, level))
+    mins, maxs = mins.reshape(-1), maxs.reshape(-1)
+    return (np.minimum(mins.take(left), mins.take(right)),
+            np.maximum(maxs.take(left), maxs.take(right)))
 
 
 def lb_band_envelope(
@@ -214,17 +270,66 @@ def lb_band_envelope(
     numpy.ndarray
         ``(C,)`` array of bounds.
     """
-    mins, maxs = table
-    lo = bands[..., 0]
-    hi = bands[..., 1]
-    # The largest power of two 2**k not above the range length; the two
-    # ranges starting at lo and ending at hi cover [lo, hi] between them.
-    level = np.frexp(hi - lo + 1)[1] - 1
-    right = hi + 1 - np.left_shift(1, level)
-    lower = np.minimum(mins[level, lo], mins[level, right])
-    upper = np.maximum(maxs[level, lo], maxs[level, right])
+    lower, upper = range_extrema(table, bands[..., 0], bands[..., 1])
     above = np.maximum(windows - upper, 0.0)
     below = np.maximum(lower - windows, 0.0)
+    return np.sum(above + below, axis=1)
+
+
+def lb_reverse_band_envelope(
+    windows: np.ndarray,
+    bands: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """The band-envelope bound with the roles swapped, for ``C`` series.
+
+    Column ``j`` of *y* contributes the distance from ``y[j]`` to
+    ``[min, max]`` of ``windows[c]`` over the rows of ``bands[c]`` that
+    can reach column ``j``.  Every warp path inside a band visits every
+    column at some row whose window holds it, and the cells of distinct
+    columns are distinct, so the sum lower-bounds the banded DTW for the
+    absolute-difference ground distance.  The rows are taken as a hull:
+    from the first row whose running maximum of ``hi`` reaches ``j`` to
+    the last row whose suffix minimum of ``lo`` is at most ``j``.  Every
+    row whose window holds ``j`` lies in it even when the windows are not
+    monotone, so the bound stays admissible for any band that
+    :func:`~repro.dtw.banded.validate_band` accepts.  It is never below
+    LB_Yi of *y* against the whole series (:func:`lb_yi_batch`), which
+    takes all rows.
+
+    Parameters
+    ----------
+    windows:
+        ``(C, n)`` matrix of series.
+    bands:
+        ``(C, n, 2)`` stack of validated bands over *y*.
+    y:
+        The column series, length ``m``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(C,)`` array of bounds.
+    """
+    count, m = len(windows), y.size
+    # Each band's columns get their own key range, c * m to c * m + m - 1,
+    # so counting keys below a column over the whole stack gives a flat
+    # row index of the (C * n) stack directly.
+    keys = np.arange(0, count * m, m)[:, np.newaxis]
+    reach = np.maximum.accumulate(bands[..., 1], axis=1) + keys
+    settle = np.minimum.accumulate(bands[:, ::-1, 0], axis=1)[:, ::-1] + keys
+    # Reach and settle never decrease along a band, so the first row of
+    # column j's hull is the number of reach keys below c * m + j, and its
+    # last row the number of settle keys up to it, less one.
+    first = np.zeros(count * m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(reach.ravel(), minlength=count * m), out=first[1:])
+    last = np.cumsum(np.bincount(settle.ravel(), minlength=count * m)) - 1
+    lower, upper = range_extrema(
+        range_extrema_table(windows),
+        first[:-1].reshape(count, m), last.reshape(count, m),
+    )
+    above = np.maximum(y - upper, 0.0)
+    below = np.maximum(lower - y, 0.0)
     return np.sum(above + below, axis=1)
 
 

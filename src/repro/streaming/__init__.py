@@ -18,12 +18,14 @@ Components
     batch re-extraction.
 :class:`SpringMatcher`
     SPRING-style subsequence DTW: one carried DP column reports
-    variable-length, non-overlapping match intervals under a threshold.
+    variable-length, non-overlapping match intervals under a threshold;
+    a block of samples is consumed in one call.
 :class:`SlidingWindowMatcher`
     Fixed-window constrained DTW under any of the paper's constraint
     families (Sections 3.3.1–3.3.3) behind the LB_Kim / LB_Keogh /
-    band-envelope / early-abandon cascade, run over a block of windows
-    at once.
+    band-envelope / early-abandon cascade, with the global and band
+    envelopes also taken from the pattern's side, run over a block of
+    windows at once.
 :class:`StreamMonitor`
     Multiplexes many patterns over many streams, ingests each chunk in
     blocks (a chunk is accepted or rejected whole) and keeps per-pattern

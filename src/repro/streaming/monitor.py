@@ -19,8 +19,9 @@ loop would report them in.
 The design mirrors the paper's cost split (Section 3.4): everything that
 depends only on the pattern (salient features, LB envelopes, Kim
 extrema, the range-extrema table of the band-envelope bound) is computed
-once at registration; per-block work is bounds first, dynamic
-programming only when a bound fails to prune.
+once at registration; per-block work is bounds first (from both the
+window's and the pattern's side), dynamic programming only when no bound
+prunes.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ class StreamMonitor:
         pointwise distance, scale-space/descriptor settings for adaptive
         constraints).
     prune:
-        Master switch for the LB_Kim / LB_Keogh stages of sliding
-        matchers; pruning is exact (bounds are admissible), so disabling
-        it only changes speed, never which matches are reported.
+        Master switch for the lower-bound stages of sliding matchers
+        (LB_Kim, LB_Keogh and the pattern-side bounds); pruning is exact
+        (bounds are admissible), so disabling it only changes speed,
+        never which matches are reported.
     early_abandon:
         Whether sliding matchers stop the DP as soon as a whole row
         exceeds the threshold.
@@ -300,8 +302,10 @@ class StreamMonitor:
         is then ingested in blocks small enough that every window of a
         block is still in the ring buffer.  Each block's extractor
         snapshots are taken once per extractor, tick by tick, and every
-        matcher scores the whole block; the matches come back ordered by
-        the tick at which they settled, then by matcher registration.
+        matcher scores the whole block (a SPRING matcher in one
+        :meth:`~repro.streaming.subsequence.SpringMatcher.update_block`
+        call); the matches come back ordered by the tick at which they
+        settled, then by matcher registration.
         """
         buffer = self._require_stream(stream)
         chunk = np.asarray(values, dtype=float)
@@ -327,10 +331,12 @@ class StreamMonitor:
             snapshots: Dict[IncrementalExtractor, list] = {}
             for order, matcher in matchers:
                 if isinstance(matcher, SpringMatcher):
-                    for tick, value in enumerate(part.tolist(), first):
-                        settled.extend(
-                            (tick, order, match) for match in matcher.update(value)
-                        )
+                    # SPRING counts ticks from the first sample it consumed.
+                    shift = first - matcher.stats.ticks
+                    settled.extend(
+                        (shift + tick, order, match)
+                        for tick, match in matcher.update_block(part)
+                    )
                     continue
                 # Snapshots are taken once per extractor: a matcher that
                 # drove a shared extractor over the block itself would

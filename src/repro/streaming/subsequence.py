@@ -11,12 +11,14 @@ query pattern:
   start positions.  The column (and per-cell start bookkeeping) is carried
   across ticks — nothing is ever recomputed — and the non-overlap
   reporting discipline guarantees each reported match is the local optimum
-  among all overlapping candidates.
+  among all overlapping candidates.  Samples are consumed a block at a
+  time, with the block's costs and prefix sums computed together.
 * :class:`SlidingWindowMatcher` — fixed-length trailing windows scored
   under any of the paper's constraint families (Sections 3.3.1–3.3.3),
   a block of ticks at a time, guarded by the batch engine's cascading
   lower bounds (LB_Kim and LB_Keogh over a ``(windows, m)`` view of the
-  block, then early-abandoning banded DTW).  The adaptive ``ac/aw``
+  block, LB_Yi from the pattern's side, then early-abandoning banded
+  DTW).  The adaptive ``ac/aw``
   constraints draw their locally relevant bands from an
   :class:`IncrementalExtractor` feature snapshot, i.e. the streaming
   analogue of the paper's salient-feature alignment pipeline (Sections
@@ -24,10 +26,10 @@ query pattern:
   prescribes.  A block's bands are built together, from the snapshots'
   stacked arrays (:func:`build_stream_bands`); each equals the
   per-window reference :func:`build_stream_band`.  Each band also yields
-  a band-envelope bound.  Under every constraint the surviving windows'
-  DPs advance in lock-step (:func:`repro.dtw.banded.banded_dtw_batch`),
-  each under its own band or all under the shared one; a lone survivor
-  takes the per-pair scan.
+  a band-envelope bound from each side.  Under every constraint the
+  surviving windows' DPs advance in lock-step
+  (:func:`repro.dtw.banded.banded_dtw_batch`), each under its own band or
+  all under the shared one; a lone survivor takes the per-pair scan.
 
 Both matchers report :class:`StreamMatch` intervals in absolute stream
 coordinates and keep :class:`StreamStats` work accounting compatible with
@@ -36,7 +38,6 @@ the paper's cell-based time-gain measure (Section 4.2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +70,13 @@ from ..core.matching import match_decisions, match_gates, match_salient_features
 from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch, validate_band
 from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
-from ..dtw.lower_bounds import keogh_envelope, lb_band_envelope, range_extrema_table
+from ..dtw.lower_bounds import (
+    keogh_envelope,
+    lb_band_envelope,
+    lb_reverse_band_envelope,
+    lb_yi_batch,
+    range_extrema_table,
+)
 from ..exceptions import ValidationError
 from .buffer import StreamBuffer
 from .incremental import IncrementalExtractor
@@ -112,8 +119,12 @@ class StreamStats:
     were pruned by a lower bound contribute no DP cells, and
     ``cells_filled`` over ``total_cells`` is the paper's
     hardware-independent time-gain measure applied per tick instead of per
-    stored series.  Under an adaptive constraint ``pruned_lb_keogh`` also
-    counts the windows the band-envelope bound pruned.
+    stored series.  ``pruned_lb_keogh`` also counts the windows the
+    pattern-side (reverse) bounds pruned: the reverse global bound under
+    every constraint, and under an adaptive one the band-envelope bound
+    and the reverse band envelope.  A window a reverse bound prunes might
+    otherwise have completed its DP above the threshold, so those prunes
+    move counts out of ``dp_runs`` as well as ``dp_abandoned``.
     """
 
     ticks: int = 0
@@ -231,6 +242,16 @@ class SpringMatcher:
     emitted only when no still-open warping path could produce an
     overlapping match with a smaller distance, which yields
     non-overlapping, locally optimal match intervals.
+
+    Samples arrive a block at a time (:meth:`update_block`; :meth:`update`
+    is a block of one).  A block's pointwise costs and their prefix sums
+    are computed in one call each, and the tick loop then runs a fixed
+    sequence of in-place array operations on two alternating columns.
+    Each column carries a leading star cell (distance 0, start the
+    current tick), so a tick reads its diagonal and vertical predecessors
+    as two views of one column.  Every element goes through the same
+    arithmetic whatever the block size, so the columns and matches do not
+    depend on how the stream is cut.
     """
 
     def __init__(
@@ -247,9 +268,30 @@ class SpringMatcher:
         self._dist = get_pointwise_distance(distance)
         m = self.pattern.size
         self._m = m
-        self._indices = np.arange(m)
-        self._d = np.full(m, np.inf)
-        self._s = np.zeros(m, dtype=int)
+        # Double-buffered columns: a tick reads one and writes the other.
+        # A distance column is [star, d]; a start column is [unused, star,
+        # s], so the start of row i's diagonal predecessor sits in slot
+        # i + 1 and that of its vertical one in slot i + 2.  _d and _s view
+        # the current column's d and s.
+        columns = np.full((2, m + 1), np.inf)
+        columns[:, 0] = 0.0
+        starts = np.zeros((2, m + 2), dtype=np.intp)
+        self._views = tuple(
+            (columns[b, :-1], columns[b, 1:], starts[b], starts[b, 2:]) for b in (0, 1)
+        )
+        self._current = 0
+        self._d, self._s = columns[0, 1:], starts[0, 2:]
+        # Per-tick scratch; running[0] is the scan's leading +inf, so
+        # running[:-1] is each row's previous running minimum.
+        self._slots = np.arange(2, m + 2)
+        self._take = np.empty(m, dtype=bool)
+        self._entry = np.empty(m)
+        self._offsets = np.empty(m)
+        running = np.empty(m + 1)
+        running[0] = np.inf
+        self._running = (running[:-1], running[1:])
+        self._gather = np.empty(m, dtype=np.intp)
+        self._source = np.empty(m, dtype=np.intp)
         self._best_distance = np.inf
         self._best_start = -1
         self._best_end = -1
@@ -263,92 +305,118 @@ class SpringMatcher:
 
     def update(self, value: float) -> List[StreamMatch]:
         """Consume the next stream sample; return matches settled this tick."""
-        value = float(value)
-        if not math.isfinite(value):
+        return [match for _, match in self.update_block([value])]
+
+    def update_block(
+        self, values: Union[Sequence[float], np.ndarray]
+    ) -> List[Tuple[int, StreamMatch]]:
+        """Consume the next samples in order; return the settled matches.
+
+        Each match comes with the tick at which it settled, counted from
+        the first sample this matcher consumed.  The block is accepted or
+        rejected whole: a non-finite sample raises
+        :class:`~repro.exceptions.ValidationError` before any is consumed.
+        """
+        block = np.asarray(values, dtype=float)
+        if block.ndim != 1:
+            raise ValidationError(
+                f"stream block must be one-dimensional, got shape {block.shape}"
+            )
+        if not np.isfinite(block).all():
             # One NaN would permanently poison the carried column.
-            raise ValidationError(f"stream sample must be finite, got {value}")
-        t = self._ticks
-        self._ticks += 1
+            bad = float(block[~np.isfinite(block)][0])
+            raise ValidationError(f"stream sample must be finite, got {bad}")
+        count = block.size
+        if not count:
+            return []
         m = self._m
+        first = self._ticks
+        self._ticks += count
         stats = self.stats
-        stats.ticks += 1
-        stats.evaluated += 1
-        stats.cells_filled += m
-        stats.total_cells += m * (t + 1)
+        stats.ticks += count
+        stats.evaluated += count
+        stats.cells_filled += m * count
+        # Tick t of the block adds m * (t + 1) naive cells.
+        stats.total_cells += m * (count * first + count * (count + 1) // 2)
 
-        cost = self._dist(float(value), self.pattern)
-        d_prev = self._d
-        s_prev = self._s
-        # Entry values per row: the better of the diagonal predecessor
-        # (d_prev[i-1]) and the vertical predecessor (d_prev[i]); row 0's
-        # diagonal is the virtual star-padding cell (distance 0, start t).
-        diag = np.empty(m)
-        diag[0] = 0.0
-        diag[1:] = d_prev[:-1]
-        diag_s = np.empty(m, dtype=int)
-        diag_s[0] = t
-        diag_s[1:] = s_prev[:-1]
-        take_diag = diag <= d_prev
-        entry = np.where(take_diag, diag, d_prev)
-        entry_s = np.where(take_diag, diag_s, s_prev)
-        # In-column scan d[i] = cost[i] + min(entry[i], d[i-1]) via the
-        # prefix-sum closed form (see _banded_dtw_distance_only), plus a
-        # first-achiever argmin to propagate the start bookkeeping.
-        prefix = np.cumsum(cost)
-        shifted = np.empty(m)
-        shifted[0] = 0.0
-        shifted[1:] = prefix[:-1]
-        offsets = entry - shifted
-        running = np.minimum.accumulate(offsets)
-        d_new = prefix + running
-        previous_running = np.empty(m)
-        previous_running[0] = np.inf
-        previous_running[1:] = running[:-1]
-        improved = offsets < previous_running
-        source = np.maximum.accumulate(np.where(improved, self._indices, -1))
-        s_new = entry_s[source]
+        # Row k holds tick k's cost prefix sums behind a zero: its first m
+        # entries are the scan's shifted sums, its last m the sums.
+        prefix = np.zeros((count, m + 1))
+        shifted, sums = prefix[:, :-1], prefix[:, 1:]
+        np.add.accumulate(self._dist(block[:, np.newaxis], self.pattern), axis=1,
+                          out=sums)
 
-        matches: List[StreamMatch] = []
-        if self._best_distance <= self.threshold:
-            # Report once no open path can extend into a better
-            # overlapping match (SPRING's disjoint-match condition).
-            blocked = (d_new < self._best_distance) & (s_new <= self._best_end)
-            if not blocked.any():
-                matches.append(self._emit())
-                self._best_distance = np.inf
-                self._best_start = -1
-                self._best_end = -1
-        if matches:
-            # Invalidate cells belonging to the reported region so no
-            # overlapping match can be reported again.
-            reported = matches[-1]
-            d_new = np.where(s_new <= reported.end, np.inf, d_new)
-        if d_new[m - 1] <= self.threshold and d_new[m - 1] < self._best_distance:
-            self._best_distance = float(d_new[m - 1])
-            self._best_start = int(s_new[m - 1])
-            self._best_end = t
-        self._d = d_new
-        self._s = s_new
-        return matches
+        views = self._views
+        slots, take, entry, offsets = self._slots, self._take, self._entry, self._offsets
+        previous, running = self._running
+        gather, source = self._gather, self._source
+        threshold = self.threshold
+        current = self._current
+        settled: List[Tuple[int, StreamMatch]] = []
+        for k in range(count):
+            t = first + k
+            d_diag, d_up, s_read, _ = views[current]
+            current = 1 - current
+            _, d_new, _, s_new = views[current]
+            s_read[1] = t
+            # Entry values per row: the better of the diagonal predecessor
+            # (whose row 0 is the star cell) and the vertical one, ties to
+            # the diagonal, and the slot of the entry's start.
+            np.less_equal(d_diag, d_up, out=take)
+            np.minimum(d_diag, d_up, out=entry)
+            np.subtract(slots, take, out=gather)
+            # In-column scan d[i] = cost[i] + min(entry[i], d[i-1]) via the
+            # prefix-sum closed form (see _banded_dtw_distance_only), plus a
+            # first-achiever argmin to propagate the start bookkeeping: the
+            # slots never decrease along the column, so the running maximum
+            # of the improving rows' slots is the last improving row's slot.
+            np.subtract(entry, shifted[k], out=offsets)
+            np.minimum.accumulate(offsets, out=running)
+            np.add(sums[k], running, out=d_new)
+            np.less(offsets, previous, out=take)
+            np.multiply(take, gather, out=gather)
+            np.maximum.accumulate(gather, out=source)
+            s_read.take(source, out=s_new)
+
+            if self._best_distance <= threshold:
+                # Report once no open path can extend into a better
+                # overlapping match (SPRING's disjoint-match condition).
+                blocked = (d_new < self._best_distance) & (s_new <= self._best_end)
+                if not blocked.any():
+                    match = self._emit()
+                    settled.append((t, match))
+                    # Invalidate cells belonging to the reported region so
+                    # no overlapping match can be reported again.
+                    d_new[s_new <= match.end] = np.inf
+            last = float(d_new[-1])
+            if last <= threshold and last < self._best_distance:
+                self._best_distance = last
+                self._best_start = int(s_new[-1])
+                self._best_end = t
+        self._current = current
+        _, self._d, _, self._s = views[current]
+        return settled
 
     def _emit(self) -> StreamMatch:
+        """The pending candidate as a match; the candidate is cleared."""
         self.stats.matches += 1
-        return StreamMatch(
+        match = StreamMatch(
             pattern=self.name,
             stream="",
             start=self._best_start,
             end=self._best_end,
             distance=self._best_distance,
         )
+        self._best_distance = np.inf
+        self._best_start = -1
+        self._best_end = -1
+        return match
 
     def finalize(self) -> List[StreamMatch]:
         """Flush the pending candidate at end of stream (if any)."""
         if self._best_distance <= self.threshold:
             match = self._emit()
-            self._best_distance = np.inf
-            self._best_start = -1
-            self._best_end = -1
-            self._d = np.where(self._s <= match.end, np.inf, self._d)
+            self._d[self._s <= match.end] = np.inf
             return [match]
         return []
 
@@ -600,9 +668,13 @@ class SlidingWindowMatcher:
     (:meth:`score_block`): the block's windows are one ``(windows, m)``
     view of the buffer and go through the engine's cascade together —
     LB_Kim from each window's endpoints and extrema, LB_Keogh against the
-    pattern's precomputed envelope, for adaptive constraints the
-    band-envelope bound of each window's own band, then early-abandoning
-    banded DTW under the configured constraint family.  The surviving
+    pattern's precomputed envelope, LB_Yi of the pattern against each
+    window's extrema (the reverse global bound), for adaptive constraints
+    the band-envelope bound of each window's own band and then its
+    reverse (the pattern's columns against the window's rows that reach
+    them), then early-abandoning banded DTW under the configured
+    constraint family.  A block whose windows the bounds all prune makes
+    no DP call.  The surviving
     windows' DPs run in one lock-step call
     (:func:`repro.dtw.banded.banded_dtw_batch`): under a shared band
     (``fc,fw``, ``full``, ``itakura``), validated once at construction,
@@ -611,11 +683,14 @@ class SlidingWindowMatcher:
     which is faster for a single pair.  Both give the same distances,
     cells and abandonment as the per-window scan.  The resulting
     distance profile goes through the shared non-overlap suppression
-    policy in tick order.  LB_Kim and LB_Keogh lower-bound the *full* DTW
-    and therefore every constrained DTW (the same admissibility argument
-    as :class:`repro.engine.DistanceEngine`), and the band-envelope bound
-    lower-bounds the DP over that band, so pruning never changes which
-    matches are reported.
+    policy in tick order.  LB_Kim, LB_Keogh and the reverse global bound
+    lower-bound the *full* DTW and therefore every constrained DTW (the
+    same admissibility argument as :class:`repro.engine.DistanceEngine`),
+    and both band-envelope bounds lower-bound the DP over that band, so
+    pruning never changes which matches are reported.  The reverse bounds
+    sum in another order than the DP and prune at
+    ``abandon_cutoff(threshold)``; all the LB_Keogh-family prunes count in
+    ``StreamStats.pruned_lb_keogh``.
     """
 
     def __init__(
@@ -789,18 +864,21 @@ class SlidingWindowMatcher:
         abandoned; window ``k`` ends at tick ``first + k``."""
         stats = self.stats
         threshold = self.threshold
+        # The reverse bounds sum in another order than the DP, so they get
+        # the same rounding slack as abandonment.
+        cutoff = abandon_cutoff(threshold)
         distances = np.full(len(windows), np.inf)
         alive = np.arange(len(windows))
+        if self.use_lb_kim or self.use_lb_keogh:
+            highs = windows.max(axis=1)
+            lows = windows.min(axis=1)
         if self.use_lb_kim:
             bound = np.maximum(
                 np.maximum(
                     np.abs(windows[:, 0] - self._y_first),
                     np.abs(windows[:, -1] - self._y_last),
                 ),
-                np.maximum(
-                    np.abs(windows.max(axis=1) - self._y_max),
-                    np.abs(windows.min(axis=1) - self._y_min),
-                ),
+                np.maximum(np.abs(highs - self._y_max), np.abs(lows - self._y_min)),
             )
             alive = np.flatnonzero(bound <= threshold)
             stats.pruned_lb_kim += len(windows) - alive.size
@@ -821,6 +899,13 @@ class SlidingWindowMatcher:
             passed = bound <= threshold
             stats.pruned_lb_keogh += alive.size - int(passed.sum())
             alive = alive[passed]
+            if alive.size:
+                # The reverse global bound: the pattern's mass outside each
+                # window's range, which also bounds the full DTW.
+                bound = lb_yi_batch(self.pattern, lows[alive], highs[alive])
+                passed = bound <= cutoff
+                stats.pruned_lb_keogh += alive.size - int(passed.sum())
+                alive = alive[passed]
         abandon = threshold if self.early_abandon else None
         if not alive.size:
             return distances
@@ -836,12 +921,20 @@ class SlidingWindowMatcher:
                 self._pattern_features, self._m, self.config,
             )
             if self._range_table is not None:
-                bound = lb_band_envelope(windows[alive], bands, self._range_table)
-                # The bound sums in another order than the DP, so it gets the
-                # same rounding slack as abandonment.
-                passed = bound <= abandon_cutoff(threshold)
+                candidates = windows[alive]
+                bound = lb_band_envelope(candidates, bands, self._range_table)
+                passed = bound <= cutoff
+                # The reverse band envelope, over the windows the forward
+                # one kept.
+                if passed.any():
+                    kept = np.flatnonzero(passed)
+                    passed[kept] = lb_reverse_band_envelope(
+                        candidates[kept], bands[kept], self.pattern
+                    ) <= cutoff
                 stats.pruned_lb_keogh += alive.size - int(passed.sum())
                 alive, bands = alive[passed], bands[passed]
+                if not alive.size:
+                    return distances
         if alive.size == 1:
             # A lone survivor takes the per-pair scan: at one pair it beats
             # the lock-step kernel, by 1.5-1.7x under a threshold.

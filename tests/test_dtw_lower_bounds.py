@@ -1,4 +1,4 @@
-"""Tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh, band envelope)."""
+"""Tests for the DTW lower bounds (LB_Kim, LB_Yi, LB_Keogh, band envelopes)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,10 @@ from repro.dtw.lower_bounds import (
     lb_band_envelope,
     lb_keogh,
     lb_kim,
+    lb_reverse_band_envelope,
     lb_yi,
+    lb_yi_batch,
+    range_extrema,
     range_extrema_table,
 )
 
@@ -189,3 +192,67 @@ class TestBandEnvelope:
                     assert banded_dtw(
                         x, y, band, return_path=False, abandon_threshold=threshold
                     ).abandoned
+
+
+class TestReverseBounds:
+    """The pattern-side bounds: LB_Yi and the band envelope, roles swapped."""
+
+    @given(inputs=banded_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_lb_yi_equals_per_pair(self, inputs):
+        xs, y, _ = inputs
+        batch = lb_yi_batch(y, xs.min(axis=1), xs.max(axis=1))
+        for x, bound in zip(xs, batch):
+            assert abs(bound - lb_yi(y, x)) <= 1e-12 * max(1.0, abs(bound))
+
+    @given(rows=st.integers(1, 5), length=st.integers(1, 40), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_table_gives_each_series_exact_range_extrema(self, rows, length, data):
+        ys = np.asarray(data.draw(st.lists(st.lists(values, min_size=length, max_size=length),
+                                           min_size=rows, max_size=rows)))
+        lo, hi = np.triu_indices(length)
+        flat_lo = (np.arange(rows)[:, np.newaxis] * length + lo).ravel()
+        flat_hi = (np.arange(rows)[:, np.newaxis] * length + hi).ravel()
+        lower, upper = range_extrema(range_extrema_table(ys), flat_lo, flat_hi)
+        expected = [(y[a: b + 1].min(), y[a: b + 1].max()) for y in ys for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(lower, [e[0] for e in expected])
+        np.testing.assert_array_equal(upper, [e[1] for e in expected])
+
+    @given(inputs=banded_windows(), fraction=st.floats(0.0, 2.0))
+    @settings(max_examples=120, deadline=None)
+    def test_admissible_and_never_prune_a_match(self, inputs, fraction):
+        """Both bounds stay at or below the banded DTW on repaired random
+        bands (non-monotone ones and n != m included), and the band bound
+        is never below the global one.  A prune at bound > cutoff(threshold)
+        only drops a window whose distance exceeds the threshold; unlike
+        the row-wise forward bound, such a window's DP may still complete,
+        because the column terms do not bound any row's minimum."""
+        xs, y, bands = inputs
+        reverse_global = lb_yi_batch(y, xs.min(axis=1), xs.max(axis=1))
+        reverse_band = lb_reverse_band_envelope(xs, bands, y)
+        assert (reverse_band >= reverse_global).all()
+        assert (reverse_global >= 0.0).all()
+        for x, band, bounds in zip(xs, bands, zip(reverse_global, reverse_band)):
+            distance = banded_dtw(x, y, band, return_path=False).distance
+            for bound in bounds:
+                assert bound <= abandon_cutoff(distance)
+                for threshold in (fraction * distance, distance, fraction * bound):
+                    if bound > abandon_cutoff(threshold):
+                        assert distance > threshold
+
+    @given(inputs=banded_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_band_bound_charges_each_column_against_the_rows_that_reach_it(self, inputs):
+        """Per column, the bound reads the window's extrema over exactly the
+        rows from the first to the last whose window holds the column."""
+        xs, y, bands = inputs
+        expected = []
+        for x, band in zip(xs, bands):
+            total = 0.0
+            for j, value in enumerate(y):
+                rows = np.flatnonzero((band[:, 0] <= j) & (j <= band[:, 1]))
+                span = x[rows.min(): rows.max() + 1]
+                total += max(value - span.max(), 0.0) + max(span.min() - value, 0.0)
+            expected.append(total)
+        np.testing.assert_allclose(lb_reverse_band_envelope(xs, bands, y), expected,
+                                   rtol=1e-12, atol=1e-9)

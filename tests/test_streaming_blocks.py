@@ -6,7 +6,9 @@ per-tick offline scans report, the merged list must come back in (settle
 tick, registration order), and the work counters must not depend on how
 the stream was cut.  A block's adaptive bands, built together, must equal
 the per-window bands the offline scan builds, and a block's shared-band
-DPs, run together, must equal the per-window scan.
+DPs, run together, must equal the per-window scan.  Under every
+constraint family every window is counted once in the cascade, and
+pruning never changes a match.
 """
 
 from __future__ import annotations
@@ -328,3 +330,53 @@ class TestSharedBandBlocks:
                                         config=config, name=name)
         assert [key(m) for m in online] == [key(m) for m in offline]
         assert online
+
+
+class TestCascadeAccounting:
+    """Every evaluated window ends in exactly one cascade stage, and the
+    bounds (the pattern-side ones included) never change a match."""
+
+    FAMILIES = ["full", "itakura", "fc,fw", "ac,aw", "ac2,aw", "fc,aw", "ac,fw"]
+
+    def run(self, setup, constraint, prune, early_abandon, monkeypatch):
+        stream, config, kinds = setup
+        name, pattern, _, _, threshold = kinds[0]
+        subsequence = importlib.import_module("repro.streaming.subsequence")
+        batch = subsequence.banded_dtw_batch
+
+        def nonempty(xs, ys, bands, func, abandon):
+            # A block whose windows a bound pruned makes no DP call.
+            assert len(xs) > 0
+            return batch(xs, ys, bands, func, abandon)
+
+        monkeypatch.setattr(subsequence, "banded_dtw_batch", nonempty)
+        monitor = StreamMonitor(config, prune=prune, early_abandon=early_abandon)
+        monitor.add_stream("s", capacity=2 * M)
+        # The threshold is loosened so that windows near an occurrence
+        # reach every stage.
+        monitor.add_pattern(pattern, name=name, mode="sliding", constraint=constraint,
+                            threshold=1.5 * threshold)
+        matches = [key(m) for call in feed(monitor, stream, 40) for m in call]
+        return matches, monitor.stats(name)
+
+    @pytest.mark.parametrize("constraint", FAMILIES)
+    def test_counts_add_up_and_pruning_changes_no_match(self, setup, constraint,
+                                                         monkeypatch):
+        results = {
+            (prune, early_abandon): self.run(setup, constraint, prune, early_abandon,
+                                             monkeypatch)
+            for prune in (True, False) for early_abandon in (True, False)
+        }
+        reference, _ = results[(False, False)]
+        assert reference
+        for (prune, early_abandon), (matches, stats) in results.items():
+            assert stats.evaluated == (stats.pruned_lb_kim + stats.pruned_lb_keogh
+                                       + stats.dp_runs + stats.dp_abandoned)
+            assert matches == reference, (prune, early_abandon)
+            if not prune:
+                assert stats.pruned == 0
+            if not early_abandon:
+                assert stats.dp_abandoned == 0
+        pruned = results[(True, True)][1]
+        assert pruned.pruned_lb_keogh > 0
+        assert pruned.cells_filled < results[(False, True)][1].cells_filled

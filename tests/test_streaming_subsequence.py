@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DescriptorConfig, SDTWConfig
 from repro.dtw.full import dtw_distance
@@ -142,6 +143,107 @@ class TestSpringColumns:
         flushed = matcher.finalize()
         assert len(flushed) == 1
         assert flushed[0].end == stream.size - 1
+
+
+class TestSpringBlocks:
+    """``update_block`` is the per-tick update run over a block: whatever
+    the block size, the carried column, the matches and the stats must be
+    those of blocks of one tick."""
+
+    @pytest.fixture(scope="class")
+    def busy_stream(self, pattern):
+        # Occurrences every 20-40 ticks under a loose threshold: matches
+        # settle often, many of them inside a block.
+        rng = np.random.default_rng(23)
+        stream = rng.normal(0.0, 0.5, 420)
+        position = 6
+        while position + pattern.size < stream.size:
+            stream[position: position + pattern.size] = pattern + rng.normal(
+                0.0, 0.05, pattern.size)
+            position += int(rng.integers(20, 41))
+        return stream
+
+    @staticmethod
+    def state(matcher):
+        return matcher._d.tobytes(), matcher._s.tobytes()
+
+    @staticmethod
+    def key(tick, match):
+        return (tick, match.start, match.end, np.float64(match.distance).tobytes())
+
+    def test_blocks_of_every_size_equal_blocks_of_one(self, pattern, busy_stream):
+        from repro.streaming.offline import naive_spring_scan
+
+        threshold = 1.5
+        reference = SpringMatcher(pattern, threshold)
+        states, expected = [], []
+        for value in busy_stream:
+            expected += [self.key(tick, m) for tick, m in reference.update_block([value])]
+            states.append(self.state(reference))
+        expected_final = [self.key(-1, m) for m in reference.finalize()]
+        offline = naive_spring_scan(busy_stream, pattern, threshold)
+        online = expected + expected_final
+        assert [k[1:3] for k in online] == [(m.start, m.end) for m in offline]
+        assert [np.frombuffer(k[3])[0] for k in online] == pytest.approx(
+            [m.distance for m in offline], abs=1e-9)
+        assert len(offline) >= 8
+        settled_inside = 0
+        for size in range(1, 71):
+            matcher = SpringMatcher(pattern, threshold)
+            got = []
+            for begin in range(0, busy_stream.size, size):
+                block = busy_stream[begin: begin + size]
+                settled = matcher.update_block(block)
+                got += [self.key(tick, m) for tick, m in settled]
+                settled_inside += sum(tick < begin + block.size - 1 for tick, _ in settled)
+                assert self.state(matcher) == states[begin + block.size - 1], size
+            assert got == expected, size
+            assert [self.key(-1, m) for m in matcher.finalize()] == expected_final
+            assert matcher.stats == reference.stats, size
+            assert self.state(matcher) == self.state(reference)
+        # Matches settle (and invalidate the column) before a block's end.
+        assert settled_inside > 100
+
+    @given(
+        seed=st.integers(0, 2**16),
+        cuts=st.lists(st.integers(1, 90), min_size=1, max_size=12),
+        threshold=st.floats(0.5, 6.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_cuts_equal_per_tick_updates(self, pattern, seed, cuts, threshold):
+        rng = np.random.default_rng(seed)
+        stream = rng.normal(0.0, 0.6, 150)
+        for position in range(int(rng.integers(0, 20)), 138, 25):
+            stream[position: position + pattern.size] = pattern
+        per_tick = SpringMatcher(pattern, threshold)
+        expected = [m for value in stream for m in per_tick.update(value)]
+        blocks = SpringMatcher(pattern, threshold)
+        got, begin = [], 0
+        for size in cuts * 20:
+            if begin >= stream.size:
+                break
+            got += [m for _, m in blocks.update_block(stream[begin: begin + size])]
+            begin += size
+        got += [m for _, m in blocks.update_block(stream[begin:])]
+        assert got == expected
+        assert self.state(blocks) == self.state(per_tick)
+        assert blocks.stats == per_tick.stats
+
+    def test_a_rejected_block_consumes_nothing(self, pattern):
+        from repro.exceptions import ValidationError
+
+        matcher = SpringMatcher(pattern, threshold=1.0)
+        matcher.update_block([0.1, 0.2])
+        before = self.state(matcher), matcher.stats.ticks
+        for bad in ([0.3, np.nan], [np.inf], [1e300, -np.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                matcher.update_block(bad)
+        with pytest.raises(ValidationError):
+            matcher.update_block([[0.3]])
+        assert (self.state(matcher), matcher.stats.ticks) == before
+        # Squares that overflow are still finite samples.
+        matcher.update_block([1e200, -1e200])
+        assert matcher.stats.ticks == 4
 
 
 class TestMatchSuppressor:
