@@ -18,6 +18,13 @@ interpolation within its corresponding interval pair; empty target
 intervals map every source point to the interval's single boundary point,
 and empty source intervals would leave gaps which the band validator
 bridges (the paper's gap-bridging rule).
+
+:func:`resolve_constraint` is the one place a constraint label becomes a
+family: it takes these labels, their aliases, a :class:`ConstraintSpec`,
+and the two global constraints ``full`` and ``itakura``.  The engine, the
+stream matchers, the offline scans and :class:`~repro.core.sdtw.SDTW`
+all read the family, the band of the shape-only families and the
+LB_Keogh envelope radius from what it returns.
 """
 
 from __future__ import annotations
@@ -28,7 +35,12 @@ from typing import Optional, Union
 import numpy as np
 
 from ..dtw.banded import transpose_band, union_bands, validate_band, validate_bands
-from ..dtw.constraints import sakoe_chiba_band_fraction
+from ..dtw.constraints import (
+    full_band,
+    itakura_band,
+    sakoe_chiba_band_fraction,
+    sakoe_chiba_envelope_radius,
+)
 from ..exceptions import ConfigurationError, ValidationError
 from .config import SDTWConfig
 from .intervals import IntervalPartition, PartitionStack, locate_stacked
@@ -87,18 +99,102 @@ _SPEC_ALIASES = {
 }
 
 
-def parse_constraint_spec(spec: Union[str, ConstraintSpec]) -> ConstraintSpec:
-    """Parse a constraint label (e.g. ``"ac,aw"``) into a :class:`ConstraintSpec`."""
-    if isinstance(spec, ConstraintSpec):
-        return spec
-    key = str(spec).strip().lower().replace(" ", "")
+@dataclass(frozen=True)
+class ResolvedConstraint:
+    """A constraint label resolved to its family (:func:`resolve_constraint`).
+
+    Attributes
+    ----------
+    label:
+        Canonical label: ``"full"``, ``"itakura"`` or an sDTW label such
+        as ``"fc,fw"`` or ``"ac2,aw"``.
+    spec:
+        The sDTW family, ``None`` for ``full`` and ``itakura``.
+    aligns:
+        Whether the family aligns salient features: an adaptive core or
+        width, so each pair of series gets its own band.
+    """
+
+    label: str
+    spec: Optional[ConstraintSpec]
+    aligns: bool
+
+    def band(
+        self,
+        n: int,
+        m: int,
+        config: SDTWConfig,
+        itakura_max_slope: float = 2.0,
+    ) -> Optional[np.ndarray]:
+        """The band of an ``n x m`` grid when it depends on the shape only.
+
+        ``full``, ``itakura`` and ``fc,fw`` (the Sakoe–Chiba band of
+        ``config.width_fraction``) have one; a family that aligns features
+        has none and gets ``None``.
+        """
+        if self.aligns:
+            return None
+        if self.label == "full":
+            return full_band(n, m)
+        if self.label == "itakura":
+            return itakura_band(n, m, itakura_max_slope)
+        return sakoe_chiba_band_fraction(n, m, config.width_fraction)
+
+    def envelope_radius(self, m: int, config: SDTWConfig) -> Optional[int]:
+        """LB_Keogh envelope radius admissible against :meth:`band`.
+
+        Only ``fc,fw`` has one (:func:`~repro.dtw.constraints.sakoe_chiba_envelope_radius`
+        over a length-*m* series); every other family gets ``None`` and is
+        bounded by the global envelope, which holds for the full DTW.
+        """
+        if self.label != "fc,fw":
+            return None
+        return sakoe_chiba_envelope_radius(m, config.width_fraction)
+
+
+def resolve_constraint(
+    constraint: Union[str, ConstraintSpec, ResolvedConstraint],
+) -> ResolvedConstraint:
+    """Resolve a constraint label, an alias or a :class:`ConstraintSpec`.
+
+    Labels are matched without case and spaces; ``"full"`` and
+    ``"itakura"`` are accepted beside the sDTW labels, and
+    ``"sakoe-chiba"`` is ``"fc,fw"``.  A :class:`ResolvedConstraint`
+    passes through.  Unknown labels raise
+    :class:`~repro.exceptions.ValidationError`.
+    """
+    if isinstance(constraint, ResolvedConstraint):
+        return constraint
+    if isinstance(constraint, ConstraintSpec):
+        return ResolvedConstraint(
+            constraint.label, constraint,
+            constraint.core == "adaptive" or constraint.width == "adaptive",
+        )
+    key = str(constraint).strip().lower().replace(" ", "")
     try:
-        return _SPEC_ALIASES[key]
-    except KeyError as exc:
-        known = ", ".join(sorted(set(_SPEC_ALIASES)))
+        return _RESOLVED[key]
+    except KeyError:
+        known = ", ".join(sorted(_RESOLVED))
         raise ValidationError(
-            f"unknown constraint spec {spec!r}; known specs: {known}"
-        ) from exc
+            f"unknown constraint {constraint!r}; known constraints: {known}"
+        ) from None
+
+
+_RESOLVED = {key: resolve_constraint(spec) for key, spec in _SPEC_ALIASES.items()}
+_RESOLVED["full"] = ResolvedConstraint("full", None, False)
+_RESOLVED["itakura"] = ResolvedConstraint("itakura", None, False)
+
+
+def parse_constraint_spec(spec: Union[str, ConstraintSpec]) -> ConstraintSpec:
+    """The sDTW family of a constraint label (e.g. ``"ac,aw"``).
+
+    Labels resolve through :func:`resolve_constraint`; ``full`` and
+    ``itakura`` are not sDTW families and are rejected.
+    """
+    parsed = resolve_constraint(spec).spec
+    if parsed is None:
+        raise ValidationError(f"{spec!r} is not an sDTW constraint family")
+    return parsed
 
 
 def _candidate_points_fixed_core(n: int, m: int) -> np.ndarray:
@@ -187,7 +283,10 @@ def build_constraint_band(
         Lengths of the two series (the band has ``n`` rows over ``m`` columns).
     spec:
         Constraint family: ``"fc,fw"``, ``"fc,aw"``, ``"ac,fw"``,
-        ``"ac,aw"``, ``"ac2,aw"`` or a :class:`ConstraintSpec`.
+        ``"ac,aw"``, ``"ac2,aw"``, a :class:`ConstraintSpec` or anything
+        else :func:`resolve_constraint` takes.  A shape-only family
+        (``fc,fw``, ``full``, ``itakura`` at its default slope) gets its
+        shape-only band.
     partition:
         Corresponding interval partition (required by the adaptive
         variants; when ``None`` or trivial those variants degrade to their
@@ -228,13 +327,14 @@ def build_constraint_bands(
     """
     if config is None:
         config = SDTWConfig()
-    parsed = parse_constraint_spec(spec)
+    resolved = resolve_constraint(spec)
     count = stack.counts.size
 
-    # Pure Sakoe-Chiba short-circuit.
-    if parsed.core == "fixed" and parsed.width == "fixed":
-        band = sakoe_chiba_band_fraction(n, m, config.width_fraction)
+    # A shape-only band is every partition's band.
+    if not resolved.aligns:
+        band = resolved.band(n, m, config)
         return np.repeat(band[None], count, axis=0)
+    parsed = resolved.spec
 
     have_partition = (stack.counts > 1)[:, None]
     some = bool(have_partition.any())

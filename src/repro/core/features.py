@@ -272,10 +272,9 @@ class KeypointStack:
     Construction runs steps 1 and 2 of Section 3.1.2 for every series:
     the scale space (:func:`~repro.core.scale_space.stack_scale_space`)
     and the keypoints (:func:`~repro.core.keypoints.stack_keypoints`).
-    :meth:`descriptors` runs step 3 for any subset of the keypoints, and
-    :meth:`feature_sets` assembles each series' features.  A caller that
-    already holds some descriptors (a stream extractor's cache) computes
-    only the others.
+    :meth:`descriptors` runs step 3 for every keypoint of the stack in one
+    pass, and :meth:`feature_sets` assembles each series' features from
+    them.
     """
 
     def __init__(self, rows: np.ndarray, config: SDTWConfig) -> None:
@@ -289,18 +288,15 @@ class KeypointStack:
             level.sigma: level.smoothed for level in levels if level.octave == 0
         }
 
-    def descriptors(self, selected: Optional[np.ndarray] = None) -> np.ndarray:
-        """Descriptors of the *selected* keypoints (all of them by default).
+    def descriptors(self) -> np.ndarray:
+        """Descriptors of every keypoint, in keypoint order.
 
         Each series is smoothed, and its gradient taken, once per distinct
-        σ of the selection, for the whole stack at once; the descriptors
-        then come from one :func:`~repro.core.descriptors.stack_descriptors`
-        pass.
+        keypoint σ, for the whole stack at once; the descriptors then come
+        from one :func:`~repro.core.descriptors.stack_descriptors` pass.
         """
         keypoints = self.keypoints
-        if selected is None:
-            selected = np.arange(len(keypoints))
-        sigmas = keypoints.sigmas[selected]
+        sigmas = keypoints.sigmas
         distinct = np.sort(np.asarray(list(set(sigmas.tolist())), dtype=float))
         gradients = [
             np.gradient(
@@ -312,20 +308,20 @@ class KeypointStack:
         ]
         count, n = self.rows.shape
         return stack_descriptors(
-            keypoints.positions[selected],
+            keypoints.positions,
             sigmas,
             np.concatenate(gradients) if gradients else np.zeros((0, n)),
-            np.searchsorted(distinct, sigmas) * count + keypoints.series[selected],
+            np.searchsorted(distinct, sigmas) * count + keypoints.series,
             self.config.descriptor,
         )
 
-    def feature_sets(self, descriptors: np.ndarray) -> List[FeatureSet]:
+    def feature_sets(self) -> List[FeatureSet]:
         """Each series' features, ordered by position then σ.
 
-        *descriptors* holds one row per keypoint, in keypoint order.
         Scopes are clipped to the series extent, and their mean amplitudes
         come from :func:`scope_means` over the whole stack.
         """
+        descriptors = self.descriptors()
         keypoints = self.keypoints
         count, n = self.rows.shape
         starts = np.maximum(0.0, keypoints.positions - keypoints.scope_radii)
@@ -349,10 +345,9 @@ def extract_feature_sets(
     Row ``r``'s set equals ``extract_salient_features(rows[r], config)``
     field for field and bit for bit.
     """
-    stack = KeypointStack(
+    return KeypointStack(
         np.asarray(rows, dtype=float), config if config is not None else SDTWConfig()
-    )
-    return stack.feature_sets(stack.descriptors())
+    ).feature_sets()
 
 
 def extract_salient_features(

@@ -27,7 +27,13 @@ from ..dtw.banded import BandedDTWResult, banded_dtw
 from ..dtw.constraints import full_band
 from ..dtw.full import dtw
 from ..dtw.path import WarpPath
-from .bands import ConstraintSpec, build_constraint_band, build_symmetric_band, parse_constraint_spec
+from .bands import (
+    ConstraintSpec,
+    ResolvedConstraint,
+    build_constraint_band,
+    build_symmetric_band,
+    resolve_constraint,
+)
 from .config import SDTWConfig
 from .consistency import ConsistentAlignment, prune_inconsistent_pairs
 from .features import SalientFeature, extract_salient_features
@@ -121,9 +127,6 @@ class SDTWResult:
         if self.total_cells == 0:
             return 0.0
         return 1.0 - self.cells_filled / self.total_cells
-
-
-_SALIENT_SPECS = ("fc,aw", "ac,fw", "ac,aw", "ac2,aw")
 
 
 class SDTW:
@@ -250,30 +253,33 @@ class SDTW:
         self,
         x: Union[Sequence[float], np.ndarray],
         y: Union[Sequence[float], np.ndarray],
-        constraint: Union[str, ConstraintSpec],
+        constraint: Union[str, ConstraintSpec, ResolvedConstraint],
         alignment: Optional[SDTWAlignment] = None,
     ) -> Tuple[np.ndarray, Optional[SDTWAlignment]]:
         """Build the constraint band for a pair of series.
 
         For the salient-feature constraints an alignment is computed (or
-        reused if supplied); the Sakoe–Chiba baseline needs none.
+        reused if supplied); the shape-only ones (the Sakoe–Chiba
+        baseline, ``full`` and ``itakura``) need none.
         """
         xs = as_series(x, "x")
         ys = as_series(y, "y")
-        spec = parse_constraint_spec(constraint)
-        needs_alignment = spec.core == "adaptive" or spec.width == "adaptive"
-        if needs_alignment and alignment is None:
+        resolved = resolve_constraint(constraint)
+        if not resolved.aligns:
+            return resolved.band(xs.size, ys.size, self.config), alignment
+        if alignment is None:
             alignment = self.align(xs, ys)
-        partition = alignment.partition if alignment is not None else None
-        band = build_constraint_band(xs.size, ys.size, spec, partition, self.config)
-        if self.config.symmetric_band and needs_alignment:
+        band = build_constraint_band(
+            xs.size, ys.size, resolved, alignment.partition, self.config
+        )
+        if self.config.symmetric_band:
             reverse_alignment = self.align(
                 ys, xs,
                 features_x=alignment.features_y,
                 features_y=alignment.features_x,
             )
             reverse_band = build_constraint_band(
-                ys.size, xs.size, spec, reverse_alignment.partition, self.config
+                ys.size, xs.size, resolved, reverse_alignment.partition, self.config
             )
             band = build_symmetric_band(band, reverse_band, xs.size, ys.size)
         return band, alignment
@@ -285,7 +291,7 @@ class SDTW:
         self,
         x: Union[Sequence[float], np.ndarray],
         y: Union[Sequence[float], np.ndarray],
-        constraint: Union[str, ConstraintSpec] = "ac,aw",
+        constraint: Union[str, ConstraintSpec, ResolvedConstraint] = "ac,aw",
         *,
         return_path: bool = False,
         abandon_threshold: Optional[float] = None,
@@ -299,7 +305,9 @@ class SDTW:
             The two time series.
         constraint:
             ``"full"`` for the exact DTW, or one of ``"fc,fw"``,
-            ``"fc,aw"``, ``"ac,fw"``, ``"ac,aw"``, ``"ac2,aw"``.
+            ``"fc,aw"``, ``"ac,fw"``, ``"ac,aw"``, ``"ac2,aw"``,
+            ``"itakura"`` (slope 2), or anything else
+            :func:`~repro.core.bands.resolve_constraint` takes.
         return_path:
             Whether to also backtrack the warp path.
         abandon_threshold:
@@ -319,8 +327,9 @@ class SDTW:
         xs = as_series(x, "x")
         ys = as_series(y, "y")
         total_cells = xs.size * ys.size
+        resolved = resolve_constraint(constraint)
 
-        if isinstance(constraint, str) and constraint.strip().lower() == "full":
+        if resolved.label == "full":
             start = time.perf_counter()
             if abandon_threshold is not None:
                 # The full grid expressed as a band: identical DP, but the
@@ -351,12 +360,9 @@ class SDTW:
                 dp_seconds=dp_seconds,
             )
 
-        spec = parse_constraint_spec(constraint)
-        needs_alignment = spec.core == "adaptive" or spec.width == "adaptive"
-
         extract_seconds = 0.0
         alignment: Optional[SDTWAlignment] = None
-        if needs_alignment:
+        if resolved.aligns:
             ex = 0.0
             if features_x is None:
                 features_x, ex = self.extract_features(xs)
@@ -366,7 +372,7 @@ class SDTW:
                 xs, ys, features_x=features_x, features_y=features_y
             )
 
-        band, alignment = self.build_band(xs, ys, spec, alignment)
+        band, alignment = self.build_band(xs, ys, resolved, alignment)
         start = time.perf_counter()
         banded: BandedDTWResult = banded_dtw(
             xs, ys, band, self.config.pointwise_distance, return_path=return_path,
@@ -375,7 +381,7 @@ class SDTW:
         dp_seconds = time.perf_counter() - start
         return SDTWResult(
             distance=banded.distance,
-            constraint=spec.label,
+            constraint=resolved.label,
             path=banded.path,
             cells_filled=banded.cells_filled,
             total_cells=total_cells,

@@ -46,7 +46,7 @@ def sakoe_chiba_band(n: int, m: int, radius: Union[int, float]) -> np.ndarray:
     n = check_int_at_least(n, 1, "n")
     m = check_int_at_least(m, 1, "m")
     if isinstance(radius, float) and 0 < radius <= 1:
-        half = max(1, int(round(radius * m / 2.0)))
+        half = _half_width(m, radius)
     else:
         half = int(radius)
         if half < 0:
@@ -73,8 +73,24 @@ def sakoe_chiba_band_fraction(n: int, m: int, width_fraction: float) -> np.ndarr
     width_fraction = check_positive(width_fraction, "width_fraction")
     if width_fraction > 1:
         raise ValidationError("width_fraction must be <= 1")
-    half = max(1, int(round(width_fraction * m / 2.0)))
-    return sakoe_chiba_band(n, m, half)
+    return sakoe_chiba_band(n, m, _half_width(m, width_fraction))
+
+
+def sakoe_chiba_envelope_radius(m: int, width_fraction: float) -> int:
+    """LB_Keogh envelope radius paired with :func:`sakoe_chiba_band_fraction`.
+
+    One more sample than the band's half-width, so the floor/ceil rounding
+    of the band's rows can never put a band cell outside the envelope:
+    LB_Keogh over a length-``m`` series' envelope of this radius
+    lower-bounds the DTW under ``sakoe_chiba_band_fraction(m, m,
+    width_fraction)``.
+    """
+    return _half_width(m, width_fraction) + 1
+
+
+def _half_width(m: int, width_fraction: float) -> int:
+    """Half-width in cells of a band covering ``width_fraction`` of *m* columns."""
+    return max(1, int(round(width_fraction * m / 2.0)))
 
 
 def itakura_band(n: int, m: int, max_slope: float = 2.0) -> np.ndarray:

@@ -26,6 +26,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import as_series, check_int_at_least
 
+# Pointwise distances the bounds of this module are derived for.
+BOUNDABLE_DISTANCES = ("absolute", "manhattan")
+
+
+def bounds_hold_for(distance) -> bool:
+    """True when the bounds here lower-bound DTW under the pointwise *distance*.
+
+    They are derived for the absolute difference, named ``"absolute"`` or
+    ``"manhattan"``; any other distance, or a callable, gets no bound.
+    """
+    return isinstance(distance, str) and distance.strip().lower() in BOUNDABLE_DISTANCES
+
 
 def kim_profile(x: Union[Sequence[float], np.ndarray]) -> np.ndarray:
     """The LB_Kim feature quadruple ``[first, last, min, max]`` of a series.

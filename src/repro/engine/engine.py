@@ -36,15 +36,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import as_series, check_int_at_least
-from ..core.bands import parse_constraint_spec
+from ..core.bands import resolve_constraint
 from ..core.config import SDTWConfig
 from ..core.features import FeatureSet, SalientFeature
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
 from ..dtw.banded import banded_dtw, banded_dtw_batch
-from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import get_pointwise_distance
 from ..dtw.lower_bounds import (
+    bounds_hold_for,
     keogh_envelope,
     kim_profile,
     lb_keogh,
@@ -56,32 +56,16 @@ from ..exceptions import DatasetError, ValidationError
 from .backends import default_num_workers, resolve_backend, run_parallel
 from .stats import EngineStats
 
-# Constraint families whose band depends only on the pair of lengths, so a
-# single validated band can drive the batch DP kernel for every candidate.
-_SHARED_BAND_CONSTRAINTS = ("full", "fc,fw", "itakura")
-
-# Pointwise distances the LB_Kim / LB_Keogh derivations hold for.
-_BOUNDABLE_DISTANCES = ("absolute", "manhattan")
-
 
 def normalize_constraint(constraint: Union[str, object]) -> str:
     """Canonical engine constraint label.
 
     Accepts ``"full"``, ``"itakura"``, any sDTW constraint label or
     :class:`~repro.core.bands.ConstraintSpec`, and the usual aliases
-    (``"sakoe-chiba"`` maps to ``"fc,fw"``).
+    (``"sakoe-chiba"`` maps to ``"fc,fw"``); see
+    :func:`~repro.core.bands.resolve_constraint`.
     """
-    if isinstance(constraint, str):
-        key = constraint.strip().lower().replace(" ", "")
-        if key == "full":
-            return "full"
-        if key == "itakura":
-            return "itakura"
-    try:
-        return parse_constraint_spec(constraint).label
-    except ValidationError as exc:
-        raise ValidationError(f"{exc}; the engine additionally accepts "
-                              f"'full' and 'itakura'") from exc
+    return resolve_constraint(constraint).label
 
 
 def _global_keogh_one(x: np.ndarray, y_min: float, y_max: float) -> float:
@@ -326,10 +310,13 @@ class DistanceEngine:
         Worker processes for the multiprocessing backend (default: CPU
         count).
     prune:
-        Master switch for the lower-bound stages; ``False`` scans every
-        candidate (early abandonment stays on unless also disabled).
-    use_lb_kim, use_lb_keogh, early_abandon:
-        Individual cascade-stage switches.
+        Whether the lower-bound stages (LB_Kim, then LB_Keogh) run.  They
+        hold for the absolute-difference pointwise distance only, so under
+        any other distance the engine refines every candidate.  Pruning is
+        exact: it changes the work, never the answer.
+    early_abandon:
+        Whether a refinement stops once a whole DP row exceeds the running
+        k-th best distance.
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     batch_size:
@@ -346,18 +333,16 @@ class DistanceEngine:
         backend: str = "serial",
         num_workers: Optional[int] = None,
         prune: bool = True,
-        use_lb_kim: bool = True,
-        use_lb_keogh: bool = True,
         early_abandon: bool = True,
         itakura_max_slope: float = 2.0,
         batch_size: int = 32,
     ) -> None:
-        self.constraint = normalize_constraint(constraint)
+        self._resolved = resolve_constraint(constraint)
+        self.constraint = self._resolved.label
         self.config = config if config is not None else SDTWConfig()
         self.backend = resolve_backend(backend)
         self.num_workers = num_workers
-        self.use_lb_kim = bool(prune and use_lb_kim)
-        self.use_lb_keogh = bool(prune and use_lb_keogh)
+        self.prune = bool(prune) and bounds_hold_for(self.config.pointwise_distance)
         self.early_abandon = bool(early_abandon)
         if itakura_max_slope <= 1.0:
             raise ValidationError("itakura_max_slope must be greater than 1")
@@ -370,11 +355,6 @@ class DistanceEngine:
         # Derived engines mark removals here instead of re-packing the
         # collection, so old snapshots keep serving their slots untouched.
         self._alive: Optional[np.ndarray] = None
-        distance_name = self.config.pointwise_distance
-        self._bounds_admissible = (
-            isinstance(distance_name, str)
-            and distance_name.strip().lower() in _BOUNDABLE_DISTANCES
-        )
 
     # ------------------------------------------------------------------ #
     # Collection management
@@ -490,13 +470,6 @@ class DistanceEngine:
     # ------------------------------------------------------------------ #
     # Preparation (amortised one-time work, Section 3.4 of the paper)
     # ------------------------------------------------------------------ #
-    @property
-    def _needs_alignment(self) -> bool:
-        if self.constraint in ("full", "itakura"):
-            return False
-        spec = parse_constraint_spec(self.constraint)
-        return spec.core == "adaptive" or spec.width == "adaptive"
-
     def prepare(self) -> None:
         """Build the per-collection caches (profiles, envelopes, features).
 
@@ -513,7 +486,10 @@ class DistanceEngine:
         indices_of: Dict[str, Tuple[int, ...]] = {}
         for i, stored in enumerate(self._stored):
             indices_of[stored.identifier] = indices_of.get(stored.identifier, ()) + (i,)
-        tight_radius = self._tight_radius(int(lengths[0])) if equal_length else None
+        tight_radius = (
+            self._resolved.envelope_radius(int(lengths[0]), self.config)
+            if equal_length else None
+        )
         segment = self._build_segment(
             [s.values for s in self._stored],
             equal_length=equal_length,
@@ -530,19 +506,11 @@ class DistanceEngine:
             tight_radius=tight_radius if segment.tight_upper is not None else None,
             indices_of=indices_of,
         )
-        if self._needs_alignment:
+        if self._resolved.aligns:
             # Salient features are a one-time, per-series cost; extracting
             # them here lets multiprocessing workers inherit a warm cache.
             for stored in self._stored:
                 self._sdtw.extract_features(stored.values)
-
-    def _tight_radius(self, length: int) -> Optional[int]:
-        """The tight LB_Keogh envelope radius, when the family supports it."""
-        if self.constraint != "fc,fw":
-            return None
-        # One more sample than the band's half-width, so floor/ceil
-        # rounding in the band builder can never break admissibility.
-        return max(1, int(round(self.config.width_fraction * length / 2.0))) + 1
 
     def _build_segment(
         self,
@@ -620,8 +588,7 @@ class DistanceEngine:
             self.config,
             backend=self.backend,
             num_workers=self.num_workers,
-            use_lb_kim=self.use_lb_kim,
-            use_lb_keogh=self.use_lb_keogh,
+            prune=self.prune,
             early_abandon=self.early_abandon,
             itakura_max_slope=self.itakura_max_slope,
             batch_size=self.batch_size,
@@ -692,24 +659,14 @@ class DistanceEngine:
             ),
             indices_of=indices_of,
         )
-        if self._needs_alignment:
+        if self._resolved.aligns:
             for item in new_stored:
                 self._sdtw.extract_features(item.values)
         return derived
 
     # ------------------------------------------------------------------ #
-    # Constraint plumbing
+    # Refinement
     # ------------------------------------------------------------------ #
-    def _shared_band(self, n: int, m: int) -> Optional[np.ndarray]:
-        """The constraint band when it depends only on the grid shape."""
-        if self.constraint == "full":
-            return full_band(n, m)
-        if self.constraint == "fc,fw":
-            return sakoe_chiba_band_fraction(n, m, self.config.width_fraction)
-        if self.constraint == "itakura":
-            return itakura_band(n, m, self.itakura_max_slope)
-        return None
-
     def _refine(
         self,
         query: np.ndarray,
@@ -724,7 +681,9 @@ class DistanceEngine:
         from *query_features* (see :meth:`_query_features`).
         """
         if band is None:
-            band = self._shared_band(query.size, stored.values.size)
+            band = self._resolved.band(
+                query.size, stored.values.size, self.config, self.itakura_max_slope
+            )
         if band is not None:
             start = time.perf_counter()
             result = banded_dtw(
@@ -735,7 +694,7 @@ class DistanceEngine:
             return (result.distance, result.cells_filled, result.abandoned,
                     0.0, 0.0, dp_seconds)
         result = self._sdtw.distance(
-            query, stored.values, self.constraint, abandon_threshold=threshold,
+            query, stored.values, self._resolved, abandon_threshold=threshold,
             features_x=query_features,
         )
         return (result.distance, result.cells_filled, result.abandoned,
@@ -757,7 +716,7 @@ class DistanceEngine:
         (:class:`~repro.core.features.FeatureSet`), not once per refined
         candidate.
         """
-        if features is None and self._needs_alignment:
+        if features is None and self._resolved.aligns:
             features, seconds = self._sdtw.query_features(query)
             stats.extract_seconds += seconds
         return None if features is None else FeatureSet.of(features)
@@ -850,9 +809,7 @@ class DistanceEngine:
         stats.candidates = int(include.size)
         stats.total_cells = int(n * prep.lengths[include].sum())
 
-        use_kim = self.use_lb_kim and self._bounds_admissible
-        use_keogh = self.use_lb_keogh and self._bounds_admissible
-        lazy_keogh = mode == "serial" and use_kim and use_keogh
+        lazy_keogh = mode == "serial" and self.prune
 
         # With a candidate restriction the bounds are only computed over
         # the included subset (scattered back into full-size vectors so
@@ -862,7 +819,7 @@ class DistanceEngine:
         bound_start = time.perf_counter()
         kim_all: Optional[np.ndarray] = None
         keogh_all: Optional[np.ndarray] = None
-        if use_kim:
+        if self.prune:
             if restricted:
                 kim_all = np.zeros(len(self._stored))
                 if include.size:
@@ -872,7 +829,7 @@ class DistanceEngine:
             else:
                 kim_all = lb_kim_batch(kim_profile(query), prep.profiles)
             stats.lb_kim_computed = int(include.size)
-        if use_keogh and not lazy_keogh:
+        if self.prune and not lazy_keogh:
             if restricted:
                 keogh_all = np.zeros(len(self._stored))
                 if include.size:
@@ -886,12 +843,10 @@ class DistanceEngine:
             else:
                 keogh_all = self._keogh_bounds_batch(query)
             stats.lb_keogh_computed = int(include.size)
-        if kim_all is not None and keogh_all is not None:
+        if keogh_all is not None:
             bound_all = np.maximum(kim_all, keogh_all)
         elif kim_all is not None:
             bound_all = kim_all
-        elif keogh_all is not None:
-            bound_all = keogh_all
         else:
             bound_all = np.zeros(len(self._stored))
         stats.bound_seconds += time.perf_counter() - bound_start
@@ -920,7 +875,10 @@ class DistanceEngine:
             if len(kept) == k:
                 worst = kept[-1][0]
 
-        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
+        band = (
+            self._resolved.band(n, int(prep.lengths[0]), self.config, self.itakura_max_slope)
+            if prep.equal_length else None
+        )
         use_batch_dp = mode == "vectorized" and band is not None
 
         position = 0
@@ -1005,7 +963,10 @@ class DistanceEngine:
         n = query.size
         stats.total_cells = int(n * prep.lengths.sum())
         row = np.empty(count)
-        band = self._shared_band(n, int(prep.lengths[0])) if prep.equal_length else None
+        band = (
+            self._resolved.band(n, int(prep.lengths[0]), self.config, self.itakura_max_slope)
+            if prep.equal_length else None
+        )
         if mode == "vectorized" and band is not None:
             dp_start = time.perf_counter()
             parts = []

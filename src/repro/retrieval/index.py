@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.bands import ResolvedConstraint, resolve_constraint
 from ..core.sdtw import SDTW, SDTWResult
 from ..dtw.full import dtw
 from ..exceptions import ValidationError
@@ -88,11 +89,11 @@ _PairRecord = Tuple[int, int, float, float, float, float, int, int]
 
 
 def _compute_pair(
-    engine: SDTW, constraint: str, is_full: bool, symmetrize: bool,
+    engine: SDTW, constraint: ResolvedConstraint, symmetrize: bool,
     xa: np.ndarray, xb: np.ndarray, a: int, b: int,
 ) -> _PairRecord:
     grid = xa.size * xb.size
-    if is_full:
+    if constraint.label == "full":
         start = time.perf_counter()
         result = dtw(xa, xb, engine.config.pointwise_distance, return_path=False)
         elapsed = time.perf_counter() - start
@@ -154,15 +155,14 @@ def compute_distance_index(
     if engine is None:
         engine = SDTW()
 
-    is_full = constraint.strip().lower() == "full"
+    resolved = resolve_constraint(constraint)
     pair_list = [(a, b) for a in range(count) for b in range(a + 1, count)]
     total_pairs = len(pair_list)
 
     records: List[_PairRecord] = []
     for done, (a, b) in enumerate(pair_list, start=1):
         records.append(
-            _compute_pair(engine, constraint, is_full, symmetrize,
-                          arrays[a], arrays[b], a, b)
+            _compute_pair(engine, resolved, symmetrize, arrays[a], arrays[b], a, b)
         )
         if progress is not None:
             progress(done, total_pairs)
@@ -182,7 +182,7 @@ def compute_distance_index(
         total_cells += grid
 
     return PairwiseDistanceMatrix(
-        constraint="full" if is_full else constraint,
+        constraint="full" if resolved.label == "full" else constraint,
         distances=distances,
         matching_seconds=matching_seconds,
         dp_seconds=dp_seconds,

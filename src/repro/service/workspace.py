@@ -1273,7 +1273,7 @@ class Workspace:
         """
         label_of = dict(zip(self._identifiers, self._labels))
         base_engine = previous.engine
-        if base_engine._needs_alignment:
+        if base_engine._resolved.aligns:
             # Seed the shared salient-feature cache for the new series
             # from the store before the engine derivation would extract
             # them from scratch.
@@ -1395,7 +1395,7 @@ class Workspace:
         # adaptive constraints never re-extract stored series; the
         # store's features are materialised first (one-time, kept across
         # snapshot rebuilds).  Fixed-band constraints never read them.
-        if engine._needs_alignment:
+        if engine._resolved.aligns:
             self._ensure_all_features()
         self._store.warm_engine(engine._sdtw)
         if len(engine):

@@ -3,7 +3,7 @@
 Section 3.4 of the paper argues that salient-feature extraction (task (a))
 is a one-time, amortisable cost per stored series.  In the streaming
 setting there is no "one time": the trailing window changes every tick.
-:class:`IncrementalExtractor` bounds the cost three ways:
+:class:`IncrementalExtractor` bounds the cost two ways:
 
 * **Hop-based refresh.**  Features are extracted once per ``hop`` ticks
   rather than per tick; between refreshes the feature snapshot (kept in
@@ -11,28 +11,21 @@ setting there is no "one time": the trailing window changes every tick.
 * **Block refresh.**  A block of ticks
   (:meth:`IncrementalExtractor.observe_block`) extracts all its due
   windows in one pass over their stack
-  (:class:`repro.core.features.KeypointStack`): one convolution per σ
-  per octave, one extrema test per DoG level, one descriptor pass and one
-  row reduction per distinct scope length, for all the windows at once.
-* **Descriptor caching.**  A descriptor only depends on samples within a
-  bounded support around its keypoint: the descriptor window radius, plus
-  one sample for the centred gradient, plus the smoothing kernel radius
-  on each side.  Keypoints whose support lies in the window interior keep
-  their descriptor across refreshes (keyed by absolute position and
-  scale), so the per-refresh descriptor cost is proportional to feature
-  churn at the window edges, not to the feature count.  The support is
-  smallest at the smallest keypoint σ, so a window shorter than twice
-  that support plus one sample has no interior keypoint and can never
-  reuse a descriptor (under the default descriptor configuration, σ = 1:
-  37 samples a side, so windows under 75 samples); such an extractor
-  decides this once and keeps no cache.
+  (:func:`repro.core.features.extract_feature_sets`): one convolution per
+  σ per octave, one extrema test per DoG level, one descriptor pass and
+  one row reduction per distinct scope length, for all the windows at
+  once.
 
-Every refresh builds its window's scale space from scratch.  Carrying the
-interior of each smoothed array across refreshes and re-convolving only
-the window edges gave the same arrays but cost more than the rebuild at
-every window length measured (per refresh, on a 2-vCPU Intel Xeon: 67 vs
-40 us at 64 samples, 78 vs 63 us at 128, 185 vs 107 us at 256, 422 vs
-215 us at 1024), so it is gone.
+Nothing is carried from one refresh to the next.  Carrying the interior
+of each smoothed array across refreshes gave the same arrays but cost
+more than the rebuild at every window length measured (per refresh, on a
+2-vCPU Intel Xeon: 67 vs 40 us at 64 samples, 78 vs 63 us at 128, 185 vs
+107 us at 256, 422 vs 215 us at 1024).  Caching the descriptors of
+interior keypoints by absolute position and σ gave the same descriptors
+but cost more than computing every descriptor in the stacked pass
+(``observe_block`` over 32-sample blocks, median of 10: 481 vs 422 ms at
+128 samples, 797 vs 648 ms at 256, level at 512; it never engaged under
+75 samples).  Both are gone.
 
 Every snapshot equals ``extract_salient_features(window, config)`` for
 its window, field for field and bit for bit.
@@ -41,18 +34,16 @@ its window, field for field and bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import check_int_at_least
 from ..core.config import SDTWConfig
-from ..core.descriptors import descriptor_window_radius
-from ..core.features import FeatureSet, KeypointStack, SalientFeature
+from ..core.features import FeatureSet, SalientFeature, extract_feature_sets
 from ..core.scale_space import octave_count
 from ..exceptions import ValidationError
-from ..utils.preprocessing import kernel_radius
 from .buffer import StreamBuffer
 
 
@@ -60,16 +51,10 @@ from .buffer import StreamBuffer
 class ExtractorStats:
     """Work accounting for one :class:`IncrementalExtractor`.
 
-    ``refreshes`` counts extracted windows and ``full_refreshes`` those
-    with no earlier snapshot to reuse descriptors from.
-    ``descriptors_reused`` / ``descriptors_computed`` count descriptors
-    served from the cache versus computed.
+    ``refreshes`` counts extracted windows.
     """
 
     refreshes: int = 0
-    full_refreshes: int = 0
-    descriptors_reused: int = 0
-    descriptors_computed: int = 0
 
     @property
     def reuse_fraction(self) -> float:
@@ -83,7 +68,10 @@ class ExtractorStats:
 
 
 class IncrementalExtractor:
-    """Maintain the salient features of a sliding window incrementally.
+    """Maintain the salient features of a sliding window, refreshed every hop.
+
+    Each refresh extracts its window from scratch; a block's due windows
+    share one stacked extraction pass (:meth:`observe_block`).
 
     Parameters
     ----------
@@ -95,12 +83,10 @@ class IncrementalExtractor:
         Refresh cadence in ticks: features are re-extracted whenever the
         window start advanced by at least this many samples since the last
         refresh.  Defaults to ``max(stride, window_length // 8)`` rounded
-        to a multiple of the coarsest octave stride, so every octave's
-        keypoints fall on the same absolute sample grid from one refresh
-        to the next and interior descriptors stay reusable; other hops
-        work too, with fewer descriptor reuses.
-    reuse_descriptors:
-        Whether interior descriptors are carried across refreshes.
+        down to a multiple of the coarsest octave stride (``stride``), and
+        at least ``stride``.  The hop decides which windows are extracted,
+        and so the adaptive bands built from them and the matches; any hop
+        gives snapshots exact for their windows.
 
     Notes
     -----
@@ -117,16 +103,10 @@ class IncrementalExtractor:
         config: Optional[SDTWConfig] = None,
         *,
         hop: Optional[int] = None,
-        reuse_descriptors: bool = True,
     ) -> None:
         self.config = config if config is not None else SDTWConfig()
         self.window_length = check_int_at_least(window_length, 4, "window_length")
-        self.reuse_descriptors = bool(reuse_descriptors)
         scale_space = self.config.scale_space
-        # The support grows with σ, and the smallest keypoint σ is the base σ.
-        self._caching = self.reuse_descriptors and (
-            2 * self._support(scale_space.base_sigma) <= self.window_length - 1
-        )
         self.stride = 2 ** (octave_count(self.window_length, scale_space) - 1)
         if hop is None:
             hop = max(self.stride, self.window_length // 8)
@@ -135,7 +115,6 @@ class IncrementalExtractor:
         self.hop = check_int_at_least(hop, 1, "hop")
         # Mutable refresh state.
         self._snapshot_start: Optional[int] = None
-        self._descriptor_cache: Dict[Tuple[float, float], np.ndarray] = {}
         self._features = FeatureSet(())
         self.stats = ExtractorStats()
 
@@ -231,85 +210,11 @@ class IncrementalExtractor:
     def _refresh(self, windows: np.ndarray, starts: List[int]) -> List[FeatureSet]:
         """Extract the ``(count, m)`` *windows*, whose absolute starts
         *starts* ascend, in one pass; the last becomes the snapshot."""
-        stack = KeypointStack(windows, self.config)
+        sets = extract_feature_sets(windows, self.config)
         self.stats.refreshes += len(starts)
-        previous = self._snapshot_start
-        if previous is None or starts[0] <= previous:
-            self.stats.full_refreshes += 1
-        if self._caching:
-            descriptors = self._cached_descriptors(stack, starts, previous)
-        else:
-            descriptors = stack.descriptors()
-            self.stats.descriptors_computed += len(stack.keypoints)
-        sets = stack.feature_sets(descriptors)
         self._snapshot_start = starts[-1]
         self._features = sets[-1]
         return sets
-
-    # ------------------------------------------------------------------ #
-    # Descriptor cache (Step 3)
-    # ------------------------------------------------------------------ #
-    def _support(self, sigma: float) -> int:
-        """Samples a descriptor at scale *sigma* reads on each side.
-
-        The support spans the descriptor window plus one sample for the
-        centred gradient plus the smoothing kernel radius.
-        """
-        return (
-            descriptor_window_radius(sigma, self.config.descriptor)
-            + 1 + kernel_radius(sigma)
-        )
-
-    def _cached_descriptors(
-        self, stack: KeypointStack, starts: List[int], previous: Optional[int]
-    ) -> np.ndarray:
-        """The stack's descriptors, window after window through the cache.
-
-        A window reuses the descriptors the refresh before it cached (the
-        previous window of the block, or the last snapshot for the first
-        one, when it precedes the window).  Only descriptors whose whole
-        support lies inside their window are cached: anything else depends
-        on where the window starts.  Which keypoints hit is known from the
-        keys alone, so every miss of the block is computed in one pass
-        before the hits are copied in.
-        """
-        keypoints = stack.keypoints
-        positions = keypoints.positions.tolist()
-        sigmas = keypoints.sigmas.tolist()
-        margins = {sigma: self._support(sigma) for sigma in set(sigmas)}
-        last = self.window_length - 1
-        bounds = np.searchsorted(keypoints.series, np.arange(len(starts) + 1)).tolist()
-        windows = []
-        hits = np.zeros(len(keypoints), dtype=bool)
-        cached = set(self._descriptor_cache)
-        for window, start in enumerate(starts):
-            rows = range(bounds[window], bounds[window + 1])
-            keys = [(round(positions[k] + start, 6), round(sigmas[k], 6)) for k in rows]
-            interior = [
-                positions[k] - margins[sigmas[k]] >= 0
-                and positions[k] + margins[sigmas[k]] <= last
-                for k in rows
-            ]
-            if previous is not None and start > previous:
-                hits[list(rows)] = [ok and key in cached for key, ok in zip(keys, interior)]
-            cached = {key for key, ok in zip(keys, interior) if ok}
-            windows.append((rows, keys, interior))
-            previous = start
-        missing = np.flatnonzero(~hits)
-        descriptors = np.empty((len(keypoints), self.config.descriptor.num_cells * 2))
-        descriptors[missing] = stack.descriptors(missing)
-        cache = self._descriptor_cache
-        for rows, keys, interior in windows:
-            for k, key in zip(rows, keys):
-                if hits[k]:
-                    descriptors[k] = cache[key]
-            cache = {
-                key: descriptors[k] for k, key, ok in zip(rows, keys, interior) if ok
-            }
-        self._descriptor_cache = cache
-        self.stats.descriptors_reused += int(hits.sum())
-        self.stats.descriptors_computed += missing.size
-        return descriptors
 
     # ------------------------------------------------------------------ #
     # Snapshot access

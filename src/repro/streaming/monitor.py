@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import as_series
-from ..core.bands import parse_constraint_spec
+from ..core.bands import resolve_constraint
 from ..core.config import SDTWConfig
 from ..exceptions import ValidationError
 from .buffer import StreamBuffer
@@ -52,6 +52,22 @@ def _monitors(spec: dict, stream: str) -> bool:
     return spec["streams"] is None or stream in spec["streams"]
 
 
+def _placed(match: StreamMatch, stream: str, shift: int) -> StreamMatch:
+    """*match* on *stream*, moved *shift* samples into stream indices."""
+    return replace(match, stream=stream, start=match.start + shift,
+                   end=match.end + shift)
+
+
+def _origin(matcher, total: int) -> int:
+    """The stream index of *matcher*'s tick 0, for a stream of *total* samples.
+
+    A SPRING matcher counts ticks from the first sample it consumed, which
+    is the stream's sample ``total - ticks``; a sliding matcher counts in
+    stream indices.
+    """
+    return total - matcher.stats.ticks if isinstance(matcher, SpringMatcher) else 0
+
+
 class StreamMonitor:
     """Monitor unbounded streams for registered query patterns under sDTW.
 
@@ -62,10 +78,11 @@ class StreamMonitor:
         pointwise distance, scale-space/descriptor settings for adaptive
         constraints).
     prune:
-        Master switch for the lower-bound stages of sliding matchers
-        (LB_Kim, LB_Keogh and the pattern-side bounds); pruning is exact
-        (bounds are admissible), so disabling it only changes speed,
-        never which matches are reported.
+        Whether sliding matchers run their lower-bound stages (LB_Kim,
+        LB_Keogh and the pattern-side bounds), all together.  They hold
+        for the absolute-difference pointwise distance only, so under any
+        other they stay off.  Pruning is exact (the bounds are
+        admissible): it changes speed, never which matches are reported.
     early_abandon:
         Whether sliding matchers stop the DP as soon as a whole row
         exceeds the threshold.
@@ -99,8 +116,9 @@ class StreamMonitor:
         self.buffer_margin = int(buffer_margin)
         self._buffers: Dict[str, StreamBuffer] = {}
         self._patterns: Dict[str, dict] = {}
-        # (stream, pattern) -> matcher
-        self._matchers: Dict[Tuple[str, str], object] = {}
+        # stream -> pattern -> matcher, in registration order: extend()
+        # reads one stream's matchers without visiting the others.
+        self._matchers: Dict[str, Dict[str, object]] = {}
         # Adaptive-constraint matchers of the same window length on the
         # same stream share one incremental extractor, whose snapshots
         # extend() takes once per block for all of them, so feature
@@ -138,6 +156,7 @@ class StreamMonitor:
                     f"{spec['values'].size}"
                 )
         self._buffers[name] = buffer
+        self._matchers[name] = {}
         for pattern_name in self._patterns:
             self._attach(name, pattern_name)
         return name
@@ -170,7 +189,9 @@ class StreamMonitor:
         constraint:
             Constraint family for sliding mode (``"full"``, ``"fc,fw"``,
             ``"itakura"``, or any sDTW adaptive family such as
-            ``"ac,aw"``); ignored in spring mode.
+            ``"ac,aw"``), resolved here once
+            (:func:`~repro.core.bands.resolve_constraint`); ignored in
+            spring mode.
         streams:
             Streams to monitor (default: all current and future streams
             monitor every pattern).
@@ -198,7 +219,7 @@ class StreamMonitor:
             "values": array,
             "threshold": float(threshold),
             "mode": mode,
-            "constraint": constraint,
+            "constraint": resolve_constraint(constraint) if mode == "sliding" else None,
             "streams": tuple(streams) if streams is not None else None,
             "extractor_hop": extractor_hop,
         }
@@ -215,10 +236,8 @@ class StreamMonitor:
 
     def _attach(self, stream: str, pattern: str) -> None:
         spec = self._patterns[pattern]
-        if not _monitors(spec, stream):
-            return
-        key = (stream, pattern)
-        if key in self._matchers:
+        matchers = self._matchers[stream]
+        if not _monitors(spec, stream) or pattern in matchers:
             return
         if spec["mode"] == "spring":
             matcher = SpringMatcher(
@@ -229,22 +248,15 @@ class StreamMonitor:
             matcher = SlidingWindowMatcher(
                 spec["values"], spec["threshold"],
                 constraint=spec["constraint"], config=self.config, name=pattern,
-                use_lb_kim=self.prune, use_lb_keogh=self.prune,
-                early_abandon=self.early_abandon,
+                prune=self.prune, early_abandon=self.early_abandon,
                 extractor_hop=spec["extractor_hop"],
                 extractor=self._shared_extractor(stream, spec),
             )
-        self._matchers[key] = matcher
+        matchers[pattern] = matcher
 
     def _shared_extractor(self, stream: str, spec: dict) -> Optional[IncrementalExtractor]:
         """One extractor per (stream, window length, hop) for adaptive bands."""
-        constraint = spec["constraint"]
-        if isinstance(constraint, str) and constraint.strip().lower().replace(
-            " ", ""
-        ) in ("full", "itakura"):
-            return None
-        parsed = parse_constraint_spec(constraint)
-        if parsed.core != "adaptive" and parsed.width != "adaptive":
+        if not spec["constraint"].aligns:
             return None
         key = (stream, int(spec["values"].size), spec["extractor_hop"])
         if key not in self._extractors:
@@ -266,15 +278,14 @@ class StreamMonitor:
                 f"unknown pattern {name!r}; registered: {known}"
             )
         del self._patterns[name]
-        for key in [k for k in self._matchers if k[1] == name]:
-            del self._matchers[key]
+        for matchers in self._matchers.values():
+            matchers.pop(name, None)
 
     def remove_stream(self, name: str) -> None:
         """Unregister a stream, dropping its buffer, matchers and extractors."""
         self._require_stream(name)
         del self._buffers[name]
-        for key in [k for k in self._matchers if k[0] == name]:
-            del self._matchers[key]
+        del self._matchers[name]
         for key in [k for k in self._extractors if k[0] == name]:
             del self._extractors[key]
 
@@ -305,7 +316,9 @@ class StreamMonitor:
         matcher scores the whole block (a SPRING matcher in one
         :meth:`~repro.streaming.subsequence.SpringMatcher.update_block`
         call); the matches come back ordered by the tick at which they
-        settled, then by matcher registration.
+        settled, then by matcher registration.  Every match, SPRING's
+        included, is in absolute stream indices, however late its pattern
+        was registered.
         """
         buffer = self._require_stream(stream)
         chunk = np.asarray(values, dtype=float)
@@ -315,26 +328,21 @@ class StreamMonitor:
             )
         if not np.isfinite(chunk).all():
             raise ValidationError("stream chunk contains NaN or Inf values")
-        matchers = [
-            (order, matcher)
-            for order, ((stream_name, _), matcher) in enumerate(self._matchers.items())
-            if stream_name == stream
-        ]
+        matchers = self._matchers[stream].values()
         # add_stream and add_pattern keep every pattern within the capacity.
-        longest = max((matcher.window_length for _, matcher in matchers), default=1)
+        longest = max((matcher.window_length for matcher in matchers), default=1)
         block = buffer.capacity - longest + 1
-        settled: List[Tuple[int, int, StreamMatch]] = []
+        settled: List[Tuple[int, int, StreamMatch, int]] = []
         for begin in range(0, chunk.size, block):
             part = chunk[begin: begin + block]
             first = buffer.total
             buffer.extend(part)
             snapshots: Dict[IncrementalExtractor, list] = {}
-            for order, matcher in matchers:
+            for order, matcher in enumerate(matchers):
                 if isinstance(matcher, SpringMatcher):
-                    # SPRING counts ticks from the first sample it consumed.
-                    shift = first - matcher.stats.ticks
+                    shift = _origin(matcher, first)
                     settled.extend(
-                        (shift + tick, order, match)
+                        (shift + tick, order, match, shift)
                         for tick, match in matcher.update_block(part)
                     )
                     continue
@@ -345,23 +353,26 @@ class StreamMonitor:
                 if extractor is not None and extractor not in snapshots:
                     snapshots[extractor] = extractor.observe_block(buffer, part.size)
                 settled.extend(
-                    (tick, order, match)
+                    (tick, order, match, 0)
                     for tick, match in matcher.score_block(
                         buffer, part.size, snapshots.get(extractor)
                     )
                 )
         settled.sort(key=lambda item: item[:2])
-        return [replace(match, stream=stream) for _, _, match in settled]
+        return [_placed(match, stream, shift) for _, _, match, shift in settled]
 
     def finalize(self, stream: Optional[str] = None) -> List[StreamMatch]:
         """Flush pending candidates (end of stream / shutdown)."""
         matches: List[StreamMatch] = []
-        for (stream_name, _), matcher in self._matchers.items():
+        for stream_name, matchers in self._matchers.items():
             if stream is not None and stream_name != stream:
                 continue
-            matches.extend(
-                replace(m, stream=stream_name) for m in matcher.finalize()
-            )
+            total = self._buffers[stream_name].total
+            for matcher in matchers.values():
+                shift = _origin(matcher, total)
+                matches.extend(
+                    _placed(match, stream_name, shift) for match in matcher.finalize()
+                )
         return matches
 
     # ------------------------------------------------------------------ #
@@ -382,7 +393,7 @@ class StreamMonitor:
     def matcher(self, stream: str, pattern: str):
         """The matcher instance monitoring one (stream, pattern) pair."""
         try:
-            return self._matchers[(stream, pattern)]
+            return self._matchers[stream][pattern]
         except KeyError as exc:
             raise ValidationError(
                 f"pattern {pattern!r} is not monitoring stream {stream!r}"
@@ -391,10 +402,9 @@ class StreamMonitor:
     def stats(self, pattern: str, stream: Optional[str] = None) -> StreamStats:
         """Work accounting for one pattern (summed over streams by default)."""
         records = [
-            matcher.stats
-            for (stream_name, pattern_name), matcher in self._matchers.items()
-            if pattern_name == pattern
-            and (stream is None or stream_name == stream)
+            matchers[pattern].stats
+            for stream_name, matchers in self._matchers.items()
+            if pattern in matchers and (stream is None or stream_name == stream)
         ]
         if not records:
             raise ValidationError(

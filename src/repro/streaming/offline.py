@@ -22,11 +22,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import as_series
-from ..core.bands import parse_constraint_spec
+from ..core.bands import resolve_constraint
 from ..core.config import SDTWConfig
 from ..core.features import extract_salient_features
 from ..dtw.banded import banded_dtw
-from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
 from .subsequence import (
     MatchSuppressor,
@@ -116,33 +115,6 @@ def naive_spring_scan(
     return matches
 
 
-def resolve_shared_band(
-    constraint: str,
-    window_length: int,
-    pattern_length: int,
-    config: SDTWConfig,
-    itakura_max_slope: float = 2.0,
-):
-    """Resolve a constraint label to ``(spec, band)`` for streaming use.
-
-    ``band`` is the shape-only constraint band shared by every window
-    (``full`` / Sakoe–Chiba / Itakura) or ``None`` for the adaptive sDTW
-    families, whose band depends on per-window salient features; ``spec``
-    is ``None`` for the non-sDTW labels.
-    """
-    key = constraint.strip().lower().replace(" ", "")
-    if key == "full":
-        return None, full_band(window_length, pattern_length)
-    if key == "itakura":
-        return None, itakura_band(window_length, pattern_length, itakura_max_slope)
-    spec = parse_constraint_spec(constraint)
-    if spec.core == "adaptive" or spec.width == "adaptive":
-        return spec, None
-    return spec, sakoe_chiba_band_fraction(
-        window_length, pattern_length, config.width_fraction
-    )
-
-
 def calibrate_thresholds(
     values: Union[Sequence[float], np.ndarray],
     patterns: Sequence[np.ndarray],
@@ -168,6 +140,8 @@ def calibrate_thresholds(
     xs = as_series(values, "values")
     config = config if config is not None else SDTWConfig()
     engine = SDTW(config)
+    # Spring mode ignores the constraint, as the monitor does.
+    resolved = resolve_constraint(constraint) if mode != "spring" else None
     thresholds = {}
     for index, pattern in enumerate(patterns):
         ys = as_series(pattern, f"patterns[{index}]")
@@ -183,9 +157,7 @@ def calibrate_thresholds(
             m = ys.size
             start = min(occ.start, xs.size - m)
             window = xs[start: start + m]
-            spec, band = resolve_shared_band(
-                constraint, m, m, config, itakura_max_slope
-            )
+            band = resolved.band(m, m, config, itakura_max_slope)
             if band is not None:
                 distances.append(
                     banded_dtw(
@@ -194,7 +166,7 @@ def calibrate_thresholds(
                     ).distance
                 )
             else:
-                distances.append(engine.distance(window, ys, spec).distance)
+                distances.append(engine.distance(window, ys, resolved).distance)
         thresholds[index] = slack * max(distances) if distances else 1.0
     return thresholds
 
@@ -222,9 +194,8 @@ def naive_sliding_profile(
     m = ys.size
     profile = np.full(xs.size, np.inf)
 
-    spec, shared_band = resolve_shared_band(
-        constraint, m, m, config, itakura_max_slope
-    )
+    resolved = resolve_constraint(constraint)
+    shared_band = resolved.band(m, m, config, itakura_max_slope)
     pattern_features = None
     if shared_band is None:
         pattern_features = tuple(extract_salient_features(ys, config))
@@ -253,7 +224,7 @@ def naive_sliding_profile(
                 snapshot_features, start - snapshot_start, m
             )
             band = build_stream_band(
-                spec, window_features, pattern_features, m, m, config
+                resolved, window_features, pattern_features, m, m, config
             )
         profile[t] = banded_dtw(
             window, ys, band, config.pointwise_distance, return_path=False

@@ -47,10 +47,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .._validation import as_series, check_positive
 from ..core.bands import (
     ConstraintSpec,
+    ResolvedConstraint,
     build_constraint_band,
     build_constraint_bands,
     build_symmetric_band,
-    parse_constraint_spec,
+    resolve_constraint,
 )
 from ..core.config import MatchingConfig, SDTWConfig
 from ..core.consistency import (
@@ -68,9 +69,9 @@ from ..core.features import (
 from ..core.intervals import boundary_cuts, build_interval_partition, stack_partitions
 from ..core.matching import match_decisions, match_gates, match_salient_features
 from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch, validate_band
-from ..dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
 from ..dtw.lower_bounds import (
+    bounds_hold_for,
     keogh_envelope,
     lb_band_envelope,
     lb_reverse_band_envelope,
@@ -80,10 +81,6 @@ from ..dtw.lower_bounds import (
 from ..exceptions import ValidationError
 from .buffer import StreamBuffer
 from .incremental import IncrementalExtractor
-
-# Pointwise distances the LB_Kim / LB_Keogh derivations hold for (same
-# set as the batch engine).
-_BOUNDABLE_DISTANCES = ("absolute", "manhattan")
 
 
 @dataclass(frozen=True)
@@ -440,7 +437,7 @@ def shift_snapshot_features(
 
 
 def build_stream_band(
-    spec: ConstraintSpec,
+    spec: Union[ConstraintSpec, ResolvedConstraint],
     window_features: Sequence[SalientFeature],
     pattern_features: Sequence[SalientFeature],
     window_length: int,
@@ -474,7 +471,7 @@ def build_stream_band(
 
 def _symmetric(
     band: np.ndarray,
-    spec: ConstraintSpec,
+    spec: Union[ConstraintSpec, ResolvedConstraint],
     window_features: Sequence[SalientFeature],
     pattern_features: Sequence[SalientFeature],
     window_length: int,
@@ -496,7 +493,7 @@ def _symmetric(
 
 
 def build_stream_bands(
-    spec: ConstraintSpec,
+    spec: Union[ConstraintSpec, ResolvedConstraint],
     snapshots: Sequence[FeatureSet],
     shifts: Sequence[int],
     pattern_features: FeatureSet,
@@ -691,6 +688,12 @@ class SlidingWindowMatcher:
     sum in another order than the DP and prune at
     ``abandon_cutoff(threshold)``; all the LB_Keogh-family prunes count in
     ``StreamStats.pruned_lb_keogh``.
+
+    ``prune`` turns every bound of the cascade on or off together.  The
+    bounds hold for the absolute-difference pointwise distance only, so
+    under any other the matcher runs every window's DP whatever ``prune``
+    says.  ``early_abandon`` stops a DP once a whole row exceeds the
+    threshold.  Neither changes which matches are reported.
     """
 
     def __init__(
@@ -698,11 +701,10 @@ class SlidingWindowMatcher:
         pattern: Union[Sequence[float], np.ndarray],
         threshold: float,
         *,
-        constraint: Union[str, ConstraintSpec] = "fc,fw",
+        constraint: Union[str, ConstraintSpec, ResolvedConstraint] = "fc,fw",
         config: Optional[SDTWConfig] = None,
         name: str = "pattern",
-        use_lb_kim: bool = True,
-        use_lb_keogh: bool = True,
+        prune: bool = True,
         early_abandon: bool = True,
         extractor_hop: Optional[int] = None,
         extractor: Optional[IncrementalExtractor] = None,
@@ -715,25 +717,32 @@ class SlidingWindowMatcher:
         m = self.pattern.size
         self._m = m
         self._func = get_pointwise_distance(self.config.pointwise_distance)
-        distance_name = self.config.pointwise_distance
-        admissible = (
-            isinstance(distance_name, str)
-            and distance_name.strip().lower() in _BOUNDABLE_DISTANCES
-        )
-        self.use_lb_kim = bool(use_lb_kim and admissible)
-        self.use_lb_keogh = bool(use_lb_keogh and admissible)
+        self.prune = bool(prune) and bounds_hold_for(self.config.pointwise_distance)
         self.early_abandon = bool(early_abandon)
 
-        self._spec: Optional[ConstraintSpec] = None
-        self._shared_band: Optional[np.ndarray] = None
+        self._resolved = resolve_constraint(constraint)
+        self.constraint = self._resolved.label
+        self._shared_band = self._resolved.band(m, m, self.config, itakura_max_slope)
         self._extractor: Optional[IncrementalExtractor] = None
         self._pattern_features = FeatureSet(())
-        self.constraint = self._resolve_constraint(
-            constraint, itakura_max_slope, extractor_hop, extractor
-        )
         if self._shared_band is not None:
             # Validated once: the lock-step kernel takes validated bands.
             self._shared_band = validate_band(self._shared_band, m, m, repair=True)
+        else:
+            if extractor is None:
+                extractor = IncrementalExtractor(m, self.config, hop=extractor_hop)
+            elif extractor.window_length != m:
+                # A shared extractor (e.g. one per stream for all patterns
+                # of this length) must keep windows of the pattern's length.
+                raise ValidationError(
+                    f"shared extractor maintains windows of "
+                    f"{extractor.window_length} samples but the pattern "
+                    f"has {m}"
+                )
+            self._extractor = extractor
+            self._pattern_features = FeatureSet(
+                extract_salient_features(self.pattern, self.config)
+            )
 
         # Pattern-side precomputation (the paper's one-time cost): LB_Kim
         # endpoints/extrema, the LB_Keogh envelope and, for per-window
@@ -742,68 +751,18 @@ class SlidingWindowMatcher:
         self._y_last = float(self.pattern[-1])
         self._y_min = float(self.pattern.min())
         self._y_max = float(self.pattern.max())
-        if self.constraint == "fc,fw":
-            # One more sample than the band's half-width, matching the
-            # engine's admissible pairing of envelope and band radius.
-            radius = max(
-                1, int(round(self.config.width_fraction * m / 2.0))
-            ) + 1
-            self._envelope = keogh_envelope(self.pattern, radius)
-        else:
-            self._envelope = None
+        radius = self._resolved.envelope_radius(m, self.config)
+        self._envelope = (
+            keogh_envelope(self.pattern, radius) if radius is not None else None
+        )
         self._range_table = (
             range_extrema_table(self.pattern)
-            if self._shared_band is None and self.use_lb_keogh
+            if self._shared_band is None and self.prune
             else None
         )
 
         self._suppressor = MatchSuppressor(m, self.threshold)
         self.stats = StreamStats()
-
-    def _resolve_constraint(
-        self,
-        constraint: Union[str, ConstraintSpec],
-        itakura_max_slope: float,
-        extractor_hop: Optional[int],
-        extractor: Optional[IncrementalExtractor],
-    ) -> str:
-        m = self._m
-        if isinstance(constraint, str):
-            key = constraint.strip().lower().replace(" ", "")
-            if key == "full":
-                self._shared_band = full_band(m, m)
-                return "full"
-            if key == "itakura":
-                if itakura_max_slope <= 1.0:
-                    raise ValidationError("itakura_max_slope must be greater than 1")
-                self._shared_band = itakura_band(m, m, itakura_max_slope)
-                return "itakura"
-        spec = parse_constraint_spec(constraint)
-        if spec.core == "adaptive" or spec.width == "adaptive":
-            self._spec = spec
-            if extractor is not None:
-                # Shared extractor (e.g. one per stream for all patterns of
-                # this length): observe() is idempotent within a tick, so
-                # several matchers can safely drive the same instance.
-                if extractor.window_length != m:
-                    raise ValidationError(
-                        f"shared extractor maintains windows of "
-                        f"{extractor.window_length} samples but the pattern "
-                        f"has {m}"
-                    )
-                self._extractor = extractor
-            else:
-                self._extractor = IncrementalExtractor(
-                    m, self.config, hop=extractor_hop
-                )
-            self._pattern_features = FeatureSet(
-                extract_salient_features(self.pattern, self.config)
-            )
-        else:
-            self._shared_band = sakoe_chiba_band_fraction(
-                m, m, self.config.width_fraction
-            )
-        return spec.label
 
     @property
     def window_length(self) -> int:
@@ -869,10 +828,9 @@ class SlidingWindowMatcher:
         cutoff = abandon_cutoff(threshold)
         distances = np.full(len(windows), np.inf)
         alive = np.arange(len(windows))
-        if self.use_lb_kim or self.use_lb_keogh:
+        if self.prune:
             highs = windows.max(axis=1)
             lows = windows.min(axis=1)
-        if self.use_lb_kim:
             bound = np.maximum(
                 np.maximum(
                     np.abs(windows[:, 0] - self._y_first),
@@ -882,30 +840,30 @@ class SlidingWindowMatcher:
             )
             alive = np.flatnonzero(bound <= threshold)
             stats.pruned_lb_kim += len(windows) - alive.size
-        if self.use_lb_keogh and alive.size:
-            candidates = windows[alive]
-            if self._envelope is not None:
-                # lb_keogh's arithmetic, one row per window.
-                upper, lower = self._envelope
-                above = np.where(candidates > upper, candidates - upper, 0.0)
-                below = np.where(candidates < lower, lower - candidates, 0.0)
-                bound = np.sum(above + below, axis=1)
-            else:
-                # Global envelope: admissible against the full DTW and
-                # hence against every constrained DTW.
-                above = np.maximum(candidates - self._y_max, 0.0)
-                below = np.maximum(self._y_min - candidates, 0.0)
-                bound = above.sum(axis=1) + below.sum(axis=1)
-            passed = bound <= threshold
-            stats.pruned_lb_keogh += alive.size - int(passed.sum())
-            alive = alive[passed]
             if alive.size:
-                # The reverse global bound: the pattern's mass outside each
-                # window's range, which also bounds the full DTW.
-                bound = lb_yi_batch(self.pattern, lows[alive], highs[alive])
-                passed = bound <= cutoff
+                candidates = windows[alive]
+                if self._envelope is not None:
+                    # lb_keogh's arithmetic, one row per window.
+                    upper, lower = self._envelope
+                    above = np.where(candidates > upper, candidates - upper, 0.0)
+                    below = np.where(candidates < lower, lower - candidates, 0.0)
+                    bound = np.sum(above + below, axis=1)
+                else:
+                    # Global envelope: admissible against the full DTW and
+                    # hence against every constrained DTW.
+                    above = np.maximum(candidates - self._y_max, 0.0)
+                    below = np.maximum(self._y_min - candidates, 0.0)
+                    bound = above.sum(axis=1) + below.sum(axis=1)
+                passed = bound <= threshold
                 stats.pruned_lb_keogh += alive.size - int(passed.sum())
                 alive = alive[passed]
+                if alive.size:
+                    # The reverse global bound: the pattern's mass outside each
+                    # window's range, which also bounds the full DTW.
+                    bound = lb_yi_batch(self.pattern, lows[alive], highs[alive])
+                    passed = bound <= cutoff
+                    stats.pruned_lb_keogh += alive.size - int(passed.sum())
+                    alive = alive[passed]
         abandon = threshold if self.early_abandon else None
         if not alive.size:
             return distances
@@ -914,7 +872,7 @@ class SlidingWindowMatcher:
         else:
             picked = [snapshots[index] for index in alive.tolist()]
             bands = build_stream_bands(
-                self._spec,
+                self._resolved,
                 [features for features, _ in picked],
                 [first + index - self._m + 1 - start
                  for index, (_, start) in zip(alive.tolist(), picked)],

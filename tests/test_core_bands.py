@@ -10,12 +10,15 @@ from repro.core.bands import (
     build_constraint_band,
     build_symmetric_band,
     parse_constraint_spec,
+    resolve_constraint,
 )
 from repro.core.config import SDTWConfig
 from repro.core.intervals import partition_from_boundaries
 from repro.dtw.banded import band_cell_count, band_to_mask, validate_band
-from repro.dtw.constraints import sakoe_chiba_band_fraction
+from repro.dtw.constraints import full_band, itakura_band, sakoe_chiba_band_fraction
+from repro.engine import DistanceEngine, normalize_constraint
 from repro.exceptions import ConfigurationError, ValidationError
+from repro.streaming.subsequence import SlidingWindowMatcher
 
 
 @pytest.fixture()
@@ -58,6 +61,77 @@ class TestParseConstraintSpec:
         assert spec.label == "ac2,aw"
         spec3 = ConstraintSpec("adaptive", "adaptive", neighbor_radius=2)
         assert spec3.label == "ac3,aw"
+
+
+# (inputs, canonical label, whether the family aligns salient features)
+FAMILIES = [
+    (("full", "FULL", " Full "), "full", False),
+    (("itakura", "ITAKURA", " ita kura "), "itakura", False),
+    (("fc,fw", "fcfw", "sakoe", "Sakoe-Chiba", " FC , FW ",
+      ConstraintSpec("fixed", "fixed")), "fc,fw", False),
+    (("fc,aw", "fcaw", "FC,AW", ConstraintSpec("fixed", "adaptive")), "fc,aw", True),
+    (("ac,fw", "acfw", "Ac, Fw", ConstraintSpec("adaptive", "fixed")), "ac,fw", True),
+    (("ac,aw", "acaw", " AC , AW ", ConstraintSpec("adaptive", "adaptive")), "ac,aw", True),
+    (("ac2,aw", "ac2aw", "AC2,AW", ConstraintSpec("adaptive", "adaptive", 1)), "ac2,aw", True),
+    ((ConstraintSpec("adaptive", "adaptive", 2),), "ac3,aw", True),
+]
+SHAPES = [(40, 40), (64, 64), (50, 80), (97, 33), (1, 7), (7, 1)]
+
+
+class TestResolveConstraint:
+    @pytest.mark.parametrize("inputs, label, aligns", FAMILIES)
+    def test_family_table(self, inputs, label, aligns):
+        pattern = np.sin(np.linspace(0.0, 6.0, 24))
+        for constraint in inputs:
+            resolved = resolve_constraint(constraint)
+            assert resolved.label == label
+            assert resolved.aligns is aligns
+            assert resolve_constraint(resolved) is resolved
+            assert normalize_constraint(constraint) == label
+            if label in ("full", "itakura"):
+                assert resolved.spec is None
+                with pytest.raises(ValidationError):
+                    parse_constraint_spec(constraint)
+            else:
+                assert resolved.spec.label == label
+                assert parse_constraint_spec(constraint) == resolved.spec
+            # Every entry point resolves the label the same way.
+            assert DistanceEngine(constraint).constraint == label
+            matcher = SlidingWindowMatcher(pattern, 1.0, constraint=constraint)
+            assert matcher.constraint == label
+            assert (matcher.extractor is not None) is aligns
+            for width in (0.1, 0.25):
+                config = SDTWConfig(width_fraction=width)
+                for n, m in SHAPES:
+                    for slope in (2.0, 3.0):
+                        band = resolved.band(n, m, config, slope)
+                        if aligns:
+                            assert band is None
+                            continue
+                        expected = {
+                            "full": lambda: full_band(n, m),
+                            "itakura": lambda: itakura_band(n, m, slope),
+                            "fc,fw": lambda: sakoe_chiba_band_fraction(n, m, width),
+                        }[label]()
+                        assert band.dtype == expected.dtype
+                        assert band.shape == expected.shape
+                        assert band.tobytes() == expected.tobytes()
+                    radius = resolved.envelope_radius(m, config)
+                    if label == "fc,fw":
+                        assert radius == max(1, int(round(width * m / 2.0))) + 1
+                    else:
+                        assert radius is None
+
+    @pytest.mark.parametrize(
+        "label", ["nonsense", "", "fc", "full,fw", "itakura2", "ac,aw,ac", "dtw"]
+    )
+    def test_unknown_labels_raise(self, label):
+        with pytest.raises(ValidationError, match="full.*itakura"):
+            resolve_constraint(label)
+        with pytest.raises(ValidationError):
+            DistanceEngine(label)
+        with pytest.raises(ValidationError):
+            SlidingWindowMatcher(np.ones(8), 1.0, constraint=label)
 
 
 class TestFixedCoreFixedWidth:

@@ -1290,4 +1290,3 @@ def test_incremental_extractor_matches_batch_extraction(hop, window_length):
                 extractor.features(), extract_salient_features(window, config)
             )
     assert refreshes >= 50
-    assert extractor.stats.descriptors_reused > 0

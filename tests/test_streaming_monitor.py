@@ -145,6 +145,60 @@ class TestMultiplexing:
         assert monitor.stats("p").ticks == 10
 
 
+class TestLateRegistration:
+    """Patterns registered on a stream that already holds samples report
+    absolute stream indices, SPRING's as well as the sliding matcher's."""
+
+    M = 32
+
+    @pytest.fixture()
+    def late_stream(self):
+        rng = np.random.default_rng(8)
+        pattern = 2.0 * np.sin(np.linspace(0.0, 2.0 * np.pi, self.M))
+        noise = 10.0 + rng.normal(0.0, 0.1, 230)
+        # 100 samples before registration, 50 after, the occurrence at
+        # stream indices 150-181, then 80 more.
+        stream = np.concatenate([noise[:150], pattern, noise[150:]])
+        return pattern, stream
+
+    def monitor(self, pattern, stream):
+        monitor = StreamMonitor()
+        monitor.add_stream("s")
+        monitor.extend("s", stream[:100])
+        monitor.add_pattern(pattern, name="spring", threshold=1.0, mode="spring")
+        monitor.add_pattern(pattern, name="sliding", threshold=1.0, mode="sliding")
+        return monitor
+
+    def spans(self, matches):
+        return sorted((m.pattern, m.start, m.end) for m in matches)
+
+    def test_extend_reports_stream_indices(self, late_stream):
+        pattern, stream = late_stream
+        monitor = self.monitor(pattern, stream)
+        matches = monitor.extend("s", stream[100:])
+        assert self.spans(matches) == [("sliding", 150, 181), ("spring", 150, 181)]
+        assert [(m.start, m.end) for m in naive_spring_scan(stream, pattern, 1.0)] == [
+            (150, 181)
+        ]
+        # SPRING's work accounting still counts the ticks it consumed.
+        assert monitor.stats("spring").ticks == stream.size - 100
+
+    def test_push_reports_stream_indices(self, late_stream):
+        pattern, stream = late_stream
+        monitor = self.monitor(pattern, stream)
+        matches = [m for value in stream[100:] for m in monitor.push("s", value)]
+        assert self.spans(matches) == [("sliding", 150, 181), ("spring", 150, 181)]
+
+    def test_finalize_reports_stream_indices(self, late_stream):
+        pattern, stream = late_stream
+        monitor = self.monitor(pattern, stream)
+        pending = monitor.extend("s", stream[100: 150 + self.M])
+        assert pending == []
+        flushed = monitor.finalize("s")
+        assert self.spans(flushed) == [("sliding", 150, 181), ("spring", 150, 181)]
+        assert {m.stream for m in flushed} == {"s"}
+
+
 class TestValidation:
     def test_unknown_stream_rejected(self):
         monitor = StreamMonitor()

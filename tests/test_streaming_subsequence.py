@@ -320,7 +320,7 @@ class TestSlidingWindowMatcher:
         pattern, stream, config = sliding_setup
         full = SlidingWindowMatcher(
             pattern, 4.0, config=config,
-            use_lb_kim=False, use_lb_keogh=False, early_abandon=False,
+            prune=False, early_abandon=False,
         )
         cascaded = SlidingWindowMatcher(pattern, 4.0, config=config)
         reference = self.run_matcher(full, stream)
@@ -350,8 +350,7 @@ class TestSlidingWindowMatcher:
 
         squared = replace(config, pointwise_distance="squared")
         matcher = SlidingWindowMatcher(pattern, 4.0, config=squared)
-        assert not matcher.use_lb_kim
-        assert not matcher.use_lb_keogh
+        assert not matcher.prune
         self.run_matcher(matcher, stream[:200])
         assert matcher.stats.pruned == 0
 
