@@ -51,16 +51,13 @@ def sakoe_chiba_band(n: int, m: int, radius: Union[int, float]) -> np.ndarray:
         half = int(radius)
         if half < 0:
             raise ValidationError(f"radius must be non-negative, got {radius}")
-    band = np.zeros((n, 2), dtype=int)
     if n == 1:
-        band[0] = (0, m - 1)
-        return band
-    for i in range(n):
-        # Project row i onto the diagonal of the (possibly rectangular) grid.
-        center = i * (m - 1) / (n - 1)
-        lo = int(np.floor(center - half))
-        hi = int(np.ceil(center + half))
-        band[i] = (max(0, lo), min(m - 1, hi))
+        return np.array([[0, m - 1]], dtype=int)
+    # Project every row onto the diagonal of the (possibly rectangular) grid.
+    center = np.arange(n) * (m - 1) / (n - 1)
+    band = np.empty((n, 2), dtype=int)
+    band[:, 0] = np.maximum(np.floor(center - half), 0)
+    band[:, 1] = np.minimum(np.ceil(center + half), m - 1)
     return validate_band(band, n, m, repair=True)
 
 

@@ -14,26 +14,29 @@ Keogh's VLDB 2002 lower-bounding work (reference [7] of the paper):
 
 1. ``LB_Kim`` — constant-time per pair, from precomputed
    first/last/min/max profiles.
-2. ``LB_Keogh`` — O(L) per pair, vectorised over the whole collection;
-   uses band-matched envelopes for the Sakoe–Chiba family and the
-   always-admissible global envelope for every other constraint family.
-3. Early-abandoning banded DTW — refinement in ascending-bound order that
-   stops a dynamic program as soon as a whole row exceeds the running
-   k-th-best distance.
+2. ``LB_Keogh`` — O(L) per pair; uses band-matched envelopes for the
+   Sakoe–Chiba family and the always-admissible global envelope for every
+   other constraint family.
+3. Early-abandoning banded DTW — refinement in ascending order of the
+   larger of the two bounds, which stops a dynamic program as soon as a
+   whole row exceeds the running k-th-best distance.
 
-A candidate pruned at stage *s* never pays for stage *s+1*; because every
-bound underestimates the true constrained distance and abandonment only
-fires when the distance provably exceeds the threshold, the k-NN result is
-identical to an exhaustive scan for **every** constraint family (``full``,
-Sakoe–Chiba ``fc,fw``, ``itakura``, and the paper's ``fc,aw`` / ``ac,fw``
-/ ``ac,aw`` / ``ac2,aw``).
+Stages 1 and 2 run for every candidate on every backend, one vectorised
+call each over the collection (or the re-rank subset); a candidate whose
+bound exceeds the running k-th-best distance never pays for stage 3.
+Because every bound underestimates the true constrained distance and
+abandonment only fires when the distance provably exceeds the threshold,
+the k-NN result is identical to an exhaustive scan for **every**
+constraint family (``full``, Sakoe–Chiba ``fc,fw``, ``itakura``, and the
+paper's ``fc,aw`` / ``ac,fw`` / ``ac,aw`` / ``ac2,aw``).
 
 Backend selection
 -----------------
 ``DistanceEngine(backend=...)`` picks how the cascade executes:
 
-* ``serial`` — per-pair reference path; transparent and allocation-light.
-* ``vectorized`` — numpy-batched lower bounds, and for shared-band
+* ``serial`` — batched lower bounds and per-pair DTW kernels: the
+  transparent reference path for refinement.
+* ``vectorized`` — the same bounds, and for shared-band
   constraint families over equal-length collections the lock-step DP
   kernel :func:`repro.dtw.banded.banded_dtw_batch` (re-exported here),
   which advances one grid row for dozens of candidates per numpy call

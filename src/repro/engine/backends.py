@@ -2,7 +2,7 @@
 
 Three strategies orchestrate the same per-query cascade:
 
-* ``serial`` — the transparent reference path: per-pair lower bounds and
+* ``serial`` — the transparent reference path: batched lower bounds,
   per-pair DTW kernels, one candidate at a time.
 * ``vectorized`` — batched numpy lower bounds over the stacked collection
   and (for shared-band constraint families over equal-length collections)

@@ -5,17 +5,23 @@ matrices) against a collection of stored series in one call, running a
 three-stage pruning cascade per query:
 
 1. **LB_Kim** — a constant-time bound from precomputed first/last/min/max
-   profiles; candidates whose bound already exceeds the running k-th best
-   distance are dropped before anything else is computed.
+   profiles.
 2. **LB_Keogh** — an O(L) envelope bound.  For the Sakoe–Chiba family over
    an equal-length collection the envelopes use the band's own radius (the
    classic admissible pairing from Keogh, VLDB 2002); for every other
    constraint family the engine falls back to the *global* envelope
    (min/max of the candidate), which lower-bounds the full DTW and hence
    every constrained DTW, keeping the cascade exact for all families.
-3. **Early-abandoning banded DTW** — surviving candidates are refined in
-   ascending-bound order; the dynamic program stops as soon as a whole row
-   exceeds the best-so-far k-th distance.
+3. **Early-abandoning banded DTW** — candidates are refined in ascending
+   order of the larger of their two bounds (stored index as tie-break);
+   once that bound exceeds the best-so-far k-th distance every remaining
+   candidate is pruned, and the dynamic program stops as soon as a whole
+   row exceeds it.
+
+Stages 1 and 2 run for every candidate on every backend, one batch call
+each, before any refinement: ordering by the tighter bound refines fewer
+candidates than ordering by LB_Kim alone.  The backends differ only in
+stage 3 (see :mod:`repro.engine.backends`).
 
 Every stage is *admissible* (bounds never exceed the true constrained
 distance, and abandonment only fires when the distance provably exceeds
@@ -47,7 +53,8 @@ from ..dtw.lower_bounds import (
     bounds_hold_for,
     keogh_envelope,
     kim_profile,
-    lb_keogh,
+    # Not called here; bound only because perfbench/tracer.py patches this name.
+    lb_keogh as lb_keogh,  # noqa: F401
     lb_kim,
     lb_kim_batch,
     lb_keogh_batch,
@@ -107,7 +114,7 @@ def cascade_bounds(
     return stage1, stage2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineHit:
     """One retrieved neighbour."""
 
@@ -273,16 +280,6 @@ class _Prepared:
     def tight_rows(self, indices) -> Tuple[np.ndarray, np.ndarray]:
         """Tight LB_Keogh envelopes (upper, lower) of the given slots."""
         return self._gather(indices, "tight_upper"), self._gather(indices, "tight_lower")
-
-    def tight_row_one(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Tight envelope of one slot (the serial cascade's hot accessor)."""
-        if len(self.segments) == 1:
-            seg = self.segments[0]
-            return seg.tight_upper[index], seg.tight_lower[index]
-        s = int(self._segment_of(np.array([index]))[0])
-        local = index - int(self.seg_starts[s])
-        seg = self.segments[s]
-        return seg.tight_upper[local], seg.tight_lower[local]
 
 
 class DistanceEngine:
@@ -730,17 +727,6 @@ class DistanceEngine:
             and n == int(prep.lengths[0])
         )
 
-    def _keogh_bound_one(self, query: np.ndarray, index: int) -> float:
-        prep = self._prepared
-        if self._keogh_tight_applicable(query.size):
-            return lb_keogh(
-                query, self._stored[index].values, prep.tight_radius,
-                envelope=prep.tight_row_one(index),
-            )
-        return _global_keogh_one(
-            query, float(prep.mins[index]), float(prep.maxs[index])
-        )
-
     def _keogh_bounds_batch(
         self, query: np.ndarray, subset: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -809,44 +795,30 @@ class DistanceEngine:
         stats.candidates = int(include.size)
         stats.total_cells = int(n * prep.lengths[include].sum())
 
-        lazy_keogh = mode == "serial" and self.prune
-
-        # With a candidate restriction the bounds are only computed over
-        # the included subset (scattered back into full-size vectors so
-        # the cascade below stays index-addressed); an unrestricted scan
-        # keeps the cheaper dense-batch path.
-        restricted = candidate_indices is not None
+        # Both bounds run for every included candidate, one batch call
+        # each, on every backend.  With a candidate restriction they are
+        # only computed over the included subset (scattered back into
+        # full-size vectors so the cascade below stays index-addressed);
+        # an unrestricted scan keeps the cheaper dense-batch path.
         bound_start = time.perf_counter()
         kim_all: Optional[np.ndarray] = None
-        keogh_all: Optional[np.ndarray] = None
         if self.prune:
-            if restricted:
+            if candidate_indices is not None:
                 kim_all = np.zeros(len(self._stored))
+                keogh_all = np.zeros(len(self._stored))
                 if include.size:
                     kim_all[include] = lb_kim_batch(
                         kim_profile(query), prep.profiles[include]
                     )
-            else:
-                kim_all = lb_kim_batch(kim_profile(query), prep.profiles)
-            stats.lb_kim_computed = int(include.size)
-        if self.prune and not lazy_keogh:
-            if restricted:
-                keogh_all = np.zeros(len(self._stored))
-                if include.size:
                     keogh_all[include] = self._keogh_bounds_batch(
                         query, subset=include
                     )
-            elif mode == "serial":
-                keogh_all = np.array(
-                    [self._keogh_bound_one(query, i) for i in range(len(self._stored))]
-                )
             else:
+                kim_all = lb_kim_batch(kim_profile(query), prep.profiles)
                 keogh_all = self._keogh_bounds_batch(query)
+            stats.lb_kim_computed = int(include.size)
             stats.lb_keogh_computed = int(include.size)
-        if keogh_all is not None:
             bound_all = np.maximum(kim_all, keogh_all)
-        elif kim_all is not None:
-            bound_all = kim_all
         else:
             bound_all = np.zeros(len(self._stored))
         stats.bound_seconds += time.perf_counter() - bound_start
@@ -858,13 +830,11 @@ class DistanceEngine:
         worst = np.inf
 
         def prune_remaining(position: int) -> None:
-            for j in order[position:]:
-                if kim_all is not None and kim_all[j] > worst:
-                    stats.pruned_lb_kim += 1
-                elif keogh_all is not None:
-                    stats.pruned_lb_keogh += 1
-                else:
-                    stats.pruned_lb_kim += 1
+            # Only reached with pruning on: both bound vectors exist.
+            rest = order[position:]
+            by_kim = int((kim_all[rest] > worst).sum())
+            stats.pruned_lb_kim += by_kim
+            stats.pruned_lb_keogh += int(rest.size) - by_kim
 
         def absorb(distance: float, index: int) -> None:
             nonlocal worst
@@ -914,14 +884,6 @@ class DistanceEngine:
 
             index = int(order[position])
             position += 1
-            if lazy_keogh:
-                bound_start = time.perf_counter()
-                keogh_bound = self._keogh_bound_one(query, index)
-                stats.lb_keogh_computed += 1
-                stats.bound_seconds += time.perf_counter() - bound_start
-                if len(kept) == k and keogh_bound > worst:
-                    stats.pruned_lb_keogh += 1
-                    continue
             threshold = (
                 worst if (self.early_abandon and len(kept) == k) else None
             )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from typing import List
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineStats:
     """Work accounting for a batch distance computation.
 

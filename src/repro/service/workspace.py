@@ -111,7 +111,7 @@ WIRE_FORMAT = "repro-query-result"
 WIRE_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkspaceQueryResult:
     """Unified result of one :meth:`Workspace.query` call.
 

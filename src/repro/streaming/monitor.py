@@ -215,7 +215,7 @@ class StreamMonitor:
         name = str(name)
         if name in self._patterns:
             raise ValidationError(f"pattern {name!r} is already registered")
-        self._patterns[name] = {
+        spec = {
             "values": array,
             "threshold": float(threshold),
             "mode": mode,
@@ -223,14 +223,18 @@ class StreamMonitor:
             "streams": tuple(streams) if streams is not None else None,
             "extractor_hop": extractor_hop,
         }
+        # Every monitored stream must fit the pattern before anything is
+        # stored, so a rejected pattern leaves no registration behind.
         for stream_name, buffer in self._buffers.items():
-            if buffer.capacity < array.size:
+            if _monitors(spec, stream_name) and buffer.capacity < array.size:
                 raise ValidationError(
                     f"stream {stream_name!r} retains only {buffer.capacity} "
                     f"samples but pattern {name!r} needs {array.size}; "
                     "register long patterns before streams or pass an "
                     "explicit capacity"
                 )
+        self._patterns[name] = spec
+        for stream_name in self._buffers:
             self._attach(stream_name, name)
         return name
 

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStage:
     """One named span inside a query: wall seconds plus free attributes."""
 
@@ -59,7 +59,7 @@ class TraceStage:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryTrace:
     """Structured per-query breakdown exposed on ``WorkspaceQueryResult``.
 

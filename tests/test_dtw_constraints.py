@@ -64,6 +64,27 @@ class TestSakoeChiba:
         band = sakoe_chiba_band(1, 8, 2)
         np.testing.assert_array_equal(band, [[0, 7]])
 
+    @pytest.mark.parametrize("n,m", [
+        (1, 1), (1, 8), (2, 1), (7, 7), (13, 40), (40, 13), (64, 64),
+        (100, 257), (257, 100),
+    ])
+    @pytest.mark.parametrize("half", [0, 1, 3, 13, 300])
+    def test_matches_the_per_row_formula(self, n, m, half):
+        # Each row projected onto the resampled diagonal, one row at a time.
+        expected = np.zeros((n, 2), dtype=int)
+        if n == 1:
+            expected[0] = (0, m - 1)
+        else:
+            for i in range(n):
+                center = i * (m - 1) / (n - 1)
+                lo = int(np.floor(center - half))
+                hi = int(np.ceil(center + half))
+                expected[i] = (max(0, lo), min(m - 1, hi))
+            expected = validate_band(expected, n, m, repair=True)
+        band = sakoe_chiba_band(n, m, half)
+        assert band.dtype == expected.dtype
+        np.testing.assert_array_equal(band, expected)
+
 
 class TestSakoeChibaFraction:
     def test_cell_count_tracks_fraction(self):

@@ -3,6 +3,8 @@ resolution, pruning switches, and the rewired retrieval entry points."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.dtw.banded import banded_dtw
-from repro.dtw.constraints import sakoe_chiba_band
+from repro.dtw.constraints import sakoe_chiba_band, sakoe_chiba_envelope_radius
+from repro.dtw.lower_bounds import lb_keogh, lb_kim
+from repro.engine import engine as engine_module
 from repro.exceptions import DatasetError, ValidationError
 from repro.retrieval.knn import batch_top_k
 
@@ -120,6 +124,36 @@ class TestPruningSwitches:
     def test_invalid_itakura_slope_rejected(self):
         with pytest.raises(ValidationError):
             DistanceEngine("itakura", itakura_max_slope=1.0)
+
+
+class TestBoundStage:
+    """Both bounds run for every candidate; refinement follows their maximum."""
+
+    def test_serial_refines_in_ascending_full_bound_order(self):
+        collection = make_gun_like(num_series=32, seed=11)
+        engine = DistanceEngine("fc,fw", backend="serial")
+        engine.add_dataset(collection)
+        clean = np.asarray(collection[0].values)
+        query = clean + np.random.default_rng(3).normal(0.0, 0.2, clean.size)
+        stored = [values for _, values, _ in engine.stored_items()]
+        radius = sakoe_chiba_envelope_radius(clean.size, engine.config.width_fraction)
+        bound = [
+            max(lb_kim(query, values), lb_keogh(query, values, radius))
+            for values in stored
+        ]
+        expected = sorted(range(len(stored)), key=lambda i: (bound[i], i))
+        with mock.patch.object(
+            engine_module, "banded_dtw", wraps=engine_module.banded_dtw
+        ) as kernel:
+            result = engine.query(query, k=3)
+        slot_of = {id(values): i for i, values in enumerate(stored)}
+        refined = [slot_of[id(call.args[1])] for call in kernel.call_args_list]
+        assert 3 <= len(refined) < len(stored)
+        assert refined == expected[:len(refined)]
+        stats = result.stats
+        assert stats.lb_kim_computed == stats.lb_keogh_computed == stats.candidates
+        assert stats.refined == len(refined)
+        assert stats.pruned == stats.candidates - len(refined)
 
 
 class TestEngineBasics:

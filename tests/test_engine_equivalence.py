@@ -102,6 +102,21 @@ class TestEqualLengthCollections:
         assert want.stats.pruned == 0
         assert want.stats.dtw_abandoned == 0
 
+        # The re-rank path: a candidate subset scanned by both in-process
+        # backends gives the exhaustive scan's answer over that subset.
+        subset = [[1, 2, 4, 5, 7, 9]] * len(queries)
+        serial = _build_engine(equal_length_collection, constraint, "serial")
+        want = exhaustive.knn(queries, k=3, exclude_identifiers=excludes,
+                              candidate_indices=subset)
+        for engine in (serial, cascade):
+            got = engine.knn(queries, k=3, exclude_identifiers=excludes,
+                             candidate_indices=subset)
+            assert got.rankings() == want.rankings()
+            for got_result, want_result in zip(got.results, want.results):
+                assert [hit.distance for hit in got_result.hits] == \
+                    [hit.distance for hit in want_result.hits]
+            assert got.stats.lb_keogh_computed == got.stats.candidates
+
     def test_matrix_rankings_match_search_rankings(self, equal_length_collection):
         """distance_matrix + batch_top_k reproduces the knn() rankings."""
         engine = _build_engine(equal_length_collection, "fc,fw", "vectorized")

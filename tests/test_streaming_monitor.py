@@ -226,6 +226,31 @@ class TestValidation:
         with pytest.raises(ValidationError):
             monitor.add_pattern(np.ones(32), threshold=1.0, mode="sliding")
 
+    def test_rejected_pattern_leaves_nothing_registered(self):
+        monitor = StreamMonitor()
+        monitor.add_stream("a", capacity=64)
+        monitor.add_stream("b", capacity=16)
+        with pytest.raises(ValidationError, match="'b'"):
+            monitor.add_pattern(np.ones(32), name="p", threshold=1.0, mode="sliding")
+        assert monitor.patterns() == []
+        with pytest.raises(ValidationError):
+            monitor.matcher("a", "p")
+        # The name is free again once the streams fit.
+        monitor.add_pattern(np.ones(8), name="p", threshold=1.0, mode="sliding")
+        assert monitor.patterns() == ["p"]
+
+    def test_only_monitored_streams_must_fit_the_pattern(self):
+        monitor = StreamMonitor()
+        monitor.add_stream("a", capacity=64)
+        monitor.add_stream("b", capacity=16)
+        monitor.add_pattern(
+            np.ones(32), name="p", threshold=1.0, mode="sliding", streams=["a"]
+        )
+        assert monitor.patterns() == ["p"]
+        assert monitor.matcher("a", "p").pattern.size == 32
+        with pytest.raises(ValidationError):
+            monitor.matcher("b", "p")
+
     def test_stats_for_unknown_pattern_rejected(self):
         monitor = StreamMonitor()
         with pytest.raises(ValidationError):
