@@ -19,6 +19,13 @@ intervals map every source point to the interval's single boundary point,
 and empty source intervals would leave gaps which the band validator
 bridges (the paper's gap-bridging rule).
 
+:func:`build_constraint_bands` bands a whole stack of partitions in one
+array pass, and each partition may have its own second-series length
+``m``: the alignment stage (:mod:`repro.core.alignment`) bands a query
+against candidates of different lengths at once.  Every value goes
+through the float operations of the one-partition formula, so each band
+equals :func:`build_constraint_band` of its partition.
+
 :func:`resolve_constraint` is the one place a constraint label becomes a
 family: it takes these labels, their aliases, a :class:`ConstraintSpec`,
 and the two global constraints ``full`` and ``itakura``.  The engine, the
@@ -197,14 +204,15 @@ def parse_constraint_spec(spec: Union[str, ConstraintSpec]) -> ConstraintSpec:
     return parsed
 
 
-def _candidate_points_fixed_core(n: int, m: int) -> np.ndarray:
-    """Diagonal candidate points: j = i scaled onto the second series."""
+def _candidate_points_fixed_core(n: int, m) -> np.ndarray:
+    """Diagonal candidate points: j = i scaled onto the second series
+    (one row per partition when *m* is a column of lengths)."""
     if n == 1:
         return np.zeros(n, dtype=float)
     return np.arange(n, dtype=float) * (m - 1) / (n - 1)
 
 
-def _adaptive_cores(n: int, m: int, stack: PartitionStack) -> np.ndarray:
+def _adaptive_cores(n: int, m, stack: PartitionStack) -> np.ndarray:
     """Candidate points from corresponding intervals (Section 3.3.2), for
     every partition of *stack*, one row each.
 
@@ -243,7 +251,7 @@ def _adaptive_cores(n: int, m: int, stack: PartitionStack) -> np.ndarray:
     points = np.arange(start_x.size) % n
     candidates = (start_y + (points - start_x) / divisor * y_len).reshape(-1, n)
     candidates[:, 0] = 0.0
-    candidates[:, -1] = m - 1
+    candidates[:, -1:] = m - 1
     return np.clip(candidates, 0, m - 1)
 
 
@@ -313,52 +321,62 @@ def build_constraint_band(
 
 def build_constraint_bands(
     n: int,
-    m: int,
+    m: Union[int, np.ndarray],
     spec: Union[str, ConstraintSpec],
     stack: PartitionStack,
     config: Optional[SDTWConfig] = None,
 ) -> np.ndarray:
     """:func:`build_constraint_band` for every partition of *stack* at once.
 
-    Returns the validated bands as one ``(partitions, n, 2)`` array; each
-    band equals what :func:`build_constraint_band` builds from that
-    partition alone.  A partition of one interval takes the fixed
+    *m* is the second series' length, shared by every partition or one
+    per partition.  Returns the validated bands as one
+    ``(partitions, n, 2)`` array; each band equals what
+    :func:`build_constraint_band` builds from that partition alone, with
+    its own ``m``: each value goes through the float operations of the
+    one-partition formula.  A partition of one interval takes the fixed
     counterpart of the adaptive variant.
     """
     if config is None:
         config = SDTWConfig()
     resolved = resolve_constraint(spec)
     count = stack.counts.size
+    per_partition = np.ndim(m) > 0
 
     # A shape-only band is every partition's band.
     if not resolved.aligns:
+        if per_partition:
+            return np.array(
+                [resolved.band(n, int(c), config) for c in m], dtype=int
+            ).reshape(count, n, 2)
         band = resolved.band(n, m, config)
         return np.repeat(band[None], count, axis=0)
     parsed = resolved.spec
+    # Per-partition lengths as a column, so each broadcasts along its row.
+    columns = np.asarray(m)[:, None] if per_partition else m
 
     have_partition = (stack.counts > 1)[:, None]
     some = bool(have_partition.any())
 
     # Candidate (core) points.
+    fixed_core = np.broadcast_to(_candidate_points_fixed_core(n, columns), (count, n))
     if parsed.core == "adaptive" and some:
         candidates = _pick(
-            have_partition, _adaptive_cores(n, m, stack),
-            _candidate_points_fixed_core(n, m),
+            have_partition, _adaptive_cores(n, columns, stack), fixed_core
         )
     else:
-        candidates = np.broadcast_to(_candidate_points_fixed_core(n, m), (count, n))
+        candidates = fixed_core
 
     # Per-point widths.
-    fixed_width = max(1.0, config.width_fraction * m)
-    lower_bound = max(1.0, config.adaptive_width_lower_bound * m)
+    fixed_width = np.maximum(1.0, config.width_fraction * columns)
+    lower_bound = np.maximum(1.0, config.adaptive_width_lower_bound * columns)
     upper_bound = (
-        config.adaptive_width_upper_bound * m
+        config.adaptive_width_upper_bound
         if config.adaptive_width_upper_bound is not None
-        else float(m)
-    )
+        else 1.0
+    ) * columns
     # No partition information: an adaptive width falls back to the lower
     # bound width.
-    fallback_width = max(lower_bound, fixed_width)
+    fallback_width = np.maximum(lower_bound, fixed_width)
     if parsed.width == "adaptive" and some:
         # Each point takes the width of the Y interval its (rounded)
         # candidate falls into, clamped to the bounds.

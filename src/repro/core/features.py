@@ -10,7 +10,9 @@ length for the scope means.  :func:`extract_salient_features`, the
 function the sDTW driver (and the Table 2 experiment) calls per series,
 is the pass on a stack of one, and a stream extractor runs it over the
 windows a block refreshes.  :class:`FeatureSet` holds a feature list
-with the arrays matching and pair scoring read stacked once.
+with the arrays matching and pair scoring read stacked once; it is the
+one form a series' features take, from extraction to the feature store
+and the :class:`~repro.core.sdtw.SDTW` cache.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ class FeatureSet(Sequence[SalientFeature]):
     (:func:`repro.core.matching.match_salient_features`), and pair
     scoring reads the positions, scope bounds and mean amplitudes.  A
     FeatureSet stacks them all once, so a set that is matched many times
-    (a stream pattern, an extractor snapshot) pays for the stacking once.
-    Each descriptor row keeps the common length of the set's descriptors.
+    (a stream pattern, an extractor snapshot, a stored series) pays for
+    the stacking once.  Each descriptor row keeps the common length of
+    the set's descriptors.  It compares equal to a list or tuple of the
+    same features.
 
     The stream block band builder
     (:func:`repro.streaming.subsequence.build_stream_bands`) reads a
@@ -174,6 +178,15 @@ class FeatureSet(Sequence[SalientFeature]):
 
     def __getitem__(self, index):
         return self._items[index]
+
+    def __eq__(self, other) -> bool:
+        """Equal to a list, a tuple or a FeatureSet of equal features, in
+        order, as a tuple of the features would be."""
+        if isinstance(other, (FeatureSet, list, tuple)):
+            return self._items == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
     def shifted(self, shift: int, window_length: int) -> "FeatureSet":
         """The features in the coordinates of a window *shift* samples later.
@@ -353,7 +366,7 @@ def extract_feature_sets(
 def extract_salient_features(
     series: Union[Sequence[float], np.ndarray],
     config: Optional[SDTWConfig] = None,
-) -> List[SalientFeature]:
+) -> FeatureSet:
     """Extract the salient features of one time series.
 
     This runs the three extraction steps of Section 3.1.2 — scale-space
@@ -371,10 +384,12 @@ def extract_salient_features(
 
     Returns
     -------
-    list of SalientFeature
+    FeatureSet
+        The features with their arrays already stacked, so matching them
+        stacks nothing.
     """
     values = as_series(series, "series")
-    return list(extract_feature_sets(values[np.newaxis], config)[0])
+    return extract_feature_sets(values[np.newaxis], config)[0]
 
 
 def count_features_by_scale(

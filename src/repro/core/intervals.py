@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,7 +110,10 @@ class PartitionStack(NamedTuple):
     Partition ``w`` holds ``counts[w]`` intervals, stored one partition
     after another in the four bound arrays.  The adaptive band builders
     (:func:`repro.core.bands.build_constraint_bands`) read a stack, so one
-    partition and a block of stream windows go through the same code.
+    partition, a block of stream windows and a query's candidates go
+    through the same code.  The partitions of a stack may cover second
+    series of different lengths (:func:`stack_partitions` takes one
+    ``m`` per partition).
     """
 
     starts_x: np.ndarray
@@ -126,7 +129,11 @@ class PartitionStack(NamedTuple):
 
 
 def stack_partitions(
-    cuts_x: np.ndarray, cuts_y: np.ndarray, cut_counts: np.ndarray, n: int, m: int
+    cuts_x: np.ndarray,
+    cuts_y: np.ndarray,
+    cut_counts: np.ndarray,
+    n: int,
+    m: Union[int, np.ndarray],
 ) -> PartitionStack:
     """Partitions of ``n`` and ``m`` samples from their sorted cuts.
 
@@ -134,31 +141,35 @@ def stack_partitions(
     cut array (:func:`boundary_cuts`, ascending within a partition): its
     intervals start at 0 and at each cut and end at each cut and at the
     last sample, so ``k`` cuts give ``k + 1`` intervals (empty, i.e.
-    single-sample, where cuts coincide or sit at the series ends).
+    single-sample, where cuts coincide or sit at the series ends).  *m*
+    is the second series' length, shared or one per partition.
     """
     counts = np.asarray(cut_counts, dtype=np.intp) + 1
     lasts = np.cumsum(counts) - 1
     firsts = lasts - counts + 1
     return PartitionStack(
         _around(cuts_x, firsts, 0), _around(cuts_x, lasts, n - 1),
-        _around(cuts_y, firsts, 0), _around(cuts_y, lasts, m - 1),
+        _around(cuts_y, firsts, 0), _around(cuts_y, lasts, np.asarray(m) - 1),
         counts,
     )
 
 
-def _around(cuts: np.ndarray, at: np.ndarray, value: int) -> np.ndarray:
-    """*cuts* in order, with *value* inserted at each final position *at*."""
-    out = np.full(cuts.size + at.size, value, dtype=np.intp)
+def _around(cuts: np.ndarray, at: np.ndarray, value) -> np.ndarray:
+    """*cuts* in order, with *value* (one, or one per position) inserted
+    at each final position *at*."""
+    out = np.empty(cuts.size + at.size, dtype=np.intp)
     keep = np.ones(out.size, dtype=bool)
     keep[at] = False
     out[keep] = cuts
+    out[at] = value
     return out
 
 
-def boundary_cuts(boundaries: np.ndarray, length: int) -> np.ndarray:
+def boundary_cuts(boundaries: np.ndarray, length) -> np.ndarray:
     """Sample indices of scope boundaries: rounded half to even (as
-    ``round``) and clipped to ``[0, length - 1]``; order is kept."""
-    return np.clip(np.rint(boundaries), 0, length - 1).astype(np.intp)
+    ``round``) and clipped to ``[0, length - 1]``; order is kept.
+    *length* is one series length or one per boundary."""
+    return np.clip(np.rint(boundaries), 0, np.asarray(length) - 1).astype(np.intp)
 
 
 def _locate(intervals: Sequence[Interval], index: int) -> int:

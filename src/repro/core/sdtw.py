@@ -27,16 +27,16 @@ from ..dtw.banded import BandedDTWResult, banded_dtw
 from ..dtw.constraints import full_band
 from ..dtw.full import dtw
 from ..dtw.path import WarpPath
+from .alignment import unite_reverse_band
 from .bands import (
     ConstraintSpec,
     ResolvedConstraint,
     build_constraint_band,
-    build_symmetric_band,
     resolve_constraint,
 )
 from .config import SDTWConfig
 from .consistency import ConsistentAlignment, prune_inconsistent_pairs
-from .features import SalientFeature, extract_salient_features
+from .features import FeatureSet, SalientFeature, extract_salient_features
 from .intervals import IntervalPartition, build_interval_partition
 from .matching import MatchedPair, match_salient_features
 
@@ -48,7 +48,7 @@ class SDTWAlignment:
     Attributes
     ----------
     features_x, features_y:
-        Salient features of the two series.
+        Salient features of the two series, stacked.
     matches:
         Dominant matching pairs before inconsistency pruning.
     consistent:
@@ -61,8 +61,8 @@ class SDTWAlignment:
         partitioning (the paper's task (b)).
     """
 
-    features_x: Tuple[SalientFeature, ...]
-    features_y: Tuple[SalientFeature, ...]
+    features_x: FeatureSet
+    features_y: FeatureSet
     matches: Tuple[MatchedPair, ...]
     consistent: ConsistentAlignment
     partition: IntervalPartition
@@ -152,7 +152,7 @@ class SDTW:
 
     def __init__(self, config: Optional[SDTWConfig] = None) -> None:
         self.config = config if config is not None else SDTWConfig()
-        self._feature_cache: Dict[int, Tuple[SalientFeature, ...]] = {}
+        self._feature_cache: Dict[int, FeatureSet] = {}
 
     # ------------------------------------------------------------------ #
     # Feature extraction and caching
@@ -166,8 +166,11 @@ class SDTW:
 
     def extract_features(
         self, series: Union[Sequence[float], np.ndarray]
-    ) -> Tuple[Tuple[SalientFeature, ...], float]:
+    ) -> Tuple[FeatureSet, float]:
         """Extract (or fetch from cache) the salient features of a series.
+
+        The cache holds one :class:`~repro.core.features.FeatureSet` per
+        series, so matching against a cached series stacks nothing.
 
         Returns
         -------
@@ -180,21 +183,21 @@ class SDTW:
         if key in self._feature_cache:
             return self._feature_cache[key], 0.0
         start = time.perf_counter()
-        features = tuple(extract_salient_features(values, self.config))
+        features = extract_salient_features(values, self.config)
         elapsed = time.perf_counter() - start
         self._feature_cache[key] = features
         return features, elapsed
 
     def query_features(
         self, series: Union[Sequence[float], np.ndarray]
-    ) -> Tuple[Tuple[SalientFeature, ...], float]:
+    ) -> Tuple[FeatureSet, float]:
         """Features of a series, without adding a new series to the cache.
 
         A series already cached (a stored series) is served from the
         cache; any other is extracted and returned, not kept.  Callers
-        that compare one transient query with many cached series extract
-        the query once here and pass the features to :meth:`distance`, so
-        the cache holds the stored series only.
+        that compare one transient query with many cached series (the
+        distance engine's alignment stage) extract the query once here,
+        so the cache holds the stored series only.
 
         Returns
         -------
@@ -206,7 +209,7 @@ class SDTW:
         if cached is not None:
             return cached, 0.0
         start = time.perf_counter()
-        features = tuple(extract_salient_features(values, self.config))
+        features = extract_salient_features(values, self.config)
         return features, time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
@@ -233,13 +236,15 @@ class SDTW:
         if features_y is None:
             features_y, _ = self.extract_features(ys)
         start = time.perf_counter()
+        features_x = FeatureSet.of(features_x)
+        features_y = FeatureSet.of(features_y)
         matches = match_salient_features(features_x, features_y, self.config.matching)
         consistent = prune_inconsistent_pairs(matches, self.config.matching)
         partition = build_interval_partition(consistent, xs.size, ys.size)
         matching_seconds = time.perf_counter() - start
         return SDTWAlignment(
-            features_x=tuple(features_x),
-            features_y=tuple(features_y),
+            features_x=features_x,
+            features_y=features_y,
             matches=tuple(matches),
             consistent=consistent,
             partition=partition,
@@ -273,15 +278,10 @@ class SDTW:
             xs.size, ys.size, resolved, alignment.partition, self.config
         )
         if self.config.symmetric_band:
-            reverse_alignment = self.align(
-                ys, xs,
-                features_x=alignment.features_y,
-                features_y=alignment.features_x,
+            band = unite_reverse_band(
+                band, resolved, alignment.features_x, alignment.features_y,
+                xs.size, ys.size, self.config,
             )
-            reverse_band = build_constraint_band(
-                ys.size, xs.size, resolved, reverse_alignment.partition, self.config
-            )
-            band = build_symmetric_band(band, reverse_band, xs.size, ys.size)
         return band, alignment
 
     # ------------------------------------------------------------------ #
@@ -295,7 +295,6 @@ class SDTW:
         *,
         return_path: bool = False,
         abandon_threshold: Optional[float] = None,
-        features_x: Optional[Sequence[SalientFeature]] = None,
     ) -> SDTWResult:
         """Compute the DTW distance under a constraint family.
 
@@ -315,10 +314,6 @@ class SDTW:
             program as soon as the distance provably exceeds it (see
             :func:`repro.dtw.banded.banded_dtw`).  Requires
             ``return_path=False``.
-        features_x:
-            Salient features of *x*, already extracted (for instance by
-            :meth:`query_features`); *x* is then neither extracted nor
-            cached here.
 
         Returns
         -------
@@ -363,9 +358,7 @@ class SDTW:
         extract_seconds = 0.0
         alignment: Optional[SDTWAlignment] = None
         if resolved.aligns:
-            ex = 0.0
-            if features_x is None:
-                features_x, ex = self.extract_features(xs)
+            features_x, ex = self.extract_features(xs)
             features_y, ey = self.extract_features(ys)
             extract_seconds = ex + ey
             alignment = self.align(

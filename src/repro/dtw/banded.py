@@ -132,26 +132,31 @@ def validate_band(band: np.ndarray, n: int, m: int, *, repair: bool = False) -> 
     return arr
 
 
-def validate_bands(bands: np.ndarray, n: int, m: int) -> np.ndarray:
+def validate_bands(
+    bands: np.ndarray, n: int, m: Union[int, np.ndarray]
+) -> np.ndarray:
     """``validate_band(band, n, m, repair=True)`` for a ``(count, n, 2)`` stack.
 
-    The clipping and every check of :func:`validate_band` run over the
-    whole stack at once.  A band that passes them is its clipped self,
-    which is what :func:`validate_band` returns for it; only the bands
-    that fail one go through :func:`validate_band` to be repaired.  A
-    stack of one goes through it directly.
+    *m* is the column count of every band, or one per band.  The
+    clipping and every check of :func:`validate_band` run over the whole
+    stack at once.  A band that passes them is its clipped self, which
+    is what :func:`validate_band` returns for it; only the bands that
+    fail one go through :func:`validate_band` to be repaired.  A stack
+    of one goes through it directly.
     """
+    columns = np.broadcast_to(np.asarray(m, dtype=np.intp), (len(bands),))
     if len(bands) == 1:
-        return validate_band(bands[0], n, m, repair=True)[None]
-    arr = np.clip(bands, 0, m - 1)
+        return validate_band(bands[0], n, int(columns[0]), repair=True)[None]
+    last = columns - 1
+    arr = np.clip(bands, 0, last[:, None, None])
     lo, hi = arr[..., 0], arr[..., 1]
-    broken = (lo > hi).any(axis=1) | (lo[:, 0] != 0) | (hi[:, n - 1] != m - 1)
+    broken = (lo > hi).any(axis=1) | (lo[:, 0] != 0) | (hi[:, n - 1] != last)
     if n > 1:
         reach = np.maximum.accumulate(lo, axis=1)
         broken |= (lo[:, 1:] > hi[:, :-1] + 1).any(axis=1)
         broken |= (hi[:, 1:] < reach[:, :-1]).any(axis=1)
     for index in np.flatnonzero(broken).tolist():
-        arr[index] = validate_band(bands[index], n, m, repair=True)
+        arr[index] = validate_band(bands[index], n, int(columns[index]), repair=True)
     return arr
 
 

@@ -19,7 +19,9 @@ Keogh's VLDB 2002 lower-bounding work (reference [7] of the paper):
    other constraint family.
 3. Early-abandoning banded DTW — refinement in ascending order of the
    larger of the two bounds, which stops a dynamic program as soon as a
-   whole row exceeds the running k-th-best distance.
+   whole row exceeds the running k-th-best distance.  A family that
+   aligns salient features first builds the bands of a chunk of those
+   candidates in one pass (:mod:`repro.core.alignment`).
 
 Stages 1 and 2 run for every candidate on every backend, one vectorised
 call each over the collection (or the re-rank subset); a candidate whose

@@ -16,6 +16,8 @@ Three strategies orchestrate the same per-query cascade:
   re-pickled per task; with ``spawn`` the state is shipped once per worker
   through the pool initializer.
 
+A family that aligns salient features runs the same alignment stage and
+per-pair DPs on all three (:func:`repro.core.alignment.align_candidates`).
 All three produce identical distances and k-NN rankings; the equivalence
 test suite (``tests/test_engine_equivalence.py``) enforces it.
 

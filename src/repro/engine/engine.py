@@ -21,7 +21,16 @@ three-stage pruning cascade per query:
 Stages 1 and 2 run for every candidate on every backend, one batch call
 each, before any refinement: ordering by the tighter bound refines fewer
 candidates than ordering by LB_Kim alone.  The backends differ only in
-stage 3 (see :mod:`repro.engine.backends`).
+how stage 3 runs a shared band (see :mod:`repro.engine.backends`).
+
+A family that aligns salient features gives every pair its own band.
+For it, stage 3 starts with the alignment stage on every backend: the
+candidates about to be refined, a chunk of ``batch_size`` in bound
+order, cut where a bound exceeds the k-th best, are aligned with the
+query in one pass and get their bands
+(:func:`repro.core.alignment.align_candidates`, from one cached
+:class:`~repro.core.features.FeatureSet` per stored series).  Each then
+runs the per-pair scan on its band, one at a time, as ``serial`` does.
 
 Every stage is *admissible* (bounds never exceed the true constrained
 distance, and abandonment only fires when the distance provably exceeds
@@ -42,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._validation import as_series, check_int_at_least
+from ..core.alignment import align_candidates
 from ..core.bands import resolve_constraint
 from ..core.config import SDTWConfig
 from ..core.features import FeatureSet, SalientFeature
@@ -669,54 +679,85 @@ class DistanceEngine:
         query: np.ndarray,
         stored: _Stored,
         threshold: Optional[float],
-        band: Optional[np.ndarray] = None,
-        query_features: Optional[Sequence[SalientFeature]] = None,
-    ) -> Tuple[float, int, bool, float, float, float]:
-        """One refinement: ``(distance, cells, abandoned, extract, match, dp)``.
+        band: Optional[np.ndarray],
+    ) -> Tuple[float, int, bool, float]:
+        """One per-pair DP: ``(distance, cells, abandoned, dp_seconds)``.
 
-        Constraints that align salient features take the query's features
-        from *query_features* (see :meth:`_query_features`).
+        *band* is the pair's band: the shared one, or its band from the
+        alignment stage (:meth:`_align`); a shape-only family builds it
+        here when the lengths differ.
         """
         if band is None:
             band = self._resolved.band(
                 query.size, stored.values.size, self.config, self.itakura_max_slope
             )
-        if band is not None:
-            start = time.perf_counter()
-            result = banded_dtw(
-                query, stored.values, band, self.config.pointwise_distance,
-                return_path=False, abandon_threshold=threshold,
-            )
-            dp_seconds = time.perf_counter() - start
-            return (result.distance, result.cells_filled, result.abandoned,
-                    0.0, 0.0, dp_seconds)
-        result = self._sdtw.distance(
-            query, stored.values, self._resolved, abandon_threshold=threshold,
-            features_x=query_features,
+        start = time.perf_counter()
+        result = banded_dtw(
+            query, stored.values, band, self.config.pointwise_distance,
+            return_path=False, abandon_threshold=threshold,
         )
         return (result.distance, result.cells_filled, result.abandoned,
-                result.extract_seconds, result.matching_seconds,
-                result.dp_seconds)
+                time.perf_counter() - start)
 
     def _query_features(
         self,
         query: np.ndarray,
         features: Optional[Sequence[SalientFeature]],
         stats: EngineStats,
-    ) -> Optional[Sequence[SalientFeature]]:
+    ) -> FeatureSet:
         """The query's salient features, extracted at most once per query.
 
         Given features (from candidate generation) are used as they are.
-        Otherwise they are extracted on first need and timed into
-        *stats*, without entering the stored-series cache, so they are
-        dropped when the query returns.  Either way they are stacked once
-        (:class:`~repro.core.features.FeatureSet`), not once per refined
+        Otherwise they are extracted and timed into *stats*, without
+        entering the stored-series cache, so they are dropped when the
+        query returns.  Either way they are stacked once
+        (:class:`~repro.core.features.FeatureSet`), not once per aligned
         candidate.
         """
-        if features is None and self._resolved.aligns:
+        if features is None:
             features, seconds = self._sdtw.query_features(query)
             stats.extract_seconds += seconds
-        return None if features is None else FeatureSet.of(features)
+        return FeatureSet.of(features)
+
+    def _align(
+        self,
+        query: np.ndarray,
+        features: FeatureSet,
+        chunk: Sequence[int],
+        stats: EngineStats,
+    ) -> np.ndarray:
+        """The alignment stage: the ``(n, 2)`` band of *query* against
+        each stored series of *chunk*, all built in one pass
+        (:func:`~repro.core.alignment.align_candidates`).
+
+        Each stored series' features come from the salient-feature cache
+        as one stacked set.  The stage's time, band building included,
+        is ``matching_seconds``; extracting a series missing from the
+        cache is ``extract_seconds``.
+        """
+        start = time.perf_counter()
+        candidates = []
+        extracted = 0.0
+        for index in chunk:
+            candidate, seconds = self._sdtw.extract_features(self._stored[index].values)
+            extracted += seconds
+            candidates.append(candidate)
+        bands = align_candidates(
+            self._resolved, features, candidates, query.size,
+            self._prepared.lengths[chunk], self.config,
+        )
+        stats.extract_seconds += extracted
+        stats.matching_seconds += time.perf_counter() - start - extracted
+        return bands
+
+    def _chunk(
+        self, order: np.ndarray, position: int, bound_all: np.ndarray, limit: float
+    ) -> List[int]:
+        """The next candidates in bound order, at most ``batch_size``,
+        up to the first whose bound exceeds *limit*."""
+        window = order[position: position + self.batch_size]
+        over = np.flatnonzero(bound_all[window] > limit)
+        return window[: over[0] if over.size else window.size].tolist()
 
     def _keogh_tight_applicable(self, n: int) -> bool:
         prep = self._prepared
@@ -850,6 +891,9 @@ class DistanceEngine:
             if prep.equal_length else None
         )
         use_batch_dp = mode == "vectorized" and band is not None
+        features: Optional[FeatureSet] = None
+        # The bands the alignment stage built for the current chunk.
+        pending: Dict[int, np.ndarray] = {}
 
         position = 0
         while position < order.size:
@@ -858,12 +902,7 @@ class DistanceEngine:
                 prune_remaining(position)
                 break
             if use_batch_dp:
-                stop = min(position + self.batch_size, order.size)
-                chunk: List[int] = []
-                for t in range(position, stop):
-                    if bound_all[order[t]] > limit:
-                        break
-                    chunk.append(int(order[t]))
+                chunk = self._chunk(order, position, bound_all, limit)
                 threshold = limit if (self.early_abandon and np.isfinite(limit)) else None
                 dp_start = time.perf_counter()
                 dists, cell_counts, abandoned_mask = banded_dtw_batch(
@@ -883,19 +922,19 @@ class DistanceEngine:
                 continue
 
             index = int(order[position])
+            if self._resolved.aligns and not pending:
+                if features is None:
+                    features = self._query_features(query, query_features, stats)
+                chunk = self._chunk(order, position, bound_all, limit)
+                pending = dict(zip(chunk, self._align(query, features, chunk, stats)))
             position += 1
             threshold = (
                 worst if (self.early_abandon and len(kept) == k) else None
             )
-            if band is None:
-                query_features = self._query_features(query, query_features, stats)
-            distance, cells, was_abandoned, extract_s, match_s, dp_s = self._refine(
-                query, self._stored[index], threshold, band=band,
-                query_features=query_features,
+            distance, cells, was_abandoned, dp_s = self._refine(
+                query, self._stored[index], threshold, pending.pop(index, band)
             )
             stats.cells_filled += cells
-            stats.extract_seconds += extract_s
-            stats.matching_seconds += match_s
             stats.dp_seconds += dp_s
             if was_abandoned:
                 stats.dtw_abandoned += 1
@@ -943,19 +982,24 @@ class DistanceEngine:
             stats.dp_seconds += time.perf_counter() - dp_start
             stats.dtw_computed += count
         else:
-            query_features = None
-            if band is None:
-                query_features = self._query_features(query, None, stats)
-            for index, stored in enumerate(self._stored):
-                distance, cells, _, extract_s, match_s, dp_s = self._refine(
-                    query, stored, None, band=band, query_features=query_features,
+            features = (
+                self._query_features(query, None, stats)
+                if self._resolved.aligns else None
+            )
+            for first in range(0, count, self.batch_size):
+                chunk = list(range(first, min(first + self.batch_size, count)))
+                bands = (
+                    self._align(query, features, chunk, stats)
+                    if features is not None else [band] * len(chunk)
                 )
-                row[index] = distance
-                stats.cells_filled += cells
-                stats.extract_seconds += extract_s
-                stats.matching_seconds += match_s
-                stats.dp_seconds += dp_s
-                stats.dtw_computed += 1
+                for index, pair_band in zip(chunk, bands):
+                    distance, cells, _, dp_s = self._refine(
+                        query, self._stored[index], None, pair_band
+                    )
+                    row[index] = distance
+                    stats.cells_filled += cells
+                    stats.dp_seconds += dp_s
+                    stats.dtw_computed += 1
         stats.elapsed_seconds = time.perf_counter() - started
         return row, stats
 

@@ -57,7 +57,8 @@ class EngineStats:
     bound_seconds, extract_seconds, matching_seconds, dp_seconds:
         Wall-clock phase breakdown: lower-bound stage, salient-feature
         extraction (task (a)), feature matching + inconsistency pruning
-        (task (b)), and dynamic programming (task (c)).
+        (task (b); the whole alignment stage, band building included),
+        and dynamic programming (task (c)).
     elapsed_seconds:
         End-to-end wall-clock time of the batch call.
     """

@@ -4,10 +4,12 @@ Section 3.4 of the paper points out that salient-feature extraction is a
 one-time cost: once the features of a series are extracted they can be
 stored and indexed along with the series and reused across every retrieval
 or classification task that touches it.  :class:`FeatureStore` implements
-that idea: it maps series identifiers to their feature lists, persists them
-to a single ``.npz`` archive, and hands pre-extracted features to the
+that idea: it maps series identifiers to their features, persists them to
+a single ``.npz`` archive, and hands pre-extracted features to the
 :class:`repro.core.sdtw.SDTW` engine's cache so repeated comparisons skip
-extraction entirely.
+extraction entirely.  Each series' features are one
+:class:`~repro.core.features.FeatureSet`, the object the cache holds too,
+so no comparison stacks them again.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.config import SDTWConfig
-from ..core.features import SalientFeature, extract_salient_features
+from ..core.features import FeatureSet, SalientFeature, extract_salient_features
 from ..core.sdtw import SDTW
 from ..datasets.base import Dataset
 from ..exceptions import DatasetError, ValidationError
@@ -124,7 +126,7 @@ class FeatureStore:
     """
 
     config: SDTWConfig = field(default_factory=SDTWConfig)
-    _features: Dict[str, Tuple[SalientFeature, ...]] = field(default_factory=dict)
+    _features: Dict[str, FeatureSet] = field(default_factory=dict)
     _series: Dict[str, np.ndarray] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
@@ -137,7 +139,7 @@ class FeatureStore:
         features: Optional[Sequence[SalientFeature]] = None,
         *,
         extract: bool = True,
-    ) -> Tuple[SalientFeature, ...]:
+    ) -> Sequence[SalientFeature]:
         """Add one series (extracting its features unless they are supplied).
 
         With ``extract=False`` (and no explicit *features*) only the raw
@@ -156,7 +158,7 @@ class FeatureStore:
             return ()
         if features is None:
             features = extract_salient_features(array, self.config)
-        stored = tuple(features)
+        stored = FeatureSet.of(features)
         self._features[identifier] = stored
         self._series[identifier] = array
         return stored
@@ -191,16 +193,14 @@ class FeatureStore:
         """Whether this series' features have been extracted already."""
         return identifier in self._features
 
-    def ensure_features(self, identifier: str) -> Tuple[SalientFeature, ...]:
+    def ensure_features(self, identifier: str) -> FeatureSet:
         """The features of one series, extracting them if still deferred."""
         if identifier not in self._features:
             values = self.series_of(identifier)
-            self._features[identifier] = tuple(
-                extract_salient_features(values, self.config)
-            )
+            self._features[identifier] = extract_salient_features(values, self.config)
         return self._features[identifier]
 
-    def features_of(self, identifier: str) -> Tuple[SalientFeature, ...]:
+    def features_of(self, identifier: str) -> FeatureSet:
         """The stored features of one series."""
         try:
             return self._features[identifier]
@@ -271,7 +271,7 @@ class FeatureStore:
         for index, identifier in enumerate(manifest["identifiers"]):
             payload[f"series_{index}"] = self._series[identifier]
             payload[f"features_{index}"] = _features_to_matrix(
-                list(self.ensure_features(identifier))
+                self.ensure_features(identifier)
             )
         payload["manifest"] = np.frombuffer(
             json.dumps(manifest).encode("utf-8"), dtype=np.uint8
@@ -301,5 +301,5 @@ class FeatureStore:
             matrix = np.asarray(archive[f"features_{index}"], dtype=float)
             features = _matrix_to_features(matrix, version) if matrix.size else []
             store._series[identifier] = values
-            store._features[identifier] = tuple(features)
+            store._features[identifier] = FeatureSet(features)
         return store

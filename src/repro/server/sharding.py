@@ -24,10 +24,20 @@ single-workspace one under the same condition the index itself
 documents (bit-identical at ``candidate_budget >= shard size``,
 high-recall approximate below it).
 
+Fan-out: a query starts one thread per ``RemoteWorkspace`` shard, which
+waits on its socket, and then answers the in-process shards on the
+calling thread, one after another, while the remote calls are in
+flight.  In-process shards run Python and small numpy calls that hold
+the interpreter lock, so threads for them would only take turns and pay
+for every hand-off (README, "Serving over HTTP", has the measurement).
+The shard type picks the path.
+
 Degraded reads: with ``allow_partial=True`` a query whose shard
 fan-out partially fails returns the merged hits of the answering
 shards and lists the casualties in ``failed_shards``; the default is
-to fail the query (complete results or an error).
+to fail the query (complete results or an error).  Only an
+``Exception`` counts as a shard failure: a ``KeyboardInterrupt`` or
+``SystemExit`` raised while a shard answers propagates to the caller.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import dataclasses
 import threading
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +55,7 @@ from ..exceptions import ServerError, ValidationError, WorkspaceError
 from ..service.workspace import Workspace, WorkspaceQueryResult
 from ..telemetry.registry import NULL_REGISTRY, MetricsRegistry
 from ..telemetry.trace import QueryTrace
+from .client import RemoteWorkspace
 
 
 def shard_of(identifier: str, num_shards: int) -> int:
@@ -276,7 +287,12 @@ class ShardedWorkspace:
         Signature-compatible with :meth:`Workspace.query`; the merged
         result carries per-shard snapshot versions in
         ``shard_versions`` and — for degraded reads — the shards that
-        failed in ``failed_shards``.
+        failed in ``failed_shards``.  Each ``RemoteWorkspace`` shard is
+        asked on a thread of its own, started first; the in-process
+        shards then answer on the calling thread, in shard order, and
+        the remote threads are joined last.  A shard that raises an
+        ``Exception`` has failed; any other exception (from a thread,
+        after the join) propagates.
         """
         started = time.perf_counter()
         k = self._default_k if k is None else int(k)
@@ -307,23 +323,38 @@ class ShardedWorkspace:
                     candidates=candidates,
                     exclude_identifier=exclude_identifier,
                 )
-            except BaseException as exc:  # noqa: BLE001 - gathered below
+            except Exception as exc:  # noqa: BLE001 - gathered below
                 outcomes[slot] = exc
 
-        if len(targets) == 1:
-            scatter(0, targets[0][1])
-        else:
-            threads = [
-                threading.Thread(
-                    target=scatter, args=(slot, shard),
-                    name=f"repro-scatter-{name}", daemon=True,
-                )
-                for slot, (name, shard) in enumerate(targets)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        def scatter_remote(slot: int, shard: object) -> None:
+            try:
+                scatter(slot, shard)
+            except BaseException as exc:  # noqa: BLE001 - re-raised after the join
+                outcomes[slot] = exc
+
+        # A lone shard has nothing to overlap with and answers inline too.
+        remote = [
+            isinstance(shard, RemoteWorkspace) and len(targets) > 1
+            for _, shard in targets
+        ]
+        threads = [
+            threading.Thread(
+                target=scatter_remote, args=(slot, shard),
+                name=f"repro-scatter-{name}", daemon=True,
+            )
+            for slot, (name, shard) in enumerate(targets)
+            if remote[slot]
+        ]
+        for thread in threads:
+            thread.start()
+        for slot, (_, shard) in enumerate(targets):
+            if not remote[slot]:
+                scatter(slot, shard)
+        for thread in threads:
+            thread.join()
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException) and not isinstance(outcome, Exception):
+                raise outcome
 
         answered: List[Tuple[str, WorkspaceQueryResult]] = []
         failed: List[Tuple[str, BaseException]] = []
@@ -347,16 +378,20 @@ class ShardedWorkspace:
                     f"({len(failed)}/{len(targets)} shards down): {exc}"
                 ) from exc
 
-        merged = self._merge(answered, order, k, mode)
+        remote_names = {
+            name for (name, _), is_remote in zip(targets, remote) if is_remote
+        }
+        merged = self._merge(answered, order, k, mode, remote_names)
         merged = dataclasses.replace(
             merged,
             failed_shards=tuple(name for name, _ in failed),
         )
         elapsed = time.perf_counter() - started
         if merged.trace is not None:
-            # Shard stages overlap in time (parallel fan-out), so the
-            # stage sum may exceed the sealed end-to-end wall time —
-            # unlike single-workspace traces, which account exactly.
+            # In-process shards answer one after another, so their
+            # stages add up to the end-to-end wall time, as a single
+            # workspace's do.  A remote shard's stage overlaps the
+            # others, so with remote shards the stage sum may exceed it.
             merged.trace.finish(elapsed)
         self._m_queries.labels(
             outcome="partial" if failed else "complete"
@@ -370,6 +405,7 @@ class ShardedWorkspace:
         order: Dict[str, int],
         k: int,
         requested_mode: str,
+        remote_names: Set[str],
     ) -> WorkspaceQueryResult:
         """Merge per-shard top-k lists into the global result.
 
@@ -378,6 +414,11 @@ class ShardedWorkspace:
         fields are remapped from shard-local to global live-roster
         positions — so a complete merge is bit-identical (ids, indices,
         distances, labels) to the unsharded query.
+
+        The merged ``generation_seconds`` and ``rerank_seconds`` are the
+        fan-out's critical path: the sum over the in-process shards,
+        which answer one after another, or the slowest of the shards in
+        *remote_names*, which answer alongside them, whichever is longer.
         """
         results = [result for _, result in answered]
         ranked = sorted(
@@ -398,10 +439,10 @@ class ShardedWorkspace:
             k=k,
             collection_size=sum(r.collection_size for r in results),
             candidates_generated=sum(r.candidates_generated for r in results),
-            # Shards answer in parallel: the merged per-stage walls are
-            # the fan-out's critical path, not the sum of shard walls.
-            generation_seconds=max(r.generation_seconds for r in results),
-            rerank_seconds=max(r.rerank_seconds for r in results),
+            generation_seconds=_critical_path(
+                answered, remote_names, "generation_seconds"
+            ),
+            rerank_seconds=_critical_path(answered, remote_names, "rerank_seconds"),
             stats=EngineStats.merged([r.stats for r in results]),
             trace=trace,
             snapshot_version=max(r.snapshot_version for r in results),
@@ -536,6 +577,25 @@ class ShardedWorkspace:
                     close()
                 except Exception:  # noqa: BLE001 - best-effort shutdown
                     pass
+
+
+def _critical_path(
+    answered: List[Tuple[str, WorkspaceQueryResult]],
+    remote_names: Set[str],
+    field: str,
+) -> float:
+    """One stage's wall over a fan-out: the in-process shards' sum, or
+    the slowest remote shard if that is longer."""
+    inline = sum(
+        getattr(result, field) for name, result in answered
+        if name not in remote_names
+    )
+    return max(
+        [inline] + [
+            getattr(result, field) for name, result in answered
+            if name in remote_names
+        ]
+    )
 
 
 def split_workspace(

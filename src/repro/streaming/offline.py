@@ -198,7 +198,7 @@ def naive_sliding_profile(
     shared_band = resolved.band(m, m, config, itakura_max_slope)
     pattern_features = None
     if shared_band is None:
-        pattern_features = tuple(extract_salient_features(ys, config))
+        pattern_features = extract_salient_features(ys, config)
 
     if pattern_features is not None:
         # Mirror IncrementalExtractor's refresh cadence with batch

@@ -45,28 +45,22 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .._validation import as_series, check_positive
+from ..core.alignment import MatchedSides, build_alignment_bands, unite_reverse_band
 from ..core.bands import (
     ConstraintSpec,
     ResolvedConstraint,
     build_constraint_band,
-    build_constraint_bands,
-    build_symmetric_band,
     resolve_constraint,
 )
 from ..core.config import MatchingConfig, SDTWConfig
-from ..core.consistency import (
-    all_boundaries,
-    combined_scores,
-    commit_consistent,
-    prune_inconsistent_pairs,
-)
+from ..core.consistency import prune_inconsistent_pairs
 from ..core.features import (
     FeatureSet,
     SalientFeature,
     extract_salient_features,
     shift_scopes,
 )
-from ..core.intervals import boundary_cuts, build_interval_partition, stack_partitions
+from ..core.intervals import build_interval_partition
 from ..core.matching import match_decisions, match_gates, match_salient_features
 from ..dtw.banded import abandon_cutoff, banded_dtw, banded_dtw_batch, validate_band
 from ..dtw.distances import PointwiseDistance, get_pointwise_distance
@@ -462,34 +456,11 @@ def build_stream_band(
         window_length, pattern_length, spec, partition, config
     )
     if config.symmetric_band:
-        band = _symmetric(
+        band = unite_reverse_band(
             band, spec, window_features, pattern_features,
             window_length, pattern_length, config,
         )
     return band
-
-
-def _symmetric(
-    band: np.ndarray,
-    spec: Union[ConstraintSpec, ResolvedConstraint],
-    window_features: Sequence[SalientFeature],
-    pattern_features: Sequence[SalientFeature],
-    window_length: int,
-    pattern_length: int,
-    config: SDTWConfig,
-) -> np.ndarray:
-    """*band* united with the pattern-driven band (``symmetric_band``)."""
-    reverse_matches = match_salient_features(
-        pattern_features, window_features, config.matching
-    )
-    reverse_consistent = prune_inconsistent_pairs(reverse_matches, config.matching)
-    reverse_partition = build_interval_partition(
-        reverse_consistent, pattern_length, window_length
-    )
-    reverse_band = build_constraint_band(
-        pattern_length, window_length, spec, reverse_partition, config
-    )
-    return build_symmetric_band(band, reverse_band, window_length, pattern_length)
 
 
 def build_stream_bands(
@@ -512,84 +483,42 @@ def build_stream_bands(
        the snapshot's stacked arrays
        (:func:`~repro.core.matching.match_decisions`); consecutive
        windows that select the same rows share them.
-    2. The matched pairs of all windows are scored together
-       (:func:`~repro.core.consistency.combined_scores`) from the
-       snapshots' stacked positions and shifted scopes
+    2. Each pair's window feature is read from the snapshots' stacked
+       positions and shifted scopes
        (:func:`~repro.core.features.shift_scopes`).
-    3. Each window commits its pairs on plain floats
-       (:func:`~repro.core.consistency.commit_consistent`).
-    4. The committed boundaries become cuts
-       (:func:`~repro.core.intervals.boundary_cuts`), and the block's
-       partitions are banded and validated in one pass
-       (:func:`~repro.core.bands.build_constraint_bands`).
+    3. The engine's alignment stage takes it from there
+       (:func:`~repro.core.alignment.build_alignment_bands`): all pairs
+       are scored together, each window commits its pairs on plain
+       floats, and the block's partitions are banded and validated in
+       one pass.
 
     With ``symmetric_band`` on, each window's pattern-driven band is
-    still built per window and united with its band.
+    still built per window and united with its band
+    (:func:`~repro.core.alignment.unite_reverse_band`).
     """
     pattern = FeatureSet.of(pattern_features)
     shift_array = np.asarray(shifts, dtype=np.intp)
     sources, rows, columns, distances, sizes = _window_matches(
         snapshots, shift_array, pattern, m, config.matching
     )
-    cut_counts = [0] * len(shifts)
-    committed_x: List[float] = []
-    committed_y: List[float] = []
-    if distances:
-        limit = float(m - 1)
-        window = np.repeat(np.arange(len(shifts)), sizes)
-        shift = shift_array[window]
-        raw_start = np.concatenate([s.scope_starts for s in sources])[rows]
-        raw_end = np.concatenate([s.scope_ends for s in sources])[rows]
-        start_x, end_x = shift_scopes(raw_start, raw_end, shift, limit)
-        # A window at its snapshot's start reads the snapshot itself.
-        start_x = np.where(shift > 0, start_x, raw_start)
-        end_x = np.where(shift > 0, end_x, raw_end)
-        center_x = np.concatenate([s.positions for s in sources])[rows] - shift
-        start_y = pattern.scope_starts[columns]
-        end_y = pattern.scope_ends[columns]
-        # 2. Each window's pairs in match order (by position), scored.
-        order = np.lexsort((center_x, window))
-        sizes_array = np.asarray(sizes)
-        groups = (np.cumsum(sizes_array) - sizes_array)[sizes_array > 0]
-        _, _, combined = combined_scores(
-            np.asarray(distances)[order],
-            (end_x - start_x)[order],
-            (end_y - start_y)[order],
-            np.abs(center_x - pattern.positions[columns])[order],
-            np.concatenate([s.mean_amplitudes for s in sources])[rows][order],
-            pattern.mean_amplitudes[columns][order],
-            groups,
-        )
-        # 3. Commit order: best combined score first, ties in match order.
-        commit = order[np.lexsort((-combined, window[order]))]
-        bounds = list(zip(
-            start_x[commit].tolist(), end_x[commit].tolist(),
-            start_y[commit].tolist(), end_y[commit].tolist(),
-        ))
-        first = 0
-        for index, size in enumerate(sizes):
-            if not size:
-                continue
-            pairs = bounds[first: first + size]
-            first += size
-            if config.matching.prune_inconsistencies:
-                _, boundaries_x, boundaries_y = commit_consistent(pairs)
-            else:
-                boundaries_x, boundaries_y = all_boundaries(pairs)
-            committed_x += boundaries_x
-            committed_y += boundaries_y
-            cut_counts[index] = len(boundaries_x)
-
-    # 4. Sorted boundaries give sorted cuts: rounding and clipping keep order.
-    stack = stack_partitions(
-        boundary_cuts(np.asarray(committed_x, dtype=float), m),
-        boundary_cuts(np.asarray(committed_y, dtype=float), m),
-        cut_counts, m, m,
+    # Each pair's window feature, in its window's coordinates; a window
+    # at its snapshot's start reads the snapshot itself.
+    raw = MatchedSides.of(sources, rows)
+    shift = shift_array[np.repeat(np.arange(len(shifts)), sizes)]
+    start_x, end_x = shift_scopes(raw.starts, raw.ends, shift, float(m - 1))
+    window = MatchedSides(
+        np.where(shift > 0, start_x, raw.starts),
+        np.where(shift > 0, end_x, raw.ends),
+        raw.centers - shift,
+        raw.amplitudes,
     )
-    bands = build_constraint_bands(m, m, spec, stack, config)
+    bands = build_alignment_bands(
+        spec, sizes, np.asarray(distances, dtype=float), window,
+        MatchedSides.of([pattern], columns), m, m, config,
+    )
     if config.symmetric_band:
         for index, (snapshot, shift) in enumerate(zip(snapshots, shifts)):
-            bands[index] = _symmetric(
+            bands[index] = unite_reverse_band(
                 bands[index], spec, snapshot.shifted(shift, m), pattern,
                 m, m, config,
             )
@@ -740,8 +669,8 @@ class SlidingWindowMatcher:
                     f"has {m}"
                 )
             self._extractor = extractor
-            self._pattern_features = FeatureSet(
-                extract_salient_features(self.pattern, self.config)
+            self._pattern_features = extract_salient_features(
+                self.pattern, self.config
             )
 
         # Pattern-side precomputation (the paper's one-time cost): LB_Kim

@@ -13,12 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets.synthetic import make_gun_like
+from repro.core.config import SDTWConfig
+from repro.core.sdtw import SDTW
+from repro.datasets.synthetic import make_fiftywords_like, make_gun_like
 from repro.engine import DistanceEngine
 from repro.retrieval.knn import batch_top_k
+from repro.utils.preprocessing import resample_linear
 
 BACKENDS = ("serial", "vectorized", "multiprocessing")
 CONSTRAINTS = ("full", "fc,fw", "itakura", "fc,aw", "ac,fw", "ac,aw", "ac2,aw")
+ALIGNING = ("fc,aw", "ac,fw", "ac,aw", "ac2,aw")
 
 TOLERANCE = 1e-9
 
@@ -43,8 +47,20 @@ def unequal_length_collection(rng):
     return series
 
 
-def _build_engine(collection, constraint, backend):
-    engine = DistanceEngine(constraint, backend=backend, num_workers=2,
+@pytest.fixture(scope="module")
+def variable_length_collection():
+    """Word-like series resampled to 50-79 samples: every candidate of a
+    query has its own length, and most have salient features to align."""
+    rng = np.random.default_rng(29)
+    dataset = make_fiftywords_like(num_series=14, length=64, seed=5)
+    return [
+        (f"word-{i}", resample_linear(ts.values, int(rng.integers(50, 80))), ts.label)
+        for i, ts in enumerate(dataset)
+    ]
+
+
+def _build_engine(collection, constraint, backend, config=None):
+    engine = DistanceEngine(constraint, config, backend=backend, num_workers=2,
                             batch_size=4)
     for identifier, values, label in collection:
         engine.add(values, identifier=identifier, label=label)
@@ -141,6 +157,47 @@ class TestUnequalLengthCollections:
             np.testing.assert_allclose(
                 matrix, reference_matrix, atol=TOLERANCE, rtol=0.0
             )
+
+    @pytest.mark.parametrize("symmetric", (False, True))
+    @pytest.mark.parametrize("constraint", ALIGNING)
+    def test_aligning_families_match_the_per_pair_oracle(
+        self, variable_length_collection, constraint, symmetric
+    ):
+        """Every backend's hits equal a sort of ``SDTW.distance`` over
+        every pair, ids and distance bytes, over a full scan and over a
+        candidate subset (the alignment stage builds each candidate's
+        band, the reverse one included, without the per-pair path)."""
+        config = SDTWConfig(symmetric_band=symmetric)
+        collection = variable_length_collection
+        queries = [values for _, values, _ in collection[:3]]
+        oracle = SDTW(config)
+        distances = [
+            [oracle.distance(query, values, constraint).distance
+             for _, values, _ in collection]
+            for query in queries
+        ]
+        subset = [1, 2, 4, 6, 9, 11, 12]
+
+        def expected(qi, scope):
+            ranked = sorted(
+                (distances[qi][index], index) for index in scope if index != qi
+            )[:3]
+            return [(collection[index][0], np.float64(distance).tobytes())
+                    for distance, index in ranked]
+
+        for backend in BACKENDS:
+            engine = _build_engine(collection, constraint, backend, config)
+            excludes = [identifier for identifier, _, _ in collection[:3]]
+            for scope, restriction in (
+                (range(len(collection)), None), (subset, [subset] * 3)
+            ):
+                got = engine.knn(queries, k=3, exclude_identifiers=excludes,
+                                 candidate_indices=restriction)
+                for qi, result in enumerate(got.results):
+                    assert [
+                        (hit.identifier, np.float64(hit.distance).tobytes())
+                        for hit in result.hits
+                    ] == expected(qi, scope), (backend, qi, restriction)
 
     def test_cascade_matches_exhaustive_scan(self, unequal_length_collection):
         cascade = _build_engine(unequal_length_collection, "full", "serial")

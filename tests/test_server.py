@@ -17,6 +17,7 @@ import re
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -284,6 +285,83 @@ class TestSharding:
             shard_of("x", 0)
 
 
+def _scatter_threads(thread_mock):
+    """Names of the fan-out threads a patched ``threading.Thread`` saw."""
+    names = [call.kwargs.get("name", "") for call in thread_mock.call_args_list]
+    return [name for name in names if name.startswith("repro-scatter-")]
+
+
+class TestInlineFanOut:
+    """In-process shards answer on the calling thread, one after another;
+    only ``RemoteWorkspace`` shards get a thread."""
+
+    def test_in_process_shards_start_no_thread(self, workspace, dataset):
+        sharded = split_workspace(workspace, 2)
+        try:
+            with mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+                merged = sharded.query(dataset[3].values, 5, mode="exact")
+            thread.assert_not_called()
+            assert_bit_identical(merged, workspace.query(dataset[3].values, 5, mode="exact"))
+        finally:
+            sharded.close()
+
+    def test_stage_walls_and_trace_add_up(self, workspace, dataset):
+        sharded = split_workspace(workspace, 2)
+        answers = []
+
+        def capture(shard):
+            original = shard.query
+
+            def query(*args, **kwargs):
+                answers.append(original(*args, **kwargs))
+                return answers[-1]
+            return query
+
+        first, second = sharded._shards
+        try:
+            with mock.patch.object(first, "query", capture(first)), \
+                    mock.patch.object(second, "query", capture(second)):
+                merged = sharded.query(dataset[5].values, 5, mode="indexed",
+                                       candidates=NUM_SERIES)
+        finally:
+            sharded.close()
+        assert len(answers) == 2
+        assert all(answer.generation_seconds > 0 for answer in answers)
+        assert merged.generation_seconds == sum(a.generation_seconds for a in answers)
+        assert merged.rerank_seconds == sum(a.rerank_seconds for a in answers)
+        trace = merged.trace
+        assert [stage.name for stage in trace.stages[:2]] == [
+            "shard:shard-0", "shard:shard-1"
+        ]
+        assert sum(stage.seconds for stage in trace.stages) == pytest.approx(
+            trace.total_seconds, rel=1e-12
+        )
+
+    def test_mixed_in_process_and_remote_shards_are_bit_identical(
+            self, workspace, dataset):
+        shards = [Workspace.in_memory(_config()) for _ in range(2)]
+        for ts in dataset:
+            shards[shard_of(ts.identifier, 2)].add(
+                ts.values, identifier=ts.identifier, label=ts.label)
+        for shard in shards:
+            shard.build_index()
+        roster = [ts.identifier for ts in dataset]
+        with WorkspaceServer(shards[1], port=0) as srv, \
+                RemoteWorkspace(srv.host, srv.port) as remote:
+            mixed = ShardedWorkspace([shards[0], remote], roster=roster)
+            with mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread:
+                for mode in ("exact", "indexed"):
+                    local = workspace.query(
+                        dataset[2].values, 5, mode=mode, candidates=NUM_SERIES,
+                        exclude_identifier=dataset[2].identifier)
+                    merged = mixed.query(
+                        dataset[2].values, 5, mode=mode, candidates=NUM_SERIES,
+                        exclude_identifier=dataset[2].identifier)
+                    assert_bit_identical(merged, local)
+                    assert merged.failed_shards == ()
+            assert _scatter_threads(thread) == ["repro-scatter-shard-1"] * 2
+
+
 # ---------------------------------------------------------------------- #
 # Error contract
 # ---------------------------------------------------------------------- #
@@ -455,6 +533,29 @@ class TestDegradedReads:
         finally:
             for srv in servers:
                 srv.stop()
+
+    @pytest.mark.parametrize("allow_partial", (True, False))
+    def test_interrupt_in_an_in_process_shard_is_not_a_shard_failure(
+            self, workspace, dataset, allow_partial):
+        sharded = split_workspace(workspace, 2, allow_partial=allow_partial)
+        try:
+            with mock.patch.object(sharded._shards[1], "query",
+                                   side_effect=KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    sharded.query(dataset[0].values, 5, mode="exact")
+        finally:
+            sharded.close()
+
+    def test_interrupt_in_a_remote_shard_is_raised_after_the_join(
+            self, server, dataset):
+        local = Workspace.in_memory(_config())
+        local.add(dataset[0].values * 2.0, identifier="local-0")
+        with RemoteWorkspace(server.host, server.port) as remote:
+            sharded = ShardedWorkspace([local, remote], allow_partial=True)
+            with mock.patch.object(remote, "query", side_effect=KeyboardInterrupt):
+                with pytest.raises(KeyboardInterrupt):
+                    sharded.query(dataset[1].values, 3, mode="exact")
+            assert len(sharded.query(dataset[1].values, 3, mode="exact").hits) == 3
 
 
 # ---------------------------------------------------------------------- #
