@@ -498,14 +498,18 @@ def banded_dtw_batch(
     bands: np.ndarray,
     func,
     abandon_threshold: Optional[float] = None,
+    *,
+    m: Union[int, np.ndarray, None] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Banded DTW of many pairs in lock-step.
 
-    Pair ``c`` is row series ``xs[c]`` against column series ``ys[c]``
-    under band ``bands[c]``, and each of the three may instead be one
-    operand shared by every pair.  The engine runs one query (shared)
-    against stacked candidates under one band; a stream matcher runs
-    stacked windows against one pattern, each window under its own band.
+    Pair ``c`` is row series ``xs[c]`` against the first ``m[c]`` values
+    of column series ``ys[c]`` under band ``bands[c]``, and each of the
+    four may instead be one operand shared by every pair.  The engine
+    runs one query (shared) against stacked candidates, under one band or
+    a band per candidate, the candidates' columns padded on the right to
+    the longest; a stream matcher runs stacked windows against one
+    pattern, each window under its own band.
     This is the lock-step form of :func:`_banded_dtw_distance_only`: row
     ``i`` of every pair advances together, so a row costs a handful of
     numpy calls on a ``(width, C)`` matrix instead of ``C`` times the
@@ -533,6 +537,12 @@ def banded_dtw_batch(
       and abandoned pairs are compacted out once they are half the
       batch.
 
+    * A pair's band ends at its own last column ``m[c] - 1``, where its
+      final distance is read.  Columns past it in a padded stack are
+      read only into padded cells, so the padding must be finite (each
+      series' last value, say): a NaN would reach the row minimum
+      through the running minimum, and that pair would never abandon.
+
     Every pair sees the same operations on the same operands in the
     same order as in the per-pair scan: ``cumsum`` and
     ``minimum.accumulate`` run sequentially along each pair's row, and a
@@ -545,8 +555,7 @@ def banded_dtw_batch(
     xs:
         Row series: a ``(C, n)`` stack, or one series of length n shared.
     ys:
-        Column series: a ``(C, m)`` stack, or one series of length m
-        shared.
+        Column series: a ``(C, width)`` stack, or one series shared.
     bands:
         *Validated* bands (see :func:`validate_band`; they are not
         checked again): a ``(C, n, 2)`` stack, or one ``(n, 2)`` band
@@ -555,6 +564,11 @@ def banded_dtw_batch(
         Pointwise distance callable (broadcasting).
     abandon_threshold:
         Optional early-abandoning threshold applied to every pair.
+    m:
+        Column count of every pair, or a ``(C,)`` array of one per pair,
+        each at most the width of *ys* (default: that width).  A band
+        that does not end at its pair's last column raises
+        :class:`BandError`.
 
     Returns
     -------
@@ -566,11 +580,19 @@ def banded_dtw_batch(
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     bands = np.asarray(bands)
-    stacked = {a.shape[0] for a, ndim in ((xs, 2), (ys, 2), (bands, 3)) if a.ndim == ndim}
+    n, width_y = xs.shape[-1], ys.shape[-1]
+    # Each pair's last column, read at the end: (1,) shared or (C,).
+    last = np.asarray(width_y if m is None else m, dtype=np.intp) - 1
+    stacked = {
+        a.shape[0]
+        for a, ndim in ((xs, 2), (ys, 2), (bands, 3), (last, 1)) if a.ndim == ndim
+    }
     if len(stacked) > 1:
         raise ValueError(f"stacked operands disagree on the number of pairs: {sorted(stacked)}")
     count = stacked.pop() if stacked else 1
-    n, m = xs.shape[-1], ys.shape[-1]
+    last = last.reshape(-1)
+    if ((last < 0) | (last >= width_y)).any():
+        raise ValueError(f"column counts must lie in [1, {width_y}]")
     inf = np.inf
     distances = np.full(count, inf)
     cells = np.zeros(count, dtype=np.int64)
@@ -582,11 +604,11 @@ def banded_dtw_batch(
     # (row, column, pair): pairs run along the last axis, which a shared
     # operand keeps at 1.
     xs = np.ascontiguousarray(xs.reshape(-1, n).T)
-    ys = np.ascontiguousarray(ys.reshape(-1, m).T)
+    ys = np.ascontiguousarray(ys.reshape(-1, width_y).T)
     bands = bands.reshape(-1, n, 2)
     los = np.ascontiguousarray(bands[:, :, 0].T)
     widths = bands[:, :, 1].T - los + 1
-    if (los[-1] + widths[-1] != m).any():
+    if (los[-1] + widths[-1] - 1 != last).any():
         raise BandError("band must contain the end cell (n-1, m-1)")
     shared_band = los.shape[1] == 1
     # How far each window starts right of the previous row's window.
@@ -641,7 +663,7 @@ def banded_dtw_batch(
             if ys.shape[1] == 1:
                 columns = np.take(ys[:, 0], index, mode="clip")
             else:
-                columns = ys[np.minimum(index, m - 1), np.arange(alive.size)]
+                columns = ys[np.minimum(index, width_y - 1), np.arange(alive.size)]
             offsets = gather_offsets(start, stop, width)
         costs = func(xs[start:stop, np.newaxis], columns)
         sums = np.empty((stop - start, width + 1) + costs.shape[2:])
@@ -689,9 +711,9 @@ def banded_dtw_batch(
             if 2 * dead >= alive.size:
                 keep = live
                 alive, row = alive[keep], row[:, keep]
-                xs, ys, los, widths, shifts, sums, ends = (
+                xs, ys, los, widths, shifts, sums, ends, last = (
                     per_pair(values, keep)
-                    for values in (xs, ys, los, widths, shifts, sums, ends)
+                    for values in (xs, ys, los, widths, shifts, sums, ends, last)
                 )
                 # This block's rows keep their widths; later blocks read
                 # the survivors' widths and starts.
@@ -703,8 +725,8 @@ def banded_dtw_batch(
                 scratch = np.empty((max_width, alive.size))
                 dead = 0
 
-    # Column m - 1 of the last row; abandoned pairs hold inf.
-    final = row[base + m - 1 - los[-1], np.arange(alive.size)][live]
+    # Each pair's last column in the last row; abandoned pairs hold inf.
+    final = row[base + last - los[-1], np.arange(alive.size)][live]
     if not np.isfinite(final).all():
         raise BandError(
             "band does not admit any warp path from (0, 0) to (n-1, m-1); "

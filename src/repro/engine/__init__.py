@@ -36,14 +36,15 @@ Backend selection
 -----------------
 ``DistanceEngine(backend=...)`` picks how the cascade executes:
 
-* ``serial`` — batched lower bounds and per-pair DTW kernels: the
-  transparent reference path for refinement.
-* ``vectorized`` — the same bounds, and for shared-band
-  constraint families over equal-length collections the lock-step DP
-  kernel :func:`repro.dtw.banded.banded_dtw_batch` (re-exported here),
-  which advances one grid row for dozens of candidates per numpy call
-  with bit-identical distances to the serial per-pair scan.  The sliding
-  stream matchers run the same kernel.
+* ``serial`` — batched lower bounds and, for the shape-only families,
+  per-pair DTW kernels: the transparent reference path for refinement.
+* ``vectorized`` — the same bounds, and the lock-step DP kernel
+  :func:`repro.dtw.banded.banded_dtw_batch` (re-exported here), which
+  advances one grid row for dozens of candidates per numpy call, each
+  under its own band and column count if need be, with bit-identical
+  distances to the serial per-pair scan.  Every backend refines the
+  aligning families through it, and the sliding stream matchers run the
+  same kernel.
 * ``multiprocessing`` — whole queries fan out to worker processes (each
   running the vectorised path); series matrices, envelopes and
   salient-feature caches are shared copy-on-write via ``fork`` where

@@ -3,12 +3,14 @@
 Three strategies orchestrate the same per-query cascade:
 
 * ``serial`` — the transparent reference path: batched lower bounds,
-  per-pair DTW kernels, one candidate at a time.
+  and for a shape-only family (``full``, ``fc,fw``, ``itakura``) the
+  per-pair DTW scan, one candidate at a time.
 * ``vectorized`` — batched numpy lower bounds over the stacked collection
-  and (for shared-band constraint families over equal-length collections)
-  the lock-step DP kernel :func:`repro.dtw.banded.banded_dtw_batch`, run
-  as one query against stacked candidates under one band; the sliding
-  stream matchers run the same kernel on their windows.
+  and the lock-step DP kernel :func:`repro.dtw.banded.banded_dtw_batch`,
+  run as one query against a chunk of stacked candidates: under one band
+  over an equal-length collection, under each candidate's band of its
+  own length otherwise.  The sliding stream matchers run the same kernel
+  on their windows.
 * ``multiprocessing`` — a process pool that fans whole queries out to
   workers; each worker runs the vectorised per-query path.  On platforms
   with ``fork`` the engine state (series matrix, envelopes, salient-feature
@@ -17,9 +19,11 @@ Three strategies orchestrate the same per-query cascade:
   through the pool initializer.
 
 A family that aligns salient features runs the same alignment stage and
-per-pair DPs on all three (:func:`repro.core.alignment.align_candidates`).
-All three produce identical distances and k-NN rankings; the equivalence
-test suite (``tests/test_engine_equivalence.py``) enforces it.
+lock-step DP per chunk on all three
+(:func:`repro.core.alignment.align_candidates`).  All three produce
+identical distances and k-NN rankings; the equivalence test suite
+(``tests/test_engine_equivalence.py``) enforces it, and checks the
+aligning families against the per-pair ``SDTW.distance`` oracle.
 
 The backend is fixed per engine (``EngineConfig.backend``) and runs every
 query that engine answers; no call overrides it.  Threads that query one

@@ -20,17 +20,22 @@ three-stage pruning cascade per query:
 
 Stages 1 and 2 run for every candidate on every backend, one batch call
 each, before any refinement: ordering by the tighter bound refines fewer
-candidates than ordering by LB_Kim alone.  The backends differ only in
-how stage 3 runs a shared band (see :mod:`repro.engine.backends`).
+candidates than ordering by LB_Kim alone.  Stage 3 takes the candidates
+a chunk of ``batch_size`` at a time, in bound order, cut where a bound
+exceeds the k-th best, and refines each chunk in one lock-step call of
+:func:`repro.dtw.banded.banded_dtw_batch` under the k-th best distance
+at the chunk's start; candidates of different lengths are padded and
+each reads its own last column.  The backends differ only in how a
+shape-only family runs stage 3: ``serial`` keeps the per-pair scan,
+one candidate at a time, as the oracle (see
+:mod:`repro.engine.backends`).
 
 A family that aligns salient features gives every pair its own band.
-For it, stage 3 starts with the alignment stage on every backend: the
-candidates about to be refined, a chunk of ``batch_size`` in bound
-order, cut where a bound exceeds the k-th best, are aligned with the
-query in one pass and get their bands
+For it, each chunk starts with the alignment stage on every backend:
+the chunk is aligned with the query in one pass and gets its bands
 (:func:`repro.core.alignment.align_candidates`, from one cached
-:class:`~repro.core.features.FeatureSet` per stored series).  Each then
-runs the per-pair scan on its band, one at a time, as ``serial`` does.
+:class:`~repro.core.features.FeatureSet` per stored series), and the
+chunk's lock-step call runs each candidate under its own band.
 
 Every stage is *admissible* (bounds never exceed the true constrained
 distance, and abandonment only fires when the distance provably exceeds
@@ -327,7 +332,8 @@ class DistanceEngine:
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     batch_size:
-        Chunk size of the vectorised refinement stage: candidates are
+        Chunk size of the lock-step refinement stage (every aligning
+        family; shape-only families outside ``serial``): candidates are
         refined in ascending-bound chunks of this size so the abandonment
         threshold tightens between chunks.
     """
@@ -674,23 +680,25 @@ class DistanceEngine:
     # ------------------------------------------------------------------ #
     # Refinement
     # ------------------------------------------------------------------ #
+    def _shape_band(self, n: int, m: int, cache: Dict[int, np.ndarray]) -> np.ndarray:
+        """The band of an ``n x m`` grid of a shape-only family, built
+        once per column count *m* into *cache* (one per query)."""
+        band = cache.get(m)
+        if band is None:
+            band = cache[m] = self._resolved.band(
+                n, m, self.config, self.itakura_max_slope
+            )
+        return band
+
     def _refine(
         self,
         query: np.ndarray,
         stored: _Stored,
         threshold: Optional[float],
-        band: Optional[np.ndarray],
+        band: np.ndarray,
     ) -> Tuple[float, int, bool, float]:
-        """One per-pair DP: ``(distance, cells, abandoned, dp_seconds)``.
-
-        *band* is the pair's band: the shared one, or its band from the
-        alignment stage (:meth:`_align`); a shape-only family builds it
-        here when the lengths differ.
-        """
-        if band is None:
-            band = self._resolved.band(
-                query.size, stored.values.size, self.config, self.itakura_max_slope
-            )
+        """One per-pair DP: ``(distance, cells, abandoned, dp_seconds)``,
+        how ``serial`` refines a shape-only family."""
         start = time.perf_counter()
         result = banded_dtw(
             query, stored.values, band, self.config.pointwise_distance,
@@ -698,6 +706,54 @@ class DistanceEngine:
         )
         return (result.distance, result.cells_filled, result.abandoned,
                 time.perf_counter() - start)
+
+    def _refine_chunk(
+        self,
+        query: np.ndarray,
+        chunk: Sequence[int],
+        threshold: Optional[float],
+        features: Optional[FeatureSet],
+        bands: Dict[int, np.ndarray],
+        stats: EngineStats,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One lock-step DP over *chunk*: ``(distances, abandoned)``.
+
+        With query *features* each candidate gets its band from the
+        alignment stage (:meth:`_align`); otherwise an equal-length
+        collection shares one shape-only band and a variable-length one
+        stacks each candidate's (*bands*, by length).  The candidates are
+        stacked, each padded on the right with its last value, and run in
+        one :func:`~repro.dtw.banded.banded_dtw_batch` call with their
+        own column counts.  Stacking and the call are ``dp_seconds``.
+        """
+        prep = self._prepared
+        n = query.size
+        lengths = prep.lengths[chunk]
+        if features is not None:
+            pair_bands = self._align(query, features, chunk, stats)
+        elif prep.equal_length:
+            pair_bands = self._shape_band(n, int(lengths[0]), bands)
+        else:
+            pair_bands = np.stack(
+                [self._shape_band(n, m, bands) for m in lengths.tolist()]
+            )
+        start = time.perf_counter()
+        if prep.equal_length:
+            rows = prep.matrix_rows(chunk)
+        else:
+            rows = np.empty((len(chunk), int(lengths.max())))
+            for values_row, index in zip(rows, chunk):
+                values = self._stored[index].values
+                values_row[: values.size] = values
+                values_row[values.size:] = values[-1]
+        distances, cells, abandoned = banded_dtw_batch(
+            query, rows, pair_bands,
+            get_pointwise_distance(self.config.pointwise_distance),
+            threshold, m=lengths,
+        )
+        stats.dp_seconds += time.perf_counter() - start
+        stats.cells_filled += int(cells.sum())
+        return distances, abandoned
 
     def _query_features(
         self,
@@ -886,14 +942,15 @@ class DistanceEngine:
             if len(kept) == k:
                 worst = kept[-1][0]
 
-        band = (
-            self._resolved.band(n, int(prep.lengths[0]), self.config, self.itakura_max_slope)
-            if prep.equal_length else None
+        # Shape-only bands by candidate length, built once per query.
+        bands: Dict[int, np.ndarray] = {}
+        features = (
+            self._query_features(query, query_features, stats)
+            if self._resolved.aligns and order.size else None
         )
-        use_batch_dp = mode == "vectorized" and band is not None
-        features: Optional[FeatureSet] = None
-        # The bands the alignment stage built for the current chunk.
-        pending: Dict[int, np.ndarray] = {}
+        # Every chunk runs in lock-step, except on ``serial`` for a
+        # shape-only family, which keeps the per-pair scan as the oracle.
+        lockstep = self._resolved.aligns or mode == "vectorized"
 
         position = 0
         while position < order.size:
@@ -901,17 +958,14 @@ class DistanceEngine:
             if bound_all[order[position]] > limit:
                 prune_remaining(position)
                 break
-            if use_batch_dp:
+            if lockstep:
+                # The whole chunk is refined under the k-th best distance
+                # at its start.
                 chunk = self._chunk(order, position, bound_all, limit)
                 threshold = limit if (self.early_abandon and np.isfinite(limit)) else None
-                dp_start = time.perf_counter()
-                dists, cell_counts, abandoned_mask = banded_dtw_batch(
-                    query, prep.matrix_rows(chunk), band,
-                    get_pointwise_distance(self.config.pointwise_distance),
-                    threshold,
+                dists, abandoned_mask = self._refine_chunk(
+                    query, chunk, threshold, features, bands, stats
                 )
-                stats.dp_seconds += time.perf_counter() - dp_start
-                stats.cells_filled += int(cell_counts.sum())
                 for offset, index in enumerate(chunk):
                     if abandoned_mask[offset]:
                         stats.dtw_abandoned += 1
@@ -922,17 +976,13 @@ class DistanceEngine:
                 continue
 
             index = int(order[position])
-            if self._resolved.aligns and not pending:
-                if features is None:
-                    features = self._query_features(query, query_features, stats)
-                chunk = self._chunk(order, position, bound_all, limit)
-                pending = dict(zip(chunk, self._align(query, features, chunk, stats)))
             position += 1
             threshold = (
                 worst if (self.early_abandon and len(kept) == k) else None
             )
+            stored = self._stored[index]
             distance, cells, was_abandoned, dp_s = self._refine(
-                query, self._stored[index], threshold, pending.pop(index, band)
+                query, stored, threshold, self._shape_band(n, stored.values.size, bands)
             )
             stats.cells_filled += cells
             stats.dp_seconds += dp_s
@@ -964,42 +1014,26 @@ class DistanceEngine:
         n = query.size
         stats.total_cells = int(n * prep.lengths.sum())
         row = np.empty(count)
-        band = (
-            self._resolved.band(n, int(prep.lengths[0]), self.config, self.itakura_max_slope)
-            if prep.equal_length else None
+        bands: Dict[int, np.ndarray] = {}
+        features = (
+            self._query_features(query, None, stats)
+            if self._resolved.aligns else None
         )
-        if mode == "vectorized" and band is not None:
-            dp_start = time.perf_counter()
-            parts = []
-            pointwise = get_pointwise_distance(self.config.pointwise_distance)
-            for seg in prep.segments:
-                seg_row, cell_counts, _ = banded_dtw_batch(
-                    query, seg.matrix, band, pointwise, None,
-                )
-                parts.append(seg_row)
-                stats.cells_filled += int(cell_counts.sum())
-            row = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            stats.dp_seconds += time.perf_counter() - dp_start
-            stats.dtw_computed += count
-        else:
-            features = (
-                self._query_features(query, None, stats)
-                if self._resolved.aligns else None
-            )
+        if self._resolved.aligns or mode == "vectorized":
             for first in range(0, count, self.batch_size):
                 chunk = list(range(first, min(first + self.batch_size, count)))
-                bands = (
-                    self._align(query, features, chunk, stats)
-                    if features is not None else [band] * len(chunk)
+                row[first: first + len(chunk)], _ = self._refine_chunk(
+                    query, chunk, None, features, bands, stats
                 )
-                for index, pair_band in zip(chunk, bands):
-                    distance, cells, _, dp_s = self._refine(
-                        query, self._stored[index], None, pair_band
-                    )
-                    row[index] = distance
-                    stats.cells_filled += cells
-                    stats.dp_seconds += dp_s
-                    stats.dtw_computed += 1
+        else:
+            for index, stored in enumerate(self._stored):
+                distance, cells, _, dp_s = self._refine(
+                    query, stored, None, self._shape_band(n, stored.values.size, bands)
+                )
+                row[index] = distance
+                stats.cells_filled += cells
+                stats.dp_seconds += dp_s
+        stats.dtw_computed += count
         stats.elapsed_seconds = time.perf_counter() - started
         return row, stats
 

@@ -609,21 +609,25 @@ def split_workspace(
 
     Every stored series moves to its :func:`shard_of` home shard (same
     config, in-memory); the source's insertion order becomes the global
-    roster, preserving single-workspace tie-breaking.  ``build_index``
-    defaults to mirroring the source (shards index themselves when the
-    source has a fresh index); empty shards are left unindexed.
+    roster, preserving single-workspace tie-breaking.  A series carries
+    the salient features the source has extracted for it, so building
+    the shards' indexes extracts nothing again; one the source has
+    deferred stays deferred.  ``build_index`` defaults to mirroring the
+    source (shards index themselves when the source has a fresh index);
+    empty shards are left unindexed.
     """
     if num_shards < 1:
         raise ValidationError(f"num_shards must be >= 1, got {num_shards}")
     shards = [Workspace(source.config) for _ in range(num_shards)]
     labels = dict(zip(source.identifiers, source.labels))
     for identifier in source.identifiers:
-        home = shard_of(identifier, num_shards)
-        shards[home].add(
-            source.series_of(identifier),
-            identifier=identifier,
-            label=labels[identifier],
-        )
+        shard = shards[shard_of(identifier, num_shards)]
+        values = source.series_of(identifier)
+        shard.add(values, identifier=identifier, label=labels[identifier])
+        if source._store.has_features(identifier):
+            shard._store.add_series(
+                identifier, values, features=source._store.features_of(identifier)
+            )
     sharded = ShardedWorkspace(
         shards,
         roster=source.identifiers,

@@ -56,7 +56,7 @@ class EngineConfig(_DictRoundTrip):
         Whether refinements stop once they provably exceed the running
         k-th best distance.
     batch_size:
-        Chunk size of the vectorised refinement stage.
+        Chunk size of the lock-step refinement stage.
     itakura_max_slope:
         Slope parameter of the ``"itakura"`` constraint.
     """

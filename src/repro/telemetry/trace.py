@@ -25,7 +25,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 __all__ = [
     "QueryTrace",
@@ -36,13 +36,47 @@ __all__ = [
 ]
 
 
+class _NoAttributes(Mapping):
+    """The attributes of a stage that has none: one read-only empty
+    mapping, shared by every such stage of every retained result."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        # Copies and pickles resolve to the one shared instance.
+        return "NO_ATTRIBUTES"
+
+
+NO_ATTRIBUTES: Mapping[str, object] = _NoAttributes()
+
+
+def _attributes(attributes: Mapping[str, object]) -> Mapping[str, object]:
+    return dict(attributes) if attributes else NO_ATTRIBUTES
+
+
 @dataclass(slots=True)
 class TraceStage:
-    """One named span inside a query: wall seconds plus free attributes."""
+    """One named span inside a query: wall seconds plus free attributes.
+
+    A stage without attributes holds the shared read-only
+    ``NO_ATTRIBUTES``.
+    """
 
     name: str
     seconds: float
-    attributes: Dict[str, object] = field(default_factory=dict)
+    attributes: Mapping[str, object] = field(default_factory=lambda: NO_ATTRIBUTES)
 
     def to_dict(self) -> dict:
         payload = {"name": self.name, "seconds": self.seconds}
@@ -55,7 +89,7 @@ class TraceStage:
         return cls(
             name=str(payload["name"]),
             seconds=float(payload["seconds"]),
-            attributes=dict(payload.get("attributes") or {}),
+            attributes=_attributes(payload.get("attributes") or {}),
         )
 
 
@@ -78,7 +112,7 @@ class QueryTrace:
     attributes: Dict[str, object] = field(default_factory=dict)
 
     def add_stage(self, name: str, seconds: float, **attributes: object) -> TraceStage:
-        stage = TraceStage(name, max(0.0, float(seconds)), dict(attributes))
+        stage = TraceStage(name, max(0.0, float(seconds)), _attributes(attributes))
         self.stages.append(stage)
         return stage
 

@@ -5,8 +5,9 @@ path builds for it (``SDTW.build_band``), byte for byte, whatever the
 two lengths, with or without features, inconsistency pruning or the
 reverse band.  The per-partition ``m`` of the band functions must equal
 their scalar calls, partition by partition.  And the engine's query path
-must do no per-pair work: no ``SDTW.distance`` call, and no feature set
-stacked for a series whose features are cached.
+must do no per-pair work: no ``SDTW.distance`` call, no feature set
+stacked for a series whose features are cached, and no per-pair DP (each
+chunk of candidates runs in one lock-step call).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.intervals import stack_partitions
 from repro.core.sdtw import SDTW
 from repro.datasets.synthetic import make_fiftywords_like
 from repro.dtw.banded import validate_bands
-from repro.engine import DistanceEngine
+from repro.engine import DistanceEngine, engine as engine_module
 from repro.service import EngineConfig, IndexConfig, Workspace, WorkspaceConfig
 from repro.utils.preprocessing import resample_linear
 
@@ -138,8 +139,8 @@ class TestPerPartitionLengths:
 
 class TestNoPerPairWorkOnTheQueryPath:
     @staticmethod
-    def _engine(words, backend):
-        engine = DistanceEngine("ac,aw", backend=backend)
+    def _engine(words, backend, batch_size=32):
+        engine = DistanceEngine("ac,aw", backend=backend, batch_size=batch_size)
         for i, values in enumerate(words[1:]):
             engine.add(resample_linear(values, 50 + 3 * i), identifier=f"w{i}")
         engine.prepare()
@@ -160,6 +161,26 @@ class TestNoPerPairWorkOnTheQueryPath:
         ) as distance:
             self._queries(engine, words)
         distance.assert_not_called()
+
+    @pytest.mark.parametrize("backend", ("serial", "vectorized"))
+    def test_each_chunk_is_refined_in_one_lock_step_call(self, words, backend):
+        # Eleven candidates in chunks of at most 3: every aligned chunk
+        # goes to the kernel in one call, and no candidate alone.
+        engine = self._engine(words, backend, batch_size=3)
+        with mock.patch.object(
+            engine_module, "banded_dtw_batch", wraps=engine_module.banded_dtw_batch
+        ) as kernel, mock.patch.object(
+            engine_module, "banded_dtw", wraps=engine_module.banded_dtw
+        ) as per_pair, mock.patch.object(
+            engine, "_align", wraps=engine._align
+        ) as align:
+            self._queries(engine, words)
+        per_pair.assert_not_called()
+        assert align.call_count >= 3
+        assert kernel.call_count == align.call_count
+        for kernel_call, align_call in zip(kernel.call_args_list, align.call_args_list):
+            chunk = align_call.args[2]
+            assert len(kernel_call.args[1]) == len(chunk) <= 3
 
     @pytest.mark.parametrize("backend", ("serial", "vectorized"))
     def test_engine_stacks_no_cached_series(self, words, backend):

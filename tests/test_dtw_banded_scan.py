@@ -18,6 +18,7 @@ from typing import Optional
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dtw import banded
@@ -272,6 +273,143 @@ class TestBatchMatchesPerPair:
                             banded_dtw(x, y, band, distance, return_path=False,
                                        abandon_threshold=threshold),
                         )
+
+
+def padded(series) -> np.ndarray:
+    """Column series of different lengths stacked, each padded on the
+    right with its last value."""
+    width = max(values.size for values in series)
+    return np.stack([np.pad(values, (0, width - values.size), mode="edge")
+                     for values in series])
+
+
+@st.composite
+def padded_inputs(draw):
+    """The engine's layout: one query (or stacked rows) against column
+    series of their own lengths, shorter and longer than the query, each
+    under its own band or under one band when the lengths agree."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=30))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=30),
+                            min_size=count, max_size=count))
+    shared_x = draw(st.booleans())
+    xs = np.stack([draw(series_of(n)) for _ in range(1 if shared_x else count)])
+    ys = [draw(series_of(m)) for m in lengths]
+    if len(set(lengths)) == 1 and draw(st.booleans()):
+        bands = random_band(draw, n, lengths[0])
+    else:
+        bands = np.stack([random_band(draw, n, m) for m in lengths])
+    distance = draw(st.sampled_from(["absolute", "squared"]))
+    return xs[0] if shared_x else xs, ys, bands, distance
+
+
+def per_pair_results(xs, ys, bands, distance, threshold):
+    return [
+        banded_dtw(xs if xs.ndim == 1 else xs[c], y,
+                   bands if bands.ndim == 2 else bands[c], distance,
+                   return_path=False, abandon_threshold=threshold)
+        for c, y in enumerate(ys)
+    ]
+
+
+def assert_batch_equals(batch, expected) -> None:
+    distances, cells, abandoned = batch
+    assert distances.shape == cells.shape == abandoned.shape == (len(expected),)
+    for c, want in enumerate(expected):
+        assert_same_result(
+            BandedDTWResult(distance=distances[c], path=None,
+                            cells_filled=int(cells[c]), band=want.band,
+                            abandoned=bool(abandoned[c])),
+            want,
+        )
+
+
+class TestPaddedColumnSeries:
+    @given(inputs=padded_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_per_pair_scan(self, inputs):
+        xs, ys, bands, distance = inputs
+        func = get_pointwise_distance(distance)
+        lengths = np.array([y.size for y in ys])
+        exact = [r.distance for r in per_pair_results(xs, ys, bands, distance, None)]
+        thresholds = {None, 0.0} | {
+            t for d in exact for t in (d * 0.5, d, np.nextafter(d, np.inf))
+        }
+        for block_bytes in (banded._BLOCK_BYTES, 8, 600):
+            with mock.patch.object(banded, "_BLOCK_BYTES", block_bytes):
+                for threshold in sorted(thresholds, key=lambda t: -1 if t is None else t):
+                    assert_batch_equals(
+                        banded_dtw_batch(xs, padded(ys), bands, func, threshold,
+                                         m=lengths),
+                        per_pair_results(xs, ys, bands, distance, threshold),
+                    )
+
+    def test_threshold_that_compacts_the_batch(self):
+        # Twelve candidates of 20-90 samples against a 60-sample query;
+        # the third-best distance as threshold abandons at least half of
+        # them, so the survivors are compacted and still read their own end.
+        rng = np.random.default_rng(12)
+        n = 60
+        query = np.cumsum(rng.normal(size=n))
+        lengths = [20, 90, 35, 60, 74, 41, 60, 83, 28, 66, 52, 47]
+        ys = [np.cumsum(rng.normal(size=m)) for m in lengths]
+        bands = np.stack([sakoe_chiba_band(n, m, 6) for m in lengths])
+        exact = [r.distance for r in per_pair_results(query, ys, bands, "absolute", None)]
+        threshold = sorted(exact)[2]
+        for block_bytes in (banded._BLOCK_BYTES, 8):
+            with mock.patch.object(banded, "_BLOCK_BYTES", block_bytes):
+                batch = banded_dtw_batch(query, padded(ys), bands,
+                                         get_pointwise_distance("absolute"),
+                                         threshold, m=np.array(lengths))
+                assert 2 * int(batch[2].sum()) >= len(lengths)
+                assert not batch[2].all()
+                assert_batch_equals(
+                    batch, per_pair_results(query, ys, bands, "absolute", threshold)
+                )
+
+    @pytest.mark.parametrize("end", [7, 11])
+    def test_band_that_misses_its_own_end_cell_raises(self, end):
+        # Pair 1 has 10 columns; a band ending at column 7 or 11 (inside
+        # the padded width of 12) misses its end cell (9, 9).
+        rng = np.random.default_rng(2)
+        n, lengths = 9, np.array([12, 10])
+        ys = [rng.normal(size=m) for m in lengths]
+        bands = np.stack([full_band(n, 12), full_band(n, 12)])
+        bands[1, :, 1] = np.minimum(bands[1, :, 1], end)
+        with pytest.raises(BandError):
+            banded_dtw_batch(rng.normal(size=n), padded(ys), bands,
+                             get_pointwise_distance("absolute"), m=lengths)
+
+    def test_shared_pattern_calls_are_unchanged(self):
+        # The stream's layout: stacked windows against one pattern; the
+        # pattern's own length is the default column count.
+        rng = np.random.default_rng(5)
+        n, m = 24, 20
+        windows = rng.normal(size=(5, n))
+        pattern = rng.normal(size=m)
+        bands = np.stack([sakoe_chiba_band(n, m, r) for r in (2, 3, 4, 5, 6)])
+        func = get_pointwise_distance("absolute")
+        for threshold in (None, 8.0):
+            default = banded_dtw_batch(windows, pattern, bands, func, threshold)
+            for explicit in (m, np.full(5, m)):
+                given = banded_dtw_batch(windows, pattern, bands, func, threshold,
+                                         m=explicit)
+                for got, want in zip(given, default):
+                    assert got.tobytes() == want.tobytes()
+            assert_batch_equals(default, [
+                banded_dtw(window, pattern, band, "absolute", return_path=False,
+                           abandon_threshold=threshold)
+                for window, band in zip(windows, bands)
+            ])
+
+    def test_column_counts_are_checked(self):
+        func = get_pointwise_distance("absolute")
+        ys = np.zeros((2, 6))
+        bands = np.stack([full_band(4, 6), full_band(4, 6)])
+        with pytest.raises(ValueError):
+            banded_dtw_batch(np.zeros(4), ys, bands, func, m=np.array([6, 7]))
+        with pytest.raises(ValueError):
+            banded_dtw_batch(np.zeros(4), ys, bands, func, m=np.array([6, 6, 6]))
 
 
 def test_full_band_scan_memory_does_not_grow_with_series_length():

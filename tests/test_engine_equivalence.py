@@ -10,19 +10,22 @@ return identical distance matrices and identical k-NN rankings (within
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.config import SDTWConfig
 from repro.core.sdtw import SDTW
 from repro.datasets.synthetic import make_fiftywords_like, make_gun_like
-from repro.engine import DistanceEngine
+from repro.engine import DistanceEngine, engine as engine_module
 from repro.retrieval.knn import batch_top_k
 from repro.utils.preprocessing import resample_linear
 
 BACKENDS = ("serial", "vectorized", "multiprocessing")
 CONSTRAINTS = ("full", "fc,fw", "itakura", "fc,aw", "ac,fw", "ac,aw", "ac2,aw")
 ALIGNING = ("fc,aw", "ac,fw", "ac,aw", "ac2,aw")
+SHAPE_ONLY = ("full", "fc,fw", "itakura")
 
 TOLERANCE = 1e-9
 
@@ -65,6 +68,16 @@ def _build_engine(collection, constraint, backend, config=None):
     for identifier, values, label in collection:
         engine.add(values, identifier=identifier, label=label)
     return engine
+
+
+def _hit_bytes(result):
+    return [(hit.identifier, np.float64(hit.distance).tobytes()) for hit in result.hits]
+
+
+def _assert_every_candidate_accounted(batch):
+    for result in batch.results:
+        stats = result.stats
+        assert stats.dtw_computed + stats.dtw_abandoned + stats.pruned == stats.candidates
 
 
 def _run_all_backends(collection, constraint, k=3, num_queries=3):
@@ -165,8 +178,11 @@ class TestUnequalLengthCollections:
     ):
         """Every backend's hits equal a sort of ``SDTW.distance`` over
         every pair, ids and distance bytes, over a full scan and over a
-        candidate subset (the alignment stage builds each candidate's
-        band, the reverse one included, without the per-pair path)."""
+        candidate subset, and so does its distance matrix.  The alignment
+        stage builds each candidate's band, the reverse one included,
+        and each chunk of ``batch_size`` 4 runs in one lock-step DP: the
+        first with no threshold, later ones under the k-th best distance
+        at their start."""
         config = SDTWConfig(symmetric_band=symmetric)
         collection = variable_length_collection
         queries = [values for _, values, _ in collection[:3]]
@@ -188,16 +204,55 @@ class TestUnequalLengthCollections:
         for backend in BACKENDS:
             engine = _build_engine(collection, constraint, backend, config)
             excludes = [identifier for identifier, _, _ in collection[:3]]
-            for scope, restriction in (
-                (range(len(collection)), None), (subset, [subset] * 3)
-            ):
-                got = engine.knn(queries, k=3, exclude_identifiers=excludes,
-                                 candidate_indices=restriction)
-                for qi, result in enumerate(got.results):
-                    assert [
-                        (hit.identifier, np.float64(hit.distance).tobytes())
-                        for hit in result.hits
-                    ] == expected(qi, scope), (backend, qi, restriction)
+            with mock.patch.object(
+                engine_module, "banded_dtw_batch", wraps=engine_module.banded_dtw_batch
+            ) as kernel:
+                for scope, restriction in (
+                    (range(len(collection)), None), (subset, [subset] * 3)
+                ):
+                    got = engine.knn(queries, k=3, exclude_identifiers=excludes,
+                                     candidate_indices=restriction)
+                    for qi, result in enumerate(got.results):
+                        assert _hit_bytes(result) == expected(qi, scope), (
+                            backend, qi, restriction
+                        )
+                    _assert_every_candidate_accounted(got)
+            if backend != "multiprocessing":
+                # Worker processes call their own copy of the kernel.
+                thresholds = [call.args[4] for call in kernel.call_args_list]
+                assert None in thresholds
+                assert any(t is not None and np.isfinite(t) for t in thresholds)
+            matrix = engine.distance_matrix(queries).distances
+            assert matrix.tobytes() == np.array(distances).tobytes(), backend
+
+    @pytest.mark.parametrize("constraint", SHAPE_ONLY)
+    def test_shape_only_families_batch_over_variable_lengths(
+        self, variable_length_collection, constraint
+    ):
+        """``vectorized`` refines candidates of different lengths in
+        lock-step, each under the band of its own length, and returns
+        ``serial``'s per-pair hits and distance matrix byte for byte."""
+        collection = variable_length_collection
+        queries = [values for _, values, _ in collection[:4]]
+        excludes = [identifier for identifier, _, _ in collection[:4]]
+        outcomes = {}
+        for backend in BACKENDS:
+            engine = _build_engine(collection, constraint, backend)
+            with mock.patch.object(
+                engine_module, "banded_dtw", wraps=engine_module.banded_dtw
+            ) as per_pair, mock.patch.object(
+                engine_module, "banded_dtw_batch", wraps=engine_module.banded_dtw_batch
+            ) as kernel:
+                knn = engine.knn(queries, k=3, exclude_identifiers=excludes)
+                matrix = engine.distance_matrix(queries).distances
+            _assert_every_candidate_accounted(knn)
+            if backend == "serial":
+                assert per_pair.called and not kernel.called
+            elif backend == "vectorized":
+                assert kernel.called and not per_pair.called
+            outcomes[backend] = ([_hit_bytes(r) for r in knn.results], matrix.tobytes())
+        assert outcomes["vectorized"] == outcomes["serial"]
+        assert outcomes["multiprocessing"] == outcomes["serial"]
 
     def test_cascade_matches_exhaustive_scan(self, unequal_length_collection):
         cascade = _build_engine(unequal_length_collection, "full", "serial")

@@ -279,6 +279,52 @@ class TestSharding:
         finally:
             sharded.close()
 
+    def test_split_of_an_opened_workspace_extracts_nothing(
+            self, workspace, dataset, tmp_path):
+        # An opened workspace holds every series' features; the shards
+        # take them over, so neither the split nor the shards' index
+        # builds extract a series again.
+        path = tmp_path / "source"
+        with Workspace.create(path, _config()) as created:
+            created.add_dataset(dataset)
+            created.build_index()
+        source = Workspace.open(path)
+        with mock.patch(
+            "repro.core.features.extract_feature_sets",
+            side_effect=AssertionError("a split re-extracted a series"),
+        ):
+            sharded = split_workspace(source, 2)
+        # The reference re-extracts: each shard gets raw values only.
+        shards = [Workspace(source.config) for _ in range(2)]
+        for identifier, label in zip(source.identifiers, source.labels):
+            shards[shard_of(identifier, 2)].add(
+                source.series_of(identifier), identifier=identifier, label=label)
+        reference = ShardedWorkspace(shards, roster=source.identifiers)
+        reference.build_index()
+        try:
+            for ts in dataset:
+                for mode in ("exact", "indexed"):
+                    assert_bit_identical(
+                        sharded.query(ts.values, 3, mode=mode, candidates=8),
+                        reference.query(ts.values, 3, mode=mode, candidates=8),
+                    )
+        finally:
+            sharded.close()
+            reference.close()
+            source.close()
+
+    def test_deferred_features_stay_deferred_in_the_shards(self, dataset):
+        source = Workspace.in_memory(_config())
+        source.add_dataset(dataset)
+        sharded = split_workspace(source, 2, build_index=False)
+        try:
+            for shard in sharded._shards:
+                assert shard.identifiers
+                assert not any(shard._store.has_features(identifier)
+                               for identifier in shard.identifiers)
+        finally:
+            sharded.close()
+
     def test_placement_is_stable(self):
         assert shard_of("series-00001", 4) == shard_of("series-00001", 4)
         with pytest.raises(ValidationError):

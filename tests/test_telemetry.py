@@ -4,6 +4,9 @@ Workspace integration that carries a trace through every query mode."""
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
 import re
 import threading
 
@@ -264,6 +267,44 @@ class TestQueryTrace:
     def test_stage_dataclass(self):
         stage = TraceStage("x", 1.0, {"a": 2})
         assert stage.to_dict()["attributes"] == {"a": 2}
+
+    def test_attribute_less_stages_share_one_read_only_mapping(self):
+        trace = QueryTrace()
+        first = trace.add_stage("extract", 0.1)
+        second = trace.add_stage("matching", 0.2)
+        assert first.attributes is second.attributes
+        assert first.attributes is TraceStage("x", 1.0).attributes
+        assert first.attributes == {} and len(first.attributes) == 0
+        with pytest.raises(TypeError):
+            first.attributes["candidates"] = 1
+        assert second.attributes == {}
+        # Copies and pickles keep sharing it.
+        assert copy.deepcopy(first).attributes is first.attributes
+        assert pickle.loads(pickle.dumps(first)).attributes is first.attributes
+
+    def test_stage_with_attributes_gets_its_own_mapping(self):
+        trace = QueryTrace()
+        given = {"pruned": 1}
+        first = trace.add_stage("bounds", 0.1, **given)
+        second = trace.add_stage("bounds", 0.1, **given)
+        assert first.attributes == given
+        assert first.attributes is not second.attributes
+        first.attributes["pruned"] = 2
+        assert second.attributes == given
+
+    def test_json_round_trip_is_unchanged(self):
+        trace = QueryTrace(mode="exact", k=3, collection_size=10)
+        trace.add_stage("bounds", 0.1, pruned=4)
+        trace.add_stage("extract", 0.0)
+        trace.add_stage("dp", 0.2, cells=9)
+        trace.finish(0.5)
+        payload = json.loads(json.dumps(trace.to_dict()))
+        assert [stage.get("attributes") for stage in payload["stages"]] == [
+            {"pruned": 4}, None, {"cells": 9}, None,
+        ]
+        rebuilt = QueryTrace.from_dict(payload)
+        assert rebuilt.to_dict() == trace.to_dict()
+        assert rebuilt.stages[1].attributes is trace.stages[1].attributes
 
 
 class TestTraceRing:
