@@ -38,10 +38,16 @@ def as_series(values: ArrayLike, name: str = "series") -> np.ndarray:
     EmptySeriesError
         If the input contains no elements.
     ValidationError
-        If the input is not one-dimensional or contains NaN/Inf values.
+        If the input is not a sequence of numbers, is not one-dimensional
+        or contains NaN/Inf values.
     """
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                     dtype=float)
+    try:
+        arr = np.asarray(
+            list(values) if not isinstance(values, np.ndarray) else values,
+            dtype=float,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must contain only numbers: {exc}") from exc
     if arr.ndim != 1:
         raise ValidationError(
             f"{name} must be one-dimensional, got shape {arr.shape}"

@@ -16,11 +16,13 @@ Pipeline::
         -> IndexedSearcher (top-C candidates -> DistanceEngine re-rank)
 
 :class:`repro.service.Workspace` is the one owner of an index: its
-``build_index`` builds one with :meth:`IndexedSearcher.from_engine`, its
-adds, removals and ``compact_index`` update copies of the
-:class:`InvertedIndex`, and it writes the index to its ``index/``
-directory with :class:`IndexWriter` and reopens it with
-:class:`IndexReader`.  That directory holds no feature store; the
+``build_index`` fits a :class:`Codebook` on the features of its
+:class:`~repro.retrieval.feature_store.FeatureStore` and builds the
+:class:`InvertedIndex` from their bags, its adds, removals and
+``compact_index`` update copies of the index, and it writes the index
+to its ``index/`` directory with :class:`IndexWriter` and reopens it
+with :class:`IndexReader`.  Its serving snapshots wrap the index in an
+:class:`IndexedSearcher`.  That directory holds no feature store; the
 workspace keeps one, at its root.
 
 Naming note: this package is the canonical home of the library's

@@ -22,11 +22,12 @@ hatch).  :meth:`IndexedSearcher.recall_at_k` measures the speed/recall
 trade-off against the exhaustive ranking.
 
 A searcher only reads.  :class:`repro.service.Workspace` owns the index
-it serves: ``build_index`` builds it through
-:meth:`IndexedSearcher.from_engine`, incremental adds, removals and
-compaction update copies of the :class:`InvertedIndex`, and the
+it serves: ``build_index`` fits the :class:`Codebook` on the feature
+store and builds the :class:`InvertedIndex` from the bags, incremental
+adds, removals and compaction update copies of the index, and the
 workspace persists the index under its ``index/`` directory and reopens
-it.  Each update gets a new searcher over the new index.
+it.  Each update gets a new searcher over the new index at the next
+serving snapshot.
 
 When constructed with a telemetry registry (see :mod:`repro.telemetry`)
 the searcher counts candidate-cache hits/misses, and when a query trace
@@ -54,7 +55,7 @@ from ..engine.stats import EngineStats
 from ..exceptions import ValidationError
 from ..telemetry.registry import NULL_REGISTRY
 from ..telemetry.trace import current_trace
-from .codebook import Codebook, CodebookConfig
+from .codebook import Codebook
 from .postings import InvertedIndex
 
 
@@ -141,10 +142,13 @@ class IndexedSearcher:
         series); ``-1`` marks dead slots.  ``None`` means identity.
     postings_cache:
         Hot decoded-postings pages kept per shard (see
-        :meth:`InvertedIndex.enable_postings_cache`); ``0`` disables.
+        :meth:`InvertedIndex.enable_postings_cache`); shard payloads are
+        immutable, so the pages never go stale.  ``0`` disables.
     candidate_cache:
         LRU entries of stage-1 candidate sets keyed by (query bytes,
-        budget); a repeat query skips candidate generation entirely.
+        budget); a repeat query skips candidate generation entirely.  A
+        searcher never mutates its index, so the cache cannot go stale:
+        an index update builds a new searcher with an empty cache.
         ``0`` disables.
     telemetry:
         Optional :class:`repro.telemetry.MetricsRegistry`; the searcher
@@ -207,11 +211,12 @@ class IndexedSearcher:
         self.candidate_budget = check_int_at_least(
             candidate_budget, 1, "candidate_budget"
         )
-        # Stage-1 candidate-set LRU (see enable_caches).
+        index.enable_postings_cache(postings_cache)
+        # Stage-1 candidate-set LRU.
         self._candidate_cache: "OrderedDict[Tuple[bytes, int], np.ndarray]" = (
             OrderedDict()
         )
-        self._candidate_cache_capacity = 0
+        self._candidate_cache_capacity = max(0, int(candidate_cache))
         self._candidate_cache_lock = threading.Lock()
         registry = telemetry if telemetry is not None else NULL_REGISTRY
         cache_requests = registry.counter(
@@ -221,9 +226,6 @@ class IndexedSearcher:
         )
         self._cache_hit_counter = cache_requests.labels(outcome="hit")
         self._cache_miss_counter = cache_requests.labels(outcome="miss")
-        self.enable_caches(
-            postings_cache=postings_cache, candidate_cache=candidate_cache
-        )
 
     @property
     def index_to_engine(self) -> Optional[np.ndarray]:
@@ -234,100 +236,6 @@ class IndexedSearcher:
         recomputing it from the roster.
         """
         return self._index_to_engine
-
-    def enable_caches(
-        self,
-        *,
-        postings_cache: Optional[int] = None,
-        candidate_cache: Optional[int] = None,
-    ) -> None:
-        """(Re)configure the read-path caches.
-
-        ``postings_cache`` sets the per-shard decoded-postings page
-        capacity (shard payloads are immutable, so those pages can never
-        go stale and survive snapshot derivations).  ``candidate_cache``
-        sets the per-searcher LRU capacity for stage-1 candidate sets.
-        A searcher never mutates its index, so that cache cannot go
-        stale: an index update builds a new searcher with an empty
-        cache.  ``None`` leaves a knob unchanged; ``0`` disables.
-        """
-        if postings_cache is not None:
-            self.index.enable_postings_cache(postings_cache)
-        if candidate_cache is not None:
-            with self._candidate_cache_lock:
-                self._candidate_cache_capacity = max(0, int(candidate_cache))
-                self._candidate_cache.clear()
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_engine(
-        cls,
-        engine: DistanceEngine,
-        *,
-        config: Optional[SDTWConfig] = None,
-        codebook_config: Optional[CodebookConfig] = None,
-        num_shards: int = 4,
-        candidate_budget: int = 100,
-        features: Optional[Sequence[Sequence]] = None,
-        telemetry=None,
-    ) -> "IndexedSearcher":
-        """Build the index layers over an engine's stored collection.
-
-        The one way to build a searcher's index:
-        :meth:`repro.service.Workspace.build_index` calls it, and a
-        workspace persists and reopens what it builds.  Features are
-        extracted once per stored series (the paper's amortisation
-        argument), the codebook is fitted on them, and the bags become
-        the inverted index.  The engine is re-used as the re-ranking
-        stage.
-
-        Parameters
-        ----------
-        features:
-            Optional pre-extracted salient features, one list per stored
-            series in engine order (e.g. from a
-            :class:`~repro.retrieval.feature_store.FeatureStore`); they
-            must come from the same extraction configuration.  Skips the
-            per-series extraction pass entirely — this is how the
-            Workspace facade builds its index without ever re-extracting.
-        """
-        config = config if config is not None else SDTWConfig()
-        if codebook_config is None:
-            codebook_config = CodebookConfig.for_sdtw(config)
-        stored = engine.stored_items()
-        if not stored:
-            raise ValidationError("cannot build an index over zero series")
-        identifiers = [identifier for identifier, _, _ in stored]
-        if len(set(identifiers)) != len(identifiers):
-            # Persistence keys series by identifier; duplicates would
-            # silently collapse on reopen.
-            raise ValidationError(
-                "cannot index a collection with duplicate identifiers"
-            )
-        if features is None:
-            features = [
-                extract_salient_features(values, config) for _, values, _ in stored
-            ]
-        elif len(features) != len(stored):
-            raise ValidationError(
-                "features must have one feature list per stored series"
-            )
-        lengths = [values.size for _, values, _ in stored]
-        codebook = Codebook(codebook_config).fit(features, lengths)
-        bags = [
-            codebook.bag(feature_list, length)
-            for feature_list, length in zip(features, lengths)
-        ]
-        index = InvertedIndex.from_bags(
-            bags, codebook.num_codewords, num_shards=num_shards
-        )
-        return cls(
-            index, codebook, engine,
-            config=config, candidate_budget=candidate_budget,
-            telemetry=telemetry,
-        )
 
     # ------------------------------------------------------------------ #
     # Querying
@@ -349,7 +257,7 @@ class IndexedSearcher:
         Returned indices are engine positions (identical to index slots
         unless the index carries tombstoned slots).
 
-        With an enabled candidate cache (see :meth:`enable_caches`) a
+        With an enabled candidate cache (``candidate_cache > 0``) a
         byte-identical repeat of a recent (query, budget) pair returns
         the memoised candidate set without touching the postings; the
         searcher's index never changes, so a hit is always exactly what

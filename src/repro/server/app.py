@@ -82,6 +82,25 @@ def _parse_flag(raw: str, name: str) -> bool:
     )
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean"}
+
+
+def _field(payload: dict, name: str, kind: type, default: object = None):
+    """``payload[name]`` (*default* when absent): null or a JSON *kind*.
+
+    A JSON boolean is not an integer here, although Python's ``bool``
+    is an ``int``.
+    """
+    value = payload.get(name, default)
+    if value is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
+        raise ProtocolError(
+            f"{name!r} must be {_JSON_TYPES[kind]} or null, got {value!r}"
+        )
+    return value
+
+
 async def _close(writer: asyncio.StreamWriter) -> None:
     """Close a connection's transport and wait for the close handshake."""
     writer.close()
@@ -396,14 +415,11 @@ class WorkspaceServer:
             raise ProtocolError(
                 "'values' must be a non-empty JSON array of numbers"
             )
-        k = payload.get("k", self._default_k)
-        if k is not None:
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ProtocolError(f"'k' must be an integer, got {k!r}")
+        k = _field(payload, "k", int, self._default_k)
         mode = payload.get("mode", self._default_mode)
-        candidates = payload.get("candidates")
-        if candidates is not None and not isinstance(candidates, int):
-            raise ProtocolError("'candidates' must be an integer")
+        candidates = _field(payload, "candidates", int)
+        exclude_identifier = _field(payload, "exclude_identifier", str)
+        want_trace = _field(payload, "trace", bool)
         # v1 clients may still send the stage-1 ranking; tfidf is the
         # only one left.
         if payload.get("rank_mode") not in (None, "tfidf"):
@@ -412,18 +428,17 @@ class WorkspaceServer:
                 f"codec; indexed queries rank candidates by TF-IDF only "
                 f"(omit rank_mode or send \"tfidf\")"
             )
-        want_trace = self._default_trace
         if "trace" in request.query:
             want_trace = _parse_flag(request.query["trace"], "trace")
-        elif "trace" in payload:
-            want_trace = bool(payload["trace"])
+        elif want_trace is None:
+            want_trace = self._default_trace
         result = await self._run_blocking(functools.partial(
             self.workspace.query,
             values,
             k,
             mode=str(mode),
             candidates=candidates,
-            exclude_identifier=payload.get("exclude_identifier"),
+            exclude_identifier=exclude_identifier,
         ))
         return HTTPResponse.from_json(
             200, result.to_dict(include_trace=want_trace)
@@ -436,10 +451,7 @@ class WorkspaceServer:
             raise ProtocolError(
                 "'values' must be a non-empty JSON array of numbers"
             )
-        label = payload.get("label")
-        if label is not None and (isinstance(label, bool)
-                                  or not isinstance(label, int)):
-            raise ProtocolError(f"'label' must be an integer, got {label!r}")
+        label = _field(payload, "label", int)
         identifier = payload.get("identifier")
         stored = await self._run_blocking(functools.partial(
             self.workspace.add,

@@ -260,7 +260,7 @@ class ShardedWorkspace:
             del self._placement[identifier]
             self._counts[home] -= 1
 
-    def build_index(self, **kwargs: object) -> None:
+    def build_index(self) -> None:
         """(Re)build the inverted index on every non-empty shard."""
         with self._lock:
             targets = [
@@ -268,7 +268,7 @@ class ShardedWorkspace:
                 if count
             ]
         for shard in targets:
-            shard.build_index(**kwargs)
+            shard.build_index()
 
     # ------------------------------------------------------------------ #
     # Scatter-gather query
@@ -355,6 +355,13 @@ class ShardedWorkspace:
         for outcome in outcomes:
             if isinstance(outcome, BaseException) and not isinstance(outcome, Exception):
                 raise outcome
+        # Validation failures are the caller's bug, not shard
+        # unavailability: re-raise them verbatim, and count no shard
+        # error, so the sharded and single-workspace surfaces reject bad
+        # input identically.
+        for outcome in outcomes:
+            if isinstance(outcome, (ValidationError, TypeError)):
+                raise outcome
 
         answered: List[Tuple[str, WorkspaceQueryResult]] = []
         failed: List[Tuple[str, BaseException]] = []
@@ -365,12 +372,6 @@ class ShardedWorkspace:
                 self._m_shard_errors.labels(shard=name).inc()
                 failed.append((name, outcome))
         if failed:
-            # Validation failures are the caller's bug, not shard
-            # unavailability: re-raise them verbatim so the sharded and
-            # single-workspace surfaces reject bad input identically.
-            for _, exc in failed:
-                if isinstance(exc, (ValidationError, TypeError)):
-                    raise exc
             if not self._allow_partial or not answered:
                 name, exc = failed[0]
                 raise WorkspaceError(

@@ -71,10 +71,12 @@ from ..engine.engine import EngineHit
 from ..engine.stats import EngineStats
 from ..exceptions import DatasetError, ValidationError, WorkspaceError
 from ..indexing import (
+    Codebook,
     CodebookConfig,
     IndexReader,
     IndexWriter,
     IndexedSearcher,
+    InvertedIndex,
 )
 from ..retrieval.feature_store import FeatureStore
 from ..streaming import StreamMatch, StreamMonitor
@@ -1157,9 +1159,10 @@ class Workspace:
     ) -> None:
         """Mark serving state stale after a mutation (caller holds the lock).
 
-        ``index_updated=True`` means the mutation already refreshed the
-        index incrementally, so only the serving snapshot needs a
-        rebuild; otherwise any existing index goes stale.  ``op`` (an
+        ``index_updated=True`` means the mutation already brought the
+        index up to date (incrementally, by compaction or by a rebuild),
+        so only the serving snapshot needs a refresh; otherwise any
+        existing index goes stale.  ``op`` (an
         ``("add"|"remove", identifier)`` pair) is appended to the
         mutation log, letting the next query *derive* its snapshot from
         the previous one — shared prepared segments, an appended segment
@@ -1192,9 +1195,10 @@ class Workspace:
             self._require_open()
             if self._serving is None:
                 pending = len(self._pending)
+                snapshot = self._next_snapshot()
+                self._snapshot_version += 1
                 self._serving = dataclasses.replace(
-                    self._next_snapshot(),
-                    version=self._bump_snapshot_version(),
+                    snapshot, version=self._snapshot_version
                 )
                 self._previous = None
                 self._pending.clear()
@@ -1204,11 +1208,6 @@ class Workspace:
                         mutations=pending,
                     )
             return self._serving
-
-    def _bump_snapshot_version(self) -> int:
-        """The next snapshot publish version (caller holds the lock)."""
-        self._snapshot_version += 1
-        return self._snapshot_version
 
     # Rebuild (instead of derive) once this fraction of a derived
     # engine's slots would be tombstones: queries pay for dead slots in
@@ -1464,91 +1463,57 @@ class Workspace:
     # ------------------------------------------------------------------ #
     # Indexing
     # ------------------------------------------------------------------ #
-    def build_index(
-        self,
-        *,
-        num_codewords: Optional[int] = None,
-        num_shards: Optional[int] = None,
-        candidate_budget: Optional[int] = None,
-    ) -> None:
+    def build_index(self) -> None:
         """(Re)build the inverted index over the current collection.
 
-        Stored features are reused from the feature store — building the
-        index never re-extracts.  Path-backed workspaces persist the
-        index (and any pending mutations) immediately.
+        Fits the codebook on the stored features, in roster order, and
+        builds the postings from their bags; ``config.index`` sets every
+        parameter.  Stored features are reused from the feature store —
+        building the index never re-extracts.  Like every other index
+        change it publishes no snapshot: the next read derives one (or
+        builds the first) with a searcher over the new index.
+        Path-backed workspaces persist the index (and any pending
+        mutations) immediately.
         """
         with self._lock:
             self._require_open()
             if not self._identifiers:
                 raise DatasetError("cannot build an index over an empty workspace")
             cfg = self.config.index
-            snapshot = self._ensure_serving()
-            if snapshot.engine_to_live is not None:
-                # The serving engine carries tombstoned slots; index
-                # construction wants a dense engine whose positions equal
-                # roster positions, so rebuild the snapshot from scratch
-                # (the codebook refit below dwarfs this cost anyway).
-                snapshot = dataclasses.replace(
-                    self._build_snapshot(),
-                    version=self._bump_snapshot_version(),
-                )
-                self._serving = snapshot
             self._ensure_all_features()
-            codebook_config = CodebookConfig.for_sdtw(
-                self.config.sdtw,
-                num_codewords=cfg.num_codewords if num_codewords is None
-                else num_codewords,
-                seed=cfg.seed,
-            )
-            searcher = IndexedSearcher.from_engine(
-                snapshot.engine,
-                config=self.config.sdtw,
-                codebook_config=codebook_config,
-                num_shards=cfg.num_shards if num_shards is None else num_shards,
-                candidate_budget=(
-                    cfg.candidate_budget if candidate_budget is None
-                    else candidate_budget
-                ),
-                features=[
-                    list(self._store.features_of(identifier))
-                    for identifier in self._identifiers
-                ],
-                telemetry=self._metrics,
+            features = [self._store.features_of(i) for i in self._identifiers]
+            lengths = [self._store.series_of(i).size for i in self._identifiers]
+            codebook = Codebook(CodebookConfig.for_sdtw(
+                self.config.sdtw, num_codewords=cfg.num_codewords, seed=cfg.seed,
+            )).fit(features, lengths)
+            index = InvertedIndex.from_bags(
+                [codebook.bag(f, n) for f, n in zip(features, lengths)],
+                codebook.num_codewords,
+                num_shards=cfg.num_shards,
             )
             self._m_index_updates.labels(kind="rebuild").inc()
             self._events.emit(
                 "index", "rebuilt",
                 num_series=len(self._identifiers),
-                num_codewords=int(searcher.codebook.num_codewords),
+                num_codewords=int(codebook.num_codewords),
             )
             self._events.emit(
                 "cache", "candidate_cache_invalidated", level="debug",
                 reason="rebuild",
             )
             self._index = _PersistedIndex(
-                index=searcher.index,
-                codebook=searcher.codebook,
+                index=index,
+                codebook=codebook,
                 slots=list(self._identifiers),
                 generation=(
                     0 if self._index is None else self._index.generation + 1
                 ),
             )
-            searcher.enable_caches(
-                postings_cache=self.config.index.postings_cache,
-                candidate_cache=self.config.index.candidate_cache,
-            )
-            self._serving = _Snapshot(
-                engine=snapshot.engine,
-                searcher=searcher,
-                size=snapshot.size,
-                index_generation=self._index.generation,
-                version=self._bump_snapshot_version(),
-            )
-            self._dirty = True
+            self._invalidate(index_updated=True)
             if self.path is not None:
                 self.save()
 
-    def compact_index(self, *, num_shards: Optional[int] = None) -> None:
+    def compact_index(self) -> None:
         """Fold the index's delta shards and tombstones into its base.
 
         Compaction recomputes IDF statistics and TF-IDF weights from the
@@ -1570,9 +1535,8 @@ class Workspace:
                 return
             deltas = int(index.num_delta_shards)
             tombstones = int(index.num_tombstones)
-            cfg = self.config.index
             compacted, slot_map = index.compact(
-                num_shards=cfg.num_shards if num_shards is None else num_shards
+                num_shards=self.config.index.num_shards
             )
             self._index = _PersistedIndex(
                 index=compacted,

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.config import DescriptorConfig, SDTWConfig
+from repro.core.features import extract_salient_features
 from repro.datasets.synthetic import make_gun_like
 from repro.engine import DistanceEngine
 from repro.exceptions import ValidationError
-from repro.indexing import CodebookConfig, IndexedSearcher
+from repro.indexing import (
+    Codebook,
+    CodebookConfig,
+    IndexedSearcher,
+    InvertedIndex,
+)
 
 CONFIG = SDTWConfig(descriptor=DescriptorConfig(num_bins=16))
 # The three constraint families the acceptance criterion names.
@@ -21,14 +27,23 @@ def dataset():
     return make_gun_like(num_series=24, length=80, seed=21)
 
 
-def _build(dataset, constraint, **kwargs):
+def _build(dataset, constraint, *, candidate_budget=100):
+    """A searcher over *dataset*, its index built from the layers."""
     engine = DistanceEngine(constraint, CONFIG)
     engine.add_dataset(dataset)
-    kwargs.setdefault(
-        "codebook_config", CodebookConfig.for_sdtw(CONFIG, num_codewords=32, seed=2)
+    features = [extract_salient_features(ts.values, CONFIG) for ts in dataset]
+    lengths = [ts.values.size for ts in dataset]
+    codebook = Codebook(
+        CodebookConfig.for_sdtw(CONFIG, num_codewords=32, seed=2)
+    ).fit(features, lengths)
+    index = InvertedIndex.from_bags(
+        [codebook.bag(f, n) for f, n in zip(features, lengths)],
+        codebook.num_codewords,
+        num_shards=3,
     )
-    kwargs.setdefault("num_shards", 3)
-    return IndexedSearcher.from_engine(engine, config=CONFIG, **kwargs)
+    return IndexedSearcher(
+        index, codebook, engine, config=CONFIG, candidate_budget=candidate_budget
+    )
 
 
 class TestFullBudgetEquivalence:
@@ -101,36 +116,6 @@ class TestBudgetedQueries:
         assert np.array_equal(first, second)
 
 
-class TestEngineIndexedPath:
-    """``IndexedSearcher.from_engine`` over a Workspace's serving engine
-    (the path the retired search-engine shim used to wrap)."""
-
-    def test_from_engine_reuses_the_engine(self, dataset):
-        from repro.service import (
-            EngineConfig, Workspace, WorkspaceConfig,
-        )
-
-        workspace = Workspace(WorkspaceConfig(
-            sdtw=CONFIG, engine=EngineConfig(constraint="fc,fw")))
-        workspace.add_dataset(dataset)
-        searcher = IndexedSearcher.from_engine(
-            workspace.engine,
-            config=CONFIG,
-            codebook_config=CodebookConfig.for_sdtw(CONFIG, num_codewords=32),
-            candidate_budget=8,
-        )
-        assert searcher.engine is workspace.engine
-        result = searcher.query(dataset[0].values, k=3,
-                                candidates=len(dataset))
-        exhaustive = workspace.query(dataset[0].values, 3, mode="exact")
-        assert [hit.index for hit in exhaustive.hits] == list(result.indices)
-
-    def test_empty_engine_rejected(self):
-        with pytest.raises(ValidationError):
-            IndexedSearcher.from_engine(
-                DistanceEngine("fc,fw", config=CONFIG), config=CONFIG)
-
-
 class TestValidation:
     def test_mismatched_descriptor_bins_rejected(self, dataset):
         searcher = _build(dataset, "fc,fw")
@@ -149,13 +134,6 @@ class TestValidation:
 
 
 class TestDuplicateIdentifiers:
-    def test_from_engine_rejects_duplicate_identifiers(self, dataset):
-        engine = DistanceEngine("fc,fw", CONFIG)
-        engine.add(dataset[0].values, identifier="dup")
-        engine.add(dataset[1].values, identifier="dup")
-        with pytest.raises(ValidationError):
-            IndexedSearcher.from_engine(engine, config=CONFIG)
-
     def test_writer_rejects_duplicate_identifiers(self, dataset, tmp_path):
         from repro.indexing import IndexWriter
 

@@ -425,13 +425,46 @@ class TestErrorContract:
         with pytest.raises(ValidationError):
             client.query([], 3)
 
-    def test_non_numeric_k_is_400(self, server):
-        status, _, body = raw_request(
-            server, "POST", "/query",
-            body=json.dumps({"values": [1.0, 2.0], "k": "three"}),
-            headers={"Content-Type": "application/json"})
-        assert status == 400
-        assert json.loads(body)["error"]["type"] == "ProtocolError"
+    def test_non_numeric_k_is_400(self, server, workspace, dataset):
+        """Malformed fields are a typed 400 on a plain and a 2-shard
+        server, and the 2-shard one counts no shard error for them."""
+        values = [float(v) for v in dataset[0].values]
+        malformed = [
+            ({"values": [1.0, 2.0], "k": "three"}, "ProtocolError"),
+            ({"values": values, "candidates": True}, "ProtocolError"),
+            ({"values": values, "exclude_identifier": ["x"]}, "ProtocolError"),
+            ({"values": values, "exclude_identifier": 5}, "ProtocolError"),
+            ({"values": values, "trace": "no"}, "ProtocolError"),
+            ({"values": ["a", "b"], "k": 3}, "ValidationError"),
+        ]
+        well_formed = {
+            "values": values, "k": 3, "candidates": 6, "trace": True,
+            "exclude_identifier": dataset[0].identifier,
+        }
+        headers = {"Content-Type": "application/json"}
+        sharded = split_workspace(workspace, 2)
+        with WorkspaceServer(sharded, port=0) as two_shard:
+            for srv in (server, two_shard):
+                for payload, error_type in malformed:
+                    status, _, body = raw_request(
+                        srv, "POST", "/query", body=json.dumps(payload),
+                        headers=headers)
+                    assert status == 400, (payload, body)
+                    error = json.loads(body)["error"]
+                    assert error["type"] == error_type, (payload, error)
+                    assert error["status"] == 400
+                status, _, body = raw_request(
+                    srv, "POST", "/query", body=json.dumps(well_formed),
+                    headers=headers)
+                assert status == 200, body
+                answer = json.loads(body)
+                assert answer["trace"] is not None
+                assert dataset[0].identifier not in [
+                    hit["identifier"] for hit in answer["hits"]
+                ]
+        counters = sharded.metrics.to_dict()["counters"]
+        assert not any(counters["repro_shard_errors_total"]["values"].values())
+        sharded.close()
 
     def test_removed_rank_mode_is_400_and_tfidf_still_answers(
         self, server, workspace, dataset

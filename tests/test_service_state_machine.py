@@ -2,8 +2,9 @@
 
 The churn suite replays fixed operation scripts; this suite lets
 hypothesis choose the order of adds, batch adds, removes, re-adds of a
-removed identifier, index builds, compactions and close/reopen cycles.
-After every step the workspace must agree with a brute-force model:
+removed identifier, index builds, compactions, close/reopen cycles and
+saves that a second workspace, opened alongside, reads back.  After
+every step the workspace must agree with a brute-force model:
 
 * the exact top-k ids and distance bytes equal the model's ranking of
   the live roster (per-pair :meth:`SDTW.distance`, ties broken by
@@ -12,8 +13,10 @@ After every step the workspace must agree with a brute-force model:
   exact answer;
 * ``run_doctor(ws, probe=False)`` reports no FAIL.
 
-Every model distance is computed once per (query, pool series) pair,
-so a step costs one lookup per live series.
+Because the checks run before every step, index builds land on derived
+serving engines, tombstoned slots included.  Every model distance is
+computed once per (query, pool series) pair, so a step costs one lookup
+per live series.
 """
 
 from __future__ import annotations
@@ -169,12 +172,31 @@ class _WorkspaceMachine(RuleBasedStateMachine):
         self.workspace.close()
         self.workspace = Workspace.open(self.path)
 
+    @rule()
+    def save_and_open_alongside(self) -> None:
+        """Save without closing; a second workspace opened from the
+        directory must serve the model's answers, then it closes and the
+        first carries on."""
+        self.workspace.save()
+        second = Workspace.open(self.path)
+        try:
+            self._check_answers(second)
+            self._check_doctor(second)
+        finally:
+            second.close()
+
     # ------------------------------------------------------------------ #
     # Invariants
     # ------------------------------------------------------------------ #
     @invariant()
     def answers_match_the_model(self) -> None:
-        workspace = self.workspace
+        self._check_answers(self.workspace)
+
+    @invariant()
+    def doctor_is_healthy(self) -> None:
+        self._check_doctor(self.workspace)
+
+    def _check_answers(self, workspace: Workspace) -> None:
         assert workspace.identifiers == [_name(p) for p in self.roster]
         for query_index, query in enumerate(QUERIES):
             row = self.distances[query_index]
@@ -199,9 +221,9 @@ class _WorkspaceMachine(RuleBasedStateMachine):
                     np.float64(d).tobytes() for d in exact.distances
                 ]
 
-    @invariant()
-    def doctor_is_healthy(self) -> None:
-        report = run_doctor(self.workspace, probe=False)
+    @staticmethod
+    def _check_doctor(workspace: Workspace) -> None:
+        report = run_doctor(workspace, probe=False)
         assert report.healthy, [c.to_dict() for c in report.checks]
 
 

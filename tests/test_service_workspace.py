@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.features import extract_salient_features
 from repro.datasets.synthetic import make_gun_like
 from repro.engine import DistanceEngine
 from repro.exceptions import (
@@ -19,7 +20,12 @@ from repro.exceptions import (
     ValidationError,
     WorkspaceError,
 )
-from repro.indexing import CodebookConfig, IndexedSearcher
+from repro.indexing import (
+    Codebook,
+    CodebookConfig,
+    IndexedSearcher,
+    InvertedIndex,
+)
 from repro.service import (
     EngineConfig,
     IndexConfig,
@@ -60,15 +66,23 @@ def _direct_engine(dataset, config):
 
 def _direct_searcher(dataset, config):
     """The direct IndexedSearcher a Workspace index must be identical to."""
-    return IndexedSearcher.from_engine(
-        _direct_engine(dataset, config),
-        config=config.sdtw,
-        codebook_config=CodebookConfig.for_sdtw(
-            config.sdtw,
-            num_codewords=config.index.num_codewords,
-            seed=config.index.seed,
-        ),
+    features = [
+        extract_salient_features(ts.values, config.sdtw) for ts in dataset
+    ]
+    lengths = [ts.values.size for ts in dataset]
+    codebook = Codebook(CodebookConfig.for_sdtw(
+        config.sdtw,
+        num_codewords=config.index.num_codewords,
+        seed=config.index.seed,
+    )).fit(features, lengths)
+    index = InvertedIndex.from_bags(
+        [codebook.bag(f, n) for f, n in zip(features, lengths)],
+        codebook.num_codewords,
         num_shards=config.index.num_shards,
+    )
+    return IndexedSearcher(
+        index, codebook, _direct_engine(dataset, config),
+        config=config.sdtw,
         candidate_budget=config.index.candidate_budget,
     )
 
@@ -142,6 +156,51 @@ class TestIndexedEquivalence:
                                   exclude_identifier=dataset[3].identifier)
         assert indexed.ids == exact.ids
         assert indexed.distances == exact.distances
+
+    @pytest.mark.parametrize("constraint", ["fc,fw", "ac,aw"])
+    def test_build_index_over_a_tombstoned_engine(
+        self, dataset, config, constraint
+    ):
+        """``build_index()`` keeps a derived engine's dead slots: the next
+        read wraps the new index around that engine through the slot
+        mapping, and answers as a fresh workspace over the survivors."""
+        cfg = WorkspaceConfig(
+            engine=EngineConfig(constraint=constraint),
+            index=config.index,
+            default_k=config.default_k,
+        )
+        workspace = _fill(Workspace(cfg), dataset)
+        workspace.query(dataset[0].values, 3, mode="exact")
+        removed = {dataset[2].identifier, dataset[7].identifier}
+        for identifier in removed:
+            workspace.remove(identifier)
+        version = workspace.query(
+            dataset[0].values, 3, mode="exact"
+        ).snapshot_version
+        workspace.build_index()
+        first = workspace.query(dataset[0].values, 3, mode="indexed")
+        assert first.snapshot_version == version + 1
+        engine = workspace.engine
+        assert engine.alive_mask is not None
+        assert int((~engine.alive_mask).sum()) == len(removed)
+        assert workspace.searcher.engine is engine
+
+        fresh = Workspace(cfg)
+        for ts in dataset:
+            if ts.identifier not in removed:
+                fresh.add(ts.values, identifier=ts.identifier, label=ts.label)
+        fresh.build_index()
+        for ts in dataset.series[:6]:
+            query = ts.values + 0.01
+            for budget in (3, len(fresh)):
+                ours = workspace.query(query, 3, mode="indexed",
+                                       candidates=budget)
+                theirs = fresh.query(query, 3, mode="indexed",
+                                     candidates=budget)
+                assert ours.ids == theirs.ids
+                assert ours.indices == theirs.indices
+                assert np.asarray(ours.distances).tobytes() == \
+                    np.asarray(theirs.distances).tobytes()
 
     def test_add_marks_index_stale_without_incremental(self, dataset, config):
         cfg = WorkspaceConfig(

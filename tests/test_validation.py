@@ -48,6 +48,13 @@ class TestAsSeries:
         with pytest.raises(ValidationError):
             as_series([1.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "values", [["a", "b"], [[1.0, 2.0], [3.0]], 5, [{}]]
+    )
+    def test_non_numeric_values_raise_validation_error(self, values):
+        with pytest.raises(ValidationError, match="myarg"):
+            as_series(values, name="myarg")
+
     def test_name_appears_in_error_message(self):
         with pytest.raises(ValidationError, match="myarg"):
             as_series([np.nan], name="myarg")
